@@ -9,6 +9,11 @@ component bipartitions and wideness is decidable from the component
 classification alone -- that is what ``wide_decomposition`` does; the
 exhaustive bipartition search survives only as a test oracle.
 
+The wide masks, the maximal wide masks, the spherical subsets of a ground
+set and affine-freeness are read from the graph's ``SubsetTable`` (see
+``coxwide.classification``), which is built once per graph after the cap
+check; a single vertex set is still decided from its own components.
+
 The deciders quantify over inclusion-maximal blocked sets: a path avoiding a
 superset avoids the subset, and a failing pair keeps failing when the blocked
 set grows (for the spherical variant, among joins that keep the pair outside
@@ -18,12 +23,11 @@ K), so pruning changes nothing about the verdict.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional
 
-from .classification import _classify_component, is_spherical_mask
+from .classification import irreducible_kind, is_spherical_mask, subset_table
 from .errors import SizeCapError
-from .graphs import CoxeterGraph, bits, popcount, submasks
+from .graphs import CoxeterGraph, bits, popcount
 
 DEFAULT_VERTEX_CAP = 20
 
@@ -81,12 +85,12 @@ class AvoidanceReport:
 
 
 def _infinite_component(g: CoxeterGraph, comp_mask: int) -> bool:
-    return _classify_component(g, comp_mask).kind != "FiniteType"
+    return irreducible_kind(g, comp_mask) != "FiniteType"
 
 
 def _affine_rank3_component(g: CoxeterGraph, comp_mask: int) -> bool:
-    v = _classify_component(g, comp_mask)
-    return v.kind == "AffineType" and v.rank >= 3
+    # affine diagrams of rank 2 (A~1) count as InfiniteDihedral
+    return irreducible_kind(g, comp_mask) == "AffineType"
 
 
 def wide_decomposition_mask(g: CoxeterGraph, mask: int) -> Optional[tuple[int, int, str]]:
@@ -122,20 +126,20 @@ def is_wide(g: CoxeterGraph) -> bool:
     return wide_decomposition_mask(g, g.full_mask()) is not None
 
 
-@lru_cache(maxsize=4096)
-def wide_masks(g: CoxeterGraph, cap: int = DEFAULT_VERTEX_CAP) -> tuple[int, ...]:
-    """All wide subsets of the graph, ascending as masks.  Exponential in |V|."""
+def _check_cap(g: CoxeterGraph, cap: int) -> None:
     if g.n > cap:
         raise SizeCapError(cap, f"graph has {g.n} vertices, enumeration cap is {cap}")
-    return tuple(m for m in sorted(submasks(g.full_mask()))
-                 if m and wide_decomposition_mask(g, m) is not None)
 
 
-@lru_cache(maxsize=4096)
+def wide_masks(g: CoxeterGraph, cap: int = DEFAULT_VERTEX_CAP) -> tuple[int, ...]:
+    """All wide subsets of the graph, ascending as masks.  Exponential in |V|."""
+    _check_cap(g, cap)
+    return subset_table(g).wide
+
+
 def maximal_wide_masks(g: CoxeterGraph, cap: int = DEFAULT_VERTEX_CAP) -> tuple[int, ...]:
-    all_wide = wide_masks(g, cap)
-    return tuple(m for m in all_wide
-                 if not any(m != w and m & ~w == 0 for w in all_wide))
+    _check_cap(g, cap)
+    return subset_table(g).maximal_wide
 
 
 def enumerate_wide_subgraphs(g: CoxeterGraph, maximal_only: bool = False,
@@ -156,22 +160,16 @@ def label_in_wide_subgraph(g: CoxeterGraph, label_mask: int) -> Optional[int]:
 # affine-freeness
 
 
-@lru_cache(maxsize=4096)
 def is_affine_free(g: CoxeterGraph, cap: int = DEFAULT_VERTEX_CAP) -> bool:
     """No subset of generators has an affine irreducible component of rank >= 3.
 
-    Right-angled graphs are always affine-free: their conventional diagrams
-    carry only infinity labels, while affine diagrams have finite ones.
+    Such a component is itself an irreducible affine subset, so this asks
+    whether the subset table found one.  Right-angled graphs are always
+    affine-free: their conventional diagrams carry only infinity labels,
+    while affine diagrams have finite ones.
     """
-    if g.n > cap:
-        raise SizeCapError(cap, f"graph has {g.n} vertices, enumeration cap is {cap}")
-    if g.is_racg():
-        return True
-    for mask in submasks(g.full_mask()):
-        for c in g.irreducible_components_mask(mask):
-            if _affine_rank3_component(g, c):
-                return False
-    return True
+    _check_cap(g, cap)
+    return g.is_racg() or not subset_table(g).affine
 
 
 # ---------------------------------------------------------------------------
@@ -207,14 +205,9 @@ def _common_neighbors(g: CoxeterGraph, p_mask: int) -> int:
     return acc & ~p_mask
 
 
-@lru_cache(maxsize=4096)
 def _spherical_submasks(g: CoxeterGraph, ground: int) -> tuple[int, ...]:
-    return tuple(m for m in submasks(ground) if is_spherical_mask(g, m))
-
-
-def _maximal_spherical_submasks(g: CoxeterGraph, ground: int) -> list[int]:
-    sub = _spherical_submasks(g, ground)
-    return [m for m in sub if not any(m != s and m & ~s == 0 for s in sub)]
+    """Spherical subsets of ``ground``, descending as masks."""
+    return tuple(m for m in subset_table(g).spherical if m & ~ground == 0)
 
 
 def enumerate_special_joins(g: CoxeterGraph, maximal_only: bool = False,
@@ -224,8 +217,7 @@ def enumerate_special_joins(g: CoxeterGraph, maximal_only: bool = False,
     With ``maximal_only``, keep those whose blocked set P|Q|K is
     inclusion-maximal among all blocked sets.
     """
-    if g.n > cap:
-        raise SizeCapError(cap, f"graph has {g.n} vertices, enumeration cap is {cap}")
+    _check_cap(g, cap)
     triples: list[tuple[int, int, int]] = []
     for d in wide_masks(g, cap):
         for p, q in _component_bipartitions(g, d):
@@ -281,18 +273,18 @@ def is_wide_spherical_avoidant(g: CoxeterGraph,
     are tested: any failing join extends (grow K within the legal ground set)
     to a failing tested one.
     """
-    if g.n > cap:
-        raise SizeCapError(cap, f"graph has {g.n} vertices, enumeration cap is {cap}")
+    _check_cap(g, cap)
     full = g.full_mask()
     decomps = []
     for d in wide_masks(g, cap):
         for p, q in _component_bipartitions(g, d):
             decomps.append((d, p, q, _common_neighbors(g, p) & ~d))
+    table = subset_table(g)
     for s in range(g.n):
         for t in range(s + 1, g.n):
             pair_mask = (1 << s) | (1 << t)
             for d, p, q, ground in decomps:
-                for k in _maximal_spherical_submasks(g, ground & ~pair_mask):
+                for k in table.maximal_spherical(ground & ~pair_mask):
                     blocked = d | k
                     allowed = (full & ~blocked) | pair_mask
                     if not _connected_pair(g, s, t, allowed):

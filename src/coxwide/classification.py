@@ -10,6 +10,28 @@ Hard-coded longest-element lengths (number of positive roots):
 A_n: n(n+1)/2, B_n: n^2, D_n: n(n-1), E6: 36, E7: 63, E8: 120, F4: 24,
 H3: 15, H4: 60, I2(m): m.
 
+Subset questions (the constant M, spherical separators, wide subsets,
+affine-freeness) are answered from one ``SubsetTable`` per graph, built on
+first use and kept on the graph:
+
+* Clique rule.  An absent edge is an infinite bond, and no finite or affine
+  diagram has one, so every spherical set and every irreducible affine set
+  is a clique of the defining graph.  Only irreducible cliques are matched
+  against the tables; any other irreducible set is InfiniteDihedral at rank
+  2 and OtherInfinite above.  The spherical sets are enumerated by growing
+  spherical cliques one vertex at a time, which also reaches every
+  irreducible affine set, since all its proper subsets are spherical.
+* Recurrence.  The irreducible component of a set that holds its lowest
+  vertex is split off, and the rest is looked up: the longest-element
+  length of a spherical set is the component's plus the rest's, and for
+  the wide sets a table over all 2^n subsets carries the number of infinite
+  components (capped at 2) and whether one of them is affine.
+
+Callers check their size caps before the table is built.  Queries on a
+single subset (``is_spherical_mask``, ``classify_irreducible``) read the
+table when the graph has one and otherwise classify the subset's
+components directly, so they also answer on graphs beyond every cap.
+
 The ends verdict rests on the standard theory of ends for Coxeter groups
 (splittings over finite subgroups correspond to spherical separators of the
 defining graph; D-infinity times finite is the only two-ended shape).  That
@@ -19,11 +41,11 @@ theory is classical background, not re-derived here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 from typing import Optional
 
 from .errors import GraphFormatError, SizeCapError
-from .graphs import CoxeterGraph, bits, popcount, submasks
+from .graphs import CoxeterGraph, bits, popcount
 
 DEFAULT_SUBSET_CAP = 20
 
@@ -293,6 +315,28 @@ def _double_branch_leaf_arms(edges) -> tuple[int, int]:
     return tuple(sorted(counts))
 
 
+def _is_clique(g: CoxeterGraph, mask: int) -> bool:
+    return all(mask & ~g.neighbors_mask(i) == 1 << i for i in bits(mask))
+
+
+def _irreducible_verdict(g: CoxeterGraph, mask: int) -> IrreducibleVerdict:
+    """Classify an irreducible mask.  A non-clique holds an infinite bond,
+    which no finite or affine diagram has, so it skips the table matching."""
+    rank = popcount(mask)
+    if _is_clique(g, mask):
+        edges = _diagram_edges(g, mask)
+        fin = _match_finite(rank, edges)
+        if fin is not None:
+            family, longest = fin
+            return IrreducibleVerdict("FiniteType", family, rank, longest)
+        aff = _match_affine(rank, edges)
+        if aff is not None:
+            return IrreducibleVerdict("AffineType", aff, rank, None)
+    elif rank == 2:
+        return IrreducibleVerdict("InfiniteDihedral", "A~1", 2, None)
+    return IrreducibleVerdict("OtherInfinite", None, rank, None)
+
+
 def classify_irreducible(g: CoxeterGraph, names) -> IrreducibleVerdict:
     """Classify one irreducible subset of generators.
 
@@ -306,27 +350,137 @@ def classify_irreducible(g: CoxeterGraph, names) -> IrreducibleVerdict:
         raise GraphFormatError(
             f"subset {sorted(g.names_of(mask))} is reducible "
             f"({len(comps)} irreducible components)")
-    return _classify_component(g, mask)
+    return _irreducible_verdict(g, mask)
 
 
-@lru_cache(maxsize=65536)
-def _classify_component_cached(g: CoxeterGraph, mask: int) -> IrreducibleVerdict:
-    rank = popcount(mask)
-    edges = _diagram_edges(g, mask)
-    fin = _match_finite(rank, edges)
-    if fin is not None:
-        family, longest = fin
-        return IrreducibleVerdict("FiniteType", family, rank, longest)
-    if rank == 2:
-        return IrreducibleVerdict("InfiniteDihedral", "A~1", 2, None)
-    aff = _match_affine(rank, edges)
-    if aff is not None:
-        return IrreducibleVerdict("AffineType", aff, rank, None)
-    return IrreducibleVerdict("OtherInfinite", None, rank, None)
+# ---------------------------------------------------------------------------
+# the subset table
 
 
-def _classify_component(g: CoxeterGraph, mask: int) -> IrreducibleVerdict:
-    return _classify_component_cached(g, mask)
+class SubsetTable:
+    """Subset analysis of one graph; see the module docstring.
+
+    longest: spherical mask -> length of its longest element (0 included).
+    spherical: the spherical masks, descending (the order of ``submasks``).
+    affine: the irreducible affine masks (all of rank >= 3).
+    m_gamma: the constant M, the largest value in ``longest``.
+    The wide masks are filled on first use.
+    """
+
+    def __init__(self, g: CoxeterGraph):
+        full = g.full_mask()
+        longest = {0: 0}
+        affine = []
+        # Breadth-first by size: a clique grows by a vertex above its
+        # highest one, and only spherical cliques grow.  That reaches every
+        # spherical set and every irreducible affine set (their proper
+        # subsets are spherical), and a set's smaller subsets are all
+        # settled before it is reached.  The loop appends to ``queue``.
+        queue = [0]
+        for c in queue:
+            common = full & ~((1 << c.bit_length()) - 1)
+            for i in bits(c):
+                common &= g.neighbors_mask(i)
+            for v in bits(common):
+                s = c | (1 << v)
+                comp = g.irreducible_components_mask(s)[0]
+                if comp != s:
+                    a, b = longest.get(comp), longest.get(s ^ comp)
+                    if a is None or b is None:
+                        continue
+                    longest[s] = a + b
+                else:
+                    verdict = _irreducible_verdict(g, s)
+                    if verdict.kind == "AffineType":
+                        affine.append(s)
+                    if verdict.kind != "FiniteType":
+                        continue
+                    longest[s] = verdict.longest_length
+                queue.append(s)
+        self.longest = longest
+        self.spherical = tuple(sorted(longest, reverse=True))
+        self.affine = frozenset(affine)
+        self.m_gamma = max(longest.values())
+        self._noncomm = tuple(g.noncommuting_mask(i) for i in range(g.n))
+        self._maximal_spherical: dict[int, list[int]] = {}
+
+    @cached_property
+    def wide(self) -> tuple[int, ...]:
+        """All wide masks, ascending."""
+        noncomm = self._noncomm
+        size = 1 << len(noncomm)
+        # reach[mask]: vertices not commuting with some vertex of mask
+        reach = [0] * size
+        for mask in range(1, size):
+            low = mask & -mask
+            reach[mask] = reach[mask ^ low] | noncomm[low.bit_length() - 1]
+        # code[mask]: infinite components (capped at 2), plus 4 when one
+        # component is affine; recurrence on mask minus its lowest component
+        code = bytearray(size)
+        longest, affine = self.longest, self.affine
+        wide = []
+        for mask in range(1, size):
+            comp = mask & -mask
+            while True:
+                grown = (reach[comp] & mask) | comp
+                if grown == comp:
+                    break
+                comp = grown
+            c = code[mask ^ comp]
+            if comp not in longest:
+                if c & 3 < 2:
+                    c += 1
+                if comp in affine:
+                    c |= 4
+            code[mask] = c
+            if c & 3 == 2 or c & 4:
+                wide.append(mask)
+        return tuple(wide)
+
+    @cached_property
+    def maximal_wide(self) -> tuple[int, ...]:
+        """Inclusion-maximal wide masks, ascending."""
+        # a strict superset is larger, so it is seen first
+        found: list[int] = []
+        for m in sorted(self.wide, key=popcount, reverse=True):
+            if not any(m & ~w == 0 for w in found):
+                found.append(m)
+        return tuple(sorted(found))
+
+    def maximal_spherical(self, ground: int) -> list[int]:
+        """Inclusion-maximal spherical subsets of ``ground``, descending.
+        Spherical sets are closed under subsets, so a maximal one cannot
+        grow by a single vertex."""
+        hit = self._maximal_spherical.get(ground)
+        if hit is None:
+            longest = self.longest
+            hit = [m for m in self.spherical if m & ~ground == 0
+                   and not any(m | (1 << v) in longest
+                               for v in bits(ground & ~m))]
+            self._maximal_spherical[ground] = hit
+        return hit
+
+
+def subset_table(g: CoxeterGraph) -> SubsetTable:
+    """The graph's subset table, built on first use and kept on the graph.
+    Exponential in the worst case: callers check their caps first."""
+    t = g._subsets
+    if t is None:
+        t = g._subsets = SubsetTable(g)
+    return t
+
+
+def irreducible_kind(g: CoxeterGraph, comp: int) -> str:
+    """IrreducibleVerdict.kind of an irreducible mask, from the table when
+    the graph has one."""
+    t = g._subsets
+    if t is None:
+        return _irreducible_verdict(g, comp).kind
+    if comp in t.longest:
+        return "FiniteType"
+    if comp in t.affine:
+        return "AffineType"
+    return "InfiniteDihedral" if popcount(comp) == 2 else "OtherInfinite"
 
 
 # ---------------------------------------------------------------------------
@@ -335,8 +489,7 @@ def _classify_component(g: CoxeterGraph, mask: int) -> IrreducibleVerdict:
 
 def is_spherical_mask(g: CoxeterGraph, mask: int) -> bool:
     """Does ``mask`` generate a finite group?  (Empty set: yes.)"""
-    return all(_classify_component(g, c).kind == "FiniteType"
-               for c in g.irreducible_components_mask(mask))
+    return longest_element_length_mask(g, mask) is not None
 
 
 def is_spherical(g: CoxeterGraph, names) -> bool:
@@ -345,9 +498,12 @@ def is_spherical(g: CoxeterGraph, names) -> bool:
 
 def longest_element_length_mask(g: CoxeterGraph, mask: int) -> Optional[int]:
     """Length of the longest element of a spherical subset; None if not spherical."""
+    t = g._subsets
+    if t is not None:
+        return t.longest.get(mask)
     total = 0
     for c in g.irreducible_components_mask(mask):
-        verdict = _classify_component(g, c)
+        verdict = _irreducible_verdict(g, c)
         if verdict.kind != "FiniteType":
             return None
         total += verdict.longest_length
@@ -355,15 +511,11 @@ def longest_element_length_mask(g: CoxeterGraph, mask: int) -> Optional[int]:
 
 
 def compute_constants(g: CoxeterGraph, cap: int = DEFAULT_SUBSET_CAP) -> GroupConstants:
-    """(V, M, R) for the graph; subset enumeration is 2^V, guarded by ``cap``."""
+    """(V, M, R) for the graph; M comes from the subset table, guarded by ``cap``."""
     if g.n > cap:
         raise SizeCapError(cap, f"graph has {g.n} vertices, constants cap is {cap}")
-    m_gamma = 0
-    for mask in submasks(g.full_mask()):
-        longest = longest_element_length_mask(g, mask)
-        if longest is not None and longest > m_gamma:
-            m_gamma = longest
-    return GroupConstants(v_gamma=g.n, m_gamma=m_gamma, r_gamma=g.max_label())
+    return GroupConstants(v_gamma=g.n, m_gamma=subset_table(g).m_gamma,
+                          r_gamma=g.max_label())
 
 
 # ---------------------------------------------------------------------------
@@ -382,11 +534,11 @@ def ends_verdict(g: CoxeterGraph, cap: int = DEFAULT_SUBSET_CAP) -> EndsVerdict:
         raise SizeCapError(cap, f"graph has {g.n} vertices, ends cap is {cap}")
     full = g.full_mask()
     comps = g.irreducible_components_mask(full) if g.n else []
-    infinite = [c for c in comps if _classify_component(g, c).kind != "FiniteType"]
+    infinite = [c for c in comps if irreducible_kind(g, c) != "FiniteType"]
     if not infinite:
         return EndsVerdict("FiniteGroup", None)
     if len(infinite) == 1 and \
-            _classify_component(g, infinite[0]).kind == "InfiniteDihedral":
+            irreducible_kind(g, infinite[0]) == "InfiniteDihedral":
         return EndsVerdict("TwoEnded", g.names_of(infinite[0]))
     if len(g.components_within(full)) > 1:
         return EndsVerdict("MultiEnded", ())
@@ -402,13 +554,9 @@ def spherical_separator(g: CoxeterGraph) -> Optional[int]:
     Returns None when no proper spherical subset disconnects the graph.
     """
     full = g.full_mask()
-    candidates = []
-    for mask in submasks(full):
-        if mask == full:
-            continue
+    for mask in sorted(subset_table(g).longest,
+                       key=lambda m: (popcount(m), tuple(bits(m)))):
         rest = full & ~mask
-        if rest and len(g.components_within(rest)) > 1 and is_spherical_mask(g, mask):
-            candidates.append(mask)
-    if not candidates:
-        return None
-    return min(candidates, key=lambda m: (popcount(m), sorted(bits(m))))
+        if rest and len(g.components_within(rest)) > 1:
+            return mask
+    return None

@@ -64,10 +64,6 @@ GENERAL_CASES = ("EmptyBoundary", "TheoremApplies_A", "TheoremApplies_C",
                  "Unknown_ConjectureOpen")
 
 
-def _mask_names(g: CoxeterGraph, mask: int) -> tuple[str, ...]:
-    return g.names_of(mask)
-
-
 def _check_splitting(g: CoxeterGraph, sp: Splitting) -> None:
     m1 = g.mask_of(sp.gamma1)
     m2 = g.mask_of(sp.gamma2)
@@ -95,16 +91,16 @@ def _splitting_from_blocker(g: CoxeterGraph, pi_mask: int,
     comps = g.components_within(rest)
     if len(comps) >= 2:
         c = comps[0]
-        return Splitting(_mask_names(g, c | pi_mask), _mask_names(g, full & ~c),
-                         _mask_names(g, pi_mask), "component")
+        return Splitting(g.names_of(c | pi_mask), g.names_of(full & ~c),
+                         g.names_of(pi_mask), "component")
     if len(comps) == 1:
         for name in pair:
             s = g.index(name)
             if g.neighbors_mask(s) & ~pi_mask == 0 and (pi_mask >> s) & 1:
                 star = g.neighbors_mask(s) | (1 << s)
-                return Splitting(_mask_names(g, star),
-                                 _mask_names(g, full & ~(1 << s)),
-                                 _mask_names(g, g.neighbors_mask(s)), "star")
+                return Splitting(g.names_of(star),
+                                 g.names_of(full & ~(1 << s)),
+                                 g.names_of(g.neighbors_mask(s)), "star")
     return None
 
 
@@ -124,9 +120,9 @@ def _splitting_search(g: CoxeterGraph,
             comps = g.components_within(full & ~delta)
             if len(comps) >= 2:
                 c = comps[0]
-                return Splitting(_mask_names(g, c | delta),
-                                 _mask_names(g, full & ~c),
-                                 _mask_names(g, delta), "search")
+                return Splitting(g.names_of(c | delta),
+                                 g.names_of(full & ~c),
+                                 g.names_of(delta), "search")
     return None
 
 
@@ -178,7 +174,7 @@ def classify(g: CoxeterGraph,
                 witness={"ends": ends.to_json_obj()}, **common)
         if wa.holds:
             witness = {"maximal_wide":
-                       [list(_mask_names(g, wm))
+                       [list(g.names_of(wm))
                         for wm in maximal_wide_masks(g, cap)],
                        "wide_spherical_avoidant": wsa.holds}
             return ClassificationVerdict("Connected_LocallyConnected",
@@ -220,7 +216,7 @@ def classify(g: CoxeterGraph,
                                      **common)
     if affine_free and ends.kind == "OneEnded" and wsa.holds:
         witness = {"maximal_wide":
-                   [list(_mask_names(g, wm))
+                   [list(g.names_of(wm))
                     for wm in maximal_wide_masks(g, cap)]}
         return ClassificationVerdict("TheoremApplies_C", witness=witness,
                                      **common)

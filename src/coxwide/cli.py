@@ -64,8 +64,8 @@ def _emit(args, obj, pretty: str, dot: Optional[str] = None) -> None:
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("graph", help="graph file (text or JSON), '-' for stdin")
     p.add_argument("--cap", type=int,
-                   default=int(os.environ.get("COX_CAP", DEFAULT_VERTEX_CAP)),
-                   help="vertex-count cap for subset enumeration")
+                   help="vertex-count cap for subset enumeration (default: "
+                        f"$COX_CAP, else {DEFAULT_VERTEX_CAP})")
     p.add_argument("--orbit-cap", type=int, default=DEFAULT_ORBIT_CAP,
                    help="braid-orbit size cap for the word engine")
     p.add_argument("--order-cap", type=int, default=DEFAULT_ORDER_CAP,
@@ -143,7 +143,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _env_cap() -> int:
+    raw = os.environ.get("COX_CAP")
+    if raw is None:
+        return DEFAULT_VERTEX_CAP
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"COX_CAP must be an integer, got {raw!r}") from None
+
+
 def _run(args) -> int:
+    if args.cap is None:
+        args.cap = _env_cap()
     g = _load_graph(args.graph)
 
     if args.cmd == "classify":

@@ -214,12 +214,12 @@ def check_fan(g: CoxeterGraph, fan: FanDiagram,
     tail, _ = wide_tail(g, fan.base)
     if tail != fan.tail:
         fails.append("recorded tail differs from the wide tail of the base")
-    want_case = "wide-tail" if len(tail) > compute_constants(g).m_gamma \
-        else "short-tail"
+    long_tail = len(tail) > compute_constants(g).m_gamma
+    want_case = "wide-tail" if long_tail else "short-tail"
     if fan.case != want_case:
         fails.append(f"recorded case {fan.case!r}, but the tail length "
                      f"dictates {want_case!r}")
-    if len(tail) > compute_constants(g).m_gamma:
+    if long_tail:
         tail_mask = g.mask_of(tuple(set(tail)))
         interior = g.mask_of(tuple(set(labels[1:-1])))
         if not any(tail_mask & ~wm == 0 and interior & wm == 0

@@ -29,7 +29,8 @@ class CoxeterGraph:
     (2, None)
     """
 
-    __slots__ = ("vertices", "_index", "n", "_m", "_adj", "_comm", "_hash")
+    __slots__ = ("vertices", "_index", "n", "_m", "_adj", "_comm", "_hash",
+                 "_subsets")
 
     def __init__(self, vertices: Sequence[str], edges: Iterable[tuple[str, str, int]]):
         vertices = tuple(vertices)
@@ -77,6 +78,8 @@ class CoxeterGraph:
         self._adj = tuple(adj)
         self._comm = tuple(comm)
         self._hash = hash((self.vertices, self._m))
+        # the coxwide.classification.SubsetTable, built on first use
+        self._subsets = None
 
     # -- identity ---------------------------------------------------------
 
@@ -174,17 +177,18 @@ class CoxeterGraph:
         edge labeled >= 3.  Components are returned sorted by least vertex.
         """
         world = self.full_mask() if mask is None else mask
+        comm = self._comm
         comps = []
         todo = world
         while todo:
-            i = lowest_bit(todo)
-            comp = 1 << i
-            frontier = comp
+            comp = frontier = todo & -todo
             while frontier:
                 nxt = 0
-                for j in bits(frontier):
-                    nxt |= self.noncommuting_mask(j, world)
-                frontier = nxt & ~comp
+                while frontier:
+                    low = frontier & -frontier
+                    nxt |= ~comm[low.bit_length() - 1]
+                    frontier ^= low
+                frontier = nxt & world & ~comp
                 comp |= frontier
             comps.append(comp)
             todo &= ~comp
@@ -214,13 +218,15 @@ class CoxeterGraph:
 
     def component_of(self, start: int, mask: int) -> int:
         """Connected component (ordinary adjacency) of ``start`` inside ``mask``."""
-        seen = 1 << start
-        frontier = seen
+        adj = self._adj
+        seen = frontier = 1 << start
         while frontier:
             nxt = 0
-            for j in bits(frontier):
-                nxt |= self._adj[j] & mask
-            frontier = nxt & ~seen
+            while frontier:
+                low = frontier & -frontier
+                nxt |= adj[low.bit_length() - 1]
+                frontier ^= low
+            frontier = nxt & mask & ~seen
             seen |= frontier
         return seen
 

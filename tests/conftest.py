@@ -5,8 +5,16 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import settings
 
 from coxwide import CoxeterGraph
+
+# Property tests run a fixed example sequence (no example database), so a
+# run is reproducible and its time does not depend on earlier runs.
+settings.register_profile("coxwide", derandomize=True, deadline=None,
+                          max_examples=100, database=None,
+                          print_blob=False)
+PROPERTY = settings.get_profile("coxwide")
 
 
 def racg(vertices, edge_pairs) -> CoxeterGraph:

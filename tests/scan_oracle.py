@@ -1,0 +1,107 @@
+"""The per-mask subset scans that ``classification.SubsetTable`` replaced.
+
+Each function walks every subset (or every subset of a ground set),
+splits it into irreducible components and matches each component against
+the finite and affine tables, with no clique shortcut and no memo.  That
+is how the library answered before the table, so the differential tests
+in ``test_subset_table.py`` compare the table with these scans.  They are
+exponential in the vertex count: keep the graphs small.
+"""
+
+from __future__ import annotations
+
+from typing import Optional
+
+from coxwide.classification import (IrreducibleVerdict, _diagram_edges,
+                                    _match_affine, _match_finite)
+from coxwide.graphs import CoxeterGraph, bits, popcount, submasks
+
+
+def classify_component(g: CoxeterGraph, mask: int) -> IrreducibleVerdict:
+    rank = popcount(mask)
+    edges = _diagram_edges(g, mask)
+    fin = _match_finite(rank, edges)
+    if fin is not None:
+        return IrreducibleVerdict("FiniteType", fin[0], rank, fin[1])
+    if rank == 2:
+        return IrreducibleVerdict("InfiniteDihedral", "A~1", 2, None)
+    aff = _match_affine(rank, edges)
+    if aff is not None:
+        return IrreducibleVerdict("AffineType", aff, rank, None)
+    return IrreducibleVerdict("OtherInfinite", None, rank, None)
+
+
+def longest_element_length_mask(g: CoxeterGraph, mask: int) -> Optional[int]:
+    total = 0
+    for c in g.irreducible_components_mask(mask):
+        v = classify_component(g, c)
+        if v.kind != "FiniteType":
+            return None
+        total += v.longest_length
+    return total
+
+
+def is_spherical_mask(g: CoxeterGraph, mask: int) -> bool:
+    return longest_element_length_mask(g, mask) is not None
+
+
+def m_gamma(g: CoxeterGraph) -> int:
+    best = 0
+    for mask in submasks(g.full_mask()):
+        longest = longest_element_length_mask(g, mask)
+        if longest is not None and longest > best:
+            best = longest
+    return best
+
+
+def spherical_separator(g: CoxeterGraph) -> Optional[int]:
+    full = g.full_mask()
+    candidates = []
+    for mask in submasks(full):
+        rest = full & ~mask
+        if rest and len(g.components_within(rest)) > 1 \
+                and is_spherical_mask(g, mask):
+            candidates.append(mask)
+    if not candidates:
+        return None
+    return min(candidates, key=lambda m: (popcount(m), sorted(bits(m))))
+
+
+def _affine_rank3(g: CoxeterGraph, comp: int) -> bool:
+    v = classify_component(g, comp)
+    return v.kind == "AffineType" and v.rank >= 3
+
+
+def is_wide_mask(g: CoxeterGraph, mask: int) -> bool:
+    if mask == 0:
+        return False
+    comps = g.irreducible_components_mask(mask)
+    infinite = [c for c in comps
+                if classify_component(g, c).kind != "FiniteType"]
+    return len(infinite) >= 2 or any(_affine_rank3(g, c) for c in comps)
+
+
+def wide_masks(g: CoxeterGraph) -> tuple[int, ...]:
+    return tuple(m for m in sorted(submasks(g.full_mask()))
+                 if is_wide_mask(g, m))
+
+
+def maximal_wide_masks(g: CoxeterGraph) -> tuple[int, ...]:
+    all_wide = wide_masks(g)
+    return tuple(m for m in all_wide
+                 if not any(m != w and m & ~w == 0 for w in all_wide))
+
+
+def is_affine_free(g: CoxeterGraph) -> bool:
+    return not any(_affine_rank3(g, c)
+                   for mask in submasks(g.full_mask())
+                   for c in g.irreducible_components_mask(mask))
+
+
+def spherical_submasks(g: CoxeterGraph, ground: int) -> tuple[int, ...]:
+    return tuple(m for m in submasks(ground) if is_spherical_mask(g, m))
+
+
+def maximal_spherical_submasks(g: CoxeterGraph, ground: int) -> list[int]:
+    sub = spherical_submasks(g, ground)
+    return [m for m in sub if not any(m != s and m & ~s == 0 for s in sub)]

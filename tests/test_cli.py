@@ -354,3 +354,19 @@ def test_bad_subcommand_is_usage_error(capsys, c5_file):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate", c5_file])
     assert exc.value.code == 2
+
+
+def test_bad_cox_cap_is_input_error(capsys, monkeypatch, c5_file):
+    monkeypatch.setenv("COX_CAP", "abc")
+    code, _, err = run(capsys, ["classify", c5_file])
+    assert code == 2
+    assert "input error" in err and "COX_CAP" in err
+
+
+def test_cox_cap_sets_default_cap(capsys, monkeypatch, c5_file):
+    monkeypatch.setenv("COX_CAP", "4")
+    code, _, err = run(capsys, ["classify", c5_file])
+    assert code == 2
+    assert "resource cap exceeded" in err
+    code, out, _ = run_json(capsys, ["constants", c5_file, "--cap", "5"])
+    assert code == 0 and out["V"] == 5
