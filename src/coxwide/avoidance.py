@@ -25,11 +25,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .classification import irreducible_kind, is_spherical_mask, subset_table
-from .errors import SizeCapError
+from .classification import (DEFAULT_SUBSET_CAP, check_cap, irreducible_kind,
+                             is_spherical_mask, subset_table)
 from .graphs import CoxeterGraph, bits, popcount
-
-DEFAULT_VERTEX_CAP = 20
 
 
 @dataclass(frozen=True)
@@ -126,24 +124,19 @@ def is_wide(g: CoxeterGraph) -> bool:
     return wide_decomposition_mask(g, g.full_mask()) is not None
 
 
-def _check_cap(g: CoxeterGraph, cap: int) -> None:
-    if g.n > cap:
-        raise SizeCapError(cap, f"graph has {g.n} vertices, enumeration cap is {cap}")
-
-
-def wide_masks(g: CoxeterGraph, cap: int = DEFAULT_VERTEX_CAP) -> tuple[int, ...]:
+def wide_masks(g: CoxeterGraph, cap: int = DEFAULT_SUBSET_CAP) -> tuple[int, ...]:
     """All wide subsets of the graph, ascending as masks.  Exponential in |V|."""
-    _check_cap(g, cap)
+    check_cap(g, cap, "enumeration")
     return subset_table(g).wide
 
 
-def maximal_wide_masks(g: CoxeterGraph, cap: int = DEFAULT_VERTEX_CAP) -> tuple[int, ...]:
-    _check_cap(g, cap)
+def maximal_wide_masks(g: CoxeterGraph, cap: int = DEFAULT_SUBSET_CAP) -> tuple[int, ...]:
+    check_cap(g, cap, "enumeration")
     return subset_table(g).maximal_wide
 
 
 def enumerate_wide_subgraphs(g: CoxeterGraph, maximal_only: bool = False,
-                             cap: int = DEFAULT_VERTEX_CAP) -> list[tuple[str, ...]]:
+                             cap: int = DEFAULT_SUBSET_CAP) -> list[tuple[str, ...]]:
     masks = maximal_wide_masks(g, cap) if maximal_only else wide_masks(g, cap)
     return [g.names_of(m) for m in masks]
 
@@ -160,7 +153,7 @@ def label_in_wide_subgraph(g: CoxeterGraph, label_mask: int) -> Optional[int]:
 # affine-freeness
 
 
-def is_affine_free(g: CoxeterGraph, cap: int = DEFAULT_VERTEX_CAP) -> bool:
+def is_affine_free(g: CoxeterGraph, cap: int = DEFAULT_SUBSET_CAP) -> bool:
     """No subset of generators has an affine irreducible component of rank >= 3.
 
     Such a component is itself an irreducible affine subset, so this asks
@@ -168,7 +161,7 @@ def is_affine_free(g: CoxeterGraph, cap: int = DEFAULT_VERTEX_CAP) -> bool:
     affine-free: their conventional diagrams carry only infinity labels,
     while affine diagrams have finite ones.
     """
-    _check_cap(g, cap)
+    check_cap(g, cap, "enumeration")
     return g.is_racg() or not subset_table(g).affine
 
 
@@ -211,13 +204,13 @@ def _spherical_submasks(g: CoxeterGraph, ground: int) -> tuple[int, ...]:
 
 
 def enumerate_special_joins(g: CoxeterGraph, maximal_only: bool = False,
-                            cap: int = DEFAULT_VERTEX_CAP) -> list[SpecialJoin]:
+                            cap: int = DEFAULT_SUBSET_CAP) -> list[SpecialJoin]:
     """All special joins (ordered triples), deterministically sorted.
 
     With ``maximal_only``, keep those whose blocked set P|Q|K is
     inclusion-maximal among all blocked sets.
     """
-    _check_cap(g, cap)
+    check_cap(g, cap, "enumeration")
     triples: list[tuple[int, int, int]] = []
     for d in wide_masks(g, cap):
         for p, q in _component_bipartitions(g, d):
@@ -247,7 +240,7 @@ def _connected_pair(g: CoxeterGraph, s: int, t: int, allowed: int) -> bool:
     return (g.component_of(s, allowed) >> t) & 1 == 1
 
 
-def is_wide_avoidant(g: CoxeterGraph, cap: int = DEFAULT_VERTEX_CAP) -> AvoidanceReport:
+def is_wide_avoidant(g: CoxeterGraph, cap: int = DEFAULT_SUBSET_CAP) -> AvoidanceReport:
     """For every wide subgraph Delta and every vertex pair, some path meets
     Delta only in the endpoints.  Checked against maximal wide subgraphs only
     (avoiding a superset is stronger).  Vacuously true without wide subgraphs.
@@ -265,7 +258,7 @@ def is_wide_avoidant(g: CoxeterGraph, cap: int = DEFAULT_VERTEX_CAP) -> Avoidanc
 
 
 def is_wide_spherical_avoidant(g: CoxeterGraph,
-                               cap: int = DEFAULT_VERTEX_CAP) -> AvoidanceReport:
+                               cap: int = DEFAULT_SUBSET_CAP) -> AvoidanceReport:
     """For every special join (P, Q, K) and pair s, t outside K, some path
     meets K|P|Q only in the endpoints.
 
@@ -273,7 +266,7 @@ def is_wide_spherical_avoidant(g: CoxeterGraph,
     are tested: any failing join extends (grow K within the legal ground set)
     to a failing tested one.
     """
-    _check_cap(g, cap)
+    check_cap(g, cap, "enumeration")
     full = g.full_mask()
     decomps = []
     for d in wide_masks(g, cap):

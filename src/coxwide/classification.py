@@ -510,10 +510,16 @@ def longest_element_length_mask(g: CoxeterGraph, mask: int) -> Optional[int]:
     return total
 
 
+def check_cap(g: CoxeterGraph, cap: int, layer: str) -> None:
+    """SizeCapError naming ``layer`` when the graph has more than ``cap``
+    vertices; every exponential subset query checks this first."""
+    if g.n > cap:
+        raise SizeCapError(cap, f"graph has {g.n} vertices, {layer} cap is {cap}")
+
+
 def compute_constants(g: CoxeterGraph, cap: int = DEFAULT_SUBSET_CAP) -> GroupConstants:
     """(V, M, R) for the graph; M comes from the subset table, guarded by ``cap``."""
-    if g.n > cap:
-        raise SizeCapError(cap, f"graph has {g.n} vertices, constants cap is {cap}")
+    check_cap(g, cap, "constants")
     return GroupConstants(v_gamma=g.n, m_gamma=subset_table(g).m_gamma,
                           r_gamma=g.max_label())
 
@@ -530,8 +536,7 @@ def ends_verdict(g: CoxeterGraph, cap: int = DEFAULT_SUBSET_CAP) -> EndsVerdict:
     (degenerate) spherical separator; everything else with a spherical
     separator or a disconnected graph is multi-ended; the rest is one-ended.
     """
-    if g.n > cap:
-        raise SizeCapError(cap, f"graph has {g.n} vertices, ends cap is {cap}")
+    check_cap(g, cap, "ends")
     full = g.full_mask()
     comps = g.irreducible_components_mask(full) if g.n else []
     infinite = [c for c in comps if irreducible_kind(g, c) != "FiniteType"]

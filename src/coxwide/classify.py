@@ -18,12 +18,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .avoidance import (AvoidanceReport, DEFAULT_VERTEX_CAP, _connected_pair,
-                        is_affine_free, is_wide, is_wide_avoidant,
-                        is_wide_spherical_avoidant, maximal_wide_masks,
-                        wide_decomposition, wide_masks)
-from .classification import (EndsVerdict, GroupConstants, compute_constants,
-                             ends_verdict, is_spherical_mask)
+from .avoidance import (AvoidanceReport, _connected_pair, is_affine_free,
+                        is_wide, is_wide_avoidant, is_wide_spherical_avoidant,
+                        maximal_wide_masks, wide_decomposition, wide_masks)
+from .classification import (DEFAULT_SUBSET_CAP, EndsVerdict, GroupConstants,
+                             compute_constants, ends_verdict, is_spherical_mask)
 from .graphs import CoxeterGraph, bits, popcount, submasks
 
 
@@ -105,7 +104,7 @@ def _splitting_from_blocker(g: CoxeterGraph, pi_mask: int,
 
 
 def _splitting_search(g: CoxeterGraph,
-                      cap: int = DEFAULT_VERTEX_CAP) -> Optional[Splitting]:
+                      cap: int = DEFAULT_SUBSET_CAP) -> Optional[Splitting]:
     """Deterministic fallback: least non-spherical subset of a wide subgraph
     whose removal disconnects the graph."""
     full = g.full_mask()
@@ -138,7 +137,7 @@ def _verify_blocking(g: CoxeterGraph, report: AvoidanceReport) -> None:
 
 
 def classify(g: CoxeterGraph,
-             cap: int = DEFAULT_VERTEX_CAP) -> ClassificationVerdict:
+             cap: int = DEFAULT_SUBSET_CAP) -> ClassificationVerdict:
     """Classify the Morse boundary of the Coxeter group of ``g``."""
     constants = compute_constants(g, cap)
     ends = ends_verdict(g, cap)
@@ -156,73 +155,41 @@ def classify(g: CoxeterGraph,
         "wide_spherical_avoidant": wsa.holds,
     }
     racg = g.is_racg()
-    common = dict(racg=racg, constants=constants, ends=ends,
-                  hypotheses=hypotheses)
 
-    if racg:
-        if finite or wide:
-            dec = wide_decomposition(g, g.vertices)
-            witness = {"finite": finite,
-                       "wide_decomposition":
-                           None if dec is None else dec.to_json_obj()}
-            assert finite or dec is not None
-            return ClassificationVerdict("EmptyBoundary_FiniteOrWide",
-                                         witness=witness, **common)
-        if ends.kind != "OneEnded":
-            return ClassificationVerdict(
-                "Disconnected_MultiEnded",
-                witness={"ends": ends.to_json_obj()}, **common)
-        if wa.holds:
-            witness = {"maximal_wide":
-                       [list(g.names_of(wm))
-                        for wm in maximal_wide_masks(g, cap)],
-                       "wide_spherical_avoidant": wsa.holds}
-            return ClassificationVerdict("Connected_LocallyConnected",
-                                         witness=witness, **common)
-        _verify_blocking(g, wa)
-        pi_mask = g.mask_of(wa.blocking_set)
-        sp = _splitting_from_blocker(g, pi_mask, wa.pair)
-        if sp is None:
-            sp = _splitting_search(g, cap)
-        witness = {"avoidance": wa.to_json_obj(),
-                   "splitting": None if sp is None else sp.to_json_obj()}
-        if sp is not None:
-            _check_splitting(g, sp)
-            assert not is_spherical_mask(g, g.mask_of(sp.delta)), \
-                "one-ended graph split over a spherical subgraph"
-        return ClassificationVerdict("Disconnected_NotWideAvoidant",
-                                     witness=witness, **common)
+    def verdict(case: str, witness: dict) -> ClassificationVerdict:
+        return ClassificationVerdict(case, racg=racg, constants=constants,
+                                     ends=ends, hypotheses=hypotheses,
+                                     witness=witness)
 
-    # general labels
     if finite or wide:
         dec = wide_decomposition(g, g.vertices)
-        witness = {"finite": finite,
-                   "wide_decomposition":
-                       None if dec is None else dec.to_json_obj()}
         assert finite or dec is not None
-        return ClassificationVerdict("EmptyBoundary", witness=witness,
-                                     **common)
+        return verdict("EmptyBoundary_FiniteOrWide" if racg else "EmptyBoundary",
+                       {"finite": finite,
+                        "wide_decomposition":
+                            None if dec is None else dec.to_json_obj()})
+    if racg and ends.kind != "OneEnded":
+        return verdict("Disconnected_MultiEnded", {"ends": ends.to_json_obj()})
     if not wa.holds:
         _verify_blocking(g, wa)
-        pi_mask = g.mask_of(wa.blocking_set)
-        sp = _splitting_from_blocker(g, pi_mask, wa.pair)
-        if sp is None:
-            sp = _splitting_search(g, cap)
+        sp = (_splitting_from_blocker(g, g.mask_of(wa.blocking_set), wa.pair)
+              or _splitting_search(g, cap))
         if sp is not None:
             _check_splitting(g, sp)
-        witness = {"avoidance": wa.to_json_obj(),
-                   "splitting": None if sp is None else sp.to_json_obj()}
-        return ClassificationVerdict("TheoremApplies_A", witness=witness,
-                                     **common)
-    if affine_free and ends.kind == "OneEnded" and wsa.holds:
-        witness = {"maximal_wide":
-                   [list(g.names_of(wm))
-                    for wm in maximal_wide_masks(g, cap)]}
-        return ClassificationVerdict("TheoremApplies_C", witness=witness,
-                                     **common)
+            assert not (racg and is_spherical_mask(g, g.mask_of(sp.delta))), \
+                "one-ended graph split over a spherical subgraph"
+        return verdict("Disconnected_NotWideAvoidant" if racg
+                       else "TheoremApplies_A",
+                       {"avoidance": wa.to_json_obj(),
+                        "splitting": None if sp is None else sp.to_json_obj()})
+    if racg or (affine_free and ends.kind == "OneEnded" and wsa.holds):
+        witness = {"maximal_wide": [list(g.names_of(wm))
+                                    for wm in maximal_wide_masks(g, cap)]}
+        if racg:
+            witness["wide_spherical_avoidant"] = wsa.holds
+        return verdict("Connected_LocallyConnected" if racg
+                       else "TheoremApplies_C", witness)
     missing = [k for k in ("one_ended", "affine_free",
                            "wide_spherical_avoidant") if not hypotheses[k]]
-    witness = {"missing_hypotheses": missing,
-               "wsa": wsa.to_json_obj()}
-    return ClassificationVerdict("Unknown_ConjectureOpen", witness=witness,
-                                 **common)
+    return verdict("Unknown_ConjectureOpen",
+                   {"missing_hypotheses": missing, "wsa": wsa.to_json_obj()})

@@ -13,10 +13,9 @@ import os
 import sys
 from typing import Optional
 
-from .avoidance import (DEFAULT_VERTEX_CAP, is_affine_free, is_wide,
-                        is_wide_avoidant, is_wide_spherical_avoidant,
-                        wide_decomposition)
-from .classification import compute_constants, ends_verdict
+from .avoidance import (is_affine_free, is_wide, is_wide_avoidant,
+                        is_wide_spherical_avoidant, wide_decomposition)
+from .classification import DEFAULT_SUBSET_CAP, compute_constants, ends_verdict
 from .classify import classify
 from .errors import (ConstructionError, GraphFormatError, NonGeodesicError,
                      OrbitCapError, SizeCapError)
@@ -61,21 +60,20 @@ def _emit(args, obj, pretty: str, dot: Optional[str] = None) -> None:
         print(text)
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_common(p: argparse.ArgumentParser, cap: bool = False,
+                orbit_cap: bool = False) -> None:
     p.add_argument("graph", help="graph file (text or JSON), '-' for stdin")
-    p.add_argument("--cap", type=int,
-                   help="vertex-count cap for subset enumeration (default: "
-                        f"$COX_CAP, else {DEFAULT_VERTEX_CAP})")
-    p.add_argument("--orbit-cap", type=int, default=DEFAULT_ORBIT_CAP,
-                   help="braid-orbit size cap for the word engine")
-    p.add_argument("--order-cap", type=int, default=DEFAULT_ORDER_CAP,
-                   help="element-order cap for wall crossing tests")
+    if cap:
+        p.add_argument("--cap", type=int,
+                       help="vertex-count cap for subset enumeration "
+                            f"(default: $COX_CAP, else {DEFAULT_SUBSET_CAP})")
+    if orbit_cap:
+        p.add_argument("--orbit-cap", type=int, default=DEFAULT_ORBIT_CAP,
+                       help="braid-orbit size cap for the word engine")
     p.add_argument("--format", choices=("json", "pretty", "dot"),
                    default="json")
     p.add_argument("--out", help="write output to a file (a short report "
                                  "still goes to stdout)")
-    p.add_argument("--seed", type=int, default=0,
-                   help="seed for sampled checks")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -85,56 +83,60 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     p = sub.add_parser("classify", help="Morse-boundary classification")
-    _add_common(p)
+    _add_common(p, cap=True)
 
     p = sub.add_parser("constants", help="the window constants V, M, R")
-    _add_common(p)
+    _add_common(p, cap=True)
 
     p = sub.add_parser("check", help="boolean graph conditions")
     p.add_argument("what", choices=("wide", "wide-avoidant", "wsa",
                                     "affine-free", "ends"))
-    _add_common(p)
+    _add_common(p, cap=True)
 
     p = sub.add_parser("word", help="word engine queries")
     p.add_argument("what", choices=("normalize", "geodesic", "ending-letters",
                                     "wide-tail", "extend"))
-    _add_common(p)
+    _add_common(p, orbit_cap=True)
     p.add_argument("--word", required=True, help="space-separated generators")
     p.add_argument("--target-len", type=int,
                    help="target length for 'extend'")
 
     p = sub.add_parser("ball", help="Cayley ball of a given radius")
-    _add_common(p)
+    _add_common(p, orbit_cap=True)
     p.add_argument("--radius", type=int, required=True)
     p.add_argument("--dot", dest="dot_file",
                    help="also write a DOT rendering to this file")
 
     p = sub.add_parser("pencil", help="maximum pairwise-non-crossing walls "
                                       "dual to a geodesic")
-    _add_common(p)
+    _add_common(p, orbit_cap=True)
     p.add_argument("--word", required=True)
+    p.add_argument("--order-cap", type=int, default=DEFAULT_ORDER_CAP,
+                   help="element-order cap for wall crossing tests")
 
     p = sub.add_parser("morse-window", help="window criterion at constant k")
-    _add_common(p)
+    _add_common(p, orbit_cap=True)
     p.add_argument("--word", required=True)
     p.add_argument("-k", type=int, required=True)
 
     p = sub.add_parser("fan", help="build and verify a fan on a base word")
-    _add_common(p)
+    _add_common(p, orbit_cap=True)
     p.add_argument("--base", required=True, help="base geodesic word")
     p.add_argument("-x", required=True, help="left fan letter")
     p.add_argument("-y", required=True, help="right fan letter")
 
     p = sub.add_parser("filter", help="build and verify a truncated filter")
-    _add_common(p)
+    _add_common(p, orbit_cap=True)
     p.add_argument("--alpha", required=True)
     p.add_argument("--beta", required=True)
     p.add_argument("--depth", type=int, default=2)
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed for sampled checks")
     p.add_argument("--dot", dest="dot_file",
                    help="also write a DOT rendering to this file")
 
     p = sub.add_parser("mtf", help="build and verify a multi-tail filter")
-    _add_common(p)
+    _add_common(p, orbit_cap=True)
     p.add_argument("--alpha", required=True)
     p.add_argument("--beta", required=True)
     p.add_argument("-n", type=int, required=True, help="gluing level")
@@ -146,7 +148,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _env_cap() -> int:
     raw = os.environ.get("COX_CAP")
     if raw is None:
-        return DEFAULT_VERTEX_CAP
+        return DEFAULT_SUBSET_CAP
     try:
         return int(raw)
     except ValueError:
@@ -154,7 +156,7 @@ def _env_cap() -> int:
 
 
 def _run(args) -> int:
-    if args.cap is None:
+    if hasattr(args, "cap") and args.cap is None:
         args.cap = _env_cap()
     g = _load_graph(args.graph)
 

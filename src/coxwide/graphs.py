@@ -30,7 +30,7 @@ class CoxeterGraph:
     """
 
     __slots__ = ("vertices", "_index", "n", "_m", "_adj", "_comm", "_hash",
-                 "_subsets")
+                 "_subsets", "_engines")
 
     def __init__(self, vertices: Sequence[str], edges: Iterable[tuple[str, str, int]]):
         vertices = tuple(vertices)
@@ -80,6 +80,8 @@ class CoxeterGraph:
         self._hash = hash((self.vertices, self._m))
         # the coxwide.classification.SubsetTable, built on first use
         self._subsets = None
+        # orbit cap -> coxwide.words.WordEngine, each built on first use
+        self._engines = {}
 
     # -- identity ---------------------------------------------------------
 

@@ -40,9 +40,6 @@ class CayleyBall:
     words: tuple[Word, ...]
     edges: tuple[tuple[int, int, str], ...]
 
-    def index(self, word: Word) -> int:
-        return self.words.index(word)
-
     def to_json_obj(self) -> dict:
         return {"radius": self.radius,
                 "elements": [" ".join(w) for w in self.words],

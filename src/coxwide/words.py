@@ -12,14 +12,20 @@ order) is the canonical form.
 Orbits can be exponential, so every orbit search honours an explicit cap
 (default 200_000) and raises OrbitCapError beyond it.  Memo tables on the
 engine are pure caches and never change observable behaviour.
+
+A graph keeps its engines itself, one per orbit cap, each built on first
+use by ``engine_for``.  A memo filled under one cap therefore never answers
+a call made under another (which could have raised OrbitCapError), and the
+engines and their memos live exactly as long as their graph: there is no
+module-level cache holding the memos of graphs nobody uses any more.  One
+graph's memo is not bounded; it grows with the words asked of it.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import ConstructionError, GraphFormatError, NonGeodesicError, OrbitCapError
 from .graphs import CoxeterGraph, bits
@@ -114,20 +120,27 @@ class WordEngine:
                 return i
         return None
 
-    def orbit(self, w: tuple[int, ...], cap: Optional[int] = None) -> set[tuple[int, ...]]:
-        """Braid orbit of any word (geodesic or not); length is preserved."""
+    def orbit(self, w: tuple[int, ...],
+              cap: Optional[int] = None) -> Iterator[tuple[int, ...]]:
+        """Yield the braid orbit of any word, ``w`` first, breadth first.
+
+        Moves preserve length.  The cap counts the members a caller has
+        gone past: OrbitCapError is raised when it resumes after member
+        cap + 1, so a caller that stops at a member is never charged for it.
+        """
         cap = self.orbit_cap if cap is None else cap
         seen = {w}
+        yield w
         dq = deque([w])
         while dq:
             u = dq.popleft()
             for v in self.moves(u):
                 if v not in seen:
+                    yield v
                     seen.add(v)
                     if len(seen) > cap:
                         raise OrbitCapError(cap)
                     dq.append(v)
-        return seen
 
     # -- normalization -------------------------------------------------------
 
@@ -137,7 +150,6 @@ class WordEngine:
         if cached is not None:
             return cached
         start = w
-        cap = self.orbit_cap
         while True:
             i = self._doubled_at(w)
             if i is not None:
@@ -147,35 +159,22 @@ class WordEngine:
             if hit is not None:
                 self._norm[start] = hit
                 return hit
-            # braid-orbit search for a hidden doubled letter
-            seen = {w}
-            dq = deque([w])
-            shortened = None
-            while dq:
-                u = dq.popleft()
-                for v in self.moves(u):
-                    if v in seen:
-                        continue
-                    j = self._doubled_at(v)
-                    if j is not None:
-                        shortened = v[:j] + v[j + 2:]
-                        break
-                    seen.add(v)
-                    if len(seen) > cap:
-                        raise OrbitCapError(cap)
-                    dq.append(v)
-                if shortened is not None:
+            # search the orbit for a hidden doubled letter
+            members = []
+            for v in self.orbit(w):
+                j = self._doubled_at(v)
+                if j is not None:
+                    w = v[:j] + v[j + 2:]
                     break
-            if shortened is not None:
-                w = shortened
-                continue
-            # geodesic: the whole orbit was enumerated
-            result = min(seen)
-            for u in seen:
-                self._norm[u] = result
-            self._ends[result] = frozenset(u[-1] for u in seen) if result else frozenset()
-            self._norm[start] = result
-            return result
+                members.append(v)
+            else:
+                # geodesic: the whole orbit was enumerated
+                result = min(members)
+                for u in members:
+                    self._norm[u] = result
+                self._ends[result] = frozenset(u[-1] for u in members) if result else frozenset()
+                self._norm[start] = result
+                return result
 
     def is_geodesic(self, w: tuple[int, ...]) -> bool:
         return len(self.normalize(w)) == len(w)
@@ -197,12 +196,7 @@ class WordEngine:
         c = self.normalize(w)
         if len(c) != len(w):
             raise NonGeodesicError(f"word {self.decode(w)!r} is not geodesic")
-        hit = self._ends.get(c)
-        if hit is not None:
-            return hit
-        ends = frozenset(u[-1] for u in self.orbit(c)) if c else frozenset()
-        self._ends[c] = ends
-        return ends
+        return self._ends[c]  # filled when c's orbit was enumerated
 
     def reflection_word(self, w: tuple[int, ...], i: int) -> tuple[int, ...]:
         """Canonical word of the reflection dual to the i-th edge (1-based) of ``w``."""
@@ -210,9 +204,13 @@ class WordEngine:
         return self.normalize(prefix + (w[i - 1],) + tuple(reversed(prefix)))
 
 
-@lru_cache(maxsize=256)
 def engine_for(g: CoxeterGraph, orbit_cap: int = DEFAULT_ORBIT_CAP) -> WordEngine:
-    return WordEngine(g, orbit_cap)
+    """The graph's engine for ``orbit_cap``, built on first use and kept on
+    the graph; each cap has its own engine and memo."""
+    eng = g._engines.get(orbit_cap)
+    if eng is None:
+        eng = g._engines[orbit_cap] = WordEngine(g, orbit_cap)
+    return eng
 
 
 # ---------------------------------------------------------------------------
@@ -287,22 +285,24 @@ def wide_tail(g: CoxeterGraph, word: Sequence[str]) -> tuple[Word, Optional[tupl
     eng = engine_for(g)
     w = eng.encode(word)
     eng.require_geodesic(w)
-    wides = maximal_wide_masks(g)
-    if not wides or not w:
+    j, delta = _wide_suffix(w, maximal_wide_masks(g))
+    if not delta:
         return (), None
+    return eng.decode(w[j:]), g.names_of(delta)
+
+
+def _wide_suffix(w: tuple[int, ...], wides: Sequence[int]) -> tuple[int, int]:
+    """Start of the longest suffix of ``w`` whose letters lie in one of
+    ``wides``, and the first such mask; ``(len(w), 0)`` when there is none."""
+    start, delta = len(w), 0
     suffix_mask = 0
-    best = None  # (start index, containing wide mask)
     for j in range(len(w) - 1, -1, -1):
         suffix_mask |= 1 << w[j]
         hit = next((wm for wm in wides if suffix_mask & ~wm == 0), None)
-        if hit is not None:
-            best = (j, hit)
-        else:
+        if hit is None:
             break
-    if best is None:
-        return (), None
-    j, wm = best
-    return eng.decode(w[j:]), g.names_of(wm)
+        start, delta = j, hit
+    return start, delta
 
 
 def extension_constant(g: CoxeterGraph) -> int:
@@ -339,19 +339,7 @@ def extend_geodesic(g: CoxeterGraph, word: Sequence[str], target_len: int) -> Wo
         k_mask = 0
         for i in eng.ending_letters(w):
             k_mask |= 1 << i
-        delta_mask = 0
-        if w and wides:
-            suffix_mask = 0
-            hit = None
-            for j in range(len(w) - 1, -1, -1):
-                suffix_mask |= 1 << w[j]
-                nxt = next((wm for wm in wides if suffix_mask & ~wm == 0), None)
-                if nxt is None:
-                    break
-                hit = nxt
-            if hit is not None:
-                delta_mask = hit
-        blocked = k_mask | delta_mask
+        blocked = k_mask | _wide_suffix(w, wides)[1]
         legal = full & ~blocked
         if legal == 0:
             raise ConstructionError(

@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import settings
+from hypothesis import settings, strategies as st
 
 from coxwide import CoxeterGraph
 
@@ -220,4 +220,16 @@ def random_racg_matrix(rng: random.Random, n: int,
         for j in range(i + 1, n):
             if rng.random() < p_edge:
                 mat[i][j] = mat[j][i] = 2
+    return mat
+
+
+@st.composite
+def label_matrices(draw, max_n: int = 7):
+    """Label matrices of random general-label graphs (labels 2-5 and
+    infinity) on 1 to ``max_n`` vertices."""
+    n = draw(st.integers(1, max_n))
+    mat = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            mat[i][j] = mat[j][i] = draw(st.sampled_from(LABEL_CHOICES))
     return mat

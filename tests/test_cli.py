@@ -356,6 +356,21 @@ def test_bad_subcommand_is_usage_error(capsys, c5_file):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["fan", "G", "--base", "", "-x", "s1", "-y", "s2", "--cap", "1"],
+    ["fan", "G", "--base", "", "-x", "s1", "-y", "s2", "--order-cap", "7"],
+    ["fan", "G", "--base", "", "-x", "s1", "-y", "s2", "--seed", "9"],
+    ["classify", "G", "--orbit-cap", "5"],
+    ["word", "normalize", "G", "--word", "s1", "--cap", "3"],
+    ["mtf", "G", "--alpha", "s1", "--beta", "s3", "-n", "1", "--seed", "1"],
+])
+def test_flag_of_another_subcommand_is_usage_error(capsys, c5_file, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([c5_file if a == "G" else a for a in argv])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_bad_cox_cap_is_input_error(capsys, monkeypatch, c5_file):
     monkeypatch.setenv("COX_CAP", "abc")
     code, _, err = run(capsys, ["classify", c5_file])

@@ -14,7 +14,7 @@ from hypothesis import given, strategies as st
 
 import oracles as O
 import scan_oracle as S
-from conftest import LABEL_CHOICES, PROPERTY, graph_from_labels
+from conftest import PROPERTY, graph_from_labels, label_matrices
 from coxwide import CoxeterGraph
 from coxwide.avoidance import (_spherical_submasks, enumerate_special_joins,
                                enumerate_wide_subgraphs, is_affine_free,
@@ -30,16 +30,6 @@ from coxwide.classification import (classify_irreducible, compute_constants,
 from coxwide.classify import classify
 from coxwide.errors import SizeCapError
 from coxwide.graphs import popcount
-
-
-@st.composite
-def label_matrices(draw, max_n: int = 7):
-    n = draw(st.integers(1, max_n))
-    mat = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            mat[i][j] = mat[j][i] = draw(st.sampled_from(LABEL_CHOICES))
-    return mat
 
 
 def _per_mask(g):
@@ -117,6 +107,15 @@ def test_caps_raise_before_any_table(idx):
     with pytest.raises(SizeCapError):
         _capped_calls(4)[idx](g)
     assert g._subsets is None
+
+
+def test_cap_errors_name_their_layer():
+    g = _path(5)
+    for call, layer in ((compute_constants, "constants"),
+                        (ends_verdict, "ends"), (wide_masks, "enumeration")):
+        with pytest.raises(SizeCapError,
+                           match=f"graph has 5 vertices, {layer} cap is 4"):
+            call(g, 4)
 
 
 def test_default_caps_raise_at_21_vertices():

@@ -1,18 +1,23 @@
 """Exact rewriting word engine: canonical forms, geodesics, extensions."""
 
+import gc
 import random
+import weakref
 
 import pytest
+from hypothesis import given, strategies as st
 
 from coxwide import (NonGeodesicError, OrbitCapError, element,
                      ending_letters, extend_geodesic, extension_constant,
                      is_geodesic, normalize, parse_word, reflection_of_edge,
                      tits_orbit, wide_tail)
+from coxwide.avoidance import maximal_wide_masks
 from coxwide.classification import is_spherical_mask
-from coxwide.words import engine_for
+from coxwide.words import DEFAULT_ORBIT_CAP, engine_for
 
 import oracles as O
-from conftest import CORPUS_MAKERS, graph_from_labels, random_label_matrix
+from conftest import (CORPUS_MAKERS, PROPERTY, graph_from_labels,
+                      label_matrices, make_c5, random_label_matrix)
 
 
 def rand_word(rng, g, max_len):
@@ -195,6 +200,28 @@ def test_reflection_of_edge(c5):
     assert len(seen) == len(w)
 
 
+def test_wide_tail_is_longest_suffix_in_first_wide(corpus):
+    """The tail is the longest suffix inside a maximal wide subgraph, and
+    the subgraph is the first one (in mask order) containing that suffix."""
+    rng = random.Random(41)
+    for name in ["C4", "C5", "G6", "O8", "WIDE8"]:
+        g = corpus[name]
+        wides = maximal_wide_masks(g)
+
+        def first_wide(suffix):
+            m = g.mask_of(suffix)
+            return next((g.names_of(wm) for wm in wides if m & ~wm == 0),
+                        None)
+
+        for _ in range(40):
+            w = normalize(g, rand_word(rng, g, 8))
+            j = len(w)
+            while j > 0 and first_wide(w[j - 1:]) is not None:
+                j -= 1
+            want = ((), None) if j == len(w) else (w[j:], first_wide(w[j:]))
+            assert wide_tail(g, w) == want, (name, w)
+
+
 def test_orbit_cap(c5):
     big = extend_geodesic(c5, ("s1",), 12)
     with pytest.raises(OrbitCapError):
@@ -205,3 +232,93 @@ def test_element_serialization(c5):
     e = element(c5, ("s2", "s1", "s2"))
     assert e.serialize() == "s1"
     assert len(e) == 1
+
+
+# ---------------------------------------------------------------------------
+# engines on their graph, orbit-cap boundaries, group-law properties
+
+
+def test_engine_per_graph_and_cap():
+    g = make_c5()
+    eng = engine_for(g)
+    assert engine_for(g, DEFAULT_ORBIT_CAP) is eng
+    other = engine_for(g, 7)
+    assert other is not eng and other.orbit_cap == 7
+    assert engine_for(g, 7) is other
+    assert engine_for(make_c5()) is not eng
+
+
+def test_engines_are_freed_with_their_graph():
+    g = make_c5()
+    eng = engine_for(g)
+    eng.normalize(eng.encode(("s1", "s3", "s5", "s2")))
+    ref = weakref.ref(eng)
+    del g, eng
+    gc.collect()
+    assert ref() is None
+
+
+def test_orbit_cap_boundary_is_exact():
+    """A word with a k-member braid orbit raises at cap k - 1, answers at k."""
+    word = extend_geodesic(make_c5(), ("s1",), 6)
+    k = len(tits_orbit(make_c5(), word))
+    assert k >= 2
+    for query in (lambda g, cap: normalize(g, word, orbit_cap=cap),
+                  lambda g, cap: tits_orbit(g, word, cap)):
+        with pytest.raises(OrbitCapError):
+            query(make_c5(), k - 1)
+        assert query(make_c5(), k)
+    g = make_c5()
+    assert normalize(g, word, orbit_cap=k) == min(tits_orbit(g, word))
+    with pytest.raises(OrbitCapError):
+        normalize(g, word, orbit_cap=k - 1)   # the cap-k memo is not read
+
+
+def test_doubled_member_is_not_charged():
+    # the orbit of s1 s2 s1 reaches s2 s1 s1 after one member: the search
+    # stops there, so even cap 1 suffices
+    assert normalize(make_c5(), ("s1", "s2", "s1"), orbit_cap=1) == ("s2",)
+
+
+@st.composite
+def graph_and_words(draw, count: int, max_len: int = 7):
+    g = graph_from_labels(draw(label_matrices(max_n=5)))
+    letters = st.sampled_from(g.vertices)
+    words = [tuple(draw(st.lists(letters, max_size=max_len)))
+             for _ in range(count)]
+    return g, words
+
+
+@PROPERTY
+@given(graph_and_words(1))
+def test_normalize_is_idempotent(case):
+    g, (w,) = case
+    nf = normalize(g, w)
+    assert normalize(g, nf) == nf
+
+
+@PROPERTY
+@given(graph_and_words(3, max_len=5))
+def test_multiplication_is_associative(case):
+    g, words = case
+    eng = engine_for(g)
+    u, v, x = (eng.encode(w) for w in words)
+    assert eng.mult(eng.mult(u, v), x) == eng.mult(u, eng.mult(v, x))
+
+
+@PROPERTY
+@given(graph_and_words(1))
+def test_inverse_cancels(case):
+    g, (w,) = case
+    eng = engine_for(g)
+    u = eng.encode(w)
+    assert eng.mult(u, eng.inverse(u)) == ()
+
+
+@PROPERTY
+@given(graph_and_words(1))
+def test_ending_letters_are_last_letters_of_orbit(case):
+    g, (w,) = case
+    nf = normalize(g, w)
+    want = {u[-1] for u in tits_orbit(g, nf) if u}
+    assert ending_letters(g, nf) == want
