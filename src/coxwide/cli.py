@@ -217,15 +217,15 @@ def _run(args) -> int:
                   " ".join(nf) if nf else "(identity)")
             return 0
         if args.what == "geodesic":
-            ok = is_geodesic(g, w)
+            ok = is_geodesic(g, w, args.orbit_cap)
             _emit(args, {"geodesic": ok}, f"geodesic: {ok}")
             return 0 if ok else 1
         if args.what == "ending-letters":
-            ends = sorted(ending_letters(g, w))
+            ends = sorted(ending_letters(g, w, args.orbit_cap))
             _emit(args, {"ending_letters": ends}, " ".join(ends) or "(none)")
             return 0
         if args.what == "wide-tail":
-            tail, delta = wide_tail(g, w)
+            tail, delta = wide_tail(g, w, args.orbit_cap)
             obj = {"tail": list(tail),
                    "wide_subgraph": None if delta is None else list(delta)}
             _emit(args, obj,
@@ -234,7 +234,7 @@ def _run(args) -> int:
             return 0
         if args.target_len is None:
             raise GraphFormatError("'extend' needs --target-len")
-        ext = extend_geodesic(g, w, args.target_len)
+        ext = extend_geodesic(g, w, args.target_len, args.orbit_cap)
         _emit(args, {"word": list(ext)}, " ".join(ext))
         return 0
 

@@ -136,7 +136,7 @@ def build_fan(g: CoxeterGraph, base: Word, s: str, t: str,
     k_mask = 0
     for i in eng.ending_letters(w):
         k_mask |= 1 << i
-    tail, delta_names = wide_tail(g, base)
+    tail, delta_names = wide_tail(g, base, orbit_cap)
     m_gamma = compute_constants(g).m_gamma
     full = g.full_mask()
 
@@ -211,7 +211,7 @@ def check_fan(g: CoxeterGraph, fan: FanDiagram,
             fails.append(f"base + left side of cell {i} not geodesic")
         if not eng.is_geodesic(w + eng.encode(rho)):
             fails.append(f"base + right side of cell {i} not geodesic")
-    tail, _ = wide_tail(g, fan.base)
+    tail, _ = wide_tail(g, fan.base, orbit_cap)
     if tail != fan.tail:
         fails.append("recorded tail differs from the wide tail of the base")
     long_tail = len(tail) > compute_constants(g).m_gamma

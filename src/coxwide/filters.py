@@ -513,8 +513,8 @@ def check_filter(g: CoxeterGraph, filt: FilterDiagram,
     for fi, f in enumerate(filt.fans):
         cells = tuple(2 * g.m(g.index(f.labels[i]), g.index(f.labels[i + 1]))
                       for i in range(len(f.labels) - 1))
-        fan = FanDiagram(f.base, f.labels, cells, *wide_tail(g, f.base),
-                         f.case, ())
+        fan = FanDiagram(f.base, f.labels, cells,
+                         *wide_tail(g, f.base, orbit_cap), f.case, ())
         sub = check_fan(g, fan, orbit_cap)
         if not sub.ok:
             fails.append(f"fan {fi}: " + "; ".join(sub.failures))

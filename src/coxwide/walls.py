@@ -58,33 +58,33 @@ class CayleyBall:
 
 def build_ball(g: CoxeterGraph, radius: int, cap: int = DEFAULT_BALL_CAP,
                orbit_cap: int = DEFAULT_ORBIT_CAP) -> CayleyBall:
-    """Breadth-first ball around the identity; raises SizeCapError beyond cap."""
+    """Breadth-first ball around the identity; raises SizeCapError beyond cap.
+
+    One pass: each element of spheres 0..radius-1 is multiplied once by each
+    generator, and a longer product is an element of the next sphere and an
+    edge.  Right multiplication changes length by one, so every edge joins
+    consecutive spheres and is found from its lower end.
+    """
     if radius < 0:
         raise ValueError("radius must be >= 0")
     eng = engine_for(g, orbit_cap)
-    gens = range(g.n)
     sphere: list[tuple[int, ...]] = [()]
-    seen: dict[tuple[int, ...], int] = {(): 0}
     order: list[tuple[int, ...]] = [()]
+    edges = []
     for _ in range(radius):
-        nxt: set[tuple[int, ...]] = set()
-        for w in sphere:
-            ends = eng.ending_letters(w)
-            for s in gens:
-                if s not in ends:
-                    nxt.add(eng.normalize(w + (s,)))
-        sphere = sorted(nxt)
+        first = len(order) - len(sphere)
+        below: dict[tuple[int, ...], list[tuple[int, int]]] = {}
+        for k, w in enumerate(sphere):
+            for s in range(g.n):
+                p = eng.right_mult(w, s)
+                if len(p) > len(w):
+                    below.setdefault(p, []).append((first + k, s))
+        sphere = sorted(below)
         for w in sphere:
             if len(order) >= cap:
                 raise SizeCapError(cap, f"ball exceeds {cap} elements")
-            seen[w] = len(order)
+            edges.extend((i, len(order), g.vertices[s]) for i, s in below[w])
             order.append(w)
-    edges = set()
-    for w, i in seen.items():
-        for s in gens:
-            j = seen.get(eng.normalize(w + (s,)))
-            if j is not None and i < j:
-                edges.add((i, j, g.vertices[s]))
     return CayleyBall(radius, tuple(eng.decode(w) for w in order),
                       tuple(sorted(edges)))
 

@@ -1,24 +1,34 @@
-"""Exact word engine: braid orbits, normalization, ending letters, extensions.
+"""Exact word engines: normal forms, geodesy, ending letters, extensions.
 
-Everything here is driven by two facts about Coxeter systems.  First, a word
-is geodesic iff no member of its orbit under braid moves (replace a length-m
-alternating block ``abab...`` by ``baba...`` where m = m_ab) contains a
-doubled letter.  Second, any two geodesic expressions of the same element lie
-in one braid orbit.  Normalization therefore needs no automaton: search the
-orbit for a doubled letter, delete it, restart; once no orbit member has one,
-the word is geodesic and the lex-least orbit member (in the graph's vertex
-order) is the canonical form.
+Both engines return the same canonical form of an element: its lex-least
+geodesic expression in the graph's vertex order.
 
-Orbits can be exponential, so every orbit search honours an explicit cap
-(default 200_000) and raises OrbitCapError beyond it.  Memo tables on the
-engine are pure caches and never change observable behaviour.
+Right-angled graphs (every edge labeled 2) get ``RightAngledEngine``.  There
+the geodesic expressions of an element are the linear extensions of one
+heap (Cartier-Foata), and the canonical form is the greedy lex-least one.
+Multiplying by a letter deletes a heap-maximal copy of it or adds it on top,
+which changes the greedy extension in one place (``right_mult``), so
+normalization folds over the word in O(len^2) steps with no orbit search.
 
-A graph keeps its engines itself, one per orbit cap, each built on first
-use by ``engine_for``.  A memo filled under one cap therefore never answers
-a call made under another (which could have raised OrbitCapError), and the
-engines and their memos live exactly as long as their graph: there is no
-module-level cache holding the memos of graphs nobody uses any more.  One
-graph's memo is not bounded; it grows with the words asked of it.
+Other labels get ``WordEngine``, driven by two facts about Coxeter systems.
+First, a word is geodesic iff no member of its orbit under braid moves
+(replace a length-m alternating block ``abab...`` by ``baba...`` where
+m = m_ab) contains a doubled letter.  Second, any two geodesic expressions
+of the same element lie in one braid orbit.  Normalization therefore needs
+no automaton: search the orbit for a doubled letter, delete it, restart;
+once no orbit member has one, the word is geodesic and the lex-least orbit
+member is the canonical form.  Orbits can be exponential, so every orbit
+search (this engine's, and ``tits_orbit`` on any graph) honours an explicit
+cap (default 200_000) and raises OrbitCapError beyond it.
+
+Memo tables on an engine are pure caches and never change observable
+behaviour.  A graph keeps its engines itself, one per orbit cap, each built
+on first use by ``engine_for``.  A memo filled under one cap therefore never
+answers a call made under another (which could have raised OrbitCapError),
+and the engines and their memos live exactly as long as their graph: there
+is no module-level cache holding the memos of graphs nobody uses any more.
+One graph's memo is not bounded; it grows with the words asked of it (every
+enumerated orbit member, or on a right-angled graph each input word).
 """
 
 from __future__ import annotations
@@ -203,13 +213,73 @@ class WordEngine:
         prefix = w[:i - 1]
         return self.normalize(prefix + (w[i - 1],) + tuple(reversed(prefix)))
 
+    def right_mult(self, c: tuple[int, ...], s: int) -> tuple[int, ...]:
+        """Canonical form of ``c`` times generator ``s``, for canonical ``c``."""
+        return self.normalize(c + (s,))
+
+
+class RightAngledEngine(WordEngine):
+    """Heap normal forms for a right-angled graph; no orbit search, no cap.
+
+    ``orbit`` (braid moves are then commutations) stays available for
+    ``tits_orbit``.
+    """
+
+    def __init__(self, g: CoxeterGraph, orbit_cap: int = DEFAULT_ORBIT_CAP):
+        super().__init__(g, orbit_cap)
+        self._comm = [sum(1 << j for j in range(g.n) if g.m(i, j) == 2)
+                      for i in range(g.n)]
+
+    def right_mult(self, c: tuple[int, ...], s: int) -> tuple[int, ...]:
+        """Scan back from the end of ``c`` past the letters commuting with
+        ``s``.  Stopping at an ``s`` means that copy is heap-maximal: delete
+        it.  Otherwise ``s`` becomes available to the greedy extension right
+        after the letter stopped at, and goes before the first larger letter
+        from there on.  Being maximal, it delays nothing else, and a deleted
+        maximal letter delayed nothing either, so the rest of ``c`` keeps
+        its order."""
+        comm = self._comm[s]
+        i = len(c) - 1
+        while i >= 0 and (comm >> c[i]) & 1:
+            i -= 1
+        if i >= 0 and c[i] == s:
+            return c[:i] + c[i + 1:]
+        j = i + 1
+        while j < len(c) and c[j] < s:
+            j += 1
+        return c[:j] + (s,) + c[j:]
+
+    def normalize(self, w: tuple[int, ...]) -> tuple[int, ...]:
+        cached = self._norm.get(w)
+        if cached is not None:
+            return cached
+        c: tuple[int, ...] = ()
+        for s in w:
+            c = self.right_mult(c, s)
+        self._norm[w] = c
+        return c
+
+    def ending_letters(self, w: tuple[int, ...]) -> frozenset[int]:
+        """The heap-maximal letters: those whose last occurrence commutes
+        with every letter after it."""
+        self.require_geodesic(w)
+        ends = []
+        after = 0
+        for x in reversed(w):
+            if after & ~self._comm[x] == 0:
+                ends.append(x)
+            after |= 1 << x
+        return frozenset(ends)
+
 
 def engine_for(g: CoxeterGraph, orbit_cap: int = DEFAULT_ORBIT_CAP) -> WordEngine:
     """The graph's engine for ``orbit_cap``, built on first use and kept on
-    the graph; each cap has its own engine and memo."""
+    the graph; each cap has its own engine and memo.  Right-angled graphs
+    get a ``RightAngledEngine``."""
     eng = g._engines.get(orbit_cap)
     if eng is None:
-        eng = g._engines[orbit_cap] = WordEngine(g, orbit_cap)
+        cls = RightAngledEngine if g.is_racg() else WordEngine
+        eng = g._engines[orbit_cap] = cls(g, orbit_cap)
     return eng
 
 
@@ -238,8 +308,9 @@ def normalize(g: CoxeterGraph, word: Sequence[str],
     return eng.decode(eng.normalize(eng.encode(word)))
 
 
-def is_geodesic(g: CoxeterGraph, word: Sequence[str]) -> bool:
-    eng = engine_for(g)
+def is_geodesic(g: CoxeterGraph, word: Sequence[str],
+                orbit_cap: int = DEFAULT_ORBIT_CAP) -> bool:
+    eng = engine_for(g, orbit_cap)
     return eng.is_geodesic(eng.encode(word))
 
 
@@ -247,22 +318,24 @@ def element(g: CoxeterGraph, word: Sequence[str]) -> GroupElement:
     return GroupElement(normalize(g, word))
 
 
-def ending_letters(g: CoxeterGraph, word: Sequence[str]) -> frozenset[str]:
+def ending_letters(g: CoxeterGraph, word: Sequence[str],
+                   orbit_cap: int = DEFAULT_ORBIT_CAP) -> frozenset[str]:
     """The set K of last letters over all geodesic expressions of the word.
 
     The group generated by K is always finite, and w*t is geodesic exactly for
     t outside K.
     """
-    eng = engine_for(g)
+    eng = engine_for(g, orbit_cap)
     return frozenset(g.vertices[i] for i in eng.ending_letters(eng.encode(word)))
 
 
-def reflection_of_edge(g: CoxeterGraph, word: Sequence[str], i: int) -> Reflection:
+def reflection_of_edge(g: CoxeterGraph, word: Sequence[str], i: int,
+                       orbit_cap: int = DEFAULT_ORBIT_CAP) -> Reflection:
     """Reflection dual to the i-th edge (1-based) of a geodesic word.
 
     A word is geodesic iff its edge reflections are pairwise distinct.
     """
-    eng = engine_for(g)
+    eng = engine_for(g, orbit_cap)
     w = eng.encode(word)
     eng.require_geodesic(w)
     if not 1 <= i <= len(w):
@@ -275,14 +348,16 @@ def reflection_of_edge(g: CoxeterGraph, word: Sequence[str], i: int) -> Reflecti
 # wide tails and geodesic extension (uses the wide-subgraph machinery)
 
 
-def wide_tail(g: CoxeterGraph, word: Sequence[str]) -> tuple[Word, Optional[tuple[str, ...]]]:
+def wide_tail(g: CoxeterGraph, word: Sequence[str],
+              orbit_cap: int = DEFAULT_ORBIT_CAP
+              ) -> tuple[Word, Optional[tuple[str, ...]]]:
     """Longest suffix whose label set lies in a wide subgraph, with one such subgraph.
 
     Returns ``((), None)`` when even the last letter is in no wide subgraph.
     The word must be geodesic.
     """
     from .avoidance import maximal_wide_masks
-    eng = engine_for(g)
+    eng = engine_for(g, orbit_cap)
     w = eng.encode(word)
     eng.require_geodesic(w)
     j, delta = _wide_suffix(w, maximal_wide_masks(g))
@@ -318,7 +393,8 @@ def extension_constant(g: CoxeterGraph) -> int:
     return c.m_gamma + c.v_gamma + 1
 
 
-def extend_geodesic(g: CoxeterGraph, word: Sequence[str], target_len: int) -> Word:
+def extend_geodesic(g: CoxeterGraph, word: Sequence[str], target_len: int,
+                    orbit_cap: int = DEFAULT_ORBIT_CAP) -> Word:
     """Extend a geodesic word to ``target_len`` by the greedy Morse-tail rule.
 
     Each step appends the least vertex outside Delta union K, where K is the
@@ -328,7 +404,7 @@ def extend_geodesic(g: CoxeterGraph, word: Sequence[str], target_len: int) -> Wo
     graph fails the preconditions (wide-spherical-avoidant, infinite group).
     """
     from .avoidance import maximal_wide_masks
-    eng = engine_for(g)
+    eng = engine_for(g, orbit_cap)
     w = eng.encode(word)
     eng.require_geodesic(w)
     if target_len < len(w):

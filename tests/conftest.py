@@ -129,6 +129,14 @@ def make_h3() -> CoxeterGraph:
                         [("a", "b", 5), ("b", "c", 3), ("a", "c", 2)])
 
 
+def make_c5_braid() -> CoxeterGraph:
+    """C5 with the s1-s2 edge labeled 3: a general-label graph, so its words
+    go through the braid-orbit engine (and its orbit cap)."""
+    names = [f"s{i + 1}" for i in range(5)]
+    edges = [(names[i], names[(i + 1) % 5], 2) for i in range(1, 5)]
+    return CoxeterGraph(names, [("s1", "s2", 3)] + edges)
+
+
 CORPUS_MAKERS = {
     "C4": make_c4,
     "C5": make_c5,
@@ -232,4 +240,16 @@ def label_matrices(draw, max_n: int = 7):
     for i in range(n):
         for j in range(i + 1, n):
             mat[i][j] = mat[j][i] = draw(st.sampled_from(LABEL_CHOICES))
+    return mat
+
+
+@st.composite
+def racg_label_matrices(draw, max_n: int = 8):
+    """Label matrices of random right-angled graphs on 1 to ``max_n``
+    vertices, each pair commuting (label 2) or not (infinite bond)."""
+    n = draw(st.integers(1, max_n))
+    mat = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            mat[i][j] = mat[j][i] = draw(st.sampled_from((0, 2)))
     return mat

@@ -26,6 +26,8 @@ AFF_TRI_TEXT = "v a; v b; v c; e a b 3; e b c 3; e a c 3"
 
 INF_PAIR_TEXT = "v a; v b"
 
+C5_BRAID_TEXT = C5_TEXT.replace("e s1 s2 2", "e s1 s2 3")
+
 
 @pytest.fixture
 def c5_file(tmp_path):
@@ -38,6 +40,13 @@ def c5_file(tmp_path):
 def c4_file(tmp_path):
     p = tmp_path / "c4.cox"
     p.write_text(C4_TEXT + "\n", encoding="utf-8")
+    return str(p)
+
+
+@pytest.fixture
+def c5_braid_file(tmp_path):
+    p = tmp_path / "c5_braid.cox"
+    p.write_text(C5_BRAID_TEXT + "\n", encoding="utf-8")
     return str(p)
 
 
@@ -337,11 +346,21 @@ def test_mtf_level_out_of_range_exits_2(capsys, c4_file):
     assert "input error" in err
 
 
-def test_orbit_cap_exits_2(capsys, c5_file):
-    code, _, err = run(capsys, ["word", "normalize", c5_file,
-                                "--word", "s1 s2", "--orbit-cap", "1"])
-    assert code == 2
-    assert "resource cap exceeded" in err
+def test_orbit_cap_exits_2(capsys, c5_braid_file):
+    # s3 s4 has a two-member braid orbit on this general-label graph
+    for what in ("normalize", "geodesic", "ending-letters", "wide-tail",
+                 "extend"):
+        code, _, err = run(capsys, ["word", what, c5_braid_file, "--word",
+                                    "s3 s4", "--target-len", "4",
+                                    "--orbit-cap", "1"])
+        assert code == 2, what
+        assert "resource cap exceeded" in err, what
+
+
+def test_right_angled_word_ignores_orbit_cap(capsys, c5_file):
+    code, out, _ = run_json(capsys, ["word", "normalize", c5_file,
+                                     "--word", "s2 s1", "--orbit-cap", "1"])
+    assert code == 0 and out["normal_form"] == ["s1", "s2"]
 
 
 def test_dot_format_unavailable_exits_2(capsys, c5_file):

@@ -15,7 +15,7 @@ from coxwide.walls import (find_pencil, is_reflection, morse_window_check,
 from coxwide.words import engine_for
 
 import oracles as O
-from conftest import CORPUS_MAKERS
+from conftest import CORPUS_MAKERS, make_c5
 
 
 def test_ball_sizes_frozen(corpus):
@@ -112,6 +112,17 @@ def test_pencil_walls_pairwise_parallel(c5):
     for a in range(len(p.positions)):
         for b in range(a + 1, len(p.positions)):
             assert not walls_cross(c5, w, p.positions[a], p.positions[b])
+
+
+def test_pencil_past_the_old_orbit_cap():
+    # before right-angled normal forms, the order probes of this word's
+    # wall products exceeded the default 200,000-member orbit cap
+    g = make_c5()
+    w = ("s1", "s3", "s4", "s1")
+    p = find_pencil(g, w)
+    assert p.positions == (1, 2, 4)
+    assert all(p.separates_endpoints)
+    assert all(wall_separates(g, r, w) for r in p.reflections)
 
 
 def test_morse_window_frozen(c4, c5):

@@ -17,7 +17,8 @@ from coxwide.words import DEFAULT_ORBIT_CAP, engine_for
 
 import oracles as O
 from conftest import (CORPUS_MAKERS, PROPERTY, graph_from_labels,
-                      label_matrices, make_c5, random_label_matrix)
+                      label_matrices, make_c5, make_c5_braid,
+                      random_label_matrix)
 
 
 def rand_word(rng, g, max_len):
@@ -222,10 +223,19 @@ def test_wide_tail_is_longest_suffix_in_first_wide(corpus):
             assert wide_tail(g, w) == want, (name, w)
 
 
-def test_orbit_cap(c5):
-    big = extend_geodesic(c5, ("s1",), 12)
+def test_orbit_cap():
+    # a general-label graph: right-angled normal forms search no orbit
+    g = make_c5_braid()
+    big = extend_geodesic(g, ("s1",), 12)
     with pytest.raises(OrbitCapError):
-        normalize(c5, big, orbit_cap=2)
+        normalize(g, big, orbit_cap=2)
+
+
+def test_right_angled_normalize_enumerates_no_orbit():
+    g = make_c5()
+    word = extend_geodesic(g, ("s1",), 12)
+    assert len(tits_orbit(g, word)) > 1
+    assert normalize(g, word, orbit_cap=1) == min(tits_orbit(g, word))
 
 
 def test_element_serialization(c5):
@@ -259,16 +269,21 @@ def test_engines_are_freed_with_their_graph():
 
 
 def test_orbit_cap_boundary_is_exact():
-    """A word with a k-member braid orbit raises at cap k - 1, answers at k."""
-    word = extend_geodesic(make_c5(), ("s1",), 6)
-    k = len(tits_orbit(make_c5(), word))
-    assert k >= 2
-    for query in (lambda g, cap: normalize(g, word, orbit_cap=cap),
-                  lambda g, cap: tits_orbit(g, word, cap)):
+    """A word with a k-member braid orbit raises at cap k - 1, answers at
+    k: ``normalize`` on a general-label graph (the braid-orbit engine),
+    ``tits_orbit`` on a right-angled one."""
+    for make, query in (
+            (make_c5_braid, lambda g, w, cap: normalize(g, w, orbit_cap=cap)),
+            (make_c5, lambda g, w, cap: tits_orbit(g, w, cap))):
+        word = extend_geodesic(make(), ("s1",), 6)
+        k = len(tits_orbit(make(), word))
+        assert k >= 2
         with pytest.raises(OrbitCapError):
-            query(make_c5(), k - 1)
-        assert query(make_c5(), k)
-    g = make_c5()
+            query(make(), word, k - 1)
+        assert query(make(), word, k)
+    g = make_c5_braid()
+    word = extend_geodesic(g, ("s1",), 6)
+    k = len(tits_orbit(g, word))
     assert normalize(g, word, orbit_cap=k) == min(tits_orbit(g, word))
     with pytest.raises(OrbitCapError):
         normalize(g, word, orbit_cap=k - 1)   # the cap-k memo is not read
@@ -278,6 +293,12 @@ def test_doubled_member_is_not_charged():
     # the orbit of s1 s2 s1 reaches s2 s1 s1 after one member: the search
     # stops there, so even cap 1 suffices
     assert normalize(make_c5(), ("s1", "s2", "s1"), orbit_cap=1) == ("s2",)
+
+
+def test_doubled_member_is_not_charged_general_labels():
+    # the same on the braid-orbit engine: s3 s4 s3 -> s4 s3 s3 in one move
+    assert normalize(make_c5_braid(), ("s3", "s4", "s3"),
+                     orbit_cap=1) == ("s4",)
 
 
 @st.composite
