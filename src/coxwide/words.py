@@ -225,11 +225,6 @@ class RightAngledEngine(WordEngine):
     ``tits_orbit``.
     """
 
-    def __init__(self, g: CoxeterGraph, orbit_cap: int = DEFAULT_ORBIT_CAP):
-        super().__init__(g, orbit_cap)
-        self._comm = [sum(1 << j for j in range(g.n) if g.m(i, j) == 2)
-                      for i in range(g.n)]
-
     def right_mult(self, c: tuple[int, ...], s: int) -> tuple[int, ...]:
         """Scan back from the end of ``c`` past the letters commuting with
         ``s``.  Stopping at an ``s`` means that copy is heap-maximal: delete
@@ -238,7 +233,7 @@ class RightAngledEngine(WordEngine):
         from there on.  Being maximal, it delays nothing else, and a deleted
         maximal letter delayed nothing either, so the rest of ``c`` keeps
         its order."""
-        comm = self._comm[s]
+        comm = self.g.commuting_mask(s)
         i = len(c) - 1
         while i >= 0 and (comm >> c[i]) & 1:
             i -= 1
@@ -263,10 +258,11 @@ class RightAngledEngine(WordEngine):
         """The heap-maximal letters: those whose last occurrence commutes
         with every letter after it."""
         self.require_geodesic(w)
+        comm = self.g.commuting_mask
         ends = []
         after = 0
         for x in reversed(w):
-            if after & ~self._comm[x] == 0:
+            if after & ~comm(x) == 0:
                 ends.append(x)
             after |= 1 << x
         return frozenset(ends)
@@ -329,13 +325,12 @@ def ending_letters(g: CoxeterGraph, word: Sequence[str],
     return frozenset(g.vertices[i] for i in eng.ending_letters(eng.encode(word)))
 
 
-def reflection_of_edge(g: CoxeterGraph, word: Sequence[str], i: int,
-                       orbit_cap: int = DEFAULT_ORBIT_CAP) -> Reflection:
+def reflection_of_edge(g: CoxeterGraph, word: Sequence[str], i: int) -> Reflection:
     """Reflection dual to the i-th edge (1-based) of a geodesic word.
 
     A word is geodesic iff its edge reflections are pairwise distinct.
     """
-    eng = engine_for(g, orbit_cap)
+    eng = engine_for(g)
     w = eng.encode(word)
     eng.require_geodesic(w)
     if not 1 <= i <= len(w):
