@@ -54,9 +54,6 @@ class SpecialJoin:
     q: tuple[str, ...]
     k: tuple[str, ...]
 
-    def blocked(self) -> tuple[str, ...]:
-        return tuple(sorted(set(self.p) | set(self.q) | set(self.k)))
-
     def to_json_obj(self) -> dict:
         return {"P": list(self.p), "Q": list(self.q), "K": list(self.k)}
 
@@ -82,25 +79,17 @@ class AvoidanceReport:
 # wideness
 
 
-def _infinite_component(g: CoxeterGraph, comp_mask: int) -> bool:
-    return irreducible_kind(g, comp_mask) != "FiniteType"
-
-
-def _affine_rank3_component(g: CoxeterGraph, comp_mask: int) -> bool:
-    # affine diagrams of rank 2 (A~1) count as InfiniteDihedral
-    return irreducible_kind(g, comp_mask) == "AffineType"
-
-
 def wide_decomposition_mask(g: CoxeterGraph, mask: int) -> Optional[tuple[int, int, str]]:
     """(P mask, Q mask, kind) for the canonical witness, or None if not wide."""
     if mask == 0:
         return None
     comps = g.irreducible_components_mask(mask)
-    infinite = [c for c in comps if _infinite_component(g, c)]
+    infinite = [c for c in comps if irreducible_kind(g, c) != "FiniteType"]
     if len(infinite) >= 2:
         p = infinite[0]  # components come sorted by least vertex
         return p, mask & ~p, "TwoInfiniteFactors"
-    affine = [c for c in comps if _affine_rank3_component(g, c)]
+    # affine diagrams of rank 2 (A~1) count as InfiniteDihedral
+    affine = [c for c in comps if irreducible_kind(g, c) == "AffineType"]
     if affine:
         p = affine[0]
         return p, mask & ~p, "AffineRank3Plus"
@@ -170,23 +159,21 @@ def is_affine_free(g: CoxeterGraph, cap: int = DEFAULT_SUBSET_CAP) -> bool:
 
 
 def _component_bipartitions(g: CoxeterGraph, mask: int):
-    """Ordered (P, Q) wide decompositions of ``mask`` (Q possibly empty)."""
+    """Ordered (P, Q) wide decompositions of ``mask`` (Q possibly empty).
+
+    Components are disjoint and non-empty, so distinct picks give distinct P.
+    """
     comps = g.irreducible_components_mask(mask)
-    k = len(comps)
-    seen = set()
-    for pick in range(1, 1 << k):
+    for pick in range(1, 1 << len(comps)):
         p = 0
         for idx in bits(pick):
             p |= comps[idx]
         q = mask & ~p
-        if (p, q) in seen:
-            continue
-        seen.add((p, q))
         p_infinite = not is_spherical_mask(g, p)
         q_infinite = not is_spherical_mask(g, q)
         if p_infinite and q_infinite:
             yield p, q
-        elif popcount(pick) == 1 and _affine_rank3_component(g, p):
+        elif popcount(pick) == 1 and irreducible_kind(g, p) == "AffineType":
             yield p, q
 
 
@@ -203,6 +190,15 @@ def _spherical_submasks(g: CoxeterGraph, ground: int) -> tuple[int, ...]:
     return tuple(m for m in subset_table(g).spherical if m & ~ground == 0)
 
 
+def _join_grounds(g: CoxeterGraph, cap: int):
+    """Yield ``(D, P, Q, ground)`` for every wide set D (ascending), every
+    wide decomposition (P, Q) of D, and the vertices outside D adjacent to
+    all of P: the ground set from which a special join's K is drawn."""
+    for d in wide_masks(g, cap):
+        for p, q in _component_bipartitions(g, d):
+            yield d, p, q, _common_neighbors(g, p) & ~d
+
+
 def enumerate_special_joins(g: CoxeterGraph, maximal_only: bool = False,
                             cap: int = DEFAULT_SUBSET_CAP) -> list[SpecialJoin]:
     """All special joins (ordered triples), deterministically sorted.
@@ -210,13 +206,8 @@ def enumerate_special_joins(g: CoxeterGraph, maximal_only: bool = False,
     With ``maximal_only``, keep those whose blocked set P|Q|K is
     inclusion-maximal among all blocked sets.
     """
-    check_cap(g, cap, "enumeration")
-    triples: list[tuple[int, int, int]] = []
-    for d in wide_masks(g, cap):
-        for p, q in _component_bipartitions(g, d):
-            ground = _common_neighbors(g, p) & ~d
-            for k in _spherical_submasks(g, ground):
-                triples.append((p, q, k))
+    triples = [(p, q, k) for _d, p, q, ground in _join_grounds(g, cap)
+               for k in _spherical_submasks(g, ground)]
     if maximal_only:
         blocked = [p | q | k for p, q, k in triples]
         keep = []
@@ -266,12 +257,8 @@ def is_wide_spherical_avoidant(g: CoxeterGraph,
     are tested: any failing join extends (grow K within the legal ground set)
     to a failing tested one.
     """
-    check_cap(g, cap, "enumeration")
+    decomps = list(_join_grounds(g, cap))
     full = g.full_mask()
-    decomps = []
-    for d in wide_masks(g, cap):
-        for p, q in _component_bipartitions(g, d):
-            decomps.append((d, p, q, _common_neighbors(g, p) & ~d))
     table = subset_table(g)
     for s in range(g.n):
         for t in range(s + 1, g.n):

@@ -49,8 +49,6 @@ from .graphs import CoxeterGraph, bits, popcount
 
 DEFAULT_SUBSET_CAP = 20
 
-INF = None  # alias for the absent-edge label
-
 
 @dataclass(frozen=True)
 class IrreducibleVerdict:
@@ -172,7 +170,7 @@ def _match_finite(rank: int, edges: list[tuple[int, int, Optional[int]]]
     # one branch vertex of degree 3
     if any(m != 3 for m in labels):
         return None
-    arms = sorted(_branch_arm_lengths(edges))
+    arms = sorted(len(a) for a in _branch_arms(edges))
     n = rank
     if arms == [1, 1, n - 3]:
         return (f"D{n}", n * (n - 1))
@@ -295,10 +293,6 @@ def _branch_arms(edges) -> list[list[tuple[int, int, int]]]:
             prev, cur = cur, nxt[0]
         arms.append(arm)
     return arms
-
-
-def _branch_arm_lengths(edges) -> list[int]:
-    return [len(a) for a in _branch_arms(edges)]
 
 
 def _double_branch_leaf_arms(edges) -> tuple[int, int]:

@@ -3,7 +3,10 @@
 For right-angled groups the four-way trichotomy-plus-empty-case is a theorem
 and the verdict is definitive; the driver also extracts the visual splitting
 (an amalgam decomposition of the defining graph over a separating subgraph)
-whenever the boundary is disconnected for avoidance reasons.  For general
+whenever the boundary is disconnected for avoidance reasons.  The splitting
+comes from the maximal wide subgraph that blocks a pair: a component of its
+complement, or the star of a blocked vertex; one of the two always applies
+to a graph that is not wide (see ``_splitting_from_blocker``).  For general
 labels the connectedness direction is only proven under extra hypotheses, so
 the driver reports which published implication applies, or flags the open
 region with the exact hypothesis profile that was checked.
@@ -16,14 +19,13 @@ for separation, blocking sets re-tested on their pair).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from .avoidance import (AvoidanceReport, _connected_pair, is_affine_free,
-                        is_wide, is_wide_avoidant, is_wide_spherical_avoidant,
-                        maximal_wide_masks, wide_decomposition, wide_masks)
+                        is_wide_avoidant, is_wide_spherical_avoidant,
+                        maximal_wide_masks, wide_decomposition)
 from .classification import (DEFAULT_SUBSET_CAP, EndsVerdict, GroupConstants,
                              compute_constants, ends_verdict, is_spherical_mask)
-from .graphs import CoxeterGraph, bits, popcount, submasks
+from .graphs import CoxeterGraph, bits
 
 
 @dataclass(frozen=True)
@@ -33,7 +35,7 @@ class Splitting:
     gamma1: tuple[str, ...]
     gamma2: tuple[str, ...]
     delta: tuple[str, ...]
-    via: str    # 'component' | 'star' | 'search'
+    via: str    # 'component' | 'star'
 
     def to_json_obj(self) -> dict:
         return {"gamma1": list(self.gamma1), "gamma2": list(self.gamma2),
@@ -77,13 +79,15 @@ def _check_splitting(g: CoxeterGraph, sp: Splitting) -> None:
 
 
 def _splitting_from_blocker(g: CoxeterGraph, pi_mask: int,
-                            pair: tuple[str, str]) -> Optional[Splitting]:
+                            pair: tuple[str, str]) -> Splitting:
     """Splitting extraction when a maximal wide subgraph Pi blocks a pair.
 
-    If the complement of Pi is disconnected, one complement component joins
-    Pi against the rest.  If it is connected, one of the blocked pair has its
-    whole star inside Pi (otherwise a path through the complement component
-    would dodge Pi), and the graph splits at that vertex over its link.
+    The graph is not wide, so Pi is a proper subset.  If the complement of Pi
+    is disconnected, one complement component joins Pi against the rest.  If
+    it is connected, one of the blocked pair has its whole star inside Pi
+    (otherwise each endpoint lies in or next to the complement component, and
+    a path through it would dodge Pi), and the graph splits at that vertex
+    over its link.
     """
     full = g.full_mask()
     rest = full & ~pi_mask
@@ -92,37 +96,14 @@ def _splitting_from_blocker(g: CoxeterGraph, pi_mask: int,
         c = comps[0]
         return Splitting(g.names_of(c | pi_mask), g.names_of(full & ~c),
                          g.names_of(pi_mask), "component")
-    if len(comps) == 1:
-        for name in pair:
-            s = g.index(name)
-            if g.neighbors_mask(s) & ~pi_mask == 0 and (pi_mask >> s) & 1:
-                star = g.neighbors_mask(s) | (1 << s)
-                return Splitting(g.names_of(star),
-                                 g.names_of(full & ~(1 << s)),
-                                 g.names_of(g.neighbors_mask(s)), "star")
-    return None
-
-
-def _splitting_search(g: CoxeterGraph,
-                      cap: int = DEFAULT_SUBSET_CAP) -> Optional[Splitting]:
-    """Deterministic fallback: least non-spherical subset of a wide subgraph
-    whose removal disconnects the graph."""
-    full = g.full_mask()
-    seen: set[int] = set()
-    for wm in wide_masks(g, cap):
-        for delta in submasks(wm):
-            if delta in seen or delta == 0:
-                continue
-            seen.add(delta)
-            if is_spherical_mask(g, delta):
-                continue
-            comps = g.components_within(full & ~delta)
-            if len(comps) >= 2:
-                c = comps[0]
-                return Splitting(g.names_of(c | delta),
-                                 g.names_of(full & ~c),
-                                 g.names_of(delta), "search")
-    return None
+    for name in pair:
+        s = g.index(name)
+        if g.neighbors_mask(s) & ~pi_mask == 0 and (pi_mask >> s) & 1:
+            star = g.neighbors_mask(s) | (1 << s)
+            return Splitting(g.names_of(star), g.names_of(full & ~(1 << s)),
+                             g.names_of(g.neighbors_mask(s)), "star")
+    raise AssertionError("blocking set gives neither a component nor a star "
+                         "splitting")
 
 
 def _verify_blocking(g: CoxeterGraph, report: AvoidanceReport) -> None:
@@ -142,7 +123,8 @@ def classify(g: CoxeterGraph,
     constants = compute_constants(g, cap)
     ends = ends_verdict(g, cap)
     finite = ends.kind == "FiniteGroup"
-    wide = is_wide(g)
+    dec = wide_decomposition(g, g.vertices)
+    wide = dec is not None
     wa = is_wide_avoidant(g, cap)
     wsa = is_wide_spherical_avoidant(g, cap)
     affine_free = is_affine_free(g, cap)
@@ -162,8 +144,6 @@ def classify(g: CoxeterGraph,
                                      witness=witness)
 
     if finite or wide:
-        dec = wide_decomposition(g, g.vertices)
-        assert finite or dec is not None
         return verdict("EmptyBoundary_FiniteOrWide" if racg else "EmptyBoundary",
                        {"finite": finite,
                         "wide_decomposition":
@@ -172,16 +152,14 @@ def classify(g: CoxeterGraph,
         return verdict("Disconnected_MultiEnded", {"ends": ends.to_json_obj()})
     if not wa.holds:
         _verify_blocking(g, wa)
-        sp = (_splitting_from_blocker(g, g.mask_of(wa.blocking_set), wa.pair)
-              or _splitting_search(g, cap))
-        if sp is not None:
-            _check_splitting(g, sp)
-            assert not (racg and is_spherical_mask(g, g.mask_of(sp.delta))), \
-                "one-ended graph split over a spherical subgraph"
+        sp = _splitting_from_blocker(g, g.mask_of(wa.blocking_set), wa.pair)
+        _check_splitting(g, sp)
+        assert not (racg and is_spherical_mask(g, g.mask_of(sp.delta))), \
+            "one-ended graph split over a spherical subgraph"
         return verdict("Disconnected_NotWideAvoidant" if racg
                        else "TheoremApplies_A",
                        {"avoidance": wa.to_json_obj(),
-                        "splitting": None if sp is None else sp.to_json_obj()})
+                        "splitting": sp.to_json_obj()})
     if racg or (affine_free and ends.kind == "OneEnded" and wsa.holds):
         witness = {"maximal_wide": [list(g.names_of(wm))
                                     for wm in maximal_wide_masks(g, cap)]}

@@ -144,11 +144,13 @@ def build_fan(g: CoxeterGraph, base: Word, s: str, t: str,
     if len(tail) <= m_gamma:
         attempts.append(("short-tail", k_mask))
     else:
-        attempts.append(("wide-tail",
-                         _blocked_for_tail(g, tail, delta_names, k_mask)))
+        joined = _blocked_for_tail(g, tail, delta_names, k_mask)
+        attempts.append(("wide-tail", joined))
         # fallback: block the whole containing wide subgraph (always sound;
         # needed only when the join trick leaves an interior letter wide)
-        attempts.append(("wide-tail", g.mask_of(delta_names) | k_mask))
+        fallback = g.mask_of(delta_names) | k_mask
+        if fallback != joined:
+            attempts.append(("wide-tail", fallback))
 
     last_blocked = 0
     for case, blocked in attempts:

@@ -106,9 +106,6 @@ class FilterDiagram:
     cells: tuple[FilterCell, ...]
     fans: tuple[FilterFan, ...]
 
-    def out_edges(self, v: int) -> list[int]:
-        return [i for i, e in enumerate(self.edges) if e.src == v]
-
     def tree_edges(self) -> list[int]:
         return [i for i, e in enumerate(self.edges) if not e.top_left]
 

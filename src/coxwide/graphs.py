@@ -162,15 +162,11 @@ class CoxeterGraph:
         edges = [(u, v, lab) for u, v, lab in self.edge_list() if u in keep and v in keep]
         return CoxeterGraph(verts, edges)
 
-    def induced_mask(self, mask: int) -> "CoxeterGraph":
-        return self.induced(self.names_of(mask))
-
     # -- irreducible components -------------------------------------------
 
-    def noncommuting_mask(self, i: int, within: Optional[int] = None) -> int:
+    def noncommuting_mask(self, i: int) -> int:
         """Vertices j != i that do not commute with i (non-adjacent or label != 2)."""
-        world = self.full_mask() if within is None else within
-        return (world & ~self._comm[i]) & ~(1 << i)
+        return self.full_mask() & ~self._comm[i] & ~(1 << i)
 
     def irreducible_components_mask(self, mask: Optional[int] = None) -> list[int]:
         """Connected components of the non-commuting relation inside ``mask``.
@@ -205,18 +201,7 @@ class CoxeterGraph:
 
     def connected_within(self, mask: int) -> bool:
         """Is the induced subgraph on ``mask`` connected (empty = connected)?"""
-        if mask == 0:
-            return True
-        start = lowest_bit(mask)
-        seen = 1 << start
-        frontier = seen
-        while frontier:
-            nxt = 0
-            for j in bits(frontier):
-                nxt |= self._adj[j] & mask
-            frontier = nxt & ~seen
-            seen |= frontier
-        return seen == mask
+        return mask == 0 or self.component_of(lowest_bit(mask), mask) == mask
 
     def component_of(self, start: int, mask: int) -> int:
         """Connected component (ordinary adjacency) of ``start`` inside ``mask``."""

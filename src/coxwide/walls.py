@@ -18,7 +18,8 @@ from typing import Optional
 from .avoidance import label_in_wide_subgraph, is_affine_free
 from .errors import SizeCapError
 from .graphs import CoxeterGraph
-from .words import Word, engine_for, DEFAULT_ORBIT_CAP
+from .words import (DEFAULT_ORBIT_CAP, RightAngledEngine, Word, WordEngine,
+                    engine_for)
 
 DEFAULT_BALL_CAP = 100_000
 DEFAULT_ORDER_CAP = 64
@@ -93,20 +94,31 @@ def build_ball(g: CoxeterGraph, radius: int, cap: int = DEFAULT_BALL_CAP,
 # crossing and separation
 
 
-def order_of(g: CoxeterGraph, word: Word, cap: int = DEFAULT_ORDER_CAP,
-             orbit_cap: int = DEFAULT_ORBIT_CAP) -> Optional[int]:
-    """Order of the element, or None when it exceeds cap (infinite order, for
-    any cap at least the largest finite rotation order in the group)."""
-    eng = engine_for(g, orbit_cap)
-    w = eng.normalize(eng.encode(word))
+def _order(eng: WordEngine, w: tuple[int, ...], cap: int) -> Optional[int]:
+    """Order of the element with canonical form ``w``, or None above ``cap``.
+
+    A finite subgroup of a right-angled Coxeter group lies in a conjugate of
+    a clique subgroup (Tits), an elementary abelian 2-group, so there every
+    finite order is 1 or 2 and two powers decide it.
+    """
     if not w:
         return 1
+    if isinstance(eng, RightAngledEngine):
+        cap = min(cap, 2)
     acc: tuple[int, ...] = ()
     for k in range(1, cap + 1):
         acc = eng.mult(acc, w)
         if not acc:
             return k
     return None
+
+
+def order_of(g: CoxeterGraph, word: Word, cap: int = DEFAULT_ORDER_CAP,
+             orbit_cap: int = DEFAULT_ORBIT_CAP) -> Optional[int]:
+    """Order of the element, or None when it exceeds cap (infinite order, for
+    any cap at least the largest finite rotation order in the group)."""
+    eng = engine_for(g, orbit_cap)
+    return _order(eng, eng.normalize(eng.encode(word)), cap)
 
 
 def is_reflection(g: CoxeterGraph, word: Word,
@@ -138,9 +150,7 @@ def walls_cross(g: CoxeterGraph, word: Word, i: int, j: int,
     rj = eng.reflection_word(w, j)
     if ri == rj:
         raise ValueError(f"positions {i} and {j} are dual to the same wall")
-    prod = eng.mult(ri, rj)
-    return order_of(g, eng.decode(prod), cap=order_cap,
-                    orbit_cap=orbit_cap) is not None
+    return _order(eng, eng.mult(ri, rj), order_cap) is not None
 
 
 def wall_separates(g: CoxeterGraph, reflection_word: Word, u: Word,
@@ -231,10 +241,7 @@ def find_pencil(g: CoxeterGraph, word: Word,
     adj = [0] * n
     for a in range(n):
         for b in range(a + 1, n):
-            prod = eng.mult(refl[a], refl[b])
-            finite = order_of(g, eng.decode(prod), cap=order_cap,
-                              orbit_cap=orbit_cap) is not None
-            if finite:
+            if _order(eng, eng.mult(refl[a], refl[b]), order_cap) is not None:
                 adj[a] |= 1 << b
                 adj[b] |= 1 << a
     picked = _max_independent_set(n, adj)

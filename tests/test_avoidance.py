@@ -8,6 +8,7 @@ maximality pruning and decides factor types by cosine-matrix eigenvalues.
 import random
 
 import pytest
+from hypothesis import given
 
 from coxwide.avoidance import (enumerate_special_joins, enumerate_wide_subgraphs,
                                is_affine_free, is_wide, is_wide_avoidant,
@@ -17,8 +18,8 @@ from coxwide.avoidance import (enumerate_special_joins, enumerate_wide_subgraphs
 from coxwide.errors import SizeCapError
 
 import oracles as O
-from conftest import (CORPUS_MAKERS, graph_from_labels, racg,
-                      random_label_matrix)
+from conftest import (CORPUS_MAKERS, PROPERTY, graph_from_labels,
+                      label_matrices, racg, random_label_matrix)
 
 
 def test_wide_decomposition_frozen(c4, c5, aff_tri, g6, wide8):
@@ -165,6 +166,32 @@ def test_special_joins(g6):
         assert k & (p | q) == 0
     maximal = enumerate_special_joins(g6, maximal_only=True)
     assert maximal and len(maximal) <= len(joins)
+
+
+def _brute_special_joins(lab) -> list[tuple[int, int, int]]:
+    """Every (P, Q, K) from the definition: P, Q a wide decomposition of a
+    wide set D, K a spherical set of common neighbours of P outside D."""
+    out = set()
+    for wm in O.brute_wide_masks(lab):
+        for p, q, _kind in O.brute_wide_decompositions(lab, wm):
+            ground = O._common_neighbors_brute(lab, p) & ~wm
+            out.update((p, q, k) for k in O.osubmasks(ground)
+                       if O.is_spherical_subset(lab, k))
+    return sorted(out)
+
+
+@PROPERTY
+@given(label_matrices(max_n=6))
+def test_special_joins_against_brute_force(lab):
+    g = graph_from_labels(lab)
+    want = _brute_special_joins(lab)
+    blocked = [p | q | k for p, q, k in want]
+    want_maximal = [j for j, b in zip(want, blocked)
+                    if not any(b != b2 and b & ~b2 == 0 for b2 in blocked)]
+    for maximal_only, expected in ((False, want), (True, want_maximal)):
+        got = [tuple(g.mask_of(x) for x in (j.p, j.q, j.k))
+               for j in enumerate_special_joins(g, maximal_only=maximal_only)]
+        assert got == expected, maximal_only
 
 
 def test_affine_free(corpus):

@@ -3,14 +3,17 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from coxwide import CoxeterGraph, classify
-from coxwide.avoidance import is_wide_avoidant, is_wide_spherical_avoidant
-from coxwide.classify import GENERAL_CASES, RACG_CASES
+from coxwide.avoidance import (is_wide, is_wide_avoidant,
+                               is_wide_spherical_avoidant, maximal_wide_masks)
+from coxwide.classify import GENERAL_CASES, RACG_CASES, _splitting_from_blocker
 from coxwide.classification import ends_verdict, is_spherical_mask
 
 import oracles as O
-from conftest import (CORPUS_MAKERS, graph_from_labels, racg,
+from conftest import (CORPUS_MAKERS, PROPERTY, graph_from_labels,
+                      label_matrices, racg, racg_label_matrices,
                       random_racg_matrix)
 
 
@@ -167,3 +170,41 @@ def test_not_wa_general_graph():
     blocked = g.mask_of(w["blocking_set"])
     s, t = (g.index(x) for x in w["pair"])
     assert not O._path_avoiding(O.labels_from_graph(g), s, t, blocked)
+
+
+def _assert_separating(lab, g, sp) -> None:
+    """``sp`` (JSON form) covers the graph, its parts meet in delta, and no
+    edge of the label matrix joins the two sides, both non-empty."""
+    assert sp is not None and sp["via"] in ("component", "star")
+    m1, m2, md = (g.mask_of(sp[k]) for k in ("gamma1", "gamma2", "delta"))
+    assert m1 | m2 == (1 << len(lab)) - 1 and m1 & m2 == md
+    side1, side2 = m1 & ~md, m2 & ~md
+    assert side1 and side2
+    assert all(lab[i][j] == 0 for i in O.obits(side1) for j in O.obits(side2))
+
+
+@PROPERTY
+@given(st.one_of(racg_label_matrices(max_n=8), label_matrices(max_n=7)))
+def test_not_wide_avoidant_verdicts_carry_a_separating_splitting(lab):
+    g = graph_from_labels(lab)
+    obj = classify(g).to_json_obj()
+    if obj["case"] in ("Disconnected_NotWideAvoidant", "TheoremApplies_A"):
+        _assert_separating(lab, g, obj["witness"]["splitting"])
+
+
+@PROPERTY
+@given(st.one_of(racg_label_matrices(max_n=8), label_matrices(max_n=7)))
+def test_every_blocked_pair_splits_at_a_component_or_a_star(lab):
+    """In a graph that is not wide, a maximal wide set blocking a pair has a
+    disconnected complement or contains the star of an endpoint, so the
+    blocking witness alone always yields the splitting."""
+    g = graph_from_labels(lab)
+    if is_wide(g):
+        return
+    for wm in maximal_wide_masks(g):
+        for s in range(g.n):
+            for t in range(s + 1, g.n):
+                if not O._path_avoiding(lab, s, t, wm):
+                    pair = (g.vertices[s], g.vertices[t])
+                    sp = _splitting_from_blocker(g, wm, pair)
+                    _assert_separating(lab, g, sp.to_json_obj())

@@ -4,7 +4,7 @@ import dataclasses
 
 import pytest
 
-from coxwide import extend_geodesic, is_geodesic
+from coxwide import extend_geodesic, fans, is_geodesic
 from coxwide.errors import ConstructionError, NonGeodesicError
 from coxwide.fans import FanDiagram, build_fan, check_fan
 
@@ -73,6 +73,23 @@ def test_fan_wide_tail_jams_without_avoidance(g6):
     assert is_geodesic(g6, base)
     with pytest.raises(ConstructionError):
         build_fan(g6, base, "a", "b")
+
+
+def test_fan_fallback_runs_only_when_it_blocks_another_set(g6, monkeypatch):
+    """Here the join rule and the fallback both block s1 s2 s3 s4 a, so the
+    path search runs once and the error names that set."""
+    searched = []
+    real = fans._lex_least_path
+
+    def spy(g, s, t, allowed):
+        searched.append(allowed)
+        return real(g, s, t, allowed)
+
+    monkeypatch.setattr(fans, "_lex_least_path", spy)
+    with pytest.raises(ConstructionError) as exc:
+        build_fan(g6, ("s1", "s3", "s2", "s4"), "a", "b")
+    assert exc.value.blocking_set == {"s1", "s2", "s3", "s4", "a"}
+    assert searched == [g6.mask_of(["b"])]
 
 
 def test_fan_checker_rejects_tampering(c5):

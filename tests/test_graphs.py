@@ -102,6 +102,15 @@ def test_connectivity(c5, p3):
     assert len(p3.components_within(rest)) == 2
 
 
+def test_connected_within_agrees_with_components():
+    rng = random.Random(7)
+    for _ in range(50):
+        g = graph_from_labels(random_label_matrix(rng, rng.randint(1, 6)))
+        for mask in range(1 << g.n):
+            assert g.connected_within(mask) == \
+                (len(g.components_within(mask)) <= 1), (g.edge_list(), mask)
+
+
 def test_induced(g6):
     sub = g6.induced(["s1", "s2", "a"])
     assert sub.vertices == ("s1", "s2", "a")

@@ -7,6 +7,7 @@ reflection-matrix BFS oracle.
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from coxwide import build_ball, extend_geodesic, normalize
 from coxwide.errors import NonGeodesicError, SizeCapError
@@ -15,7 +16,8 @@ from coxwide.walls import (find_pencil, is_reflection, morse_window_check,
 from coxwide.words import engine_for
 
 import oracles as O
-from conftest import CORPUS_MAKERS, make_c5
+from conftest import (CORPUS_MAKERS, PROPERTY, graph_from_labels, make_c5,
+                      racg_label_matrices)
 
 
 def test_ball_sizes_frozen(corpus):
@@ -123,6 +125,34 @@ def test_pencil_past_the_old_orbit_cap():
     assert p.positions == (1, 2, 4)
     assert all(p.separates_endpoints)
     assert all(wall_separates(g, r, w) for r in p.reflections)
+
+
+def test_pencil_on_a_right_angled_graph_keeps_its_memo_short():
+    # a finite order in a right-angled group is 1 or 2, so each order probe
+    # normalizes a wall product and its square, never 64 growing powers
+    g = make_c5()
+    w = extend_geodesic(g, ("s1",), 8)
+    eng = engine_for(g)
+    before = set(eng._norm)
+    p = find_pencil(g, w)
+    assert p.positions == (1, 3, 4, 5, 6, 7, 8)
+    assert all(p.separates_endpoints)
+    added = set(eng._norm) - before
+    assert added and max(map(len, added)) <= 4 * len(w)
+
+
+@PROPERTY
+@given(racg_label_matrices(max_n=6), st.data())
+def test_order_of_on_right_angled_graphs_against_matrix_oracle(lab, data):
+    g = graph_from_labels(lab)
+    word = tuple(data.draw(st.lists(st.sampled_from(g.vertices), max_size=6)))
+    idx = [g.index(x) for x in word]
+    one = O.word_element(lab, [])
+    # the library squares at most once here; an order from 3 to 8 would show
+    want = next((k for k in range(1, 9)
+                 if O.word_element(lab, idx * k) == one), None)
+    assert order_of(g, word) == want
+    assert order_of(g, word, cap=1) == (1 if want == 1 else None)
 
 
 def test_morse_window_frozen(c4, c5):
