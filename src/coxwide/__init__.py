@@ -14,7 +14,7 @@ from .classification import (EndsVerdict, GroupConstants, IrreducibleVerdict,
                              ends_verdict, is_spherical)
 from .classify import ClassificationVerdict, Splitting, classify
 from .errors import (ConstructionError, GraphFormatError, NonGeodesicError,
-                     OrbitCapError, SizeCapError)
+                     OrbitCapError, SizeCapError, VerificationError)
 from .fans import FanCheck, FanDiagram, build_fan, check_fan
 from .filters import (FilterCheck, FilterDiagram, MultiTailFilter,
                       build_filter, build_multitail_filter, check_filter,
@@ -37,10 +37,10 @@ __all__ = [
     "GroupConstants", "GroupElement", "IrreducibleVerdict",
     "MorseWindowReport", "MultiTailFilter", "NonGeodesicError",
     "OrbitCapError", "Pencil", "Reflection", "SizeCapError", "SpecialJoin",
-    "Splitting", "WideDecomposition", "Word", "build_ball", "build_fan",
-    "build_filter", "build_multitail_filter", "check_fan", "check_filter",
-    "check_multitail_filter", "classify", "classify_irreducible",
-    "compute_constants", "element", "ending_letters",
+    "Splitting", "VerificationError", "WideDecomposition", "Word",
+    "build_ball", "build_fan", "build_filter", "build_multitail_filter",
+    "check_fan", "check_filter", "check_multitail_filter", "classify",
+    "classify_irreducible", "compute_constants", "element", "ending_letters",
     "enumerate_special_joins", "enumerate_wide_subgraphs", "ends_verdict",
     "extend_geodesic", "extension_constant", "find_pencil", "is_affine_free",
     "is_geodesic", "is_reflection", "is_spherical", "is_wide",

@@ -14,10 +14,16 @@ set and affine-freeness are read from the graph's ``SubsetTable`` (see
 ``coxwide.classification``), which is built once per graph after the cap
 check; a single vertex set is still decided from its own components.
 
-The deciders quantify over inclusion-maximal blocked sets: a path avoiding a
-superset avoids the subset, and a failing pair keeps failing when the blocked
-set grows (for the spherical variant, among joins that keep the pair outside
-K), so pruning changes nothing about the verdict.
+Both deciders test only inclusion-maximal blocked sets B, as blocking is
+monotone in B, and find every pair s, t that B separates in one pass over
+the components of V - B: the pair is joined outside B exactly when s and t
+are adjacent or one component contains or touches both (``_blocked_pairs``).
+
+Wide-spherical-avoidance implies wide-avoidance for any labels, since
+(P, Q, empty) is a special join for every wide set.  On right-angled graphs
+the converse holds too: K commutes with P, so (P, Q | K) is a wide
+decomposition of D | K, which lies in a maximal wide set.  ``classify``
+relies on both facts.
 """
 
 from __future__ import annotations
@@ -81,8 +87,6 @@ class AvoidanceReport:
 
 def wide_decomposition_mask(g: CoxeterGraph, mask: int) -> Optional[tuple[int, int, str]]:
     """(P mask, Q mask, kind) for the canonical witness, or None if not wide."""
-    if mask == 0:
-        return None
     comps = g.irreducible_components_mask(mask)
     infinite = [c for c in comps if irreducible_kind(g, c) != "FiniteType"]
     if len(infinite) >= 2:
@@ -210,11 +214,8 @@ def enumerate_special_joins(g: CoxeterGraph, maximal_only: bool = False,
                for k in _spherical_submasks(g, ground)]
     if maximal_only:
         blocked = [p | q | k for p, q, k in triples]
-        keep = []
-        for idx, b in enumerate(blocked):
-            if not any(b != b2 and b & ~b2 == 0 for b2 in blocked):
-                keep.append(triples[idx])
-        triples = keep
+        triples = [j for j, b in zip(triples, blocked)
+                   if not any(b != b2 and b & ~b2 == 0 for b2 in blocked)]
     triples.sort()
     return [SpecialJoin(g.names_of(p), g.names_of(q), g.names_of(k))
             for p, q, k in triples]
@@ -224,11 +225,20 @@ def enumerate_special_joins(g: CoxeterGraph, maximal_only: bool = False,
 # the deciders
 
 
-def _connected_pair(g: CoxeterGraph, s: int, t: int, allowed: int) -> bool:
-    """Path from s to t all of whose vertices lie in ``allowed`` (s, t included)."""
-    if not (allowed >> s) & 1 or not (allowed >> t) & 1:
-        return False
-    return (g.component_of(s, allowed) >> t) & 1 == 1
+def _blocked_pairs(g: CoxeterGraph, blocked: int) -> list[tuple[int, int]]:
+    """Pairs s < t, ascending, such that every path from s to t meets
+    ``blocked`` outside its endpoints: s and t are not adjacent and no
+    component of the complement contains or touches both."""
+    full = g.full_mask()
+    reach = [g.neighbors_mask(v) for v in range(g.n)]
+    for comp in g.components_within(full & ~blocked):
+        touched = comp
+        for v in bits(comp):
+            touched |= g.neighbors_mask(v)
+        for v in bits(touched):
+            reach[v] |= touched
+    return [(s, t) for s in range(g.n)
+            for t in bits(full & ~reach[s] & ~((2 << s) - 1))]
 
 
 def is_wide_avoidant(g: CoxeterGraph, cap: int = DEFAULT_SUBSET_CAP) -> AvoidanceReport:
@@ -236,15 +246,12 @@ def is_wide_avoidant(g: CoxeterGraph, cap: int = DEFAULT_SUBSET_CAP) -> Avoidanc
     Delta only in the endpoints.  Checked against maximal wide subgraphs only
     (avoiding a superset is stronger).  Vacuously true without wide subgraphs.
     """
-    full = g.full_mask()
     for wm in maximal_wide_masks(g, cap):
-        for s in range(g.n):
-            for t in range(s + 1, g.n):
-                allowed = (full & ~wm) | (1 << s) | (1 << t)
-                if not _connected_pair(g, s, t, allowed):
-                    return AvoidanceReport(
-                        False, blocking_set=g.names_of(wm),
-                        pair=(g.vertices[s], g.vertices[t]))
+        pairs = _blocked_pairs(g, wm)
+        if pairs:
+            s, t = pairs[0]
+            return AvoidanceReport(False, blocking_set=g.names_of(wm),
+                                   pair=(g.vertices[s], g.vertices[t]))
     return AvoidanceReport(True)
 
 
@@ -253,24 +260,28 @@ def is_wide_spherical_avoidant(g: CoxeterGraph,
     """For every special join (P, Q, K) and pair s, t outside K, some path
     meets K|P|Q only in the endpoints.
 
-    Per pair, only maximal blocked sets among joins keeping the pair outside K
-    are tested: any failing join extends (grow K within the legal ground set)
-    to a failing tested one.
+    Only the sets D | K with K maximal spherical in the join's ground are
+    tested: for a pair s, t the maximal spherical subsets of the ground
+    minus s, t are the sets K - {s, t}, and whether K holds s or t does not
+    change what D | K separates.  The witness is the least separated pair,
+    the first join separating it and the first K of its ground minus the
+    pair that does.
     """
-    decomps = list(_join_grounds(g, cap))
-    full = g.full_mask()
+    joins = list(_join_grounds(g, cap))  # checks the cap before the table
     table = subset_table(g)
-    for s in range(g.n):
-        for t in range(s + 1, g.n):
-            pair_mask = (1 << s) | (1 << t)
-            for d, p, q, ground in decomps:
-                for k in table.maximal_spherical(ground & ~pair_mask):
-                    blocked = d | k
-                    allowed = (full & ~blocked) | pair_mask
-                    if not _connected_pair(g, s, t, allowed):
-                        return AvoidanceReport(
-                            False, blocking_set=g.names_of(blocked),
-                            pair=(g.vertices[s], g.vertices[t]),
-                            join=SpecialJoin(g.names_of(p), g.names_of(q),
-                                             g.names_of(k)))
-    return AvoidanceReport(True)
+    blocked = [[d | k for k in table.maximal_spherical(ground)]
+               for d, _p, _q, ground in joins]
+    separated = {b: _blocked_pairs(g, b) for b in set().union(*blocked)}
+    firsts = [pairs[0] for pairs in separated.values() if pairs]
+    if not firsts:
+        return AvoidanceReport(True)
+    pair = s, t = min(firsts)
+    for (d, p, q, ground), sets in zip(joins, blocked):
+        if any(pair in separated[b] for b in sets):
+            outside = ground & ~(1 << s) & ~(1 << t)
+            k = next(k for k in table.maximal_spherical(outside)
+                     if pair in _blocked_pairs(g, d | k))
+            return AvoidanceReport(
+                False, blocking_set=g.names_of(d | k),
+                pair=(g.vertices[s], g.vertices[t]),
+                join=SpecialJoin(g.names_of(p), g.names_of(q), g.names_of(k)))

@@ -40,6 +40,7 @@ theory is classical background, not re-derived here.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
@@ -130,10 +131,7 @@ def _match_finite(rank: int, edges: list[tuple[int, int, Optional[int]]]
         return ("A1", 1) if not edges else None
     if len(edges) != rank - 1:
         return None  # finite diagrams are trees
-    deg: dict[int, int] = {}
-    for i, j, _ in edges:
-        deg[i] = deg.get(i, 0) + 1
-        deg[j] = deg.get(j, 0) + 1
+    deg = Counter(v for i, j, _ in edges for v in (i, j))
     if len(deg) != rank:
         return None  # disconnected (tree edge count but isolated vertex)
     degs = sorted(deg.values())
@@ -188,10 +186,7 @@ def _match_affine(rank: int, edges: list[tuple[int, int, Optional[int]]]
     """Return the affine family name for diagrams of rank >= 3, else None."""
     if rank < 3 or any(m is None for _, _, m in edges):
         return None
-    deg: dict[int, int] = {}
-    for i, j, _ in edges:
-        deg[i] = deg.get(i, 0) + 1
-        deg[j] = deg.get(j, 0) + 1
+    deg = Counter(v for i, j, _ in edges for v in (i, j))
     if len(deg) != rank:
         return None  # disconnected
     labels = sorted(m for _, _, m in edges)
@@ -396,7 +391,6 @@ class SubsetTable:
         self.affine = frozenset(affine)
         self.m_gamma = max(longest.values())
         self._noncomm = tuple(g.noncommuting_mask(i) for i in range(g.n))
-        self._maximal_spherical: dict[int, list[int]] = {}
 
     @cached_property
     def wide(self) -> tuple[int, ...]:
@@ -445,14 +439,9 @@ class SubsetTable:
         """Inclusion-maximal spherical subsets of ``ground``, descending.
         Spherical sets are closed under subsets, so a maximal one cannot
         grow by a single vertex."""
-        hit = self._maximal_spherical.get(ground)
-        if hit is None:
-            longest = self.longest
-            hit = [m for m in self.spherical if m & ~ground == 0
-                   and not any(m | (1 << v) in longest
-                               for v in bits(ground & ~m))]
-            self._maximal_spherical[ground] = hit
-        return hit
+        longest = self.longest
+        return [m for m in self.spherical if m & ~ground == 0
+                and not any(m | (1 << v) in longest for v in bits(ground & ~m))]
 
 
 def subset_table(g: CoxeterGraph) -> SubsetTable:

@@ -13,18 +13,20 @@ region with the exact hypothesis profile that was checked.
 
 Every verdict is machine-checked before it is returned: witnesses are
 re-validated against the graph (decompositions re-derived, splittings tested
-for separation, blocking sets re-tested on their pair).
+for separation, blocking sets re-tested on their pair).  The checks raise
+VerificationError, so they also run under ``python -O``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .avoidance import (AvoidanceReport, _connected_pair, is_affine_free,
-                        is_wide_avoidant, is_wide_spherical_avoidant,
-                        maximal_wide_masks, wide_decomposition)
+from .avoidance import (AvoidanceReport, is_affine_free, is_wide_avoidant,
+                        is_wide_spherical_avoidant, maximal_wide_masks,
+                        wide_decomposition)
 from .classification import (DEFAULT_SUBSET_CAP, EndsVerdict, GroupConstants,
                              compute_constants, ends_verdict, is_spherical_mask)
+from .errors import VerificationError, verify
 from .graphs import CoxeterGraph, bits
 
 
@@ -70,12 +72,12 @@ def _check_splitting(g: CoxeterGraph, sp: Splitting) -> None:
     m2 = g.mask_of(sp.gamma2)
     md = g.mask_of(sp.delta)
     full = g.full_mask()
-    assert m1 | m2 == full, "splitting does not cover the graph"
-    assert m1 & m2 == md, "splitting parts do not meet in delta"
-    assert m1 != full and m2 != full, "splitting part equals the whole graph"
+    verify(m1 | m2 == full, "splitting does not cover the graph")
+    verify(m1 & m2 == md, "splitting parts do not meet in delta")
+    verify(m1 != full and m2 != full, "splitting part equals the whole graph")
     for v in bits(m1 & ~md):
-        assert g.neighbors_mask(v) & (m2 & ~md) == 0, \
-            "edge across the splitting"
+        verify(g.neighbors_mask(v) & (m2 & ~md) == 0,
+               "edge across the splitting")
 
 
 def _splitting_from_blocker(g: CoxeterGraph, pi_mask: int,
@@ -102,19 +104,21 @@ def _splitting_from_blocker(g: CoxeterGraph, pi_mask: int,
             star = g.neighbors_mask(s) | (1 << s)
             return Splitting(g.names_of(star), g.names_of(full & ~(1 << s)),
                              g.names_of(g.neighbors_mask(s)), "star")
-    raise AssertionError("blocking set gives neither a component nor a star "
-                         "splitting")
+    raise VerificationError("blocking set gives neither a component nor a "
+                            "star splitting")
 
 
 def _verify_blocking(g: CoxeterGraph, report: AvoidanceReport) -> None:
-    """Re-test a failed avoidance witness on its pair."""
-    assert report.blocking_set is not None and report.pair is not None
+    """Re-test a failed avoidance witness on its pair, by a path search of
+    its own rather than the decider's components pass."""
+    verify(report.blocking_set is not None and report.pair is not None,
+           "failed avoidance report carries no witness")
     blocked = g.mask_of(report.blocking_set)
     s = g.index(report.pair[0])
     t = g.index(report.pair[1])
     allowed = (g.full_mask() & ~blocked) | (1 << s) | (1 << t)
-    assert not _connected_pair(g, s, t, allowed), \
-        "stored blocking witness does not block its pair"
+    verify((g.component_of(s, allowed) >> t) & 1 == 0,
+           "stored blocking witness does not block its pair")
 
 
 def classify(g: CoxeterGraph,
@@ -125,8 +129,11 @@ def classify(g: CoxeterGraph,
     finite = ends.kind == "FiniteGroup"
     dec = wide_decomposition(g, g.vertices)
     wide = dec is not None
+    racg = g.is_racg()
     wa = is_wide_avoidant(g, cap)
-    wsa = is_wide_spherical_avoidant(g, cap)
+    # wsa implies wa, and on right-angled graphs wa implies wsa (see
+    # coxwide.avoidance), so only general labels with wa holding need wsa
+    wsa = is_wide_spherical_avoidant(g, cap) if wa.holds and not racg else wa
     affine_free = is_affine_free(g, cap)
     hypotheses = {
         "finite": finite,
@@ -136,7 +143,6 @@ def classify(g: CoxeterGraph,
         "wide_avoidant": wa.holds,
         "wide_spherical_avoidant": wsa.holds,
     }
-    racg = g.is_racg()
 
     def verdict(case: str, witness: dict) -> ClassificationVerdict:
         return ClassificationVerdict(case, racg=racg, constants=constants,
@@ -154,8 +160,8 @@ def classify(g: CoxeterGraph,
         _verify_blocking(g, wa)
         sp = _splitting_from_blocker(g, g.mask_of(wa.blocking_set), wa.pair)
         _check_splitting(g, sp)
-        assert not (racg and is_spherical_mask(g, g.mask_of(sp.delta))), \
-            "one-ended graph split over a spherical subgraph"
+        verify(not (racg and is_spherical_mask(g, g.mask_of(sp.delta))),
+               "one-ended graph split over a spherical subgraph")
         return verdict("Disconnected_NotWideAvoidant" if racg
                        else "TheoremApplies_A",
                        {"avoidance": wa.to_json_obj(),

@@ -2,7 +2,8 @@
 
 Exit codes: 0 for success (and for positive check verdicts), 1 for negative
 verdicts (a failed avoidance check, a non-geodesic word, a window violation,
-an impossible construction), 2 for usage and input errors.
+an impossible construction), 2 for usage and input errors, 3 when a computed
+witness fails its own re-check (a defect in the library, not in the input).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from .avoidance import (is_affine_free, is_wide, is_wide_avoidant,
 from .classification import DEFAULT_SUBSET_CAP, compute_constants, ends_verdict
 from .classify import classify
 from .errors import (ConstructionError, GraphFormatError, NonGeodesicError,
-                     OrbitCapError, SizeCapError)
+                     OrbitCapError, SizeCapError, VerificationError)
 from .fans import build_fan, check_fan
 from .filters import (build_filter, build_multitail_filter, check_filter,
                       check_multitail_filter)
@@ -327,6 +328,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 2
+    except VerificationError as exc:
+        print(f"verification failed: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the check that raises
+VerificationError."""
 
 
 class GraphFormatError(ValueError):
@@ -27,6 +28,21 @@ class SizeCapError(RuntimeError):
     def __init__(self, cap, message=None):
         self.cap = cap
         super().__init__(message or f"enumeration exceeded cap of {cap}")
+
+
+class VerificationError(RuntimeError):
+    """Raised when a computed witness fails its independent re-check.
+
+    This signals a defect in the library, not a property of the input, so it
+    is deliberately not a ValueError.  Unlike an ``assert``, the check still
+    runs under ``python -O``.
+    """
+
+
+def verify(ok: bool, reason: str) -> None:
+    """Raise VerificationError with ``reason`` unless ``ok``."""
+    if not ok:
+        raise VerificationError(reason)
 
 
 class ConstructionError(RuntimeError):

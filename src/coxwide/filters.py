@@ -31,7 +31,7 @@ from typing import Optional
 
 from .avoidance import label_in_wide_subgraph
 from .classification import compute_constants
-from .errors import ConstructionError, SizeCapError
+from .errors import ConstructionError, SizeCapError, verify
 from .fans import FanDiagram, build_fan, check_fan
 from .graphs import CoxeterGraph
 from .words import (Word, engine_for, extend_geodesic, wide_tail,
@@ -165,11 +165,12 @@ class _Builder:
         self.edges.append([src, tgt, lab, None, top_left, boundary])
         if not top_left:
             # tree edge: the target's tree word runs through it
-            assert self.elem[tgt] == self.elem[src] + (lab,)
+            verify(self.elem[tgt] == self.elem[src] + (lab,),
+                   "tree edge does not extend its source's tree word")
         return len(self.edges) - 1
 
     def set_slot(self, v: int, side: str, edge_id: int):
-        assert self.slots[v][side] is None, "slot filled twice"
+        verify(self.slots[v][side] is None, "slot filled twice")
         self.slots[v][side] = edge_id
         if (self.slots[v]["left"] is not None
                 and self.slots[v]["right"] is not None
@@ -192,7 +193,7 @@ class _Builder:
         s = self.edges[e_left][2]
         t = self.edges[e_right][2]
         m = g.m(s, t)
-        assert m is not None, "fan letters of a cell must be adjacent"
+        verify(m is not None, "fan letters of a cell must be adjacent")
         lam = [e_left]
         cur = self.edges[e_left][1]
         for j in range(1, m):
@@ -232,7 +233,8 @@ class _Builder:
         s_name = g.vertices[self.edges[x][2]]
         t_name = g.vertices[self.edges[y][2]]
         fan = build_fan(g, base, s_name, t_name, self.orbit_cap)
-        assert fan.labels[0] == s_name and fan.labels[-1] == t_name
+        verify(fan.labels[0] == s_name and fan.labels[-1] == t_name,
+               "fan does not run from the slot letters")
         labels = [g.index(nm) for nm in fan.labels]
         edge_ids = [x]
         for lab in labels[1:-1]:

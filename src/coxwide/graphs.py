@@ -327,11 +327,15 @@ def _parse_json(text: str) -> CoxeterGraph:
     edges_raw = obj.get("edges", [])
     if not isinstance(vertices, list) or not all(isinstance(v, str) for v in vertices):
         raise GraphFormatError("'vertices' must be a list of strings")
+    if not isinstance(edges_raw, list):
+        raise GraphFormatError("'edges' must be a list of [u, v, m] entries")
     edges = []
     for item in edges_raw:
         if not (isinstance(item, list) and len(item) == 3):
             raise GraphFormatError(f"bad edge entry {item!r}")
         u, v, lab = item
+        if not (isinstance(u, str) and isinstance(v, str)):
+            raise GraphFormatError(f"edge endpoints must be vertex names, got {item!r}")
         if not isinstance(lab, int):
             raise GraphFormatError(f"edge label {lab!r} is not an integer")
         edges.append((u, v, lab))

@@ -89,14 +89,13 @@ class WordEngine:
     def __init__(self, g: CoxeterGraph, orbit_cap: int = DEFAULT_ORBIT_CAP):
         self.g = g
         self.orbit_cap = orbit_cap
-        self._pattern = {}  # (a, b) -> (alt starting a, alt starting b), len m_ab
-        for i in range(g.n):
-            for j in range(g.n):
-                if i != j and g.m(i, j) is not None:
-                    m = g.m(i, j)
-                    fwd = tuple((i, j)[k % 2] for k in range(m))
-                    rev = tuple((j, i)[k % 2] for k in range(m))
-                    self._pattern[(i, j)] = (m, fwd, rev)
+        # (a, b) -> (m_ab, alternation a b a ... of length m_ab, the one
+        # starting with b).  The alternations are built only for m_ab up to
+        # ``_room``, the longest orbit word so far (``_make_room``), so
+        # memory does not grow with the labels.
+        self._pattern = {(i, j): (g.m(i, j), None, None)
+                         for i in range(g.n) for j in bits(g.neighbors_mask(i))}
+        self._room = 1
         self._norm: dict[tuple[int, ...], tuple[int, ...]] = {}
         self._ends: dict[tuple[int, ...], frozenset[int]] = {}
 
@@ -110,8 +109,20 @@ class WordEngine:
 
     # -- braid moves ---------------------------------------------------------
 
+    def _make_room(self, n: int) -> None:
+        """Build the alternations of every pair with m_ab <= n."""
+        if n <= self._room:
+            return
+        pat = self._pattern
+        for key, (m, fwd, _rev) in pat.items():
+            if fwd is None and m <= n:
+                pat[key] = (m, tuple(key[k % 2] for k in range(m)),
+                            tuple(key[1 - k % 2] for k in range(m)))
+        self._room = n
+
     def moves(self, w: tuple[int, ...]):
-        """All single braid-move rewrites of ``w``."""
+        """All single braid-move rewrites of ``w``, which must have at most
+        ``_room`` letters."""
         pat = self._pattern
         n = len(w)
         for i in range(n - 1):
@@ -139,6 +150,7 @@ class WordEngine:
         cap + 1, so a caller that stops at a member is never charged for it.
         """
         cap = self.orbit_cap if cap is None else cap
+        self._make_room(len(w))
         seen = {w}
         yield w
         dq = deque([w])

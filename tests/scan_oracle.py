@@ -1,19 +1,28 @@
-"""The per-mask subset scans that ``classification.SubsetTable`` replaced.
+"""The per-mask subset scans that ``classification.SubsetTable`` replaced,
+and the pair-by-pair avoidance deciders that ``avoidance._blocked_pairs``
+replaced.
 
-Each function walks every subset (or every subset of a ground set),
+Each scan walks every subset (or every subset of a ground set),
 splits it into irreducible components and matches each component against
 the finite and affine tables, with no clique shortcut and no memo.  That
 is how the library answered before the table, so the differential tests
 in ``test_subset_table.py`` compare the table with these scans.  They are
 exponential in the vertex count: keep the graphs small.
+
+The pair-by-pair deciders run one path search per pair and blocked set, in
+the order that picks the library's witnesses, so ``test_avoidance.py``
+compares whole reports with them.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from coxwide.classification import (IrreducibleVerdict, _diagram_edges,
-                                    _match_affine, _match_finite)
+from coxwide import avoidance
+from coxwide.avoidance import AvoidanceReport, SpecialJoin, _join_grounds
+from coxwide.classification import (DEFAULT_SUBSET_CAP, IrreducibleVerdict,
+                                    _diagram_edges, _match_affine,
+                                    _match_finite, subset_table)
 from coxwide.graphs import CoxeterGraph, bits, popcount, submasks
 
 
@@ -105,3 +114,47 @@ def spherical_submasks(g: CoxeterGraph, ground: int) -> tuple[int, ...]:
 def maximal_spherical_submasks(g: CoxeterGraph, ground: int) -> list[int]:
     sub = spherical_submasks(g, ground)
     return [m for m in sub if not any(m != s and m & ~s == 0 for s in sub)]
+
+
+def _connected_pair(g: CoxeterGraph, s: int, t: int, allowed: int) -> bool:
+    """Path from s to t all of whose vertices lie in ``allowed``."""
+    if not (allowed >> s) & 1 or not (allowed >> t) & 1:
+        return False
+    return (g.component_of(s, allowed) >> t) & 1 == 1
+
+
+def wide_avoidant_by_pairs(g: CoxeterGraph,
+                           cap: int = DEFAULT_SUBSET_CAP) -> AvoidanceReport:
+    full = g.full_mask()
+    for wm in avoidance.maximal_wide_masks(g, cap):
+        for s in range(g.n):
+            for t in range(s + 1, g.n):
+                allowed = (full & ~wm) | (1 << s) | (1 << t)
+                if not _connected_pair(g, s, t, allowed):
+                    return AvoidanceReport(
+                        False, blocking_set=g.names_of(wm),
+                        pair=(g.vertices[s], g.vertices[t]))
+    return AvoidanceReport(True)
+
+
+def wide_spherical_avoidant_by_pairs(
+        g: CoxeterGraph, cap: int = DEFAULT_SUBSET_CAP) -> AvoidanceReport:
+    """Per pair, the maximal blocked sets among joins keeping the pair
+    outside K."""
+    decomps = list(_join_grounds(g, cap))
+    full = g.full_mask()
+    table = subset_table(g)
+    for s in range(g.n):
+        for t in range(s + 1, g.n):
+            pair_mask = (1 << s) | (1 << t)
+            for d, p, q, ground in decomps:
+                for k in table.maximal_spherical(ground & ~pair_mask):
+                    blocked = d | k
+                    allowed = (full & ~blocked) | pair_mask
+                    if not _connected_pair(g, s, t, allowed):
+                        return AvoidanceReport(
+                            False, blocking_set=g.names_of(blocked),
+                            pair=(g.vertices[s], g.vertices[t]),
+                            join=SpecialJoin(g.names_of(p), g.names_of(q),
+                                             g.names_of(k)))
+    return AvoidanceReport(True)

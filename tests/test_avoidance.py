@@ -8,18 +8,22 @@ maximality pruning and decides factor types by cosine-matrix eigenvalues.
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
-from coxwide.avoidance import (enumerate_special_joins, enumerate_wide_subgraphs,
-                               is_affine_free, is_wide, is_wide_avoidant,
+from coxwide import classify
+from coxwide.avoidance import (_blocked_pairs, enumerate_special_joins,
+                               enumerate_wide_subgraphs, is_affine_free,
+                               is_wide, is_wide_avoidant,
                                is_wide_spherical_avoidant, label_in_wide_subgraph,
                                maximal_wide_masks, wide_decomposition,
                                wide_masks)
 from coxwide.errors import SizeCapError
 
 import oracles as O
+import scan_oracle as S
 from conftest import (CORPUS_MAKERS, PROPERTY, graph_from_labels,
-                      label_matrices, racg, random_label_matrix)
+                      label_matrices, racg, racg_label_matrices,
+                      random_label_matrix)
 
 
 def test_wide_decomposition_frozen(c4, c5, aff_tri, g6, wide8):
@@ -150,6 +154,50 @@ def test_wsa_implies_wa_on_random_graphs():
         g = graph_from_labels(lab)
         if is_wide_spherical_avoidant(g).holds:
             assert is_wide_avoidant(g).holds, lab
+
+
+def _check_deciders(lab):
+    """Both reports against the pair-by-pair deciders they replaced, their
+    verdicts against brute force up to 6 vertices, the implications
+    between them, and classify's reuse of the wide-avoidant verdict."""
+    g = graph_from_labels(lab)
+    wa = is_wide_avoidant(g)
+    wsa = is_wide_spherical_avoidant(g)
+    assert wa.to_json_obj() == S.wide_avoidant_by_pairs(g).to_json_obj()
+    assert wsa.to_json_obj() == \
+        S.wide_spherical_avoidant_by_pairs(g).to_json_obj()
+    if len(lab) <= 6:
+        assert wa.holds == O.brute_is_wide_avoidant(lab)[0]
+        assert wsa.holds == O.brute_is_wide_spherical_avoidant(lab)[0]
+    assert wa.holds or not wsa.holds
+    if g.is_racg():
+        assert wsa.holds == wa.holds
+    assert classify(g).hypotheses["wide_spherical_avoidant"] == wsa.holds
+
+
+@PROPERTY
+@given(racg_label_matrices(max_n=9))
+def test_deciders_against_references_right_angled(lab):
+    _check_deciders(lab)
+
+
+@PROPERTY
+@given(label_matrices(max_n=7))
+def test_deciders_against_references_general_labels(lab):
+    _check_deciders(lab)
+
+
+@PROPERTY
+@given(st.one_of(racg_label_matrices(max_n=9), label_matrices(max_n=7)),
+       st.data())
+def test_blocked_pairs_against_path_search(lab, data):
+    g = graph_from_labels(lab)
+    n = len(lab)
+    for blocked in data.draw(st.lists(st.integers(0, (1 << n) - 1),
+                                      min_size=1, max_size=8)):
+        want = [(s, t) for s in range(n) for t in range(s + 1, n)
+                if not O._path_avoiding(lab, s, t, blocked)]
+        assert _blocked_pairs(g, blocked) == want, blocked
 
 
 def test_special_joins(g6):

@@ -1,6 +1,10 @@
 """End-to-end boundary classification verdicts with validated witnesses."""
 
+import os
 import random
+import subprocess
+import sys
+import textwrap
 
 import pytest
 from hypothesis import given, strategies as st
@@ -208,3 +212,31 @@ def test_every_blocked_pair_splits_at_a_component_or_a_star(lab):
                     pair = (g.vertices[s], g.vertices[t])
                     sp = _splitting_from_blocker(g, wm, pair)
                     _assert_separating(lab, g, sp.to_json_obj())
+
+
+def test_blocking_check_survives_python_O():
+    """The witness re-check is an explicit check, not an ``assert``, so a
+    blocking set that separates nothing is still caught under -O."""
+    import coxwide
+    src = os.path.dirname(os.path.dirname(os.path.abspath(coxwide.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    script = textwrap.dedent("""
+        import sys
+        from coxwide import parse_graph
+        from coxwide.avoidance import AvoidanceReport
+        from coxwide.classify import _verify_blocking
+        g = parse_graph("v a; v b; v c; e a b 2; e b c 2")
+        rep = AvoidanceReport(False, blocking_set=("b",), pair=("a", "b"))
+        print("optimize", sys.flags.optimize)
+        try:
+            _verify_blocking(g, rep)
+        except Exception as exc:
+            print(type(exc).__name__, exc)
+    """)
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == [
+        "optimize 1",
+        "VerificationError stored blocking witness does not block its pair"]

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, formats, and exit codes."""
 
+import importlib
 import io
 import json
 
@@ -318,6 +319,31 @@ def test_malformed_graph_exits_2(capsys, tmp_path):
     code, _, err = run(capsys, ["classify", str(p)])
     assert code == 2
     assert "input error" in err
+
+
+@pytest.mark.parametrize("text", [
+    '{"vertices": ["a", "b"], "edges": [[["a"], "b", 2]]}',
+    '{"vertices": ["a", "b"], "edges": [[{"x": 1}, "b", 2]]}',
+    '{"vertices": ["a", "b"], "edges": [["a", 1, 2]]}',
+    '{"vertices": ["a", "b"], "edges": 5}',
+    '{"vertices": ["a", "b"], "edges": {"a": "b"}}',
+])
+def test_malformed_json_graph_exits_2(capsys, tmp_path, text):
+    p = tmp_path / "bad.json"
+    p.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, ["classify", str(p)])
+    assert code == 2 and out == ""
+    assert err.startswith("input error:")
+
+
+def test_failed_witness_check_exits_3(capsys, monkeypatch, g6_file):
+    classify_mod = importlib.import_module("coxwide.classify")
+    monkeypatch.setattr(classify_mod, "_splitting_from_blocker",
+                        lambda g, pi, pair: classify_mod.Splitting(
+                            ("s1",), ("s2",), (), "component"))
+    code, out, err = run(capsys, ["classify", g6_file])
+    assert code == 3 and out == ""
+    assert err == "verification failed: splitting does not cover the graph\n"
 
 
 def test_unknown_generator_exits_2(capsys, c5_file):

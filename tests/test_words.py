@@ -2,15 +2,16 @@
 
 import gc
 import random
+import tracemalloc
 import weakref
 
 import pytest
 from hypothesis import given, strategies as st
 
-from coxwide import (NonGeodesicError, OrbitCapError, element,
-                     ending_letters, extend_geodesic, extension_constant,
-                     is_geodesic, normalize, parse_word, reflection_of_edge,
-                     tits_orbit, wide_tail)
+from coxwide import (CoxeterGraph, NonGeodesicError, OrbitCapError,
+                     element, ending_letters, extend_geodesic,
+                     extension_constant, is_geodesic, normalize, parse_word,
+                     reflection_of_edge, tits_orbit, wide_tail)
 from coxwide.avoidance import maximal_wide_masks
 from coxwide.classification import is_spherical_mask
 from coxwide.words import DEFAULT_ORBIT_CAP, engine_for
@@ -236,6 +237,23 @@ def test_right_angled_normalize_enumerates_no_orbit():
     word = extend_geodesic(g, ("s1",), 12)
     assert len(tits_orbit(g, word)) > 1
     assert normalize(g, word, orbit_cap=1) == min(tits_orbit(g, word))
+
+
+def test_memory_does_not_grow_with_edge_labels():
+    g = CoxeterGraph(["a", "b"], [("a", "b", 10 ** 6)])
+    tracemalloc.start()
+    try:
+        nf = normalize(g, ("a", "b", "a", "b"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert nf == ("a", "b", "a", "b")
+    assert peak < 1_000_000
+    # a braid move becomes available once a word is as long as its label
+    g5 = CoxeterGraph(["a", "b"], [("a", "b", 5)])
+    assert normalize(g5, ("b", "a")) == ("b", "a")
+    assert normalize(g5, ("b", "a", "b", "a", "b")) == ("a", "b", "a", "b", "a")
+    assert normalize(g5, ("b", "a") * 3) == ("a", "b", "a", "b")
 
 
 def test_element_serialization(c5):
