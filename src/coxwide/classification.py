@@ -353,6 +353,7 @@ class SubsetTable:
     spherical: the spherical masks, descending (the order of ``submasks``).
     affine: the irreducible affine masks (all of rank >= 3).
     m_gamma: the constant M, the largest value in ``longest``.
+    constants: (V, M, R) of the graph.
     The wide masks are filled on first use.
     """
 
@@ -390,6 +391,7 @@ class SubsetTable:
         self.spherical = tuple(sorted(longest, reverse=True))
         self.affine = frozenset(affine)
         self.m_gamma = max(longest.values())
+        self.constants = GroupConstants(g.n, self.m_gamma, g.max_label())
         self._noncomm = tuple(g.noncommuting_mask(i) for i in range(g.n))
 
     @cached_property
@@ -501,10 +503,9 @@ def check_cap(g: CoxeterGraph, cap: int, layer: str) -> None:
 
 
 def compute_constants(g: CoxeterGraph, cap: int = DEFAULT_SUBSET_CAP) -> GroupConstants:
-    """(V, M, R) for the graph; M comes from the subset table, guarded by ``cap``."""
+    """(V, M, R) of the graph, kept on its subset table; guarded by ``cap``."""
     check_cap(g, cap, "constants")
-    return GroupConstants(v_gamma=g.n, m_gamma=subset_table(g).m_gamma,
-                          r_gamma=g.max_label())
+    return subset_table(g).constants
 
 
 # ---------------------------------------------------------------------------

@@ -316,6 +316,21 @@ class FilterCheck:
                 "stats": self.stats}
 
 
+def itinerary_bounds(g: CoxeterGraph) -> tuple[int, int, int, int]:
+    """The itinerary bounds (Q, L, N, R) that ``check_filter`` applies to
+    the wide windows of directed spanning-tree paths.
+
+    Q = M + V + 1 bounds the I-edges and the LR-subpaths of a window; an
+    L-run inside an off-boundary window must stay shorter than
+    L = R(M + V + 2); an off-boundary window may be at most N long (see
+    ``itinerary_cap``); an off-boundary R-run at most R long.
+    """
+    c = compute_constants(g)
+    q = c.m_gamma + c.v_gamma + 1
+    l_cap = c.r_gamma * (c.m_gamma + c.v_gamma + 2)
+    return q, l_cap, 2 * q * (l_cap + c.r_gamma) + 3 * q, c.r_gamma
+
+
 def itinerary_cap(g: CoxeterGraph) -> int:
     """Largest possible length of a directed spanning-tree path, off the
     boundary rays, whose label set sits inside a wide subgraph.
@@ -325,9 +340,20 @@ def itinerary_cap(g: CoxeterGraph) -> int:
     LR-subpaths leaves a run of length at least (len - 3Q) / 2Q - R, which is
     capped by the L-run bound; solving gives 2Q(R(M+V+2) + R) + 3Q.
     """
-    c = compute_constants(g)
-    q = c.m_gamma + c.v_gamma + 1
-    return 2 * q * (c.r_gamma * (c.m_gamma + c.v_gamma + 2) + c.r_gamma) + 3 * q
+    return itinerary_bounds(g)[2]
+
+
+class _WideMasks(dict):
+    """Label mask -> whether the labels lie in a wide subgraph, each mask
+    looked up once."""
+
+    def __init__(self, g: CoxeterGraph):
+        super().__init__()
+        self.g = g
+
+    def __missing__(self, mask: int) -> bool:
+        wide = self[mask] = label_in_wide_subgraph(self.g, mask) is not None
+        return wide
 
 
 def _root_paths(filt: FilterDiagram) -> list[list[int]]:
@@ -350,6 +376,131 @@ def _root_paths(filt: FilterDiagram) -> list[list[int]]:
     return out
 
 
+def _itinerary_failures(g: CoxeterGraph, filt: FilterDiagram,
+                        bounds: tuple[int, int, int, int]
+                        ) -> tuple[int, list[str]]:
+    """The itinerary bounds checked root path by root path: the number of
+    wide windows (once per maximal root path through each) and the failure
+    messages, in the order ``check_filter`` reports them.  Needs no tree
+    shape beyond what ``_root_paths`` walks."""
+    q, l_cap, n_cap, r_cap = bounds
+    wide = _WideMasks(g)
+    fails: list[str] = []
+    windows = 0
+    for path in _root_paths(filt):
+        k = len(path)
+        for a in range(k):
+            mask = 0
+            for z in range(a, k):
+                e = filt.edges[path[z]]
+                mask |= 1 << g.index(e.label)
+                if not wide[mask]:
+                    break  # growing the window keeps the label non-wide-bound
+                windows += 1
+                seg = [filt.edges[i] for i in path[a:z + 1]]
+                off_boundary = all(ed.boundary is None for ed in seg)
+                i_count = sum(1 for ed in seg if ed.cls == "I")
+                if i_count > q:
+                    fails.append(f"wide window with {i_count} I-edges")
+                lr = sum(1 for j in range(len(seg) - 1)
+                         if seg[j].cls == "L" and seg[j + 1].cls == "R")
+                if lr > q:
+                    fails.append(f"wide window with {lr} LR-subpaths")
+                run = 0
+                for ed in seg:
+                    run = run + 1 if ed.cls == "L" else 0
+                    if run >= l_cap and off_boundary:
+                        fails.append("wide window with an L-run of length "
+                                     f"{run}")
+                        break
+                if off_boundary and len(seg) > n_cap:
+                    fails.append(f"off-boundary wide window of length "
+                                 f"{len(seg)} exceeds cap {n_cap}")
+        # R-runs are bounded unconditionally off the boundary
+        run = 0
+        for i in path:
+            e = filt.edges[i]
+            run = run + 1 if (e.cls == "R" and e.boundary is None) else 0
+            if run > r_cap:
+                fails.append(f"off-boundary R-run of length {run}")
+                break
+    return windows, fails
+
+
+def _itinerary_pass(g: CoxeterGraph, filt: FilterDiagram,
+                    bounds: tuple[int, int, int, int]) -> tuple[int, bool]:
+    """``_itinerary_failures`` in one pass over the spanning tree: the same
+    window count, and whether no bound fails.  The tree must be an out-tree
+    spanning every vertex from the basepoint.
+
+    Every window is a directed tree path, found once by walking up from its
+    last edge while the label mask stays wide, with running counts of the
+    window as it grows by a prepended edge.  It lies on one maximal root
+    path per leaf below its last edge, so it is counted that many times.
+    """
+    q, l_cap, n_cap, r_cap = bounds
+    edges = filt.edges
+    n = len(filt.vertices)
+    parent = [-1] * n                   # tree edge into each vertex
+    kids: list[list[int]] = [[] for _ in range(n)]
+    for i, e in enumerate(edges):
+        if not e.top_left:
+            parent[e.tgt] = i
+            kids[e.src].append(e.tgt)
+    order = [0]                         # every parent before its children
+    for v in order:
+        order.extend(kids[v])
+    leaves = [1] * n
+    for v in reversed(order):
+        if kids[v]:
+            leaves[v] = sum(leaves[u] for u in kids[v])
+    cls = [e.cls for e in edges]
+    on_boundary = [e.boundary is not None for e in edges]
+    src = [e.src for e in edges]
+    bit = [1 << g.index(e.label) for e in edges]
+    clean = True
+    r_run = [0] * n
+    for v in order[1:]:
+        i = parent[v]
+        if cls[i] == "R" and not on_boundary[i]:
+            r_run[v] = r_run[src[i]] + 1
+            if r_run[v] > r_cap:
+                clean = False
+    wide = _WideMasks(g)
+    windows = 0
+    for v in order[1:]:
+        weight = leaves[v]
+        i = parent[v]
+        mask = i_count = lr = lead = longest = length = 0
+        off = True
+        after = None                    # class of the window's first edge
+        while i >= 0:
+            if mask | bit[i] != mask:
+                mask |= bit[i]
+                if not wide[mask]:
+                    break
+            windows += weight
+            length += 1
+            c = cls[i]
+            if c == "L":
+                lead += 1
+                if lead > longest:
+                    longest = lead
+                if after == "R":
+                    lr += 1
+            else:
+                lead = 0
+                if c == "I":
+                    i_count += 1
+            after = c
+            off = off and not on_boundary[i]
+            if i_count > q or lr > q or (
+                    off and (longest >= l_cap or length > n_cap)):
+                clean = False
+            i = parent[src[i]]
+    return windows, clean
+
+
 def check_filter(g: CoxeterGraph, filt: FilterDiagram,
                  orbit_cap: int = DEFAULT_ORBIT_CAP,
                  enum_len: int = 14, enum_cap: int = 200_000,
@@ -365,9 +516,11 @@ def check_filter(g: CoxeterGraph, filt: FilterDiagram,
     directed paths up to ``enum_len`` plus seeded random longer walks; cell
     shape (equal alternating sides, top-left marking, side classes); fan
     axioms per recorded fan; and the itinerary bounds on wide-labelled
-    windows of directed tree paths (I-edge and LR counts below M+V+1, L-runs
-    below R(M+V+2), off-boundary R-runs at most R, off-boundary wide windows
-    no longer than the closed-form cap).
+    windows of directed tree paths (``itinerary_bounds``: I-edge and LR
+    counts at most Q = M+V+1, L-runs inside off-boundary windows shorter
+    than R(M+V+2), off-boundary R-runs at most R, off-boundary wide windows
+    no longer than the closed-form cap).  ``wide_windows_checked`` counts a
+    window once per maximal root path through it.
     """
     eng = engine_for(g, orbit_cap)
     fails: list[str] = []
@@ -527,52 +680,18 @@ def check_filter(g: CoxeterGraph, filt: FilterDiagram,
         if eng.normalize(base_enc) != canon[f.apex]:
             fails.append(f"fan {fi}: base word does not reach its apex")
 
-    # itineraries along directed tree paths
-    c = compute_constants(g)
-    q = c.m_gamma + c.v_gamma + 1
-    l_cap = c.r_gamma * (c.m_gamma + c.v_gamma + 2)
-    n_cap = itinerary_cap(g)
-    windows = 0
-    for path in _root_paths(filt):
-        k = len(path)
-        for a in range(k):
-            mask = 0
-            for z in range(a, k):
-                e = filt.edges[path[z]]
-                mask |= 1 << g.index(e.label)
-                wide = label_in_wide_subgraph(g, mask) is not None
-                if not wide:
-                    break  # growing the window keeps the label non-wide-bound
-                windows += 1
-                seg = [filt.edges[i] for i in path[a:z + 1]]
-                off_boundary = all(ed.boundary is None for ed in seg)
-                i_count = sum(1 for ed in seg if ed.cls == "I")
-                if i_count > q:
-                    fails.append(f"wide window with {i_count} I-edges")
-                lr = sum(1 for j in range(len(seg) - 1)
-                         if seg[j].cls == "L" and seg[j + 1].cls == "R")
-                if lr > q:
-                    fails.append(f"wide window with {lr} LR-subpaths")
-                run = 0
-                for ed in seg:
-                    run = run + 1 if ed.cls == "L" else 0
-                    if run >= l_cap and off_boundary:
-                        fails.append("wide window with an L-run of length "
-                                     f"{run}")
-                        break
-                if off_boundary and len(seg) > n_cap:
-                    fails.append(f"off-boundary wide window of length "
-                                 f"{len(seg)} exceeds cap {n_cap}")
-        # R-runs are bounded unconditionally off the boundary
-        run = 0
-        for i in path:
-            e = filt.edges[i]
-            run = run + 1 if (e.cls == "R" and e.boundary is None) else 0
-            if run > c.r_gamma:
-                fails.append(f"off-boundary R-run of length {run}")
-                break
+    # itineraries along directed tree paths: the one pass decides, and the
+    # path-by-path check spells out the failures when there are any (or
+    # when the tree shape already failed)
+    bounds = itinerary_bounds(g)
+    clean = False
+    if not fails:
+        windows, clean = _itinerary_pass(g, filt, bounds)
+    if not clean:
+        windows, found = _itinerary_failures(g, filt, bounds)
+        fails += found
     stats["wide_windows_checked"] = windows
-    stats["itinerary_cap"] = n_cap
+    stats["itinerary_cap"] = bounds[2]
     return FilterCheck(not fails, tuple(fails), stats)
 
 

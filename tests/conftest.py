@@ -231,6 +231,14 @@ def random_racg_matrix(rng: random.Random, n: int,
     return mat
 
 
+def seeded_wsa_labels(seed: int) -> list[list[int]]:
+    """The seeded general-label graphs of the filter acceptance criterion
+    (seeds 12, 16 and 21 are wide-spherical-avoidant)."""
+    rng = random.Random(seed)
+    n = rng.choice((5, 6))
+    return random_label_matrix(rng, n, LABEL_CHOICES)
+
+
 @st.composite
 def label_matrices(draw, max_n: int = 7):
     """Label matrices of random general-label graphs (labels 2-5 and

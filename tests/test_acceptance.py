@@ -28,7 +28,8 @@ from coxwide.words import (ending_letters, engine_for, extend_geodesic,
 import oracles as O
 from conftest import (CORPUS_MAKERS, LABEL_CHOICES, graph_from_labels,
                       make_a3, make_a4, make_b3, make_c4, make_c5, make_d4,
-                      make_g6, make_h3, make_p3, random_label_matrix)
+                      make_g6, make_h3, make_p3, random_label_matrix,
+                      seeded_wsa_labels)
 
 N_VERTS_FULL = 5          # exhaustive-by-isomorphism vertex count
 SLOTS5 = list(itertools.combinations(range(N_VERTS_FULL), 2))
@@ -391,17 +392,11 @@ def test_criterion_4_avoidance_deciders_equal_brute_force(
 # criterion 5
 
 
-def _seeded_wsa_graph(seed):
-    rng = random.Random(seed)
-    n = rng.choice((5, 6))
-    return random_label_matrix(rng, n, LABEL_CHOICES)
-
-
 def test_criterion_5_filter_invariants_on_wsa_graphs():
     t0 = time.time()
     cases = [("C5", make_c5())]
     for seed in WSA_GRAPH_SEEDS:
-        lab = _seeded_wsa_graph(seed)
+        lab = seeded_wsa_labels(seed)
         cases.append((f"seed{seed}", graph_from_labels(lab)))
     built = 0
     for name, g in cases:
