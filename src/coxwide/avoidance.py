@@ -135,11 +135,9 @@ def enumerate_wide_subgraphs(g: CoxeterGraph, maximal_only: bool = False,
 
 
 def label_in_wide_subgraph(g: CoxeterGraph, label_mask: int) -> Optional[int]:
-    """A maximal wide subgraph containing the label set, or None."""
-    for wm in maximal_wide_masks(g):
-        if label_mask & ~wm == 0:
-            return wm
-    return None
+    """The first maximal wide subgraph containing the label set, or None."""
+    check_cap(g, DEFAULT_SUBSET_CAP, "enumeration")
+    return subset_table(g).wide_cover(label_mask)
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Optional
 
 from .errors import GraphFormatError, SizeCapError
@@ -436,6 +436,13 @@ class SubsetTable:
             if not any(m & ~w == 0 for w in found):
                 found.append(m)
         return tuple(sorted(found))
+
+    @cached_property
+    def wide_cover(self):
+        """Label mask -> the first maximal wide mask containing it, or None."""
+        found = self.maximal_wide
+        return cache(lambda mask: next(
+            (w for w in found if mask & ~w == 0), None))
 
     def maximal_spherical(self, ground: int) -> list[int]:
         """Inclusion-maximal spherical subsets of ``ground``, descending.

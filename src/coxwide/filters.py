@@ -29,8 +29,8 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from .avoidance import label_in_wide_subgraph
-from .classification import compute_constants
+from .classification import (DEFAULT_SUBSET_CAP, check_cap,
+                             compute_constants, subset_table)
 from .errors import ConstructionError, SizeCapError, verify
 from .fans import FanDiagram, build_fan, check_fan
 from .graphs import CoxeterGraph
@@ -343,162 +343,153 @@ def itinerary_cap(g: CoxeterGraph) -> int:
     return itinerary_bounds(g)[2]
 
 
-class _WideMasks(dict):
-    """Label mask -> whether the labels lie in a wide subgraph, each mask
-    looked up once."""
+def _tree_shape(filt: FilterDiagram) -> tuple[list, list, list, list]:
+    """The tree edges into and out of each vertex, the vertices reached from
+    the basepoint (parents first), and the tree-shape and incoming failures."""
+    n = len(filt.vertices)
+    tree_in: list[list[int]] = [[] for _ in range(n)]
+    tree_out: list[list[int]] = [[] for _ in range(n)]
+    incoming = [0] * n
+    for i, e in enumerate(filt.edges):
+        incoming[e.tgt] += 1
+        if not e.top_left:
+            tree_in[e.tgt].append(i)
+            tree_out[e.src].append(i)
+    fails = []
+    if tree_in[0] or incoming[0]:
+        fails.append("basepoint has incoming edges")
+    for v in range(1, n):
+        if len(tree_in[v]) != 1:
+            fails.append(f"vertex {v} has {len(tree_in[v])} tree parents")
+        want = 2 if filt.vertices[v].is_top else 1
+        if incoming[v] != want:
+            fails.append(f"vertex {v} has {incoming[v]} incoming, "
+                         f"expected {want}")
+    order = [0]
+    reached = {0}
+    for v in order:
+        for i in tree_out[v]:
+            u = filt.edges[i].tgt
+            if u not in reached:
+                reached.add(u)
+                order.append(u)
+    if len(order) != n:
+        fails.append(f"spanning tree reaches {len(order)} of {n} vertices")
+    return tree_in, tree_out, order, fails
 
-    def __init__(self, g: CoxeterGraph):
-        super().__init__()
-        self.g = g
 
-    def __missing__(self, mask: int) -> bool:
-        wide = self[mask] = label_in_wide_subgraph(self.g, mask) is not None
-        return wide
+def _window_walker(g: CoxeterGraph, filt: FilterDiagram,
+                   bounds: tuple[int, int, int, int]):
+    """``walk(ends, prev)``, the one check of the itinerary ``bounds``
+    (Q, L, N, R) on ``filt``.  For each edge of ``ends`` it walks the wide
+    windows that end there, back through ``prev`` (edge -> the edge before
+    it, -1 at the root), with running counts as a window grows by a
+    prepended edge, and carries the off-boundary R-run along ``prev`` (so
+    each edge's ``prev`` comes first in ``ends``).  It returns the windows
+    per end and the faults as (first edge of the window, or None for an
+    R-run; end; message).  The bounds are positive, so a too long L-run
+    first reaches exactly L.
+    """
+    q, l_cap, n_cap, r_cap = bounds
+    cls = [e.cls for e in filt.edges]
+    on_boundary = [e.boundary is not None for e in filt.edges]
+    bit = [1 << g.index(e.label) for e in filt.edges]
+    check_cap(g, DEFAULT_SUBSET_CAP, "enumeration")
+    cover = subset_table(g).wide_cover
+
+    def walk(ends, prev) -> tuple[list[int], list]:
+        counts, faults = [], []
+        fault = faults.append
+        r_run = {-1: 0}
+        for end in ends:
+            run = r_run[end] = r_run[prev[end]] + 1 if (
+                cls[end] == "R" and not on_boundary[end]) else 0
+            if run > r_cap:
+                fault((None, end, f"off-boundary R-run of length {run}"))
+            windows = mask = i_count = lr = lead = longest = length = 0
+            off = True
+            after = None                # class of the window's first edge
+            i = end
+            while i >= 0:
+                if mask | bit[i] != mask:
+                    mask |= bit[i]
+                    if cover(mask) is None:
+                        break
+                windows += 1
+                length += 1
+                c = cls[i]
+                if c == "L":
+                    lead += 1
+                    if lead > longest:
+                        longest = lead
+                    if after == "R":
+                        lr += 1
+                else:
+                    lead = 0
+                    if c == "I":
+                        i_count += 1
+                after = c
+                off = off and not on_boundary[i]
+                if i_count > q:
+                    fault((i, end, f"wide window with {i_count} I-edges"))
+                if lr > q:
+                    fault((i, end, f"wide window with {lr} LR-subpaths"))
+                if off and longest >= l_cap:
+                    fault((i, end, "wide window with an L-run of length "
+                           f"{l_cap}"))
+                if off and length > n_cap:
+                    fault((i, end, "off-boundary wide window of length "
+                           f"{length} exceeds cap {n_cap}"))
+                i = prev[i]
+            counts.append(windows)
+        return counts, faults
+
+    return walk
 
 
-def _root_paths(filt: FilterDiagram) -> list[list[int]]:
-    """All maximal directed spanning-tree paths from the basepoint, as lists
-    of edge ids.  Every directed tree path is a window of one of these."""
-    children: dict[int, list[int]] = {}
-    for i in filt.tree_edges():
-        children.setdefault(filt.edges[i].src, []).append(i)
-    out: list[list[int]] = []
+def _weighted_pass(walk, filt: FilterDiagram, tree_in: list[list[int]],
+                   tree_out: list[list[int]], order: list[int]
+                   ) -> tuple[int, bool]:
+    """The number of windows on a valid spanning tree, and whether none is
+    faulty.  Each tree edge is walked once; a window lies on one maximal
+    root path per leaf below its last edge, so it counts that many times."""
+    edges = filt.edges
+    leaves = [1] * len(order)
+    for v in reversed(order):
+        if tree_out[v]:
+            leaves[v] = sum(leaves[edges[i].tgt] for i in tree_out[v])
+    ends = [tree_in[v][0] for v in order[1:]]
+    prev = [tree_in[e.src][0] if e.src else -1 for e in edges]
+    counts, faults = walk(ends, prev)
+    windows = sum(c * leaves[edges[i].tgt] for c, i in zip(counts, ends))
+    return windows, not faults
+
+
+def _path_route(walk, filt: FilterDiagram, tree_out: list[list[int]]
+                ) -> tuple[int, list[str]]:
+    """The number of windows and the failure messages, root path by root
+    path, on any tree: the maximal directed tree paths from the basepoint
+    that repeat no vertex, depth first.  A path reports its faulty windows
+    by (start, end), then its first too long R-run."""
+    tgt = [e.tgt for e in filt.edges]
+    windows = 0
+    fails: list[str] = []
     stack: list[tuple[int, list[int]]] = [(0, [])]
     while stack:
         v, path = stack.pop()
-        kids = children.get(v)
-        if not kids:
-            if path:
-                out.append(path)
+        on_path = {0, *(tgt[i] for i in path)}
+        kids = [i for i in tree_out[v] if tgt[i] not in on_path]
+        if kids or not path:
+            stack.extend((tgt[i], path + [i]) for i in kids)
             continue
-        for i in kids:
-            stack.append((filt.edges[i].tgt, path + [i]))
-    return out
-
-
-def _itinerary_failures(g: CoxeterGraph, filt: FilterDiagram,
-                        bounds: tuple[int, int, int, int]
-                        ) -> tuple[int, list[str]]:
-    """The itinerary bounds checked root path by root path: the number of
-    wide windows (once per maximal root path through each) and the failure
-    messages, in the order ``check_filter`` reports them.  Needs no tree
-    shape beyond what ``_root_paths`` walks."""
-    q, l_cap, n_cap, r_cap = bounds
-    wide = _WideMasks(g)
-    fails: list[str] = []
-    windows = 0
-    for path in _root_paths(filt):
-        k = len(path)
-        for a in range(k):
-            mask = 0
-            for z in range(a, k):
-                e = filt.edges[path[z]]
-                mask |= 1 << g.index(e.label)
-                if not wide[mask]:
-                    break  # growing the window keeps the label non-wide-bound
-                windows += 1
-                seg = [filt.edges[i] for i in path[a:z + 1]]
-                off_boundary = all(ed.boundary is None for ed in seg)
-                i_count = sum(1 for ed in seg if ed.cls == "I")
-                if i_count > q:
-                    fails.append(f"wide window with {i_count} I-edges")
-                lr = sum(1 for j in range(len(seg) - 1)
-                         if seg[j].cls == "L" and seg[j + 1].cls == "R")
-                if lr > q:
-                    fails.append(f"wide window with {lr} LR-subpaths")
-                run = 0
-                for ed in seg:
-                    run = run + 1 if ed.cls == "L" else 0
-                    if run >= l_cap and off_boundary:
-                        fails.append("wide window with an L-run of length "
-                                     f"{run}")
-                        break
-                if off_boundary and len(seg) > n_cap:
-                    fails.append(f"off-boundary wide window of length "
-                                 f"{len(seg)} exceeds cap {n_cap}")
-        # R-runs are bounded unconditionally off the boundary
-        run = 0
-        for i in path:
-            e = filt.edges[i]
-            run = run + 1 if (e.cls == "R" and e.boundary is None) else 0
-            if run > r_cap:
-                fails.append(f"off-boundary R-run of length {run}")
-                break
+        counts, faults = walk(path, dict(zip(path, [-1] + path[:-1])))
+        windows += sum(counts)
+        pos = {i: z for z, i in enumerate(path)}
+        found = sorted((f for f in faults if f[0] is not None),
+                       key=lambda f: (pos[f[0]], pos[f[1]]))
+        found += [f for f in faults if f[0] is None][:1]
+        fails += [msg for _, _, msg in found]
     return windows, fails
-
-
-def _itinerary_pass(g: CoxeterGraph, filt: FilterDiagram,
-                    bounds: tuple[int, int, int, int]) -> tuple[int, bool]:
-    """``_itinerary_failures`` in one pass over the spanning tree: the same
-    window count, and whether no bound fails.  The tree must be an out-tree
-    spanning every vertex from the basepoint.
-
-    Every window is a directed tree path, found once by walking up from its
-    last edge while the label mask stays wide, with running counts of the
-    window as it grows by a prepended edge.  It lies on one maximal root
-    path per leaf below its last edge, so it is counted that many times.
-    """
-    q, l_cap, n_cap, r_cap = bounds
-    edges = filt.edges
-    n = len(filt.vertices)
-    parent = [-1] * n                   # tree edge into each vertex
-    kids: list[list[int]] = [[] for _ in range(n)]
-    for i, e in enumerate(edges):
-        if not e.top_left:
-            parent[e.tgt] = i
-            kids[e.src].append(e.tgt)
-    order = [0]                         # every parent before its children
-    for v in order:
-        order.extend(kids[v])
-    leaves = [1] * n
-    for v in reversed(order):
-        if kids[v]:
-            leaves[v] = sum(leaves[u] for u in kids[v])
-    cls = [e.cls for e in edges]
-    on_boundary = [e.boundary is not None for e in edges]
-    src = [e.src for e in edges]
-    bit = [1 << g.index(e.label) for e in edges]
-    clean = True
-    r_run = [0] * n
-    for v in order[1:]:
-        i = parent[v]
-        if cls[i] == "R" and not on_boundary[i]:
-            r_run[v] = r_run[src[i]] + 1
-            if r_run[v] > r_cap:
-                clean = False
-    wide = _WideMasks(g)
-    windows = 0
-    for v in order[1:]:
-        weight = leaves[v]
-        i = parent[v]
-        mask = i_count = lr = lead = longest = length = 0
-        off = True
-        after = None                    # class of the window's first edge
-        while i >= 0:
-            if mask | bit[i] != mask:
-                mask |= bit[i]
-                if not wide[mask]:
-                    break
-            windows += weight
-            length += 1
-            c = cls[i]
-            if c == "L":
-                lead += 1
-                if lead > longest:
-                    longest = lead
-                if after == "R":
-                    lr += 1
-            else:
-                lead = 0
-                if c == "I":
-                    i_count += 1
-            after = c
-            off = off and not on_boundary[i]
-            if i_count > q or lr > q or (
-                    off and (longest >= l_cap or length > n_cap)):
-                clean = False
-            i = parent[src[i]]
-    return windows, clean
 
 
 def check_filter(g: CoxeterGraph, filt: FilterDiagram,
@@ -519,44 +510,19 @@ def check_filter(g: CoxeterGraph, filt: FilterDiagram,
     windows of directed tree paths (``itinerary_bounds``: I-edge and LR
     counts at most Q = M+V+1, L-runs inside off-boundary windows shorter
     than R(M+V+2), off-boundary R-runs at most R, off-boundary wide windows
-    no longer than the closed-form cap).  ``wide_windows_checked`` counts a
-    window once per maximal root path through it.
+    no longer than the closed-form cap).  The root paths are the maximal
+    directed tree paths from the basepoint that repeat no vertex; a faulty
+    window is reported once per root path through it, and a too long R-run
+    once per root path, and ``wide_windows_checked`` counts a window once
+    per root path through it.
     """
     eng = engine_for(g, orbit_cap)
-    fails: list[str] = []
     stats: dict[str, int] = {}
     n = len(filt.vertices)
     enc = [eng.encode(v.element) for v in filt.vertices]
 
-    # tree shape
-    tree_in: dict[int, list[int]] = {v: [] for v in range(n)}
-    incoming: dict[int, list[int]] = {v: [] for v in range(n)}
-    for i, e in enumerate(filt.edges):
-        incoming[e.tgt].append(i)
-        if not e.top_left:
-            tree_in[e.tgt].append(i)
-    if tree_in[0] or incoming[0]:
-        fails.append("basepoint has incoming edges")
-    for v in range(1, n):
-        if len(tree_in[v]) != 1:
-            fails.append(f"vertex {v} has {len(tree_in[v])} tree parents")
-        want = 2 if filt.vertices[v].is_top else 1
-        if len(incoming[v]) != want:
-            fails.append(f"vertex {v} has {len(incoming[v])} incoming, "
-                         f"expected {want}")
-    reached = {0}
-    frontier = [0]
-    children: dict[int, list[int]] = {}
-    for i in filt.tree_edges():
-        children.setdefault(filt.edges[i].src, []).append(filt.edges[i].tgt)
-    while frontier:
-        v = frontier.pop()
-        for u in children.get(v, []):
-            if u not in reached:
-                reached.add(u)
-                frontier.append(u)
-    if len(reached) != n:
-        fails.append(f"spanning tree reaches {len(reached)} of {n} vertices")
+    tree_in, tree_out, order, fails = _tree_shape(filt)
+    tree_ok = not fails
 
     # per-edge geodesy (this alone makes every rooted directed path geodesic)
     canon = [eng.normalize(w) for w in enc]
@@ -680,15 +646,15 @@ def check_filter(g: CoxeterGraph, filt: FilterDiagram,
         if eng.normalize(base_enc) != canon[f.apex]:
             fails.append(f"fan {fi}: base word does not reach its apex")
 
-    # itineraries along directed tree paths: the one pass decides, and the
-    # path-by-path check spells out the failures when there are any (or
-    # when the tree shape already failed)
+    # itineraries along directed tree paths: on a valid tree one walk per
+    # edge decides, and the root paths spell out the failures if any
     bounds = itinerary_bounds(g)
+    walk = _window_walker(g, filt, bounds)
     clean = False
-    if not fails:
-        windows, clean = _itinerary_pass(g, filt, bounds)
+    if tree_ok:
+        windows, clean = _weighted_pass(walk, filt, tree_in, tree_out, order)
     if not clean:
-        windows, found = _itinerary_failures(g, filt, bounds)
+        windows, found = _path_route(walk, filt, tree_out)
         fails += found
     stats["wide_windows_checked"] = windows
     stats["itinerary_cap"] = bounds[2]
@@ -756,17 +722,12 @@ def build_multitail_filter(g: CoxeterGraph, alpha: Word, beta: Word, n: int,
     d = len(sigma)
 
     # tails gamma_0 .. gamma_d and rays alpha_0 .. alpha_d
-    tails_all = [a[:n]]
-    for k in range(1, d):
-        tails_all.append(eng.normalize(a[:n] + sigma[:k]))
-    if d > 0:
-        tails_all.append(b[:n])
+    tails_all = [a[:n]] + [eng.normalize(a[:n] + sigma[:k])
+                           for k in range(1, d)] + ([b[:n]] if d else [])
     rays: list[tuple[int, ...]] = [a[n:]]
     cases: list[str] = []
     for k in range(1, d + 1):
-        prev_len = len(eng.normalize(a[:n] + sigma[:k - 1]))
-        cur_len = len(eng.normalize(a[:n] + sigma[:k]))
-        if cur_len < prev_len:
+        if len(tails_all[k]) < len(tails_all[k - 1]):
             # wall of e_k crosses the previous tail: carry the ray across
             cases.append("prepend")
             rays.append((sigma[k - 1],) + rays[k - 1])

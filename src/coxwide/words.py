@@ -37,6 +37,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
+from .avoidance import label_in_wide_subgraph
+from .classification import compute_constants
 from .errors import ConstructionError, GraphFormatError, NonGeodesicError, OrbitCapError
 from .graphs import CoxeterGraph, bits
 
@@ -363,24 +365,24 @@ def wide_tail(g: CoxeterGraph, word: Sequence[str],
     Returns ``((), None)`` when even the last letter is in no wide subgraph.
     The word must be geodesic.
     """
-    from .avoidance import maximal_wide_masks
     eng = engine_for(g, orbit_cap)
     w = eng.encode(word)
     eng.require_geodesic(w)
-    j, delta = _wide_suffix(w, maximal_wide_masks(g))
+    j, delta = _wide_suffix(g, w)
     if not delta:
         return (), None
     return eng.decode(w[j:]), g.names_of(delta)
 
 
-def _wide_suffix(w: tuple[int, ...], wides: Sequence[int]) -> tuple[int, int]:
-    """Start of the longest suffix of ``w`` whose letters lie in one of
-    ``wides``, and the first such mask; ``(len(w), 0)`` when there is none."""
+def _wide_suffix(g: CoxeterGraph, w: tuple[int, ...]) -> tuple[int, int]:
+    """Start of the longest suffix of ``w`` whose letters lie in a wide
+    subgraph, and the first maximal wide mask containing them;
+    ``(len(w), 0)`` when there is none."""
     start, delta = len(w), 0
     suffix_mask = 0
     for j in range(len(w) - 1, -1, -1):
         suffix_mask |= 1 << w[j]
-        hit = next((wm for wm in wides if suffix_mask & ~wm == 0), None)
+        hit = label_in_wide_subgraph(g, suffix_mask)
         if hit is None:
             break
         start, delta = j, hit
@@ -395,7 +397,6 @@ def extension_constant(g: CoxeterGraph) -> int:
     each further greedy letter avoids a wide subgraph containing that tail,
     so at most V distinct new letters can follow.
     """
-    from .classification import compute_constants
     c = compute_constants(g)
     return c.m_gamma + c.v_gamma + 1
 
@@ -410,19 +411,17 @@ def extend_geodesic(g: CoxeterGraph, word: Sequence[str], target_len: int,
     blocking set when no legal letter exists -- which happens exactly when the
     graph fails the preconditions (wide-spherical-avoidant, infinite group).
     """
-    from .avoidance import maximal_wide_masks
     eng = engine_for(g, orbit_cap)
     w = eng.encode(word)
     eng.require_geodesic(w)
     if target_len < len(w):
         raise GraphFormatError(f"target length {target_len} shorter than word")
-    wides = maximal_wide_masks(g)
     full = g.full_mask()
     while len(w) < target_len:
         k_mask = 0
         for i in eng.ending_letters(w):
             k_mask |= 1 << i
-        blocked = k_mask | _wide_suffix(w, wides)[1]
+        blocked = k_mask | _wide_suffix(g, w)[1]
         legal = full & ~blocked
         if legal == 0:
             raise ConstructionError(

@@ -1,5 +1,5 @@
-"""The path-by-path itinerary check that ``filters._itinerary_pass``
-replaced in ``check_filter``.
+"""The path-by-path itinerary check that the window walk of
+``check_filter`` replaced.
 
 It walks every maximal directed spanning-tree path from the basepoint,
 looks up the wideness of every window's label mask again, and re-scans

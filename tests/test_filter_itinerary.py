@@ -1,6 +1,7 @@
-"""The itinerary phase of ``check_filter``: the one pass over the spanning
-tree against the path-by-path check that spells out the failures, and
-both against the loop they replaced (kept in ``tests/filter_oracle.py``)."""
+"""The itinerary phase of ``check_filter``: its two routes, the weighted
+pass over a valid spanning tree and the walk root path by root path that
+spells out the failures, both against the per-path loop they replaced
+(kept in ``tests/filter_oracle.py``)."""
 
 import dataclasses
 import functools
@@ -15,8 +16,8 @@ from hypothesis import given, strategies as st
 
 from coxwide import build_filter, check_filter, extend_geodesic
 from coxwide import filters
-from coxwide.filters import (_itinerary_failures, _itinerary_pass,
-                             itinerary_bounds)
+from coxwide.filters import (_path_route, _tree_shape, _weighted_pass,
+                             _window_walker, itinerary_bounds)
 
 import filter_oracle as O
 from conftest import (PROPERTY, graph_from_labels, make_c5, make_o8,
@@ -49,11 +50,16 @@ def strip_boundary(filt):
 
 
 def assert_agree(g, filt, bounds):
-    windows, clean = _itinerary_pass(g, filt, bounds)
-    want_windows, fails = _itinerary_failures(g, filt, bounds)
-    assert windows == want_windows
-    assert clean == (not fails)
-    assert (want_windows, fails) == O.itinerary(g, filt, bounds)
+    """Both routes against the oracle: the weighted pass (on a valid tree)
+    gives its window count and whether any bound fails, the per-path route
+    its window count and whole failure list."""
+    windows, fails = O.itinerary(g, filt, bounds)
+    tree_in, tree_out, order, shape_fails = _tree_shape(filt)
+    walk = _window_walker(g, filt, bounds)
+    if not shape_fails:
+        assert _weighted_pass(walk, filt, tree_in, tree_out, order) == (
+            windows, not fails)
+    assert _path_route(walk, filt, tree_out) == (windows, fails)
     return fails
 
 
@@ -66,7 +72,8 @@ def test_one_pass_matches_per_path_on_real_filters(name):
         assert not assert_agree(g, filt, itinerary_bounds(g))
         for _ in range(6):
             bounds = tuple(rng.randint(1, 4) for _ in range(4))
-            for tampered in (filt, strip_boundary(filt)):
+            for tampered in (filt, strip_boundary(filt),
+                             untree_first_top_left(filt)):
                 fails += assert_agree(g, tampered, bounds)
     # C5 has no wide label set, so only its R-runs can fail
     kinds = ("R-run",) if name == "C5" else (
@@ -181,31 +188,73 @@ def test_real_filters_match_oracle():
             assert got.stats["itinerary_cap"] == O.default_bounds(g)[2]
 
 
-def test_itinerary_check_survives_python_O():
-    """The bounds are explicit checks, not ``assert``s: under -O a filter
-    whose only fault is an off-boundary R-run still fails its check."""
+def run_child(script, *flags):
+    """Run ``script`` in a fresh interpreter that imports this checkout's
+    ``coxwide``; its stdout lines."""
     import coxwide
     src = os.path.dirname(os.path.dirname(os.path.abspath(coxwide.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    script = textwrap.dedent("""
-        import dataclasses, sys
-        from coxwide import (build_filter, check_filter, extend_geodesic,
-                             parse_graph)
-        g = parse_graph("v s1; v s2; v s3; v s4; v s5; e s1 s2 2; "
-                        "e s2 s3 2; e s3 s4 2; e s4 s5 2; e s5 s1 2")
-        filt = build_filter(g, extend_geodesic(g, ("s1",), 8),
-                            extend_geodesic(g, ("s2",), 8), 4)
-        print("optimize", sys.flags.optimize)
-        print("clean", check_filter(g, filt).ok)
-        filt = dataclasses.replace(filt, edges=tuple(
-            dataclasses.replace(e, boundary=None) for e in filt.edges))
-        chk = check_filter(g, filt)
-        print("stripped", chk.ok, sorted(set(chk.failures)))
-    """)
-    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
-                         capture_output=True, text=True, timeout=60)
+    out = subprocess.run([sys.executable, *flags, "-c",
+                          textwrap.dedent(script)],
+                         env=env, capture_output=True, text=True, timeout=60)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.splitlines() == [
+    return out.stdout.splitlines()
+
+
+C5_FILTER = """
+    import dataclasses, sys
+    from coxwide import (build_filter, check_filter, extend_geodesic,
+                         parse_graph)
+    g = parse_graph("v s1; v s2; v s3; v s4; v s5; e s1 s2 2; "
+                    "e s2 s3 2; e s3 s4 2; e s4 s5 2; e s5 s1 2")
+    filt = build_filter(g, extend_geodesic(g, ("s1",), 8),
+                        extend_geodesic(g, ("s2",), 8), {depth})
+"""
+
+
+def test_itinerary_check_survives_python_O():
+    """The bounds are explicit checks, not ``assert``s: under -O a filter
+    whose only fault is an off-boundary R-run still fails its check, on a
+    valid tree and on a malformed one (a cell top with two tree parents,
+    which the per-path route walks)."""
+    lines = run_child(C5_FILTER.format(depth=4) + """
+    print("optimize", sys.flags.optimize)
+    print("clean", check_filter(g, filt).ok)
+    filt = dataclasses.replace(filt, edges=tuple(
+        dataclasses.replace(e, boundary=None) for e in filt.edges))
+    chk = check_filter(g, filt)
+    print("stripped", chk.ok, sorted(set(chk.failures)))
+    first = next(i for i, e in enumerate(filt.edges) if e.top_left)
+    filt = dataclasses.replace(filt, edges=tuple(
+        dataclasses.replace(e, top_left=False) if i == first else e
+        for i, e in enumerate(filt.edges)))
+    chk = check_filter(g, filt)
+    print("untreed", chk.ok, chk.failures[0],
+          sorted(set(chk.failures[1:])))
+    """, "-O")
+    assert lines[:3] == [
         "optimize 1", "clean True",
         "stripped False ['off-boundary R-run of length 3']"]
+    assert lines[3:] == [
+        "untreed False vertex 19 has 2 tree parents "
+        "['cell 0: last left edge not marked top-left', "
+        "'off-boundary R-run of length 3']"]
+
+
+def test_cyclic_tree_terminates():
+    """A tree edge from a boundary vertex back to the basepoint closes a
+    cycle; the check reports the tree shape and returns, within a memory
+    limit set in the child, rather than walking the cycle."""
+    lines = run_child(C5_FILTER.format(depth=3) + """
+    import resource
+    limit = 512 * 2 ** 20
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+    last = max(e.tgt for e in filt.edges if e.boundary == "alpha")
+    back = dataclasses.replace(filt.edges[0], src=last, tgt=0,
+                               cls=None, boundary=None)
+    chk = check_filter(g, dataclasses.replace(filt,
+                                              edges=filt.edges + (back,)))
+    print(chk.ok, chk.failures[0])
+    """)
+    assert lines == ["False basepoint has incoming edges"]
