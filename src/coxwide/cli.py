@@ -12,7 +12,7 @@ import argparse
 import json
 import os
 import sys
-from typing import Optional
+from typing import Callable, Optional
 
 from .avoidance import (is_affine_free, is_wide, is_wide_avoidant,
                         is_wide_spherical_avoidant, wide_decomposition)
@@ -37,20 +37,24 @@ def _load_graph(path: str) -> CoxeterGraph:
         return parse_graph(fh.read())
 
 
-def _emit(args, obj, pretty: str, dot: Optional[str] = None) -> None:
-    if getattr(args, "dot_file", None):
+def _emit(args, obj, pretty: str,
+          dot: Optional[Callable[[], str]] = None) -> None:
+    """Print ``obj`` or ``pretty`` as ``--format`` asks.  ``dot`` renders
+    the DOT text and is called only when ``--dot`` or ``--format dot`` asks
+    for it."""
+    dot_file = getattr(args, "dot_file", None)
+    if dot_file or args.format == "dot":
         if dot is None:
             raise GraphFormatError(
                 f"dot output is not defined for '{args.cmd}'")
-        with open(args.dot_file, "w", encoding="utf-8") as fh:
-            fh.write(dot + "\n")
+        dot_text = dot()
+    if dot_file:
+        with open(dot_file, "w", encoding="utf-8") as fh:
+            fh.write(dot_text + "\n")
     if args.format == "json":
         text = json.dumps(obj, indent=2, sort_keys=False)
     elif args.format == "dot":
-        if dot is None:
-            raise GraphFormatError(
-                f"dot output is not defined for '{args.cmd}'")
-        text = dot
+        text = dot_text
     else:
         text = pretty
     if args.out:
@@ -243,7 +247,7 @@ def _run(args) -> int:
         ball = build_ball(g, args.radius, orbit_cap=args.orbit_cap)
         _emit(args, ball.to_json_obj(),
               f"radius {ball.radius}: {len(ball.words)} elements, "
-              f"{len(ball.edges)} edges", dot=ball.to_dot())
+              f"{len(ball.edges)} edges", dot=ball.to_dot)
         return 0
 
     if args.cmd == "pencil":
@@ -289,7 +293,7 @@ def _run(args) -> int:
                   + ("" if chk.ok else "\n" + "\n".join(chk.failures[:10])))
         obj = filt.to_json_obj()
         obj["check"] = chk.to_json_obj()
-        _emit(args, obj, pretty, dot=filt.to_dot())
+        _emit(args, obj, pretty, dot=filt.to_dot)
         return 0 if chk.ok else 1
 
     if args.cmd == "mtf":

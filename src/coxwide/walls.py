@@ -34,8 +34,10 @@ class CayleyBall:
     """Ball of given radius in the Cayley graph, elements as canonical words.
 
     words: canonical geodesic words in breadth-first order (lexicographic
-    within a sphere); edges: triples (i, j, s) with i < j meaning the i-th
-    and j-th elements differ by right-multiplication by generator s.
+    by generator position within a sphere, the order in which
+    ``build_ball`` walks the prefix tree of canonical forms); edges:
+    triples (i, j, s), sorted, with i < j meaning the i-th and j-th
+    elements differ by right-multiplication by generator s.
     """
     radius: int
     words: tuple[Word, ...]
@@ -61,33 +63,46 @@ def build_ball(g: CoxeterGraph, radius: int, cap: int = DEFAULT_BALL_CAP,
                orbit_cap: int = DEFAULT_ORBIT_CAP) -> CayleyBall:
     """Breadth-first ball around the identity; raises SizeCapError beyond cap.
 
-    One pass: each element of spheres 0..radius-1 is multiplied once by each
-    generator, and a longer product is an element of the next sphere and an
-    edge.  Right multiplication changes length by one, so every edge joins
-    consecutive spheres and is found from its lower end.
+    One walk down the prefix tree of canonical forms: each element of
+    spheres 0..radius-1, in lex order, is multiplied by each generator in
+    ascending order, and a longer product is an element of the next sphere
+    and an edge.  Right multiplication changes length by one, so every edge
+    joins consecutive spheres and is found from its lower end.
+
+    Lex-least reduced words are prefix-closed, so a longer product p = c s
+    has the canonical parent p[:-1].  If p ends in s, then p = c + (s,) is
+    new and c is its parent; otherwise p < c + (s,) puts p[:-1] lex below
+    c, so p was found from it earlier in the walk.  Hence the next sphere
+    is appended in lex order, each element once, and its name is its
+    parent's name plus one letter.
     """
     if radius < 0:
         raise ValueError("radius must be >= 0")
-    eng = engine_for(g, orbit_cap)
-    sphere: list[tuple[int, ...]] = [()]
-    order: list[tuple[int, ...]] = [()]
-    edges = []
+    right_mult = engine_for(g, orbit_cap).right_mult
+    names = g.vertices
+    gens = range(g.n)
+    words: list[Word] = [()]
+    edges: list[tuple[int, int, str]] = []
+    sphere: dict[tuple[int, ...], int] = {(): 0}
     for _ in range(radius):
-        first = len(order) - len(sphere)
-        below: dict[tuple[int, ...], list[tuple[int, int]]] = {}
-        for k, w in enumerate(sphere):
-            for s in range(g.n):
-                p = eng.right_mult(w, s)
-                if len(p) > len(w):
-                    below.setdefault(p, []).append((first + k, s))
-        sphere = sorted(below)
-        for w in sphere:
-            if len(order) >= cap:
-                raise SizeCapError(cap, f"ball exceeds {cap} elements")
-            edges.extend((i, len(order), g.vertices[s]) for i, s in below[w])
-            order.append(w)
-    return CayleyBall(radius, tuple(eng.decode(w) for w in order),
-                      tuple(sorted(edges)))
+        nxt: dict[tuple[int, ...], int] = {}
+        for c, i in sphere.items():
+            up = []
+            for s in gens:
+                p = right_mult(c, s)
+                if len(p) > len(c):
+                    if p[-1] == s:
+                        j = nxt[p] = len(words)
+                        words.append(words[i] + (names[s],))
+                    else:
+                        j = nxt[p]
+                    up.append((j, s))
+            up.sort()
+            edges.extend([(i, j, names[s]) for j, s in up])
+        if len(words) > cap:
+            raise SizeCapError(cap, f"ball exceeds {cap} elements")
+        sphere = nxt
+    return CayleyBall(radius, tuple(words), tuple(edges))
 
 
 # ---------------------------------------------------------------------------

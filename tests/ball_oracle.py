@@ -1,11 +1,12 @@
-"""The two-pass Cayley ball that ``walls.build_ball`` replaced.
+"""The two-pass Cayley ball, the reference for ``walls.build_ball``.
 
-The first pass grows each sphere by the generators outside an element's
-ending letters; the second normalizes every (element, generator) pair
-again and keeps the products that land in the ball.  Both passes use the
-engine they are given, so the differential tests in ``test_right_angled.py``
-pass a braid-orbit ``WordEngine`` and compare with the one-pass ball of
-either engine.
+``build_ball`` grows the ball along the prefix tree of canonical forms.
+The reference instead grows each sphere by the generators outside an
+element's ending letters, sorts it, and then normalizes every (element,
+generator) pair again and keeps the products that land in the ball.  Both
+passes use the engine they are given, so the differential tests in
+``test_right_angled.py`` pass a braid-orbit ``WordEngine`` and compare with
+the prefix-tree ball of either engine.
 """
 
 from __future__ import annotations

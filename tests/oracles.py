@@ -25,6 +25,7 @@ the diagonal ignored.  Vertex subsets are bitmasks.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -331,7 +332,16 @@ def _eigs_refined(labels, mask) -> list:
 
 
 def _classified_eigs(labels, mask) -> tuple[int, int]:
-    """(#negative, #zero) eigenvalues of the cosine matrix, robustly."""
+    """(#negative, #zero) eigenvalues of the cosine matrix, robustly;
+    memoized on the induced label submatrix."""
+    idx = list(obits(mask))
+    return _submatrix_eigs(tuple(tuple(labels[a][b] for b in idx)
+                                 for a in idx))
+
+
+@functools.lru_cache(maxsize=1 << 14)
+def _submatrix_eigs(labels: tuple[tuple[int, ...], ...]) -> tuple[int, int]:
+    mask = (1 << len(labels)) - 1
     eigs = _eigs(labels, mask)
     if any(_ZERO_BAND < abs(e) < _SAFE_BAND for e in eigs):
         eigs = _eigs_refined(labels, mask)
@@ -384,7 +394,14 @@ def is_affine_irreducible_subset(labels, mask: int) -> bool:
 def brute_wide_decompositions(labels, mask: int) -> list[tuple[int, int, str]]:
     """All ordered (P, Q) with P|Q = mask, disjoint, every cross label 2, and
     either both factors infinite or P irreducible affine of rank >= 3
-    (Q arbitrary, possibly empty)."""
+    (Q arbitrary, possibly empty).  Memoized on (labels, mask); each call
+    returns a fresh list."""
+    return list(_wide_decompositions(tuple(map(tuple, labels)), mask))
+
+
+@functools.lru_cache(maxsize=1 << 10)
+def _wide_decompositions(labels: tuple[tuple[int, ...], ...],
+                         mask: int) -> tuple[tuple[int, int, str], ...]:
     out = []
     for p in osubmasks(mask):
         if p == 0:
@@ -405,7 +422,7 @@ def brute_wide_decompositions(labels, mask: int) -> list[tuple[int, int, str]]:
             out.append((p, q, "TwoInfiniteFactors"))
         if (opopcount(p) >= 3 and is_affine_irreducible_subset(labels, p)):
             out.append((p, q, "AffineRank3Plus"))
-    return out
+    return tuple(out)
 
 
 def brute_is_wide(labels, mask: int) -> bool:

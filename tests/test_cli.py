@@ -7,6 +7,7 @@ import json
 import pytest
 
 from coxwide.cli import main
+from coxwide.walls import CayleyBall
 
 from conftest import make_aff_tri, make_c4, make_c5, make_g6, make_inf_pair
 
@@ -227,6 +228,23 @@ def test_ball_dot_format(capsys, c5_file):
                                 "--format", "dot"])
     assert code == 0
     assert out.startswith("graph cayley_ball {")
+
+
+def test_ball_dot_is_rendered_only_when_asked(capsys, c5_file, tmp_path,
+                                              monkeypatch):
+    rendered = []
+    to_dot = CayleyBall.to_dot
+    monkeypatch.setattr(CayleyBall, "to_dot",
+                        lambda self: rendered.append(1) or to_dot(self))
+    argv = ["ball", c5_file, "--radius", "2"]
+    for fmt in ("json", "pretty"):
+        assert run(capsys, argv + ["--format", fmt])[0] == 0
+    assert rendered == []
+    dot_file = tmp_path / "ball.dot"
+    code, out, _ = run(capsys, argv + ["--format", "dot",
+                                       "--dot", str(dot_file)])
+    assert code == 0 and rendered == [1]
+    assert dot_file.read_text(encoding="utf-8") == out
 
 
 def test_pencil(capsys, c4_file):

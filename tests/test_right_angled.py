@@ -15,7 +15,7 @@ from coxwide.words import RightAngledEngine, WordEngine, engine_for
 import oracles as O
 from ball_oracle import two_pass_ball
 from conftest import (CORPUS_MAKERS, PROPERTY, graph_from_labels,
-                      make_c5, racg_label_matrices)
+                      label_matrices, make_c5, racg_label_matrices)
 
 
 @st.composite
@@ -76,6 +76,13 @@ def test_one_pass_ball_equals_two_pass_ball(name):
 @PROPERTY
 @given(racg_label_matrices(max_n=6))
 def test_one_pass_ball_equals_two_pass_ball_random(labels):
+    g = graph_from_labels(labels)
+    assert build_ball(g, 3) == two_pass_ball(WordEngine(g), 3)
+
+
+@PROPERTY
+@given(label_matrices(max_n=5))
+def test_one_pass_ball_equals_two_pass_ball_general_labels(labels):
     g = graph_from_labels(labels)
     assert build_ball(g, 3) == two_pass_ball(WordEngine(g), 3)
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from coxwide import build_ball, extend_geodesic, normalize
-from coxwide.errors import NonGeodesicError, SizeCapError
+from coxwide.errors import NonGeodesicError, OrbitCapError, SizeCapError
 from coxwide.walls import (find_pencil, is_reflection, morse_window_check,
                            order_of, wall_separates, walls_cross)
 from coxwide.words import engine_for
@@ -58,6 +58,37 @@ def test_ball_cap():
     g = CORPUS_MAKERS["G6"]()
     with pytest.raises(SizeCapError):
         build_ball(g, 4, cap=50)
+
+
+@pytest.mark.parametrize("name", ["C5", "G6", "A3", "H3", "WIDE8"])
+def test_ball_cap_is_exact(corpus, name):
+    g = corpus[name]
+    for radius in (1, 2, 3):
+        ball = build_ball(g, radius)
+        assert build_ball(g, radius, cap=len(ball.words)) == ball
+        cap = len(ball.words) - 1
+        with pytest.raises(SizeCapError,
+                           match=rf"^ball exceeds {cap} elements$"):
+            build_ball(g, radius, cap=cap)
+
+
+def test_ball_radius_zero_is_the_identity(corpus):
+    for name, g in corpus.items():
+        ball = build_ball(g, 0)
+        assert (ball.words, ball.edges) == (((),), ()), name
+        assert build_ball(g, 0, cap=1) == ball, name
+
+
+def test_ball_size_cap_is_checked_before_the_next_sphere_is_grown():
+    # A4 with orbit cap 2: spheres 0-2 hold 14 elements and growing
+    # sphere 2 exceeds the orbit cap.  Each call gets a fresh graph, so no
+    # memo carries over.
+    make = CORPUS_MAKERS["A4"]
+    assert len(build_ball(make(), 2, orbit_cap=2).words) == 14
+    with pytest.raises(SizeCapError, match=r"^ball exceeds 13 elements$"):
+        build_ball(make(), 3, cap=13, orbit_cap=2)
+    with pytest.raises(OrbitCapError):
+        build_ball(make(), 3, cap=14, orbit_cap=2)
 
 
 def test_order_of(c5, corpus):
