@@ -24,7 +24,8 @@ from .avoidance import (wide_decomposition_mask, wide_masks)
 from .classification import compute_constants, is_spherical_mask
 from .errors import ConstructionError
 from .graphs import CoxeterGraph, bits
-from .words import Word, engine_for, wide_tail, DEFAULT_ORBIT_CAP
+from .words import (Word, WordEngine, engine_for, _wide_suffix,
+                    DEFAULT_ORBIT_CAP)
 
 
 @dataclass(frozen=True)
@@ -105,11 +106,9 @@ def _lex_least_path(g: CoxeterGraph, s: int, t: int, allowed: int) -> Optional[l
     return path
 
 
-def _blocked_for_tail(g: CoxeterGraph, tail: Word, delta_names: tuple[str, ...],
+def _blocked_for_tail(g: CoxeterGraph, tail_mask: int, delta: int,
                       k_mask: int) -> int:
     """C1 | D2 | K' for the long-tail case (see module docstring)."""
-    delta = g.mask_of(delta_names)
-    tail_mask = g.mask_of(tuple(set(tail)))
     p, q, _kind = wide_decomposition_mask(g, delta)
     c_p, c_q = tail_mask & p, tail_mask & q
     if not is_spherical_mask(g, c_p):
@@ -130,25 +129,36 @@ def build_fan(g: CoxeterGraph, base: Word, s: str, t: str,
     eng = engine_for(g, orbit_cap)
     w = eng.encode(base)
     eng.require_geodesic(w)
-    si, ti = g.index(s), g.index(t)
+    return _build_fan(g, eng, w, g.index(s), g.index(t))[0]
+
+
+def _mask(letters) -> int:
+    mask = 0
+    for a in letters:
+        mask |= 1 << a
+    return mask
+
+
+def _build_fan(g: CoxeterGraph, eng: WordEngine, w: tuple[int, ...],
+               si: int, ti: int) -> tuple[FanDiagram, list[int]]:
+    """``build_fan`` on the encoded geodesic base ``w`` and letters ``si``,
+    ``ti``; the fan and its letters as indices."""
     eng.require_geodesic(w + (si,))
     eng.require_geodesic(w + (ti,))
-    k_mask = 0
-    for i in eng.ending_letters(w):
-        k_mask |= 1 << i
-    tail, delta_names = wide_tail(g, base, orbit_cap)
-    m_gamma = compute_constants(g).m_gamma
+    k_mask = _mask(eng.ending_letters(w))
+    start, delta = _wide_suffix(g, w)
+    tail = eng.decode(w[start:])
     full = g.full_mask()
 
     attempts: list[tuple[str, int]] = []
-    if len(tail) <= m_gamma:
+    if len(tail) <= compute_constants(g).m_gamma:
         attempts.append(("short-tail", k_mask))
     else:
-        joined = _blocked_for_tail(g, tail, delta_names, k_mask)
+        joined = _blocked_for_tail(g, _mask(w[start:]), delta, k_mask)
         attempts.append(("wide-tail", joined))
         # fallback: block the whole containing wide subgraph (always sound;
         # needed only when the join trick leaves an interior letter wide)
-        fallback = g.mask_of(delta_names) | k_mask
+        fallback = delta | k_mask
         if fallback != joined:
             attempts.append(("wide-tail", fallback))
 
@@ -166,15 +176,16 @@ def build_fan(g: CoxeterGraph, base: Word, s: str, t: str,
             if path is None:
                 continue
             idx_path = path if len(path) > 2 else [si, ti, si, ti]
-        labels = tuple(g.vertices[i] for i in idx_path)
+        labels = eng.decode(idx_path)
         cells = tuple(2 * g.m(idx_path[i], idx_path[i + 1])
                       for i in range(len(idx_path) - 1))
-        fan = FanDiagram(tuple(base), labels, cells, tail, delta_names,
-                         case, g.names_of(blocked))
-        if check_fan(g, fan, orbit_cap).ok:
-            return fan
+        if not _fan_failures(g, eng, w, start, labels, cells, True, case):
+            return FanDiagram(eng.decode(w), labels, cells, tail,
+                              g.names_of(delta) if delta else None, case,
+                              g.names_of(blocked)), idx_path
     raise ConstructionError(
-        f"no fan from {s} to {t}: every connecting path meets the blocked set",
+        f"no fan from {g.vertices[si]} to {g.vertices[ti]}: every connecting "
+        "path meets the blocked set",
         blocking_set=g.names_of(last_blocked))
 
 
@@ -182,50 +193,77 @@ def check_fan(g: CoxeterGraph, fan: FanDiagram,
               orbit_cap: int = DEFAULT_ORBIT_CAP) -> FanCheck:
     """Verify the fan axioms: at least three fan edges, dihedral cells
     between adjacent letters, geodesy of the base extended by every fan
-    letter and every cell side, and the wide-tail side condition."""
+    letter and every cell side, and the wide-tail side condition.  The
+    verdict is kept on the graph's word engine (``_fan_failures``)."""
     eng = engine_for(g, orbit_cap)
+    w = eng.encode(fan.base)
+    start = _wide_suffix(g, w)[0]
+    fails = _fan_failures(g, eng, w, start, tuple(fan.labels),
+                          tuple(fan.cells), eng.decode(w[start:]) == fan.tail,
+                          fan.case)
+    return FanCheck(not fails, fails)
+
+
+def _fan_failures(g: CoxeterGraph, eng: WordEngine, w: tuple[int, ...],
+                  start: int, labels: tuple[str, ...], cells: tuple[int, ...],
+                  tail_ok: bool, case: str) -> tuple[str, ...]:
+    """The failures of ``check_fan`` on a fan with encoded base ``w``,
+    whose wide tail starts at ``start`` (from ``_wide_suffix``), and whose
+    recorded tail is that wide tail iff ``tail_ok``.  The answer depends on
+    nothing else, so it is kept on the engine: each fan is verified once."""
+    key = (w, labels, cells, tail_ok, case)
+    fails = eng._fans.get(key)
+    if fails is None:
+        fails = eng._fans[key] = _verify_fan(g, eng, w, start, labels, cells,
+                                             tail_ok, case)
+    return fails
+
+
+def _verify_fan(g: CoxeterGraph, eng: WordEngine, w: tuple[int, ...],
+                start: int, labels: tuple[str, ...], cells: tuple[int, ...],
+                tail_ok: bool, case: str) -> tuple[str, ...]:
     fails: list[str] = []
-    labels = fan.labels
     if len(labels) < 3:
         fails.append(f"only {len(labels)} fan edges, need at least 3")
-    if len(fan.cells) != len(labels) - 1:
+    if len(cells) != len(labels) - 1:
         fails.append("cell count does not match fan edge count")
-    w = eng.encode(fan.base)
     if not eng.is_geodesic(w):
         fails.append("base word is not geodesic")
-        return FanCheck(False, tuple(fails))
-    for i in range(len(labels) - 1):
-        a, b = g.index(labels[i]), g.index(labels[i + 1])
+        return tuple(fails)
+    idx = eng.encode(labels)
+    for i in range(len(idx) - 1):
+        a, b = idx[i], idx[i + 1]
         if a == b:
             fails.append(f"fan letters {i},{i + 1} coincide")
             continue
         m = g.m(a, b)
         if m is None:
             fails.append(f"fan letters {labels[i]},{labels[i + 1]} not adjacent")
-        elif i < len(fan.cells) and fan.cells[i] != 2 * m:
-            fails.append(f"cell {i} is a {fan.cells[i]}-gon, expected {2 * m}-gon")
-    for i, lab in enumerate(labels):
-        if not eng.is_geodesic(w + (g.index(lab),)):
-            fails.append(f"base + fan letter {lab} (position {i}) not geodesic")
-    for i in range(min(len(fan.cells), len(labels) - 1)):
-        lam, rho = fan.side_words(i)
-        if not eng.is_geodesic(w + eng.encode(lam)):
+        elif i < len(cells) and cells[i] != 2 * m:
+            fails.append(f"cell {i} is a {cells[i]}-gon, expected {2 * m}-gon")
+    for i, a in enumerate(idx):
+        if not eng.is_geodesic(w + (a,)):
+            fails.append(f"base + fan letter {labels[i]} (position {i}) "
+                         "not geodesic")
+    for i in range(min(len(cells), len(idx) - 1)):
+        # the two sides of cell i (``FanDiagram.side_words``)
+        pair = (idx[i], idx[i + 1])
+        m = cells[i] // 2
+        if not eng.is_geodesic(w + tuple(pair[j % 2] for j in range(m))):
             fails.append(f"base + left side of cell {i} not geodesic")
-        if not eng.is_geodesic(w + eng.encode(rho)):
+        if not eng.is_geodesic(w + tuple(pair[1 - j % 2] for j in range(m))):
             fails.append(f"base + right side of cell {i} not geodesic")
-    tail, _ = wide_tail(g, fan.base, orbit_cap)
-    if tail != fan.tail:
+    if not tail_ok:
         fails.append("recorded tail differs from the wide tail of the base")
-    long_tail = len(tail) > compute_constants(g).m_gamma
+    long_tail = len(w) - start > compute_constants(g).m_gamma
     want_case = "wide-tail" if long_tail else "short-tail"
-    if fan.case != want_case:
-        fails.append(f"recorded case {fan.case!r}, but the tail length "
+    if case != want_case:
+        fails.append(f"recorded case {case!r}, but the tail length "
                      f"dictates {want_case!r}")
     if long_tail:
-        tail_mask = g.mask_of(tuple(set(tail)))
-        interior = g.mask_of(tuple(set(labels[1:-1])))
+        tail_mask, interior = _mask(w[start:]), _mask(idx[1:-1])
         if not any(tail_mask & ~wm == 0 and interior & wm == 0
                    for wm in wide_masks(g)):
             fails.append("no wide subgraph contains the tail label and "
                          "avoids all interior fan letters")
-    return FanCheck(not fails, tuple(fails))
+    return tuple(fails)

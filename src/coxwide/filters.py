@@ -32,9 +32,9 @@ from typing import Optional
 from .classification import (DEFAULT_SUBSET_CAP, check_cap,
                              compute_constants, subset_table)
 from .errors import ConstructionError, SizeCapError, verify
-from .fans import FanDiagram, build_fan, check_fan
+from .fans import _build_fan, _fan_failures
 from .graphs import CoxeterGraph
-from .words import (Word, engine_for, extend_geodesic, wide_tail,
+from .words import (Word, engine_for, extend_geodesic, _wide_suffix,
                     DEFAULT_ORBIT_CAP)
 
 
@@ -140,7 +140,6 @@ class _Builder:
     def __init__(self, g: CoxeterGraph, orbit_cap: int):
         self.g = g
         self.eng = engine_for(g, orbit_cap)
-        self.orbit_cap = orbit_cap
         self.elem: list[tuple[int, ...]] = []       # tree word (encoded)
         self.level: list[int] = []
         self.is_top: list[bool] = []
@@ -226,16 +225,12 @@ class _Builder:
         return len(self.cells) - 1
 
     def build_fan_at(self, v: int, level: int) -> None:
-        g, eng = self.g, self.eng
         x = self.slots[v]["left"]
         y = self.slots[v]["right"]
-        base = eng.decode(self.elem[v])
-        s_name = g.vertices[self.edges[x][2]]
-        t_name = g.vertices[self.edges[y][2]]
-        fan = build_fan(g, base, s_name, t_name, self.orbit_cap)
-        verify(fan.labels[0] == s_name and fan.labels[-1] == t_name,
+        s, t = self.edges[x][2], self.edges[y][2]
+        fan, labels = _build_fan(self.g, self.eng, self.elem[v], s, t)
+        verify(labels[0] == s and labels[-1] == t,
                "fan does not run from the slot letters")
-        labels = [g.index(nm) for nm in fan.labels]
         edge_ids = [x]
         for lab in labels[1:-1]:
             u = self.add_vertex(self.elem[v] + (lab,), level)
@@ -254,13 +249,19 @@ class _Builder:
         self.built.add(v)
 
     def finish(self, alpha: Word, beta: Word, depth: int) -> FilterDiagram:
-        eng = self.eng
+        # a tree edge extends its source's tree word (``add_edge``), and
+        # comes after the tree edge into its source
+        names = self.g.vertices
+        words: list[Word] = [()] * len(self.elem)
+        for s, t, lab, _cls, tl, _bdy in self.edges:
+            if not tl:
+                words[t] = words[s] + (names[lab],)
         vertices = tuple(
-            FilterVertex(eng.decode(self.elem[i]), self.level[i],
-                         self.is_top[i], i not in self.built)
+            FilterVertex(words[i], self.level[i], self.is_top[i],
+                         i not in self.built)
             for i in range(len(self.elem)))
         edges = tuple(
-            FilterEdge(s, t, self.g.vertices[lab], cls, tl, bdy)
+            FilterEdge(s, t, names[lab], cls, tl, bdy)
             for s, t, lab, cls, tl, bdy in self.edges)
         return FilterDiagram(alpha, beta, depth, vertices, edges,
                              tuple(self.cells), tuple(self.fans))
@@ -529,33 +530,43 @@ def check_filter(g: CoxeterGraph, filt: FilterDiagram,
     for v in range(n):
         if len(canon[v]) != len(enc[v]):
             fails.append(f"vertex {v} element word not geodesic")
-    for i, e in enumerate(filt.edges):
-        lab = g.index(e.label)
-        got = eng.normalize(enc[e.src] + (lab,))
-        if len(got) != len(enc[e.src]) + 1 or got != canon[e.tgt]:
+    edges = filt.edges
+    src = [e.src for e in edges]
+    tgt = [e.tgt for e in edges]
+    lab = eng.encode(e.label for e in edges)
+    cls = [e.cls for e in edges]
+    top_left = [e.top_left for e in edges]
+    for i, a in enumerate(lab):
+        got = eng.normalize(enc[src[i]] + (a,))
+        if len(got) != len(enc[src[i]]) + 1 or got != canon[tgt[i]]:
             fails.append(f"edge {i} does not extend its source geodesically")
-    stats["edges_checked"] = len(filt.edges)
+    stats["edges_checked"] = len(edges)
 
-    # literal path enumeration + sampled walks
+    # literal path enumeration + sampled walks.  A path is geodesic iff
+    # its prefix is and the last letter lengthens the prefix's canonical
+    # form ``c``; ``c`` is None below a prefix that is not geodesic.
     out_edges: dict[int, list[int]] = {}
-    for i, e in enumerate(filt.edges):
-        out_edges.setdefault(e.src, []).append(i)
+    for i, v in enumerate(src):
+        out_edges.setdefault(v, []).append(i)
+    right_mult = eng.right_mult
     count = 0
-    stack = [(0, ())]
+    stack = [(0, (), ())]
     capped = False
     while stack:
-        v, word = stack.pop()
+        v, word, c = stack.pop()
         if word:
             count += 1
             if count > enum_cap:
                 capped = True
                 break
-            if not eng.is_geodesic(word):
+            if c is not None:
+                p = right_mult(c, word[-1])
+                c = p if len(p) > len(c) else None
+            if c is None:
                 fails.append(f"rooted path {eng.decode(word)} not geodesic")
         if len(word) < enum_len:
             for i in out_edges.get(v, []):
-                e = filt.edges[i]
-                stack.append((e.tgt, word + (g.index(e.label),)))
+                stack.append((tgt[i], word + (lab[i],), c))
     stats["paths_enumerated"] = count
     stats["path_enum_capped"] = int(capped)
     rng = random.Random(seed)
@@ -563,87 +574,81 @@ def check_filter(g: CoxeterGraph, filt: FilterDiagram,
         v, word = 0, ()
         while len(word) < sample_len and out_edges.get(v):
             i = rng.choice(out_edges[v])
-            e = filt.edges[i]
-            word += (g.index(e.label),)
-            v = e.tgt
+            word += (lab[i],)
+            v = tgt[i]
         if word and not eng.is_geodesic(word):
             fails.append(f"sampled path {eng.decode(word)} not geodesic")
     stats["paths_sampled"] = samples
 
     # cells
-    for ci, c in enumerate(filt.cells):
-        lam, rho = c.lam, c.rho
+    for ci, cell in enumerate(filt.cells):
+        lam, rho = cell.lam, cell.rho
         if len(lam) != len(rho):
             fails.append(f"cell {ci}: unequal sides")
             continue
-        s = filt.edges[lam[0]].label
-        t = filt.edges[rho[0]].label
-        m = g.m(g.index(s), g.index(t))
+        s, t = lab[lam[0]], lab[rho[0]]
+        m = g.m(s, t)
         if m is None or len(lam) != m:
             fails.append(f"cell {ci}: sides have length {len(lam)}, "
-                         f"expected m({s},{t})")
+                         f"expected m({g.vertices[s]},{g.vertices[t]})")
             continue
         for j, i in enumerate(lam):
-            want = s if j % 2 == 0 else t
-            if filt.edges[i].label != want:
+            if lab[i] != (s if j % 2 == 0 else t):
                 fails.append(f"cell {ci}: left side not alternating")
         for j, i in enumerate(rho):
-            want = t if j % 2 == 0 else s
-            if filt.edges[i].label != want:
+            if lab[i] != (t if j % 2 == 0 else s):
                 fails.append(f"cell {ci}: right side not alternating")
-        if not filt.edges[lam[-1]].top_left:
+        if not top_left[lam[-1]]:
             fails.append(f"cell {ci}: last left edge not marked top-left")
         # rho[0] may be the top-left edge of an earlier cell (the fan at
         # that cell's side vertex picks it up as its right fan edge)
-        if any(filt.edges[i].top_left for i in lam[:-1] + rho[1:]):
+        if any(top_left[i] for i in lam[:-1] + rho[1:]):
             fails.append(f"cell {ci}: stray top-left marking")
-        if filt.edges[lam[-1]].tgt != filt.edges[rho[-1]].tgt:
+        if tgt[lam[-1]] != tgt[rho[-1]]:
             fails.append(f"cell {ci}: sides do not meet at a top vertex")
-        if not filt.vertices[filt.edges[lam[-1]].tgt].is_top:
+        if not filt.vertices[tgt[lam[-1]]].is_top:
             fails.append(f"cell {ci}: meeting vertex not marked top")
-        want_cycle = ((filt.edges[lam[0]].src,)
-                      + tuple(filt.edges[i].tgt for i in lam)
-                      + tuple(filt.edges[i].tgt for i in reversed(rho[:-1])))
-        if c.cycle != want_cycle:
+        want_cycle = ((src[lam[0]],) + tuple(tgt[i] for i in lam)
+                      + tuple(tgt[i] for i in reversed(rho[:-1])))
+        if cell.cycle != want_cycle:
             fails.append(f"cell {ci}: stored vertex cycle mismatch")
         # side classes: non-first lambda edges are R, non-first rho edges L
         for i in lam[1:]:
-            if filt.edges[i].cls not in (None, "R"):
+            if cls[i] not in (None, "R"):
                 fails.append(f"cell {ci}: left-side edge {i} classed "
-                             f"{filt.edges[i].cls}, expected R")
+                             f"{cls[i]}, expected R")
         for i in rho[1:]:
-            if filt.edges[i].cls not in (None, "L"):
+            if cls[i] not in (None, "L"):
                 fails.append(f"cell {ci}: right-side edge {i} classed "
-                             f"{filt.edges[i].cls}, expected L")
+                             f"{cls[i]}, expected L")
         # base-corner law: a cell flanked by a bounding fan edge on one
         # side has an interior fan edge on the other (fans have >= 3 edges,
         # so no cell touches both the left and the right fan edge)
-        if filt.edges[rho[0]].cls == "R" and \
-                filt.edges[lam[0]].cls not in (None, "I"):
+        if cls[rho[0]] == "R" and cls[lam[0]] not in (None, "I"):
             fails.append(f"cell {ci}: right-bounded cell with "
-                         f"{filt.edges[lam[0]].cls} first left edge")
-        if filt.edges[lam[0]].cls == "L" and \
-                filt.edges[rho[0]].cls not in (None, "I"):
+                         f"{cls[lam[0]]} first left edge")
+        if cls[lam[0]] == "L" and cls[rho[0]] not in (None, "I"):
             fails.append(f"cell {ci}: left-bounded cell with "
-                         f"{filt.edges[rho[0]].cls} first right edge")
+                         f"{cls[rho[0]]} first right edge")
 
-    # fans
+    # fans: the recorded tail is the wide tail of the base, so the check
+    # is the one ``build_fan`` made (and remembered) when it laid the fan
     for fi, f in enumerate(filt.fans):
-        cells = tuple(2 * g.m(g.index(f.labels[i]), g.index(f.labels[i + 1]))
-                      for i in range(len(f.labels) - 1))
-        fan = FanDiagram(f.base, f.labels, cells,
-                         *wide_tail(g, f.base, orbit_cap), f.case, ())
-        sub = check_fan(g, fan, orbit_cap)
-        if not sub.ok:
-            fails.append(f"fan {fi}: " + "; ".join(sub.failures))
-        if filt.edges[f.edge_ids[0]].cls != "L":
+        cells = tuple(2 * g.m(g.index(a), g.index(b))
+                      for a, b in zip(f.labels, f.labels[1:]))
+        w = eng.encode(f.base)
+        eng.require_geodesic(w)
+        failures = _fan_failures(g, eng, w, _wide_suffix(g, w)[0],
+                                 tuple(f.labels), cells, True, f.case)
+        if failures:
+            fails.append(f"fan {fi}: " + "; ".join(failures))
+        if cls[f.edge_ids[0]] != "L":
             fails.append(f"fan {fi}: left fan edge not classed L")
-        if filt.edges[f.edge_ids[-1]].cls != "R":
+        if cls[f.edge_ids[-1]] != "R":
             fails.append(f"fan {fi}: right fan edge not classed R")
-        if any(filt.edges[i].cls != "I" for i in f.edge_ids[1:-1]):
+        if any(cls[i] != "I" for i in f.edge_ids[1:-1]):
             fails.append(f"fan {fi}: interior fan edge not classed I")
-        base_enc = eng.encode(f.base)
-        if eng.normalize(base_enc) != canon[f.apex]:
+        if eng.normalize(w) != canon[f.apex]:
             fails.append(f"fan {fi}: base word does not reach its apex")
 
     # itineraries along directed tree paths: on a valid tree one walk per

@@ -84,7 +84,12 @@ def build_ball(g: CoxeterGraph, radius: int, cap: int = DEFAULT_BALL_CAP,
     words: list[Word] = [()]
     edges: list[tuple[int, int, str]] = []
     sphere: dict[tuple[int, ...], int] = {(): 0}
-    for _ in range(radius):
+    for r in range(radius + 1):
+        # the cap counts every element so far, the identity too
+        if len(words) > cap:
+            raise SizeCapError(cap, f"ball exceeds {cap} elements")
+        if r == radius:
+            break
         nxt: dict[tuple[int, ...], int] = {}
         for c, i in sphere.items():
             up = []
@@ -99,8 +104,6 @@ def build_ball(g: CoxeterGraph, radius: int, cap: int = DEFAULT_BALL_CAP,
                     up.append((j, s))
             up.sort()
             edges.extend([(i, j, names[s]) for j, s in up])
-        if len(words) > cap:
-            raise SizeCapError(cap, f"ball exceeds {cap} elements")
         sphere = nxt
     return CayleyBall(radius, tuple(words), tuple(edges))
 

@@ -22,13 +22,17 @@ search (this engine's, and ``tits_orbit`` on any graph) honours an explicit
 cap (default 200_000) and raises OrbitCapError beyond it.
 
 Memo tables on an engine are pure caches and never change observable
-behaviour.  A graph keeps its engines itself, one per orbit cap, each built
-on first use by ``engine_for``.  A memo filled under one cap therefore never
-answers a call made under another (which could have raised OrbitCapError),
-and the engines and their memos live exactly as long as their graph: there
-is no module-level cache holding the memos of graphs nobody uses any more.
-One graph's memo is not bounded; it grows with the words asked of it (every
-enumerated orbit member, or on a right-angled graph each input word).
+behaviour: the normal forms, the ending-letter sets, and the verdicts of
+the fan checks (``fans.check_fan``, also run by ``build_fan`` and
+``filters.check_filter``), so each distinct fan is verified once.  A graph
+keeps its engines itself, one per orbit cap, each built on first use by
+``engine_for``.  A memo filled under one cap therefore never answers a
+call made under another (which could have raised OrbitCapError), and the
+engines and their memos live exactly as long as their graph: there is no
+module-level cache holding the memos of graphs nobody uses any more.  One
+graph's memo is not bounded; it grows with the words asked of it (every
+enumerated orbit member, or on a right-angled graph each input word) and
+with the fans checked.
 """
 
 from __future__ import annotations
@@ -100,14 +104,22 @@ class WordEngine:
         self._room = 1
         self._norm: dict[tuple[int, ...], tuple[int, ...]] = {}
         self._ends: dict[tuple[int, ...], frozenset[int]] = {}
+        # fan checks: (encoded base, labels, cells, recorded tail is the
+        # wide tail, case) -> failures (see ``fans._fan_failures``)
+        self._fans: dict[tuple, tuple[str, ...]] = {}
+        self._index_of = g._index.__getitem__
+        self._name_of = g.vertices.__getitem__
 
     # -- encoding -----------------------------------------------------------
 
     def encode(self, word: Iterable[str]) -> tuple[int, ...]:
-        return tuple(self.g.index(s) for s in word)
+        try:
+            return tuple(map(self._index_of, word))
+        except KeyError as err:
+            raise GraphFormatError(f"unknown vertex {err.args[0]!r}") from None
 
     def decode(self, iword: Sequence[int]) -> Word:
-        return tuple(self.g.vertices[i] for i in iword)
+        return tuple(map(self._name_of, iword))
 
     # -- braid moves ---------------------------------------------------------
 

@@ -73,10 +73,13 @@ def test_ball_cap_is_exact(corpus, name):
 
 
 def test_ball_radius_zero_is_the_identity(corpus):
+    """The identity counts against the size cap like any element."""
     for name, g in corpus.items():
         ball = build_ball(g, 0)
         assert (ball.words, ball.edges) == (((),), ()), name
         assert build_ball(g, 0, cap=1) == ball, name
+        with pytest.raises(SizeCapError, match=r"^ball exceeds 0 elements$"):
+            build_ball(g, 0, cap=0)
 
 
 def test_ball_size_cap_is_checked_before_the_next_sphere_is_grown():

@@ -8,8 +8,8 @@ import weakref
 import pytest
 from hypothesis import given, strategies as st
 
-from coxwide import (CoxeterGraph, NonGeodesicError, OrbitCapError,
-                     element, ending_letters, extend_geodesic,
+from coxwide import (CoxeterGraph, GraphFormatError, NonGeodesicError,
+                     OrbitCapError, element, ending_letters, extend_geodesic,
                      extension_constant, is_geodesic, normalize, parse_word,
                      reflection_of_edge, tits_orbit, wide_tail)
 from coxwide.avoidance import maximal_wide_masks
@@ -361,3 +361,18 @@ def test_ending_letters_are_last_letters_of_orbit(case):
     nf = normalize(g, w)
     want = {u[-1] for u in tits_orbit(g, nf) if u}
     assert ending_letters(g, nf) == want
+
+
+def test_unknown_names_are_graph_format_errors(c5):
+    """Encoding names the first unknown vertex in a GraphFormatError, never
+    a bare KeyError, and decoding inverts it."""
+    with pytest.raises(GraphFormatError, match="^unknown vertex 'zz'$"):
+        normalize(c5, ("zz",))
+    eng = engine_for(c5)
+    with pytest.raises(GraphFormatError, match="^unknown vertex 'zz'$"):
+        eng.encode(iter(("s1", "zz", "yy")))
+    with pytest.raises(GraphFormatError, match="^unknown vertex 'zz'$"):
+        is_geodesic(c5, ("s2", "zz"))
+    word = ("s5", "s1", "s3")
+    assert eng.decode(eng.encode(word)) == word
+    assert eng.encode(word) == (4, 0, 2)
