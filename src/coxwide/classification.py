@@ -23,9 +23,28 @@ first use and kept on the graph:
   irreducible affine set, since all its proper subsets are spherical.
 * Recurrence.  The irreducible component of a set that holds its lowest
   vertex is split off, and the rest is looked up: the longest-element
-  length of a spherical set is the component's plus the rest's, and for
-  the wide sets a table over all 2^n subsets carries the number of infinite
-  components (capped at 2) and whether one of them is affine.
+  length of a spherical set is the component's plus the rest's.
+* Wide sets from irreducible components.  Write Cm(P) for the vertices
+  outside P that commute with every vertex of P.  A set D is wide exactly
+  when it is P | Q with P irreducible and infinite, Q a subset of Cm(P), and
+  either P affine or Q non-spherical.  Soundness: Q commutes with P, so P
+  is an irreducible component of P | Q; it is infinite, and either it is an
+  affine component or Q holds a second infinite component.  Completeness:
+  D holds an affine component P, or two infinite components, one of them
+  P; in both cases D - P lies in Cm(P), and in the second it is
+  non-spherical.  So the affine sets each contribute every subset of their
+  Cm, and the other P are grown from single vertices one non-commuting
+  neighbour at a time (which reaches every irreducible set through
+  irreducible sets).  Growth stops at a P whose Cm(P) is spherical: Cm
+  only shrinks as P grows and subsets of spherical sets are spherical, so
+  no P grown from it has a non-spherical Q.  A set P grown to is never cut
+  off on the way, since its subsets P' have Cm(P') containing Cm(P).  The
+  work is one step per irreducible set P with Cm(P) non-spherical (and
+  per one-vertex extension of such a set), plus, for each such P that is
+  infinite and for each affine P, one step per subset of Cm(P): each
+  yields a wide set unless it is spherical.  A wide set arises once per
+  infinite component that witnesses it, so the sets are gathered in a set
+  and sorted.  No step visits all 2^n subsets.
 
 Callers check their size caps before the table is built.  Queries on a
 single subset (``is_spherical_mask``, ``classify_irreducible``) read the
@@ -46,7 +65,7 @@ from functools import cache, cached_property
 from typing import Optional
 
 from .errors import GraphFormatError, SizeCapError
-from .graphs import CoxeterGraph, bits, popcount
+from .graphs import CoxeterGraph, bits, popcount, submasks
 
 DEFAULT_SUBSET_CAP = 20
 
@@ -354,7 +373,13 @@ class SubsetTable:
     affine: the irreducible affine masks (all of rank >= 3).
     m_gamma: the constant M, the largest value in ``longest``.
     constants: (V, M, R) of the graph.
-    The wide masks are filled on first use.
+    The wide masks are filled on first use, from the commuting masks
+    captured here (the table keeps no reference to the graph): D is wide
+    exactly when D = P | Q with P irreducible and infinite, Q commuting
+    with P, and P affine or Q non-spherical.  The affine P take every such
+    Q; the other P are grown from single vertices, one non-commuting
+    neighbour at a time, until the vertices commuting with P form a
+    spherical set, past which no P grown further has a non-spherical Q.
     """
 
     def __init__(self, g: CoxeterGraph):
@@ -392,40 +417,36 @@ class SubsetTable:
         self.affine = frozenset(affine)
         self.m_gamma = max(longest.values())
         self.constants = GroupConstants(g.n, self.m_gamma, g.max_label())
-        self._noncomm = tuple(g.noncommuting_mask(i) for i in range(g.n))
+        self._comm = tuple(g.commuting_mask(i) for i in range(g.n))
 
     @cached_property
     def wide(self) -> tuple[int, ...]:
-        """All wide masks, ascending."""
-        noncomm = self._noncomm
-        size = 1 << len(noncomm)
-        # reach[mask]: vertices not commuting with some vertex of mask
-        reach = [0] * size
-        for mask in range(1, size):
-            low = mask & -mask
-            reach[mask] = reach[mask ^ low] | noncomm[low.bit_length() - 1]
-        # code[mask]: infinite components (capped at 2), plus 4 when one
-        # component is affine; recurrence on mask minus its lowest component
-        code = bytearray(size)
-        longest, affine = self.longest, self.affine
-        wide = []
-        for mask in range(1, size):
-            comp = mask & -mask
-            while True:
-                grown = (reach[comp] & mask) | comp
-                if grown == comp:
-                    break
-                comp = grown
-            c = code[mask ^ comp]
-            if comp not in longest:
-                if c & 3 < 2:
-                    c += 1
-                if comp in affine:
-                    c |= 4
-            code[mask] = c
-            if c & 3 == 2 or c & 4:
-                wide.append(mask)
-        return tuple(wide)
+        """All wide masks, ascending; see the class docstring."""
+        comm, longest = self._comm, self.longest
+        full = (1 << len(comm)) - 1
+        noncomm = [full & ~c for c in comm]
+        found = set()
+        for p in self.affine:
+            cm = full
+            for i in bits(p):
+                cm &= comm[i]
+            found.update(p | q for q in submasks(cm))
+        # (P, Cm(P), P and its non-commuting neighbours); each P is pushed
+        # once.  A vertex never commutes with itself here, so Cm(P) misses P.
+        stack = [(1 << v, comm[v], noncomm[v]) for v in range(len(comm))]
+        seen = {p for p, _, _ in stack}
+        while stack:
+            p, cm, reach = stack.pop()
+            if cm in longest:
+                continue
+            if p not in longest:
+                found.update(p | q for q in submasks(cm) if q not in longest)
+            for u in bits(reach & ~p):
+                grown = p | 1 << u
+                if grown not in seen:
+                    seen.add(grown)
+                    stack.append((grown, cm & comm[u], reach | noncomm[u]))
+        return tuple(sorted(found))
 
     @cached_property
     def maximal_wide(self) -> tuple[int, ...]:

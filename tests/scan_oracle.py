@@ -1,6 +1,8 @@
 """The per-mask subset scans that ``classification.SubsetTable`` replaced,
 and the pair-by-pair avoidance deciders that ``avoidance._blocked_pairs``
-replaced.
+replaced, and the dynamic program over all 2^n masks that found the wide
+sets before ``SubsetTable.wide`` enumerated them from irreducible
+components.
 
 Each scan walks every subset (or every subset of a ground set),
 splits it into irreducible components and matches each component against
@@ -93,6 +95,42 @@ def is_wide_mask(g: CoxeterGraph, mask: int) -> bool:
 def wide_masks(g: CoxeterGraph) -> tuple[int, ...]:
     return tuple(m for m in sorted(submasks(g.full_mask()))
                  if is_wide_mask(g, m))
+
+
+def wide_masks_dp(g: CoxeterGraph) -> tuple[int, ...]:
+    """All wide masks, ascending, by the subset table's former dynamic
+    program: every mask is split into its lowest irreducible component and
+    the rest, whose code is already known."""
+    table = subset_table(g)
+    noncomm = tuple(g.noncommuting_mask(i) for i in range(g.n))
+    size = 1 << len(noncomm)
+    # reach[mask]: vertices not commuting with some vertex of mask
+    reach = [0] * size
+    for mask in range(1, size):
+        low = mask & -mask
+        reach[mask] = reach[mask ^ low] | noncomm[low.bit_length() - 1]
+    # code[mask]: infinite components (capped at 2), plus 4 when one
+    # component is affine; recurrence on mask minus its lowest component
+    code = bytearray(size)
+    longest, affine = table.longest, table.affine
+    wide = []
+    for mask in range(1, size):
+        comp = mask & -mask
+        while True:
+            grown = (reach[comp] & mask) | comp
+            if grown == comp:
+                break
+            comp = grown
+        c = code[mask ^ comp]
+        if comp not in longest:
+            if c & 3 < 2:
+                c += 1
+            if comp in affine:
+                c |= 4
+        code[mask] = c
+        if c & 3 == 2 or c & 4:
+            wide.append(mask)
+    return tuple(wide)
 
 
 def maximal_wide_masks(g: CoxeterGraph) -> tuple[int, ...]:

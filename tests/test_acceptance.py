@@ -5,6 +5,7 @@ independent oracles, and prints a single summary line.  Criteria with a
 stated time budget assert it.
 """
 
+import hashlib
 import itertools
 import random
 import time
@@ -33,6 +34,9 @@ from conftest import (CORPUS_MAKERS, LABEL_CHOICES, graph_from_labels,
 
 N_VERTS_FULL = 5          # exhaustive-by-isomorphism vertex count
 SLOTS5 = list(itertools.combinations(range(N_VERTS_FULL), 2))
+FIVE_VERTEX_CLASSES = 90_005
+FIVE_VERTEX_REPS_SHA256 = \
+    "0292446a6335cbf483620ce0240b8cc703f1bd5c4ce10a320a52272b31cf51c5"
 RANDOM_67_SEED = 20260814
 WSA_GRAPH_SEEDS = (12, 16, 21)   # seeded companions for the filter criterion
 
@@ -73,23 +77,33 @@ def five_vertex_reps():
     properties are isomorphism-invariant, and order sensitivity of the
     implementations is covered separately by raw exhaustive rank <= 4 and a
     seeded non-canonical sample.
+
+    A graph's packed index is the sum of d_j * 5^j over its slot digits,
+    and a relabeling sends digit j to slot pos(j), so the relabeled index
+    is the sum of d_j * 5^pos(j): one term per half of the digits.  Each
+    permutation therefore adds a 5^5-vector over the high half to one over
+    the low half on a 5^5 x 5^5 grid, whose row-major order is the packed
+    order.  The count and the SHA-256 of the packed representatives are
+    those of the former per-digit computation over all 5^10 indices.
     """
     nl = len(LABEL_CHOICES)
-    total = nl ** len(SLOTS5)
-    digits = np.empty((total, len(SLOTS5)), dtype=np.uint8)
-    idx = np.arange(total, dtype=np.int64)
-    for k in range(len(SLOTS5)):
-        digits[:, k] = (idx // (nl ** k)) % nl
+    half = len(SLOTS5) // 2
+    idx = np.arange(nl ** half, dtype=np.int64)
+    half_digits = [(idx // nl ** k) % nl for k in range(half)]
     slot_index = {p: k for k, p in enumerate(SLOTS5)}
     canon = None
     for perm in itertools.permutations(range(N_VERTS_FULL)):
-        src = [slot_index[tuple(sorted((perm[i], perm[j])))]
-               for (i, j) in SLOTS5]
-        acc = np.zeros(total, dtype=np.int64)
-        for k in range(len(SLOTS5)):
-            acc += digits[:, src[k]].astype(np.int64) * (nl ** k)
-        canon = acc if canon is None else np.minimum(canon, acc)
+        pos = [0] * len(SLOTS5)
+        for k, (i, j) in enumerate(SLOTS5):
+            pos[slot_index[tuple(sorted((perm[i], perm[j])))]] = k
+        low = sum(half_digits[j] * nl ** pos[j] for j in range(half))
+        high = sum(half_digits[j] * nl ** pos[half + j] for j in range(half))
+        acc = high[:, None] + low[None, :]
+        canon = acc if canon is None else np.minimum(canon, acc, out=canon)
     reps = np.unique(canon)
+    assert len(reps) == FIVE_VERTEX_CLASSES
+    assert hashlib.sha256(reps.astype("<i8").tobytes()).hexdigest() == \
+        FIVE_VERTEX_REPS_SHA256
     return [_decode_packed(int(v)) for v in reps]
 
 

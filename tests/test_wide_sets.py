@@ -1,0 +1,168 @@
+"""The wide sets of ``SubsetTable`` against the dynamic program they replaced.
+
+``scan_oracle.wide_masks_dp`` is the former 2^n dynamic program.  A
+reference graph gets its table's wide sets from it, so every query built on
+them (maximal wide sets, their cover, the wide-spherical-avoidance report
+and the whole ``classify`` JSON) is asked of both graphs and compared.
+
+The seeded sweep draws a fixed number of graphs per vertex count from fixed
+seeds and keeps every one.  The families are chosen for their wide sets:
+joins with two infinite factors, affine sets with a commuting free part
+(whose spherical parts only the affine branch of the enumeration reaches),
+and affine cycles.
+"""
+
+from __future__ import annotations
+
+import gc
+import random
+import tracemalloc
+import weakref
+
+import pytest
+
+import scan_oracle as S
+from conftest import (graph_from_labels, make_wide8, random_label_matrix,
+                      random_racg_matrix)
+from coxwide import CoxeterGraph
+from coxwide.avoidance import is_wide_spherical_avoidant, wide_masks
+from coxwide.classification import subset_table
+from coxwide.classify import classify
+
+SWEEP_SIZES = range(8, 15)
+SWEEP_PER_SIZE = 4
+SWEEP_SEED = 20261018
+COMMUTING_HEAVY = (0, 2, 2, 2, 3, 4, 6)   # labels for dense general graphs
+MEMORY_CAP_BYTES = 16 * 2 ** 20
+
+
+def _sweep_labels():
+    """(name, label matrix): per vertex count, ``SWEEP_PER_SIZE`` graphs of
+    each kind: right-angled, general labels 2-5 and infinity, and general
+    labels weighted towards commuting pairs."""
+    rng = random.Random(SWEEP_SEED)
+    out = []
+    for n in SWEEP_SIZES:
+        for k in range(SWEEP_PER_SIZE):
+            out.append((f"ra{n}-{k}", random_racg_matrix(rng, n)))
+            out.append((f"gen{n}-{k}", random_label_matrix(rng, n)))
+            out.append((f"dense{n}-{k}",
+                        random_label_matrix(rng, n, COMMUTING_HEAVY)))
+    return out
+
+
+def _with_dp_wide(make):
+    """A fresh graph whose table holds the dynamic program's wide sets."""
+    ref = make()
+    subset_table(ref).__dict__["wide"] = S.wide_masks_dp(ref)
+    return ref
+
+
+def _assert_matches_dp(make):
+    g, ref = make(), _with_dp_wide(make)
+    table, ref_table = subset_table(g), subset_table(ref)
+    assert table.wide == ref_table.wide
+    assert table.maximal_wide == ref_table.maximal_wide
+    for mask in range(1 << min(g.n, 10)):
+        assert table.wide_cover(mask) == ref_table.wide_cover(mask)
+    assert is_wide_spherical_avoidant(g).to_json_obj() == \
+        is_wide_spherical_avoidant(ref).to_json_obj()
+    assert classify(g).to_json_obj() == classify(ref).to_json_obj()
+    return table
+
+
+SWEEP = _sweep_labels()
+
+
+@pytest.mark.parametrize("labels", [lab for _, lab in SWEEP],
+                         ids=[name for name, _ in SWEEP])
+def test_seeded_sweep_matches_dp(labels):
+    _assert_matches_dp(lambda: graph_from_labels(labels))
+
+
+def _join_of_anticliques(a: int, b: int) -> CoxeterGraph:
+    left = [f"a{i}" for i in range(a)]
+    right = [f"b{i}" for i in range(b)]
+    return CoxeterGraph(left + right, [(u, v, 2) for u in left for v in right])
+
+
+def _affine_with_free(kind: str, free: int) -> CoxeterGraph:
+    """An affine set (A~2 triangle, C~2 or G~2 path) joined by commuting
+    edges to ``free`` pairwise non-commuting vertices."""
+    core = {"A~2": [("x", "y", 3), ("y", "z", 3), ("x", "z", 3)],
+            "C~2": [("x", "y", 4), ("y", "z", 4), ("x", "z", 2)],
+            "G~2": [("x", "y", 6), ("y", "z", 3), ("x", "z", 2)]}[kind]
+    names = ["x", "y", "z"] + [f"f{i}" for i in range(free)]
+    return CoxeterGraph(names, core + [(c, f, 2) for c in "xyz"
+                                       for f in names[3:]])
+
+
+def _affine_cycle(n: int) -> CoxeterGraph:
+    """A~n: an (n+1)-cycle labeled 3, all other pairs commuting."""
+    names = [f"c{i}" for i in range(n + 1)]
+    return CoxeterGraph(names, [
+        (names[i], names[j], 3 if (j - i) in (1, n) else 2)
+        for i in range(n + 1) for j in range(i + 1, n + 1)])
+
+
+def test_wide8_matches_dp():
+    table = _assert_matches_dp(make_wide8)
+    assert table.maximal_wide == (0xFF,)
+
+
+@pytest.mark.parametrize("a,b", [(a, b) for a in range(1, 6)
+                                 for b in range(a, 6)])
+def test_joins_of_anticliques_match_dp(a, b):
+    table = _assert_matches_dp(lambda: _join_of_anticliques(a, b))
+    # wide exactly when both sides hold a non-commuting pair
+    assert len(table.wide) == (2 ** a - 1 - a) * (2 ** b - 1 - b)
+
+
+@pytest.mark.parametrize("kind", ["A~2", "C~2", "G~2"])
+@pytest.mark.parametrize("free", range(5))
+def test_affine_sets_with_free_vertices_match_dp(kind, free):
+    table = _assert_matches_dp(lambda: _affine_with_free(kind, free))
+    # the affine set with any part of the free vertices, and nothing else
+    assert len(table.wide) == 2 ** free
+    assert table.maximal_wide == ((1 << (3 + free)) - 1,)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_affine_cycles_match_dp(n):
+    table = _assert_matches_dp(lambda: _affine_cycle(n))
+    assert table.wide == ((1 << (n + 1)) - 1,)
+
+
+@pytest.mark.parametrize("kind,seed", [("right-angled", 2020),
+                                       ("general", 2021)])
+def test_wide_sets_and_classify_stay_small_at_the_cap(kind, seed):
+    """Caps bound memory as well as time: at the default cap of 20
+    vertices the wide sets and ``classify`` keep their traced peak below
+    16 MB (the former 2^n dynamic program peaked at about 43 MB)."""
+    rng = random.Random(seed)
+    labels = (random_racg_matrix(rng, 20) if kind == "right-angled"
+              else random_label_matrix(rng, 20))
+    for call in (wide_masks, classify):
+        g = graph_from_labels(labels)
+        tracemalloc.start()
+        try:
+            call(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < MEMORY_CAP_BYTES, (call.__name__, peak)
+
+
+def test_table_keeps_no_reference_to_its_graph():
+    g = make_wide8()
+    table = subset_table(g)
+    assert table.wide and table.maximal_wide
+    assert table.wide_cover(0b11) == 0xFF
+    ref = weakref.ref(table)
+    del table
+    gc.disable()
+    try:
+        del g
+        assert ref() is None
+    finally:
+        gc.enable()
