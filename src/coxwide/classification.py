@@ -18,12 +18,41 @@ first use and kept on the graph:
   diagram has one, so every spherical set and every irreducible affine set
   is a clique of the defining graph.  Only irreducible cliques are matched
   against the tables; any other irreducible set is InfiniteDihedral at rank
-  2 and OtherInfinite above.  The spherical sets are enumerated by growing
-  spherical cliques one vertex at a time, which also reaches every
-  irreducible affine set, since all its proper subsets are spherical.
-* Recurrence.  The irreducible component of a set that holds its lowest
-  vertex is split off, and the rest is looked up: the longest-element
-  length of a spherical set is the component's plus the rest's.
+  2 and OtherInfinite above.  The spherical sets are enumerated breadth-first
+  by size, growing each spherical clique c by a vertex v above its highest
+  one, which also reaches every irreducible affine set, since all its
+  proper subsets are spherical.  Every set of a smaller size is settled
+  before s = c | {v} is reached.  Each candidate s pays only for what is
+  new in it:
+  - Carried candidates.  With c the table keeps its candidates: the
+    vertices above its highest one adjacent to all of it.  Those of s are
+    the candidates of c above v that are adjacent to v, since a vertex is
+    adjacent to all of s exactly when it is adjacent to all of c and to v.
+  - Commuting step.  Let links be the vertices of c that do not commute
+    with v.  When links is empty, {v} is an irreducible component of s and
+    c is the rest, so the longest-element length of s is that of c plus 1.
+    Otherwise a non-commuting path from v inside s leaves v through links
+    and never returns to it, so the component K of s holding v is v and
+    the closure of links inside c.  When K is not s, s is spherical exactly
+    when K is, with length K's plus that of s - K, a subset of c: both are
+    smaller than s, so both are settled.
+  - Cycle rule and prune.  When K is s, the diagram edges of s (its
+    non-commuting pairs, all with finite labels) connect it, so their
+    degrees sum to at least 2(rank - 1), with equality exactly for a
+    tree.  Finite diagrams are trees, and the only affine diagram with a
+    cycle is A~n: a single cycle, every degree 2 and every label 3; so a
+    cycle is decided there, by the same matcher that classifies a single
+    subset.  Every proper subset of a finite or affine irreducible set is
+    spherical, so from rank 4 on s is dropped unless every s - {u} is
+    settled spherical (below rank 4 those are vertices and pairs of a
+    clique, always spherical).  Only the remaining trees are matched.
+  - Size-lex order.  The queue visits the spherical sets by size and,
+    within a size, lexicographically by their ascending vertex lists.  By
+    induction on the size: a set has one parent, itself less its highest
+    vertex, which ends its vertex list; the parents come in this order,
+    and each parent's children in ascending order of that last vertex.  So
+    the first separating set in queue order is the smallest one, then the
+    lexicographically least, which is what ``spherical_separator`` returns.
 * Wide sets from irreducible components.  Write Cm(P) for the vertices
   outside P that commute with every vertex of P.  A set D is wide exactly
   when it is P | Q with P irreducible and infinite, Q a subset of Cm(P), and
@@ -59,7 +88,6 @@ theory is classical background, not re-derived here.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import cache, cached_property
 from typing import Optional
@@ -128,32 +156,44 @@ class EndsVerdict:
 # irreducible type matching
 
 
-def _diagram_edges(g: CoxeterGraph, mask: int) -> list[tuple[int, int, Optional[int]]]:
-    """Conventional-diagram edges inside mask: pairs with m >= 3 or m = inf."""
+def _match_clique(g: CoxeterGraph, mask: int) -> Optional[IrreducibleVerdict]:
+    """The finite or affine verdict of an irreducible clique, None when it
+    is neither.
+
+    Its diagram edges are its non-commuting pairs, all with finite labels,
+    and they connect it: so it has at least rank - 1 edges, exactly rank - 1
+    when it is a tree, and a cycle otherwise.  Finite diagrams are trees,
+    and the only affine diagram with a cycle is A~n, a single cycle (every
+    degree 2) labeled 3 throughout.  Only trees reach the table matchers.
+    """
+    comm, label = g._comm, g._m
+    rank = popcount(mask)
     vs = list(bits(mask))
-    out = []
-    for a in range(len(vs)):
-        for b in range(a + 1, len(vs)):
-            i, j = vs[a], vs[b]
-            m = g.m(i, j)
-            if m is None or m >= 3:
-                out.append((i, j, m))
-    return out
-
-
-def _match_finite(rank: int, edges: list[tuple[int, int, Optional[int]]]
-                  ) -> Optional[tuple[str, int]]:
-    """Return (family, longest_length) when the diagram is a finite type."""
-    if any(m is None for _, _, m in edges):
+    degs = [popcount(mask & ~comm[i]) - 1 for i in vs]
+    if sum(degs) != 2 * (rank - 1):
+        if all(d == 2 for d in degs) and all(
+                label[i][j] == 3 for i in vs
+                for j in bits(mask & ~comm[i] & ~(1 << i))):
+            return IrreducibleVerdict("AffineType", f"A~{rank - 1}", rank, None)
         return None
+    edges = [(i, j, label[i][j]) for i in vs
+             for j in bits(mask & ~comm[i] & ~((2 << i) - 1))]
+    degs.sort()
+    fin = _match_finite(rank, edges, degs)
+    if fin is not None:
+        return IrreducibleVerdict("FiniteType", fin[0], rank, fin[1])
+    aff = _match_affine(rank, edges, degs)
+    if aff is not None:
+        return IrreducibleVerdict("AffineType", aff, rank, None)
+    return None
+
+
+def _match_finite(rank: int, edges: list[tuple[int, int, int]],
+                  degs: list[int]) -> Optional[tuple[str, int]]:
+    """(family, longest_length) when the tree diagram with these edges and
+    ascending vertex degrees is a finite type."""
     if rank == 1:
-        return ("A1", 1) if not edges else None
-    if len(edges) != rank - 1:
-        return None  # finite diagrams are trees
-    deg = Counter(v for i, j, _ in edges for v in (i, j))
-    if len(deg) != rank:
-        return None  # disconnected (tree edge count but isolated vertex)
-    degs = sorted(deg.values())
+        return ("A1", 1)
     labels = sorted(m for _, _, m in edges)
     if rank == 2:
         m = labels[0]
@@ -200,24 +240,14 @@ def _match_finite(rank: int, edges: list[tuple[int, int, Optional[int]]]
     return None
 
 
-def _match_affine(rank: int, edges: list[tuple[int, int, Optional[int]]]
-                  ) -> Optional[str]:
-    """Return the affine family name for diagrams of rank >= 3, else None."""
-    if rank < 3 or any(m is None for _, _, m in edges):
+def _match_affine(rank: int, edges: list[tuple[int, int, int]],
+                  degs: list[int]) -> Optional[str]:
+    """The affine family name when the tree diagram with these edges and
+    ascending vertex degrees is affine (rank >= 3), else None."""
+    if rank < 3:
         return None
-    deg = Counter(v for i, j, _ in edges for v in (i, j))
-    if len(deg) != rank:
-        return None  # disconnected
     labels = sorted(m for _, _, m in edges)
-    degs = sorted(deg.values())
     n = rank - 1  # affine X~_n has n+1 vertices
-    if len(edges) == rank:
-        # the only affine diagram with a cycle is the (n+1)-cycle, all 3s
-        if degs == [2] * rank and all(m == 3 for m in labels):
-            return f"A~{n}"
-        return None
-    if len(edges) != rank - 1:
-        return None
     branch_count = sum(1 for d in degs if d >= 3)
     if branch_count == 0:
         seq = _path_label_sequence(edges)
@@ -332,14 +362,9 @@ def _irreducible_verdict(g: CoxeterGraph, mask: int) -> IrreducibleVerdict:
     which no finite or affine diagram has, so it skips the table matching."""
     rank = popcount(mask)
     if _is_clique(g, mask):
-        edges = _diagram_edges(g, mask)
-        fin = _match_finite(rank, edges)
-        if fin is not None:
-            family, longest = fin
-            return IrreducibleVerdict("FiniteType", family, rank, longest)
-        aff = _match_affine(rank, edges)
-        if aff is not None:
-            return IrreducibleVerdict("AffineType", aff, rank, None)
+        verdict = _match_clique(g, mask)
+        if verdict is not None:
+            return verdict
     elif rank == 2:
         return IrreducibleVerdict("InfiniteDihedral", "A~1", 2, None)
     return IrreducibleVerdict("OtherInfinite", None, rank, None)
@@ -369,10 +394,21 @@ class SubsetTable:
     """Subset analysis of one graph; see the module docstring.
 
     longest: spherical mask -> length of its longest element (0 included).
+    size_lex: the spherical masks by size, then lexicographically by their
+        ascending vertex lists: the order the build finds them in.
     spherical: the spherical masks, descending (the order of ``submasks``).
     affine: the irreducible affine masks (all of rank >= 3).
     m_gamma: the constant M, the largest value in ``longest``.
     constants: (V, M, R) of the graph.
+    The build grows spherical cliques breadth-first by size, one vertex
+    above the highest at a time, and keeps each clique's candidates (the
+    vertices above its highest adjacent to all of it) beside it, so a
+    child's candidates are its parent's later ones adjacent to the new
+    vertex.  A vertex commuting with all of the clique adds 1 to its
+    length; otherwise one search inside the clique finds the new vertex's
+    component, and only an irreducible grown set is matched: a diagram
+    with a cycle is affine only as A~n, and from rank 4 a set with a
+    non-spherical proper subset is neither finite nor affine.
     The wide masks are filled on first use, from the commuting masks
     captured here (the table keeps no reference to the graph): D is wide
     exactly when D = P | Q with P irreducible and infinite, Q commuting
@@ -383,36 +419,60 @@ class SubsetTable:
     """
 
     def __init__(self, g: CoxeterGraph):
-        full = g.full_mask()
+        adj = [g.neighbors_mask(i) for i in range(g.n)]
+        noncomm = [g.noncommuting_mask(i) for i in range(g.n)]
         longest = {0: 0}
         affine = []
-        # Breadth-first by size: a clique grows by a vertex above its
-        # highest one, and only spherical cliques grow.  That reaches every
-        # spherical set and every irreducible affine set (their proper
-        # subsets are spherical), and a set's smaller subsets are all
-        # settled before it is reached.  The loop appends to ``queue``.
-        queue = [0]
-        for c in queue:
-            common = full & ~((1 << c.bit_length()) - 1)
-            for i in bits(c):
-                common &= g.neighbors_mask(i)
-            for v in bits(common):
-                s = c | (1 << v)
-                comp = g.irreducible_components_mask(s)[0]
-                if comp != s:
-                    a, b = longest.get(comp), longest.get(s ^ comp)
-                    if a is None or b is None:
-                        continue
-                    longest[s] = a + b
+        # Breadth-first by size; see the module docstring.  ``cands[k]``
+        # holds the candidates of ``queue[k]``: the vertices above its
+        # highest one adjacent to all of it.  The loop appends to both
+        # lists in step.
+        queue, cands = [0], [g.full_mask()]
+        for c, rest in zip(queue, cands):
+            base = longest[c]
+            rank = popcount(c) + 1
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                v = low.bit_length() - 1
+                s = c | low
+                links = noncomm[v] & c
+                if links:
+                    # the component of s holding v: v and the closure of
+                    # links inside c
+                    comp = frontier = links
+                    while frontier:
+                        reach = 0
+                        while frontier:
+                            u = frontier & -frontier
+                            reach |= noncomm[u.bit_length() - 1]
+                            frontier ^= u
+                        frontier = reach & c & ~comp
+                        comp |= frontier
+                    comp |= low
+                    if comp != s:
+                        part = longest.get(comp)
+                        if part is None:
+                            continue
+                        longest[s] = part + longest[s ^ comp]
+                    else:
+                        if rank >= 4 and not all(
+                                s ^ (1 << u) in longest for u in bits(c)):
+                            continue
+                        verdict = _match_clique(g, s)
+                        if verdict is None:
+                            continue
+                        if verdict.kind == "AffineType":
+                            affine.append(s)
+                            continue
+                        longest[s] = verdict.longest_length
                 else:
-                    verdict = _irreducible_verdict(g, s)
-                    if verdict.kind == "AffineType":
-                        affine.append(s)
-                    if verdict.kind != "FiniteType":
-                        continue
-                    longest[s] = verdict.longest_length
+                    longest[s] = base + 1
                 queue.append(s)
+                cands.append(rest & adj[v])
         self.longest = longest
+        self.size_lex = tuple(queue)
+        del queue, cands  # freed before the sort, where the peak is
         self.spherical = tuple(sorted(longest, reverse=True))
         self.affine = frozenset(affine)
         self.m_gamma = max(longest.values())
@@ -571,8 +631,7 @@ def spherical_separator(g: CoxeterGraph) -> Optional[int]:
     Returns None when no proper spherical subset disconnects the graph.
     """
     full = g.full_mask()
-    for mask in sorted(subset_table(g).longest,
-                       key=lambda m: (popcount(m), tuple(bits(m)))):
+    for mask in subset_table(g).size_lex:
         rest = full & ~mask
         if rest and len(g.components_within(rest)) > 1:
             return mask

@@ -142,13 +142,13 @@ class CoxeterGraph:
         return tuple(self.vertices[i] for i in bits(mask))
 
     def is_racg(self) -> bool:
-        """True when every edge is labeled 2 (right-angled system)."""
-        return all(lab == 2 for _, _, lab in self.edge_list())
+        """True when every edge is labeled 2 (right-angled system): each
+        vertex commutes with all of its neighbours."""
+        return self._adj == self._comm
 
     def max_label(self) -> int:
         """Largest edge label; 2 for an edgeless graph by convention."""
-        labs = [lab for _, _, lab in self.edge_list()]
-        return max(labs) if labs else 2
+        return max((2, *(lab for row in self._m for lab in row if lab)))
 
     # -- derived graphs ---------------------------------------------------
 

@@ -211,6 +211,9 @@ def inf_pair():
 
 LABEL_CHOICES = (0, 2, 3, 4, 5)  # 0 encodes the infinite bond
 
+# traced peak allowed to a subset query at the default cap of 20 vertices
+MEMORY_CAP_BYTES = 16 * 2 ** 20
+
 
 def random_label_matrix(rng: random.Random, n: int,
                         choices=LABEL_CHOICES) -> list[list[int]]:

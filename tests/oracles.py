@@ -343,7 +343,13 @@ def _classified_eigs(labels, mask) -> tuple[int, int]:
 def _submatrix_eigs(labels: tuple[tuple[int, ...], ...]) -> tuple[int, int]:
     mask = (1 << len(labels)) - 1
     eigs = _eigs(labels, mask)
-    if any(_ZERO_BAND < abs(e) < _SAFE_BAND for e in eigs):
+    # A finite label m with 1 - cos(pi/m) inside the safe band (m above
+    # about 700) can put a non-zero eigenvalue inside the zero band: I2(m)
+    # has eigenvalues 1 +- cos(pi/m), 4.9e-12 for m = 10^6.  Such matrices
+    # are always refined.
+    huge = any(m and 1 - _cos_pi_over(m) < _SAFE_BAND
+               for row in labels for m in row)
+    if huge or any(_ZERO_BAND < abs(e) < _SAFE_BAND for e in eigs):
         eigs = _eigs_refined(labels, mask)
         neg = sum(1 for e in eigs if e < -1e-30)
         zer = sum(1 for e in eigs if abs(e) <= 1e-30)

@@ -2,7 +2,8 @@
 and the pair-by-pair avoidance deciders that ``avoidance._blocked_pairs``
 replaced, and the dynamic program over all 2^n masks that found the wide
 sets before ``SubsetTable.wide`` enumerated them from irreducible
-components.
+components, and the table's former clique builder with the edge-list
+matchers it ran on every irreducible clique.
 
 Each scan walks every subset (or every subset of a ground set),
 splits it into irreducible components and matches each component against
@@ -14,18 +15,259 @@ exponential in the vertex count: keep the graphs small.
 The pair-by-pair deciders run one path search per pair and blocked set, in
 the order that picks the library's witnesses, so ``test_avoidance.py``
 compares whole reports with them.
+
+The former clique builder recomputed each candidate's common neighbours
+and components and matched every irreducible clique by its edge list;
+``test_table_build.py`` compares the table's build with it.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Optional
 
 from coxwide import avoidance
 from coxwide.avoidance import AvoidanceReport, SpecialJoin, _join_grounds
-from coxwide.classification import (DEFAULT_SUBSET_CAP, IrreducibleVerdict,
-                                    _diagram_edges, _match_affine,
-                                    _match_finite, subset_table)
+from coxwide.classification import (DEFAULT_SUBSET_CAP, GroupConstants,
+                                    IrreducibleVerdict, _branch_arms,
+                                    _double_branch_leaf_arms, _is_clique,
+                                    _path_label_sequence, subset_table)
 from coxwide.graphs import CoxeterGraph, bits, popcount, submasks
+
+
+# ---------------------------------------------------------------------------
+# the edge-list matchers and the clique builder of the former subset table
+
+
+def _diagram_edges(g: CoxeterGraph, mask: int) -> list[tuple[int, int, Optional[int]]]:
+    """Conventional-diagram edges inside mask: pairs with m >= 3 or m = inf."""
+    vs = list(bits(mask))
+    out = []
+    for a in range(len(vs)):
+        for b in range(a + 1, len(vs)):
+            i, j = vs[a], vs[b]
+            m = g.m(i, j)
+            if m is None or m >= 3:
+                out.append((i, j, m))
+    return out
+
+
+def _match_finite(rank: int, edges: list[tuple[int, int, Optional[int]]]
+                  ) -> Optional[tuple[str, int]]:
+    """Return (family, longest_length) when the diagram is a finite type."""
+    if any(m is None for _, _, m in edges):
+        return None
+    if rank == 1:
+        return ("A1", 1) if not edges else None
+    if len(edges) != rank - 1:
+        return None  # finite diagrams are trees
+    deg = Counter(v for i, j, _ in edges for v in (i, j))
+    if len(deg) != rank:
+        return None  # disconnected (tree edge count but isolated vertex)
+    degs = sorted(deg.values())
+    labels = sorted(m for _, _, m in edges)
+    if rank == 2:
+        m = labels[0]
+        if m == 3:
+            return ("A2", 3)
+        if m == 4:
+            return ("B2", 4)
+        return (f"I2({m})", m)
+    if degs[-1] > 3 or degs.count(3) > 1:
+        return None
+    branched = degs[-1] == 3
+    if not branched:
+        # path: read off the label sequence
+        seq = _path_label_sequence(edges)
+        n = rank
+        if all(m == 3 for m in seq):
+            return (f"A{n}", n * (n + 1) // 2)
+        if labels.count(4) == 1 and labels.count(3) == len(labels) - 1:
+            if seq[0] == 4 or seq[-1] == 4:
+                return (f"B{n}", n * n)
+            if n == 4 and seq[1] == 4:
+                return ("F4", 24)
+            return None
+        if labels.count(5) == 1 and labels.count(3) == len(labels) - 1:
+            if n == 3 and (seq[0] == 5 or seq[-1] == 5):
+                return ("H3", 15)
+            if n == 4 and (seq[0] == 5 or seq[-1] == 5):
+                return ("H4", 60)
+            return None
+        return None
+    # one branch vertex of degree 3
+    if any(m != 3 for m in labels):
+        return None
+    arms = sorted(len(a) for a in _branch_arms(edges))
+    n = rank
+    if arms == [1, 1, n - 3]:
+        return (f"D{n}", n * (n - 1))
+    if arms == [1, 2, 2] and n == 6:
+        return ("E6", 36)
+    if arms == [1, 2, 3] and n == 7:
+        return ("E7", 63)
+    if arms == [1, 2, 4] and n == 8:
+        return ("E8", 120)
+    return None
+
+
+def _match_affine(rank: int, edges: list[tuple[int, int, Optional[int]]]
+                  ) -> Optional[str]:
+    """Return the affine family name for diagrams of rank >= 3, else None."""
+    if rank < 3 or any(m is None for _, _, m in edges):
+        return None
+    deg = Counter(v for i, j, _ in edges for v in (i, j))
+    if len(deg) != rank:
+        return None  # disconnected
+    labels = sorted(m for _, _, m in edges)
+    degs = sorted(deg.values())
+    n = rank - 1  # affine X~_n has n+1 vertices
+    if len(edges) == rank:
+        # the only affine diagram with a cycle is the (n+1)-cycle, all 3s
+        if degs == [2] * rank and all(m == 3 for m in labels):
+            return f"A~{n}"
+        return None
+    if len(edges) != rank - 1:
+        return None
+    branch_count = sum(1 for d in degs if d >= 3)
+    if branch_count == 0:
+        seq = _path_label_sequence(edges)
+        if seq == [6, 3] or seq == [3, 6]:
+            return "G~2"
+        if seq[0] == 4 and seq[-1] == 4 and all(m == 3 for m in seq[1:-1]):
+            return f"C~{n}"
+        if rank == 5 and sorted(seq) == [3, 3, 3, 4] and seq[0] != 4 and seq[-1] != 4:
+            return "F~4"
+        return None
+    if any(m not in (3, 4) for m in labels):
+        return None
+    if degs[-1] == 4 and degs.count(4) == 1 and rank == 5 and all(m == 3 for m in labels):
+        return "D~4"
+    if degs[-1] > 3:
+        return None
+    if degs.count(3) == 1:
+        arms = _branch_arms(edges)
+        arm_lens = sorted(len(a) for a in arms)
+        if all(m == 3 for m in labels):
+            if arm_lens == [2, 2, 2] and rank == 7:
+                return "E~6"
+            if arm_lens == [1, 3, 3] and rank == 8:
+                return "E~7"
+            if arm_lens == [1, 2, 5] and rank == 9:
+                return "E~8"
+            return None
+        # B~_n: two label-3 leaf arms plus a tail whose far edge is labeled 4
+        if labels.count(4) == 1:
+            short = [a for a in arms if len(a) == 1]
+            long = [a for a in arms if len(a) > 1]
+            if len(short) >= 2 and len(short) + len(long) == 3:
+                tail = long[0] if long else None
+                if tail is None:
+                    # rank 4 star: arms all length 1, one arm edge labeled 4
+                    if rank == 4:
+                        return "B~3"
+                    return None
+                # the 4 must sit on the far end of the tail arm
+                if tail[-1][2] == 4 and all(e[2] == 3 for e in tail[:-1]) \
+                        and all(e[2] == 3 for a in short for e in a):
+                    return f"B~{n}"
+            return None
+        return None
+    if degs.count(3) == 2 and all(m == 3 for m in labels):
+        # D~_n: two branch vertices, each with two leaf arms, joined by a path
+        arms_per = _double_branch_leaf_arms(edges)
+        if arms_per == (2, 2):
+            return f"D~{n}"
+    return None
+
+
+def _irreducible_verdict(g: CoxeterGraph, mask: int) -> IrreducibleVerdict:
+    """Classify an irreducible mask.  A non-clique holds an infinite bond,
+    which no finite or affine diagram has, so it skips the table matching."""
+    rank = popcount(mask)
+    if _is_clique(g, mask):
+        edges = _diagram_edges(g, mask)
+        fin = _match_finite(rank, edges)
+        if fin is not None:
+            family, longest = fin
+            return IrreducibleVerdict("FiniteType", family, rank, longest)
+        aff = _match_affine(rank, edges)
+        if aff is not None:
+            return IrreducibleVerdict("AffineType", aff, rank, None)
+    elif rank == 2:
+        return IrreducibleVerdict("InfiniteDihedral", "A~1", 2, None)
+    return IrreducibleVerdict("OtherInfinite", None, rank, None)
+
+
+def max_label(g: CoxeterGraph) -> int:
+    """``CoxeterGraph.max_label`` as it was, read from ``edge_list``."""
+    labs = [lab for _, _, lab in g.edge_list()]
+    return max(labs) if labs else 2
+
+
+def is_racg(g: CoxeterGraph) -> bool:
+    """``CoxeterGraph.is_racg`` as it was, read from ``edge_list``."""
+    return all(lab == 2 for _, _, lab in g.edge_list())
+
+
+def clique_table(g: CoxeterGraph):
+    """``SubsetTable.__init__`` as it was: (longest, spherical, affine,
+    constants).  Each candidate recomputes the common neighbours of its
+    clique and the components of the grown set, and every irreducible
+    clique runs the edge-list matchers."""
+    full = g.full_mask()
+    longest = {0: 0}
+    affine = []
+    # Breadth-first by size: a clique grows by a vertex above its
+    # highest one, and only spherical cliques grow.  That reaches every
+    # spherical set and every irreducible affine set (their proper
+    # subsets are spherical), and a set's smaller subsets are all
+    # settled before it is reached.  The loop appends to ``queue``.
+    queue = [0]
+    for c in queue:
+        common = full & ~((1 << c.bit_length()) - 1)
+        for i in bits(c):
+            common &= g.neighbors_mask(i)
+        for v in bits(common):
+            s = c | (1 << v)
+            comp = g.irreducible_components_mask(s)[0]
+            if comp != s:
+                a, b = longest.get(comp), longest.get(s ^ comp)
+                if a is None or b is None:
+                    continue
+                longest[s] = a + b
+            else:
+                verdict = _irreducible_verdict(g, s)
+                if verdict.kind == "AffineType":
+                    affine.append(s)
+                if verdict.kind != "FiniteType":
+                    continue
+                longest[s] = verdict.longest_length
+            queue.append(s)
+    spherical = tuple(sorted(longest, reverse=True))
+    constants = GroupConstants(g.n, max(longest.values()), max_label(g))
+    return longest, spherical, frozenset(affine), constants
+
+
+def size_lex(longest) -> list[int]:
+    """The spherical masks by size, then by their ascending vertex lists:
+    the order ``spherical_separator`` sorted them in."""
+    return sorted(longest, key=lambda m: (popcount(m), tuple(bits(m))))
+
+
+def sorted_separator(g: CoxeterGraph, longest) -> Optional[int]:
+    """``spherical_separator`` as it was, on the given spherical sets:
+    the first separating one in ``size_lex`` order."""
+    full = g.full_mask()
+    for mask in size_lex(longest):
+        rest = full & ~mask
+        if rest and len(g.components_within(rest)) > 1:
+            return mask
+    return None
+
+
+# ---------------------------------------------------------------------------
+# the per-mask scans
 
 
 def classify_component(g: CoxeterGraph, mask: int) -> IrreducibleVerdict:

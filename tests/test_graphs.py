@@ -7,7 +7,8 @@ import pytest
 from coxwide import CoxeterGraph, GraphFormatError, parse_graph
 from coxwide.graphs import bits, popcount, submasks
 
-from conftest import graph_from_labels, random_label_matrix
+import scan_oracle as S
+from conftest import CORPUS_MAKERS, graph_from_labels, random_label_matrix
 from oracles import labels_from_graph
 
 
@@ -65,6 +66,25 @@ def test_racg_and_max_label(c5, aff_tri):
     # edgeless graph: max label defaults to 2
     g = CoxeterGraph(["a", "b"], [])
     assert g.max_label() == 2
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS_MAKERS))
+def test_racg_and_max_label_match_edge_list(name):
+    """Both read the label matrix; compare them with their former
+    definitions over ``edge_list``."""
+    g = CORPUS_MAKERS[name]()
+    assert g.is_racg() == S.is_racg(g)
+    assert g.max_label() == S.max_label(g)
+
+
+def test_racg_and_max_label_edge_cases():
+    for g in (CoxeterGraph([], []), CoxeterGraph(["a"], []),
+              CoxeterGraph(["a", "b", "c"], [("a", "c", 10 ** 6)]),
+              CoxeterGraph(["a", "b", "c"], [("a", "b", 2), ("b", "c", 7)])):
+        assert g.is_racg() == S.is_racg(g)
+        assert g.max_label() == S.max_label(g)
+    assert CoxeterGraph([], []).is_racg()
+    assert CoxeterGraph([], []).max_label() == 2
 
 
 def test_masks(c5):

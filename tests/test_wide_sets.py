@@ -22,8 +22,8 @@ import weakref
 import pytest
 
 import scan_oracle as S
-from conftest import (graph_from_labels, make_wide8, random_label_matrix,
-                      random_racg_matrix)
+from conftest import (MEMORY_CAP_BYTES, graph_from_labels, make_wide8,
+                      random_label_matrix, random_racg_matrix)
 from coxwide import CoxeterGraph
 from coxwide.avoidance import is_wide_spherical_avoidant, wide_masks
 from coxwide.classification import subset_table
@@ -33,7 +33,6 @@ SWEEP_SIZES = range(8, 15)
 SWEEP_PER_SIZE = 4
 SWEEP_SEED = 20261018
 COMMUTING_HEAVY = (0, 2, 2, 2, 3, 4, 6)   # labels for dense general graphs
-MEMORY_CAP_BYTES = 16 * 2 ** 20
 
 
 def _sweep_labels():
