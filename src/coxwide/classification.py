@@ -156,18 +156,56 @@ class EndsVerdict:
 # irreducible type matching
 
 
+# The finite and affine irreducible systems of rank 3, by their ascending
+# label triple (a commuting pair counts 2); ``_match_clique`` proves the
+# list complete.
+_RANK3 = {
+    (2, 3, 3): IrreducibleVerdict("FiniteType", "A3", 3, 6),
+    (2, 3, 4): IrreducibleVerdict("FiniteType", "B3", 3, 9),
+    (2, 3, 5): IrreducibleVerdict("FiniteType", "H3", 3, 15),
+    (2, 3, 6): IrreducibleVerdict("AffineType", "G~2", 3, None),
+    (2, 4, 4): IrreducibleVerdict("AffineType", "C~2", 3, None),
+    (3, 3, 3): IrreducibleVerdict("AffineType", "A~2", 3, None),
+}
+
+
 def _match_clique(g: CoxeterGraph, mask: int) -> Optional[IrreducibleVerdict]:
     """The finite or affine verdict of an irreducible clique, None when it
     is neither.
 
-    Its diagram edges are its non-commuting pairs, all with finite labels,
-    and they connect it: so it has at least rank - 1 edges, exactly rank - 1
-    when it is a tree, and a cycle otherwise.  Finite diagrams are trees,
-    and the only affine diagram with a cycle is A~n, a single cycle (every
-    degree 2) labeled 3 throughout.  Only trees reach the table matchers.
+    Ranks 1 to 3 are read off the labels.  Rank 1 is A1.  An irreducible
+    pair has a label m >= 3: I2(m) (named A2 at 3 and B2 at 4), finite of
+    length m.  At rank 3 let p <= q <= r be the labels; irreducibility
+    leaves at most one commuting pair, so q >= 3.  The group is finite
+    exactly when 1/p + 1/q + 1/r > 1 and affine exactly when the sum is 1
+    (Humphreys, *Reflection Groups and Coxeter Groups*, ch. 2 and 6), and
+    ``_RANK3`` lists every such triple.  If p >= 3 the sum is at most 1,
+    with equality only at (3, 3, 3).  If p = 2 the test is 1/q + 1/r
+    against 1/2: at q = 3, 1/r > 1/6 gives r = 3, 4, 5 and 1/r = 1/6 gives
+    r = 6; at q = 4, r >= 4 gives 1/r <= 1/4, equal only at r = 4; at
+    q >= 5 the sum is at most 2/5 < 1/2.
+
+    From rank 4 the diagram edges are its non-commuting pairs, all with
+    finite labels, and they connect it: so it has at least rank - 1 edges,
+    exactly rank - 1 when it is a tree, and a cycle otherwise.  Finite
+    diagrams are trees, and the only affine diagram with a cycle is A~n, a
+    single cycle (every degree 2) labeled 3 throughout.  Only trees reach
+    the table matchers.
     """
-    comm, label = g._comm, g._m
+    label = g._m
     rank = popcount(mask)
+    if rank <= 3:
+        if rank == 1:
+            return IrreducibleVerdict("FiniteType", "A1", 1, 1)
+        if rank == 2:
+            i, j = bits(mask)
+            m = label[i][j]
+            family = "A2" if m == 3 else "B2" if m == 4 else f"I2({m})"
+            return IrreducibleVerdict("FiniteType", family, 2, m)
+        i, j, k = bits(mask)
+        return _RANK3.get(tuple(sorted(
+            (label[i][j], label[i][k], label[j][k]))))
+    comm = g._comm
     vs = list(bits(mask))
     degs = [popcount(mask & ~comm[i]) - 1 for i in vs]
     if sum(degs) != 2 * (rank - 1):
@@ -190,18 +228,9 @@ def _match_clique(g: CoxeterGraph, mask: int) -> Optional[IrreducibleVerdict]:
 
 def _match_finite(rank: int, edges: list[tuple[int, int, int]],
                   degs: list[int]) -> Optional[tuple[str, int]]:
-    """(family, longest_length) when the tree diagram with these edges and
-    ascending vertex degrees is a finite type."""
-    if rank == 1:
-        return ("A1", 1)
+    """(family, longest_length) when the tree diagram of rank >= 4 with
+    these edges and ascending vertex degrees is a finite type."""
     labels = sorted(m for _, _, m in edges)
-    if rank == 2:
-        m = labels[0]
-        if m == 3:
-            return ("A2", 3)
-        if m == 4:
-            return ("B2", 4)
-        return (f"I2({m})", m)
     if degs[-1] > 3 or degs.count(3) > 1:
         return None
     branched = degs[-1] == 3
@@ -218,8 +247,6 @@ def _match_finite(rank: int, edges: list[tuple[int, int, int]],
                 return ("F4", 24)
             return None
         if labels.count(5) == 1 and labels.count(3) == len(labels) - 1:
-            if n == 3 and (seq[0] == 5 or seq[-1] == 5):
-                return ("H3", 15)
             if n == 4 and (seq[0] == 5 or seq[-1] == 5):
                 return ("H4", 60)
             return None
@@ -242,17 +269,13 @@ def _match_finite(rank: int, edges: list[tuple[int, int, int]],
 
 def _match_affine(rank: int, edges: list[tuple[int, int, int]],
                   degs: list[int]) -> Optional[str]:
-    """The affine family name when the tree diagram with these edges and
-    ascending vertex degrees is affine (rank >= 3), else None."""
-    if rank < 3:
-        return None
+    """The affine family name when the tree diagram of rank >= 4 with these
+    edges and ascending vertex degrees is affine, else None."""
     labels = sorted(m for _, _, m in edges)
     n = rank - 1  # affine X~_n has n+1 vertices
     branch_count = sum(1 for d in degs if d >= 3)
     if branch_count == 0:
         seq = _path_label_sequence(edges)
-        if seq == [6, 3] or seq == [3, 6]:
-            return "G~2"
         if seq[0] == 4 and seq[-1] == 4 and all(m == 3 for m in seq[1:-1]):
             return f"C~{n}"
         if rank == 5 and sorted(seq) == [3, 3, 3, 4] and seq[0] != 4 and seq[-1] != 4:
@@ -280,12 +303,10 @@ def _match_affine(rank: int, edges: list[tuple[int, int, int]],
             short = [a for a in arms if len(a) == 1]
             long = [a for a in arms if len(a) > 1]
             if len(short) >= 2 and len(short) + len(long) == 3:
-                tail = long[0] if long else None
-                if tail is None:
+                if not long:
                     # rank 4 star: arms all length 1, one arm edge labeled 4
-                    if rank == 4:
-                        return "B~3"
-                    return None
+                    return "B~3"
+                tail = long[0]
                 # the 4 must sit on the far end of the tail arm
                 if tail[-1][2] == 4 and all(e[2] == 3 for e in tail[:-1]) \
                         and all(e[2] == 3 for a in short for e in a):

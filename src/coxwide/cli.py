@@ -116,8 +116,10 @@ def _build_parser() -> argparse.ArgumentParser:
                                       "dual to a geodesic")
     _add_common(p, orbit_cap=True)
     p.add_argument("--word", required=True)
-    p.add_argument("--order-cap", type=int, default=DEFAULT_ORDER_CAP,
-                   help="element-order cap for wall crossing tests")
+    p.add_argument("--order-cap", type=int, default=None,
+                   help="element-order cap for wall crossing tests (default "
+                        f"{DEFAULT_ORDER_CAP}; needed when an edge label "
+                        f"exceeds {DEFAULT_ORDER_CAP})")
 
     p = sub.add_parser("morse-window", help="window criterion at constant k")
     _add_common(p, orbit_cap=True)

@@ -49,8 +49,9 @@ class ConstructionError(RuntimeError):
     """Raised when a fan/filter/extension construction cannot proceed.
 
     Carries the blocking vertex set when one is known, so callers can see why
-    the greedy step had no legal move (this usually means a precondition such
-    as one-endedness or avoidance was misreported).
+    the greedy step had no legal move.  It does not by itself show that a
+    precondition such as one-endedness or avoidance fails (see
+    ``coxwide.fans``).
     """
 
     def __init__(self, message, blocking_set=None):

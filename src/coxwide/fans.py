@@ -13,6 +13,16 @@ guarantees K separates nothing).  Long tail: the blocked set C1 | D2 | K'
 (infinite tail-side C1, full opposite side D2, K' = K minus tail letters)
 forms a special join, so wide-spherical-avoidance supplies the path; a
 length-1 path is replaced by the walk s,t,s,t and an s = t request by s,z,s.
+If no blocked set gives a fan that passes the fan check and s, t are
+adjacent, each blocked set is tried again with the shortest, then lex-least,
+s -> t path of length at least 2 that avoids the edge s - t (on O8 the walk
+s,t,s,t can fail the wide-tail condition where such a detour passes).
+
+A ConstructionError means that none of these letter paths passed the fan
+check.  It does not show that the graph is not one-ended or not
+wide-spherical-avoidant: on some right-angled graphs that ``classify`` calls
+connected, the slot letters a filter asks for have no fan at all
+(``tests/test_filters.py`` keeps one such graph as an expected failure).
 """
 
 from __future__ import annotations
@@ -80,16 +90,22 @@ class FanCheck:
         return {"ok": self.ok, "failures": list(self.failures)}
 
 
-def _lex_least_path(g: CoxeterGraph, s: int, t: int, allowed: int) -> Optional[list[int]]:
+def _lex_least_path(g: CoxeterGraph, s: int, t: int, allowed: int,
+                    direct: bool = True) -> Optional[list[int]]:
     """Lexicographically least shortest path s -> t whose interior vertices
-    lie in ``allowed`` (endpoints exempt), or None."""
+    lie in ``allowed`` (endpoints exempt), or None.  Without ``direct`` the
+    edge s - t is left out, so the path found has length at least 2."""
     usable = allowed | (1 << s) | (1 << t)
+    nbr = [g.neighbors_mask(u) & usable for u in range(g.n)]
+    if not direct:
+        nbr[s] &= ~(1 << t)
+        nbr[t] &= ~(1 << s)
     dist = {t: 0}
     frontier = [t]
     while frontier:
         nxt = []
         for u in frontier:
-            for v in bits(g.neighbors_mask(u) & usable):
+            for v in bits(nbr[u]):
                 if v not in dist:
                     dist[v] = dist[u] + 1
                     nxt.append(v)
@@ -99,7 +115,7 @@ def _lex_least_path(g: CoxeterGraph, s: int, t: int, allowed: int) -> Optional[l
     path = [s]
     cur = s
     while cur != t:
-        step = min(v for v in bits(g.neighbors_mask(cur) & usable)
+        step = min(v for v in bits(nbr[cur])
                    if dist.get(v, -1) == dist[cur] - 1)
         path.append(step)
         cur = step
@@ -123,8 +139,9 @@ def build_fan(g: CoxeterGraph, base: Word, s: str, t: str,
     """Fan at the endpoint of ``base`` with left letter s and right letter t.
 
     Raises NonGeodesicError when base, base+s or base+t is not geodesic, and
-    ConstructionError (carrying the blocking set) when no legal letter path
-    exists -- the graph then is not both one-ended and wide-spherical-avoidant.
+    ConstructionError (carrying the last blocked set tried) when no letter
+    path tried passes the fan check; see the module docstring for what that
+    does and does not show.
     """
     eng = engine_for(g, orbit_cap)
     w = eng.encode(base)
@@ -162,27 +179,33 @@ def _build_fan(g: CoxeterGraph, eng: WordEngine, w: tuple[int, ...],
         if fallback != joined:
             attempts.append(("wide-tail", fallback))
 
+    # the detour round (see the module docstring) runs only after every
+    # attempt failed, so no fan the attempts build changes
+    rounds = [True]
+    if si != ti and g.m(si, ti) is not None:
+        rounds.append(False)
     last_blocked = 0
-    for case, blocked in attempts:
-        last_blocked = blocked
-        allowed = full & ~blocked
-        if si == ti:
-            zs = [z for z in bits(g.neighbors_mask(si) & allowed)]
-            if not zs:
-                continue
-            idx_path = [si, zs[0], si]
-        else:
-            path = _lex_least_path(g, si, ti, allowed)
-            if path is None:
-                continue
-            idx_path = path if len(path) > 2 else [si, ti, si, ti]
-        labels = eng.decode(idx_path)
-        cells = tuple(2 * g.m(idx_path[i], idx_path[i + 1])
-                      for i in range(len(idx_path) - 1))
-        if not _fan_failures(g, eng, w, start, labels, cells, True, case):
-            return FanDiagram(eng.decode(w), labels, cells, tail,
-                              g.names_of(delta) if delta else None, case,
-                              g.names_of(blocked)), idx_path
+    for direct in rounds:
+        for case, blocked in attempts:
+            last_blocked = blocked
+            allowed = full & ~blocked
+            if si == ti:
+                zs = [z for z in bits(g.neighbors_mask(si) & allowed)]
+                if not zs:
+                    continue
+                idx_path = [si, zs[0], si]
+            else:
+                path = _lex_least_path(g, si, ti, allowed, direct)
+                if path is None:
+                    continue
+                idx_path = path if len(path) > 2 else [si, ti, si, ti]
+            labels = eng.decode(idx_path)
+            cells = tuple(2 * g.m(idx_path[i], idx_path[i + 1])
+                          for i in range(len(idx_path) - 1))
+            if not _fan_failures(g, eng, w, start, labels, cells, True, case):
+                return FanDiagram(eng.decode(w), labels, cells, tail,
+                                  g.names_of(delta) if delta else None, case,
+                                  g.names_of(blocked)), idx_path
     raise ConstructionError(
         f"no fan from {g.vertices[si]} to {g.vertices[ti]}: every connecting "
         "path meets the blocked set",

@@ -544,7 +544,8 @@ def check_filter(g: CoxeterGraph, filt: FilterDiagram,
 
     # literal path enumeration + sampled walks.  A path is geodesic iff
     # its prefix is and the last letter lengthens the prefix's canonical
-    # form ``c``; ``c`` is None below a prefix that is not geodesic.
+    # form ``c``; ``c`` is None below a prefix that is not geodesic.  Both
+    # carry ``c`` along the path.
     out_edges: dict[int, list[int]] = {}
     for i, v in enumerate(src):
         out_edges.setdefault(v, []).append(i)
@@ -571,12 +572,15 @@ def check_filter(g: CoxeterGraph, filt: FilterDiagram,
     stats["path_enum_capped"] = int(capped)
     rng = random.Random(seed)
     for _ in range(samples):
-        v, word = 0, ()
+        v, word, c = 0, (), ()
         while len(word) < sample_len and out_edges.get(v):
             i = rng.choice(out_edges[v])
             word += (lab[i],)
             v = tgt[i]
-        if word and not eng.is_geodesic(word):
+            if c is not None:
+                p = right_mult(c, lab[i])
+                c = p if len(p) > len(c) else None
+        if c is None:
             fails.append(f"sampled path {eng.decode(word)} not geodesic")
     stats["paths_sampled"] = samples
 

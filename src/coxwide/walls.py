@@ -5,9 +5,12 @@ The wall dual to position i of a geodesic word w is the fixed set of the
 reflection  r_i = s_1 ... s_{i-1} s_i s_{i-1} ... s_1.  Two walls cross
 exactly when the product of their reflections has finite order (the pair then
 generates a finite dihedral group); parallel walls give an infinite-order
-product, which is what the order cap detects.  A wall separates two elements
-u, v exactly when left-multiplying by the reflection shortens exactly one of
-them.
+product, which is what the order cap detects.  With no cap given the cap is
+64, and a graph with an edge label R above 64 raises SizeCapError: that edge
+is a spherical pair I2(R), whose two reflections have a product of order R,
+so a cap of 64 could call crossing walls parallel.  A wall separates two
+elements u, v exactly when left-multiplying by the reflection shortens
+exactly one of them.
 """
 
 from __future__ import annotations
@@ -131,6 +134,22 @@ def _order(eng: WordEngine, w: tuple[int, ...], cap: int) -> Optional[int]:
     return None
 
 
+def _crossing_cap(g: CoxeterGraph, order_cap: Optional[int]) -> int:
+    """The order cap of a wall crossing test: ``order_cap`` when given, else
+    ``DEFAULT_ORDER_CAP``, which the largest edge label must not exceed (see
+    the module docstring)."""
+    if order_cap is not None:
+        return order_cap
+    r = g.max_label()
+    if r > DEFAULT_ORDER_CAP:
+        raise SizeCapError(
+            DEFAULT_ORDER_CAP,
+            f"the graph has an edge label R = {r}, a rotation order above "
+            f"the default order cap of {DEFAULT_ORDER_CAP}; set the order cap "
+            "(--order-cap) explicitly to decide wall crossings")
+    return DEFAULT_ORDER_CAP
+
+
 def order_of(g: CoxeterGraph, word: Word, cap: int = DEFAULT_ORDER_CAP,
              orbit_cap: int = DEFAULT_ORBIT_CAP) -> Optional[int]:
     """Order of the element, or None when it exceeds cap (infinite order, for
@@ -149,15 +168,16 @@ def is_reflection(g: CoxeterGraph, word: Word,
 
 
 def walls_cross(g: CoxeterGraph, word: Word, i: int, j: int,
-                order_cap: int = DEFAULT_ORDER_CAP,
+                order_cap: Optional[int] = None,
                 orbit_cap: int = DEFAULT_ORBIT_CAP) -> bool:
     """Do the walls dual to positions i and j (1-based) of a geodesic cross?
 
     True exactly when the product of the two reflections has finite order.
-    An order above ``order_cap`` is reported as parallel (infinite order);
-    the default cap of 64 is far above any rotation order arising from the
-    labels handled here.
+    An order above ``order_cap`` is reported as parallel (infinite order).
+    With no ``order_cap`` the cap is 64, and a graph with an edge label
+    above 64 raises SizeCapError (see the module docstring).
     """
+    cap = _crossing_cap(g, order_cap)
     eng = engine_for(g, orbit_cap)
     w = eng.encode(word)
     eng.require_geodesic(w)
@@ -168,7 +188,7 @@ def walls_cross(g: CoxeterGraph, word: Word, i: int, j: int,
     rj = eng.reflection_word(w, j)
     if ri == rj:
         raise ValueError(f"positions {i} and {j} are dual to the same wall")
-    return _order(eng, eng.mult(ri, rj), order_cap) is not None
+    return _order(eng, eng.mult(ri, rj), cap) is not None
 
 
 def wall_separates(g: CoxeterGraph, reflection_word: Word, u: Word,
@@ -247,10 +267,12 @@ def _max_independent_set(n: int, adj: list[int]) -> tuple[int, ...]:
 
 
 def find_pencil(g: CoxeterGraph, word: Word,
-                order_cap: int = DEFAULT_ORDER_CAP,
+                order_cap: Optional[int] = None,
                 orbit_cap: int = DEFAULT_ORBIT_CAP) -> Pencil:
     """Largest set of pairwise non-crossing walls dual to a geodesic word,
-    with each wall checked to separate the endpoints of the word."""
+    with each wall checked to separate the endpoints of the word.  Walls
+    cross as in ``walls_cross``, with the same ``order_cap``."""
+    cap = _crossing_cap(g, order_cap)
     eng = engine_for(g, orbit_cap)
     w = eng.encode(word)
     eng.require_geodesic(w)
@@ -259,7 +281,7 @@ def find_pencil(g: CoxeterGraph, word: Word,
     adj = [0] * n
     for a in range(n):
         for b in range(a + 1, n):
-            if _order(eng, eng.mult(refl[a], refl[b]), order_cap) is not None:
+            if _order(eng, eng.mult(refl[a], refl[b]), cap) is not None:
                 adj[a] |= 1 << b
                 adj[b] |= 1 << a
     picked = _max_independent_set(n, adj)

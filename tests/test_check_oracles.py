@@ -128,6 +128,20 @@ def test_swapped_labels_match_oracle(name):
         assert len(rooted) > 1
 
 
+@pytest.mark.parametrize("name", sorted(GRAPHS))
+def test_sampled_walks_report_a_swapped_label(name):
+    """With the literal enumeration cut to one letter, only the sampled
+    walks, whose canonical forms are carried letter by letter, can see a
+    swapped label; they report each whole sampled word as the oracle does."""
+    g, filt = real_filter(name, 3)
+    bad = swap_label(filt, random.Random(name))
+    want = assert_same_filter_check(g, bad, enum_len=1)
+    assert any(f.startswith("sampled path") for f in want.failures)
+    assert not any(f.startswith("sampled path")
+                   for f in assert_same_filter_check(g, filt, enum_len=1)
+                   .failures)
+
+
 def fan_tamperings(filt):
     """(what, tampered filter) pairs altering one fan's base, labels or
     case; a reversed fan may be a fan too."""

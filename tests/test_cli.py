@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from coxwide import walls
 from coxwide.cli import main
 from coxwide.walls import CayleyBall
 
@@ -252,6 +253,54 @@ def test_pencil(capsys, c4_file):
                                      "--word", "s1 s3 s1 s3"])
     assert code == 0
     assert obj["positions"] == [1, 2, 3, 4]
+
+
+@pytest.fixture
+def i2_file(tmp_path):
+    """Path of a file holding the dihedral graph a - b with label m."""
+    def write(m):
+        p = tmp_path / f"i2_{m}.cox"
+        p.write_text(f"v a; v b; e a b {m}\n", encoding="utf-8")
+        return str(p)
+    return write
+
+
+def test_pencil_label_above_default_order_cap_exits_2(capsys, i2_file):
+    """I2(100) is finite, so its walls all cross; the default cap of 64
+    cannot see an order-100 product, so it refuses rather than answer."""
+    code, out, err = run(capsys, ["pencil", i2_file(100),
+                                  "--word", "a b a b a b"])
+    assert code == 2 and out == ""
+    assert "resource cap exceeded" in err
+    assert "R = 100" in err and "--order-cap" in err
+
+
+def test_pencil_explicit_order_cap_above_the_label(capsys, i2_file):
+    code, obj, _ = run_json(capsys, ["pencil", i2_file(100), "--word",
+                                     "a b a b a b", "--order-cap", "200"])
+    assert code == 0 and obj["positions"] == [1]
+
+
+def test_pencil_huge_label_exits_2_before_any_order_probe(
+        capsys, monkeypatch, i2_file):
+    def probe(*args):
+        raise AssertionError("order probe ran")
+
+    monkeypatch.setattr(walls, "_order", probe)
+    code, _, err = run(capsys, ["pencil", i2_file(10 ** 12),
+                                "--word", "a b a b a b"])
+    assert code == 2 and f"R = {10 ** 12}" in err
+
+
+def test_pencil_explicit_order_cap_keeps_its_meaning(capsys, tmp_path):
+    p = tmp_path / "a3.cox"
+    p.write_text("v a; v b; v c; e a b 3; e b c 3; e a c 2\n",
+                 encoding="utf-8")
+    code, obj, _ = run_json(capsys, ["pencil", str(p), "--word", "a b a",
+                                     "--order-cap", "1"])
+    assert code == 0 and obj["positions"] == [1, 2, 3]
+    code, obj, _ = run_json(capsys, ["pencil", str(p), "--word", "a b a"])
+    assert code == 0 and obj["positions"] == [1]
 
 
 def test_morse_window(capsys, c4_file, c5_file):

@@ -81,15 +81,36 @@ def test_fan_fallback_runs_only_when_it_blocks_another_set(g6, monkeypatch):
     searched = []
     real = fans._lex_least_path
 
-    def spy(g, s, t, allowed):
-        searched.append(allowed)
-        return real(g, s, t, allowed)
+    def spy(g, s, t, allowed, direct=True):
+        searched.append((allowed, direct))
+        return real(g, s, t, allowed, direct)
 
     monkeypatch.setattr(fans, "_lex_least_path", spy)
     with pytest.raises(ConstructionError) as exc:
         build_fan(g6, ("s1", "s3", "s2", "s4"), "a", "b")
     assert exc.value.blocking_set == {"s1", "s2", "s3", "s4", "a"}
-    assert searched == [g6.mask_of(["b"])]
+    # a and b are not adjacent, so no detour is tried
+    assert searched == [(g6.mask_of(["b"]), True)]
+
+
+def test_fan_detour_around_adjacent_letters(o8, monkeypatch):
+    """Slot letters s2, s1 under a wide tail: the walk s2,s1,s2,s1 puts its
+    interior in the tail's wide set under the one blocked set, so the fan
+    takes the detour s2, t1, s1 that avoids the edge s2 - s1."""
+    searched = []
+    real = fans._lex_least_path
+
+    def spy(g, s, t, allowed, direct=True):
+        searched.append(direct)
+        return real(g, s, t, allowed, direct)
+
+    monkeypatch.setattr(fans, "_lex_least_path", spy)
+    base = ("s1", "s2", "s3", "s4")
+    f = build_fan(o8, base, "s2", "s1")
+    assert f.labels == ("s2", "t1", "s1") and f.cells == (4, 4)
+    assert f.case == "wide-tail" and f.blocked == ("s1", "s2", "s3", "s4")
+    assert check_fan(o8, f).ok
+    assert searched == [True, False]   # one blocked set: direct, then detour
 
 
 def test_fan_checker_rejects_tampering(c5):

@@ -9,7 +9,7 @@ from coxwide.errors import ConstructionError, NonGeodesicError
 from coxwide.filters import (DEFAULT_ORBIT_CAP, build_filter, check_filter,
                              itinerary_cap)
 
-from conftest import CORPUS_MAKERS
+from conftest import CORPUS_MAKERS, racg
 
 
 def boundary_pair(g, length=6):
@@ -49,6 +49,35 @@ def test_filter_check_passes(corpus):
         ck = check_filter(g, filt)
         assert ck.ok, (name, depth, ck.failures)
         assert ck.stats["paths_enumerated"] > 0
+
+
+@pytest.mark.parametrize("depth", [5, 6])
+def test_o8_deep_filters_build_and_check(o8, depth):
+    """The acceptance rays on O8 need fans whose adjacent slot letters lie
+    in the wide tail; the fan detour builds them."""
+    a, b = boundary_pair(o8, 8)
+    filt = build_filter(o8, a, b, depth)
+    assert len(filt.vertices) == {5: 341, 6: 775}[depth]
+    ck = check_filter(o8, filt)
+    assert ck.ok, ck.failures
+
+
+def _residual_graph():
+    """A right-angled 7-vertex graph that ``classify`` calls connected."""
+    names = [f"v{i}" for i in range(7)]
+    edges = [(0, 2), (0, 3), (0, 5), (0, 6), (1, 2), (1, 3), (1, 4), (1, 6),
+             (2, 3), (2, 5), (3, 4), (4, 5), (4, 6), (5, 6)]
+    return racg(names, [(names[i], names[j]) for i, j in edges])
+
+
+@pytest.mark.xfail(strict=True, raises=ConstructionError,
+                   reason="at depth 5 the builder asks for a fan from v5 to "
+                          "v0 at base v0 v2 v1 v3, where v4 is the only "
+                          "legal interior letter and is not adjacent to v0")
+def test_residual_graph_filter_at_depth_5():
+    g = _residual_graph()
+    a, b = boundary_pair(g, 8)
+    assert check_filter(g, build_filter(g, a, b, 5)).ok
 
 
 def test_filter_tree_and_incoming_law(c5):

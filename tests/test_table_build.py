@@ -17,6 +17,7 @@ and hyperbolic sets are also checked against the eigenvalue oracle.
 
 from __future__ import annotations
 
+import itertools
 import random
 import tracemalloc
 from functools import partial
@@ -28,8 +29,9 @@ import scan_oracle as S
 from conftest import (CORPUS_MAKERS, MEMORY_CAP_BYTES, graph_from_labels,
                       random_label_matrix, random_racg_matrix)
 from coxwide import CoxeterGraph
-from coxwide.classification import (classify_irreducible, is_spherical_mask,
-                                    spherical_separator, subset_table)
+from coxwide.classification import (_irreducible_verdict, classify_irreducible,
+                                    is_spherical_mask, spherical_separator,
+                                    subset_table)
 from coxwide.graphs import bits, popcount
 
 SWEEP_SIZES = range(8, 15)
@@ -263,6 +265,38 @@ def test_diagrams_with_a_cycle_are_neither_finite_nor_affine(name):
     assert v.kind == "OtherInfinite"
     assert v == S._irreducible_verdict(g, g.full_mask())
     _assert_matches_builder(lambda: _diagram(rank, edges))
+
+
+RANK2_LABELS = (*range(3, 13), 10 ** 6)
+RANK3_LABELS = (2, 3, 4, 5, 6, 7, 10 ** 6)
+
+
+@pytest.mark.parametrize("m", RANK2_LABELS)
+def test_rank_two_cliques_match_former_matcher(m):
+    """Ranks up to 3 are settled from their labels; the former edge-list
+    matchers are the reference."""
+    make = partial(_diagram, 2, [(0, 1, m)])
+    g = make()
+    assert _irreducible_verdict(g, 0b11) == S._irreducible_verdict(g, 0b11)
+    assert _irreducible_verdict(g, 0b01) == S._irreducible_verdict(g, 0b01)
+    _assert_matches_builder(make)
+
+
+@pytest.mark.parametrize("first", RANK3_LABELS)
+def test_rank_three_cliques_match_former_matcher(first):
+    """Every irreducible triangle and path (at most one commuting pair)
+    whose d0-d1 label is ``first`` and whose other labels lie in
+    ``RANK3_LABELS``, in every orientation."""
+    for second, third in itertools.product(RANK3_LABELS, repeat=2):
+        labels = (first, second, third)
+        if labels.count(2) > 1:
+            continue
+        make = partial(_diagram, 3, [(0, 1, first), (0, 2, second),
+                                     (1, 2, third)])
+        g = make()
+        assert _irreducible_verdict(g, 0b111) == \
+            S._irreducible_verdict(g, 0b111), labels
+        _assert_matches_builder(make)
 
 
 def _dense_racg(n):

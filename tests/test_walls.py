@@ -9,7 +9,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from coxwide import build_ball, extend_geodesic, normalize
+from coxwide import CoxeterGraph, build_ball, extend_geodesic, normalize
 from coxwide.errors import NonGeodesicError, OrbitCapError, SizeCapError
 from coxwide.walls import (find_pencil, is_reflection, morse_window_check,
                            order_of, wall_separates, walls_cross)
@@ -148,6 +148,23 @@ def test_pencil_walls_pairwise_parallel(c5):
     for a in range(len(p.positions)):
         for b in range(a + 1, len(p.positions)):
             assert not walls_cross(c5, w, p.positions[a], p.positions[b])
+
+
+def test_default_order_cap_refuses_labels_above_it():
+    """An edge label above 64 is a rotation order the default cap of 64
+    cannot see; an explicit cap decides the crossing."""
+    g = CoxeterGraph(["a", "b"], [("a", "b", 65)])
+    w = ("a", "b", "a")
+    with pytest.raises(SizeCapError, match="R = 65"):
+        walls_cross(g, w, 1, 3)
+    with pytest.raises(SizeCapError, match="--order-cap"):
+        find_pencil(g, w)
+    assert walls_cross(g, w, 1, 3, order_cap=65)
+    assert not walls_cross(g, w, 1, 3, order_cap=64)
+    assert find_pencil(g, w, order_cap=65).positions == (1,)
+    # at the default cap itself nothing changes
+    g64 = CoxeterGraph(["a", "b"], [("a", "b", 64)])
+    assert walls_cross(g64, w, 1, 3)
 
 
 def test_pencil_past_the_old_orbit_cap():
