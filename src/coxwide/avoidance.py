@@ -18,6 +18,12 @@ Both deciders test only inclusion-maximal blocked sets B, as blocking is
 monotone in B, and find every pair s, t that B separates in one pass over
 the components of V - B: the pair is joined outside B exactly when s and t
 are adjacent or one component contains or touches both (``_blocked_pairs``).
+The pass grows each component frontier by frontier and gathers what it
+touches on the way, and it stops at the first component that, with its
+neighbours, covers V: every pair then lies in what that component touches,
+so B separates none.  When V - B is connected and every vertex of B has a
+neighbour outside B, that is the first component, and the pass ends after
+one search.
 
 Wide-spherical-avoidance implies wide-avoidance for any labels, since
 (P, Q, empty) is a special join for every wide set.  On right-angled graphs
@@ -226,13 +232,29 @@ def enumerate_special_joins(g: CoxeterGraph, maximal_only: bool = False,
 def _blocked_pairs(g: CoxeterGraph, blocked: int) -> list[tuple[int, int]]:
     """Pairs s < t, ascending, such that every path from s to t meets
     ``blocked`` outside its endpoints: s and t are not adjacent and no
-    component of the complement contains or touches both."""
+    component of the complement contains or touches both.  Each component
+    is grown frontier by frontier, and the neighbours gathered on the way
+    are what it touches; one that touches all of V joins every pair."""
     full = g.full_mask()
-    reach = [g.neighbors_mask(v) for v in range(g.n)]
-    for comp in g.components_within(full & ~blocked):
-        touched = comp
-        for v in bits(comp):
-            touched |= g.neighbors_mask(v)
+    adj = g._adj
+    reach = list(adj)
+    todo = full & ~blocked
+    while todo:
+        comp = frontier = todo & -todo
+        touched = 0
+        while frontier:
+            nxt = 0
+            while frontier:
+                low = frontier & -frontier
+                nxt |= adj[low.bit_length() - 1]
+                frontier ^= low
+            touched |= nxt
+            frontier = nxt & todo & ~comp
+            comp |= frontier
+        touched |= comp
+        if touched == full:
+            return []
+        todo ^= comp
         for v in bits(touched):
             reach[v] |= touched
     return [(s, t) for s in range(g.n)

@@ -74,6 +74,21 @@ first use and kept on the graph:
   yields a wide set unless it is spherical.  A wide set arises once per
   infinite component that witnesses it, so the sets are gathered in a set
   and sorted.  No step visits all 2^n subsets.
+* Maximal wide sets from their cores.  The cores are the sets P | Cm(P)
+  for the affine P and for the other infinite irreducible P with Cm(P)
+  non-spherical, which is what the enumeration above yields P for.  Every
+  core is wide: P is affine, or Cm(P) is a non-spherical Q.  A maximal
+  wide set D = P | Q has a core P | Cm(P) containing it (Q lies in Cm(P),
+  and if P is not affine Cm(P) holds the non-spherical Q), and that core
+  is wide, so it is D.  So the maximal wide sets are the inclusion-maximal
+  cores, found with no list of all wide sets.
+* Separator floor.  A set S that separates the graph leaves two vertices
+  a, b in different components of V - S; they are not adjacent, and S
+  holds every common neighbour of a and b, else a path a, c, b would
+  avoid S.  So no separator has fewer than k0 vertices, k0 being the
+  least number of common neighbours of a non-adjacent pair, and a graph
+  whose pairs are all adjacent has no separator.  The separator scan
+  starts at size k0.
 
 Callers check their size caps before the table is built.  Queries on a
 single subset (``is_spherical_mask``, ``classify_irreducible``) read the
@@ -88,8 +103,10 @@ theory is classical background, not re-derived here.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cache, cached_property
+from itertools import islice
 from typing import Optional
 
 from .errors import GraphFormatError, SizeCapError
@@ -437,11 +454,14 @@ class SubsetTable:
     Q; the other P are grown from single vertices, one non-commuting
     neighbour at a time, until the vertices commuting with P form a
     spherical set, past which no P grown further has a non-spherical Q.
+    The maximal wide masks are the inclusion-maximal P | Cm(P) over the
+    same P, so they are found without the list of all wide masks.
     """
 
     def __init__(self, g: CoxeterGraph):
         adj = [g.neighbors_mask(i) for i in range(g.n)]
         noncomm = [g.noncommuting_mask(i) for i in range(g.n)]
+        label = g._m
         longest = {0: 0}
         affine = []
         # Breadth-first by size; see the module docstring.  ``cands[k]``
@@ -476,6 +496,10 @@ class SubsetTable:
                         if part is None:
                             continue
                         longest[s] = part + longest[s ^ comp]
+                    elif rank == 2:
+                        # an irreducible pair is I2(m), of length m; see
+                        # ``_match_clique``
+                        longest[s] = label[v][c.bit_length() - 1]
                     else:
                         if rank >= 4 and not all(
                                 s ^ (1 << u) in longest for u in bits(c)):
@@ -500,18 +524,18 @@ class SubsetTable:
         self.constants = GroupConstants(g.n, self.m_gamma, g.max_label())
         self._comm = tuple(g.commuting_mask(i) for i in range(g.n))
 
-    @cached_property
-    def wide(self) -> tuple[int, ...]:
-        """All wide masks, ascending; see the class docstring."""
-        comm, longest = self._comm, self.longest
+    def _cores(self):
+        """Yield (P, Cm(P), affine) for each affine P and for each other
+        infinite irreducible P with Cm(P) non-spherical; see the class
+        docstring."""
+        comm, longest, affine = self._comm, self.longest, self.affine
         full = (1 << len(comm)) - 1
         noncomm = [full & ~c for c in comm]
-        found = set()
-        for p in self.affine:
+        for p in affine:
             cm = full
             for i in bits(p):
                 cm &= comm[i]
-            found.update(p | q for q in submasks(cm))
+            yield p, cm, True
         # (P, Cm(P), P and its non-commuting neighbours); each P is pushed
         # once.  A vertex never commutes with itself here, so Cm(P) misses P.
         stack = [(1 << v, comm[v], noncomm[v]) for v in range(len(comm))]
@@ -520,21 +544,32 @@ class SubsetTable:
             p, cm, reach = stack.pop()
             if cm in longest:
                 continue
-            if p not in longest:
-                found.update(p | q for q in submasks(cm) if q not in longest)
+            if p not in longest and p not in affine:
+                yield p, cm, False
             for u in bits(reach & ~p):
                 grown = p | 1 << u
                 if grown not in seen:
                     seen.add(grown)
                     stack.append((grown, cm & comm[u], reach | noncomm[u]))
+
+    @cached_property
+    def wide(self) -> tuple[int, ...]:
+        """All wide masks, ascending; see the class docstring."""
+        longest = self.longest
+        found = set()
+        for p, cm, affine in self._cores():
+            found.update(p | q for q in submasks(cm)
+                         if affine or q not in longest)
         return tuple(sorted(found))
 
     @cached_property
     def maximal_wide(self) -> tuple[int, ...]:
-        """Inclusion-maximal wide masks, ascending."""
+        """Inclusion-maximal wide masks, ascending: the maximal cores
+        P | Cm(P) (see the module docstring)."""
         # a strict superset is larger, so it is seen first
         found: list[int] = []
-        for m in sorted(self.wide, key=popcount, reverse=True):
+        for m in sorted({p | cm for p, cm, _ in self._cores()},
+                        key=popcount, reverse=True):
             if not any(m & ~w == 0 for w in found):
                 found.append(m)
         return tuple(sorted(found))
@@ -646,13 +681,33 @@ def ends_verdict(g: CoxeterGraph, cap: int = DEFAULT_SUBSET_CAP) -> EndsVerdict:
     return EndsVerdict("OneEnded", None)
 
 
+def _separator_floor(g: CoxeterGraph) -> Optional[int]:
+    """The least number of common neighbours of a non-adjacent pair, None
+    when every pair is adjacent; see the module docstring."""
+    adj, full = g._adj, g.full_mask()
+    floor = None
+    for a, near in enumerate(adj):
+        for b in bits(full & ~near & ~((2 << a) - 1)):
+            k = popcount(near & adj[b])
+            if k == 0:
+                return 0
+            if floor is None or k < floor:
+                floor = k
+    return floor
+
+
 def spherical_separator(g: CoxeterGraph) -> Optional[int]:
     """Smallest (then lexicographically least) spherical separating set, as a mask.
 
     Returns None when no proper spherical subset disconnects the graph.
+    The scan starts at the separator floor (see the module docstring).
     """
+    floor = _separator_floor(g)
+    if floor is None:
+        return None
     full = g.full_mask()
-    for mask in subset_table(g).size_lex:
+    order = subset_table(g).size_lex
+    for mask in islice(order, bisect_left(order, floor, key=popcount), None):
         rest = full & ~mask
         if rest and len(g.components_within(rest)) > 1:
             return mask

@@ -545,11 +545,21 @@ def check_filter(g: CoxeterGraph, filt: FilterDiagram,
     # literal path enumeration + sampled walks.  A path is geodesic iff
     # its prefix is and the last letter lengthens the prefix's canonical
     # form ``c``; ``c`` is None below a prefix that is not geodesic.  Both
-    # carry ``c`` along the path.
+    # carry ``c`` along the path, through one memo of the steps.
     out_edges: dict[int, list[int]] = {}
     for i, v in enumerate(src):
         out_edges.setdefault(v, []).append(i)
     right_mult = eng.right_mult
+    steps: dict = {}
+
+    def step(c, a):
+        """c times a when that lengthens c, else None."""
+        key = c, a
+        if key not in steps:
+            p = right_mult(c, a)
+            steps[key] = p if len(p) > len(c) else None
+        return steps[key]
+
     count = 0
     stack = [(0, (), ())]
     capped = False
@@ -561,8 +571,7 @@ def check_filter(g: CoxeterGraph, filt: FilterDiagram,
                 capped = True
                 break
             if c is not None:
-                p = right_mult(c, word[-1])
-                c = p if len(p) > len(c) else None
+                c = step(c, word[-1])
             if c is None:
                 fails.append(f"rooted path {eng.decode(word)} not geodesic")
         if len(word) < enum_len:
@@ -578,8 +587,7 @@ def check_filter(g: CoxeterGraph, filt: FilterDiagram,
             word += (lab[i],)
             v = tgt[i]
             if c is not None:
-                p = right_mult(c, lab[i])
-                c = p if len(p) > len(c) else None
+                c = step(c, lab[i])
         if c is None:
             fails.append(f"sampled path {eng.decode(word)} not geodesic")
     stats["paths_sampled"] = samples

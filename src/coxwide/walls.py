@@ -135,9 +135,9 @@ def _order(eng: WordEngine, w: tuple[int, ...], cap: int) -> Optional[int]:
 
 
 def _crossing_cap(g: CoxeterGraph, order_cap: Optional[int]) -> int:
-    """The order cap of a wall crossing test: ``order_cap`` when given, else
-    ``DEFAULT_ORDER_CAP``, which the largest edge label must not exceed (see
-    the module docstring)."""
+    """The order cap of a wall crossing test or an order probe:
+    ``order_cap`` when given, else ``DEFAULT_ORDER_CAP``, which the largest
+    edge label must not exceed (see the module docstring)."""
     if order_cap is not None:
         return order_cap
     r = g.max_label()
@@ -150,10 +150,13 @@ def _crossing_cap(g: CoxeterGraph, order_cap: Optional[int]) -> int:
     return DEFAULT_ORDER_CAP
 
 
-def order_of(g: CoxeterGraph, word: Word, cap: int = DEFAULT_ORDER_CAP,
+def order_of(g: CoxeterGraph, word: Word, cap: Optional[int] = None,
              orbit_cap: int = DEFAULT_ORBIT_CAP) -> Optional[int]:
     """Order of the element, or None when it exceeds cap (infinite order, for
-    any cap at least the largest finite rotation order in the group)."""
+    any cap at least the largest finite rotation order in the group).  With
+    no cap the cap is 64, and a graph with an edge label above 64 raises
+    SizeCapError (see the module docstring)."""
+    cap = _crossing_cap(g, cap)
     eng = engine_for(g, orbit_cap)
     return _order(eng, eng.normalize(eng.encode(word)), cap)
 

@@ -3,7 +3,9 @@ and the pair-by-pair avoidance deciders that ``avoidance._blocked_pairs``
 replaced, and the dynamic program over all 2^n masks that found the wide
 sets before ``SubsetTable.wide`` enumerated them from irreducible
 components, and the table's former clique builder with the edge-list
-matchers it ran on every irreducible clique.
+matchers it ran on every irreducible clique, and the former maximal wide
+sets, filtered out of the full wide list before ``SubsetTable.maximal_wide``
+took them from their cores.
 
 Each scan walks every subset (or every subset of a ground set),
 splits it into irreducible components and matches each component against
@@ -15,6 +17,9 @@ exponential in the vertex count: keep the graphs small.
 The pair-by-pair deciders run one path search per pair and blocked set, in
 the order that picks the library's witnesses, so ``test_avoidance.py``
 compares whole reports with them.
+
+``sorted_separator`` is the separator scan as it was before it started
+at the common-neighbour floor: every spherical set in size-lex order.
 
 The former clique builder recomputed each candidate's common neighbours
 and components and matched every irreducible clique by its edge list;
@@ -373,6 +378,16 @@ def wide_masks_dp(g: CoxeterGraph) -> tuple[int, ...]:
         if c & 3 == 2 or c & 4:
             wide.append(mask)
     return tuple(wide)
+
+
+def maximal_of_wide(wide) -> tuple[int, ...]:
+    """``SubsetTable.maximal_wide`` as it was: the inclusion-maximal masks
+    of the full wide list, ascending."""
+    found: list[int] = []
+    for m in sorted(wide, key=popcount, reverse=True):
+        if not any(m & ~w == 0 for w in found):
+            found.append(m)
+    return tuple(sorted(found))
 
 
 def maximal_wide_masks(g: CoxeterGraph) -> tuple[int, ...]:

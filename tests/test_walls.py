@@ -102,6 +102,17 @@ def test_order_of(c5, corpus):
     assert order_of(a3, ("a", "b")) == 3          # braid label 3
     # infinite order: non-adjacent pair in a right-angled graph
     assert order_of(c5, ("s1", "s3"), cap=64) is None
+    assert order_of(c5, ("s1", "s3")) is None
+
+
+def test_order_of_refuses_labels_above_the_default_cap():
+    """The product of the two generators of I2(100) has order 100, which
+    the default cap of 64 would report as infinite."""
+    g = CoxeterGraph(["a", "b"], [("a", "b", 100)])
+    with pytest.raises(SizeCapError, match="R = 100"):
+        order_of(g, ("a", "b"))
+    assert order_of(g, ("a", "b"), cap=200) == 100
+    assert order_of(g, ("a", "b"), cap=99) is None
 
 
 def test_is_reflection(c5):

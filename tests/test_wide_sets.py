@@ -1,9 +1,10 @@
 """The wide sets of ``SubsetTable`` against the dynamic program they replaced.
 
 ``scan_oracle.wide_masks_dp`` is the former 2^n dynamic program.  A
-reference graph gets its table's wide sets from it, so every query built on
-them (maximal wide sets, their cover, the wide-spherical-avoidance report
-and the whole ``classify`` JSON) is asked of both graphs and compared.
+reference graph gets its table's wide sets from it, and its maximal wide
+sets by filtering them, so every query built on them (maximal wide sets,
+their cover, the wide-spherical-avoidance report and the whole
+``classify`` JSON) is asked of both graphs and compared.
 
 The seeded sweep draws a fixed number of graphs per vertex count from fixed
 seeds and keeps every one.  The families are chosen for their wide sets:
@@ -25,7 +26,8 @@ import scan_oracle as S
 from conftest import (MEMORY_CAP_BYTES, graph_from_labels, make_wide8,
                       random_label_matrix, random_racg_matrix)
 from coxwide import CoxeterGraph
-from coxwide.avoidance import is_wide_spherical_avoidant, wide_masks
+from coxwide.avoidance import (is_wide_spherical_avoidant, maximal_wide_masks,
+                               wide_masks)
 from coxwide.classification import subset_table
 from coxwide.classify import classify
 
@@ -51,9 +53,12 @@ def _sweep_labels():
 
 
 def _with_dp_wide(make):
-    """A fresh graph whose table holds the dynamic program's wide sets."""
+    """A fresh graph whose table holds the dynamic program's wide sets and
+    the maximal ones filtered out of them, as the table once did."""
     ref = make()
-    subset_table(ref).__dict__["wide"] = S.wide_masks_dp(ref)
+    table = subset_table(ref)
+    table.__dict__["wide"] = S.wide_masks_dp(ref)
+    table.__dict__["maximal_wide"] = S.maximal_of_wide(table.wide)
     return ref
 
 
@@ -136,12 +141,13 @@ def test_affine_cycles_match_dp(n):
                                        ("general", 2021)])
 def test_wide_sets_and_classify_stay_small_at_the_cap(kind, seed):
     """Caps bound memory as well as time: at the default cap of 20
-    vertices the wide sets and ``classify`` keep their traced peak below
-    16 MB (the former 2^n dynamic program peaked at about 43 MB)."""
+    vertices the wide sets, the maximal wide sets (found without the wide
+    list) and ``classify`` keep their traced peak below 16 MB (the former
+    2^n dynamic program peaked at about 43 MB)."""
     rng = random.Random(seed)
     labels = (random_racg_matrix(rng, 20) if kind == "right-angled"
               else random_label_matrix(rng, 20))
-    for call in (wide_masks, classify):
+    for call in (wide_masks, maximal_wide_masks, classify):
         g = graph_from_labels(labels)
         tracemalloc.start()
         try:
