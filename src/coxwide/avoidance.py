@@ -25,6 +25,24 @@ so B separates none.  When V - B is connected and every vertex of B has a
 neighbour outside B, that is the first component, and the pass ends after
 one search.
 
+Wide-spherical-avoidance tests only the core blocked sets P | Cm(P) | K,
+over the cores (P, Cm(P)) of the subset table (P affine, or infinite and
+irreducible with Cm(P) non-spherical), with K maximal spherical in the
+core's ground: the vertices outside P | Cm(P) adjacent to all of P.  Every
+special join (P', Q, K) with D = P' | Q is dominated by one.  Take an
+infinite component P1 of P'.  It is a component of D, so D lies in P1 |
+Cm(P1).  The common neighbours of P1 include those of P', so the part of K
+outside P1 | Cm(P1) is a spherical subset of P1's ground, and D | K lies in
+P1 | Cm(P1) | K1 for a maximal one, K1.  And P1 is a core: P' is P1 when it
+is affine, and otherwise Q is infinite and lies in Cm(P1).  Conversely each
+core blocked set is the blocked set of the join (P, Cm(P), K).  Blocking is
+monotone, so the pairs some join separates are the pairs some core blocked
+set separates: the verdict and the least separated pair come from the
+cores, each ground's maximal spherical sets found once, and no list of wide
+sets is built.  Only when a pair is separated are the joins walked, lazily
+and in the order of the wide sets, up to the first one that separates it,
+which names the witness.
+
 Wide-spherical-avoidance implies wide-avoidance for any labels, since
 (P, Q, empty) is a special join for every wide set.  On right-angled graphs
 the converse holds too: K commutes with P, so (P, Q | K) is a wide
@@ -280,24 +298,33 @@ def is_wide_spherical_avoidant(g: CoxeterGraph,
     """For every special join (P, Q, K) and pair s, t outside K, some path
     meets K|P|Q only in the endpoints.
 
-    Only the sets D | K with K maximal spherical in the join's ground are
-    tested: for a pair s, t the maximal spherical subsets of the ground
+    Only the sets D | K with K maximal spherical in the join's ground need
+    testing: for a pair s, t the maximal spherical subsets of the ground
     minus s, t are the sets K - {s, t}, and whether K holds s or t does not
-    change what D | K separates.  The witness is the least separated pair,
-    the first join separating it and the first K of its ground minus the
-    pair that does.
+    change what D | K separates.  Of those, only the core blocked sets are
+    tested (see the module docstring).  The witness is the least separated
+    pair, the first join separating it and the first K of its ground minus
+    the pair that does.
     """
-    joins = list(_join_grounds(g, cap))  # checks the cap before the table
+    check_cap(g, cap, "enumeration")
     table = subset_table(g)
-    blocked = [[d | k for k in table.maximal_spherical(ground)]
-               for d, _p, _q, ground in joins]
-    separated = {b: _blocked_pairs(g, b) for b in set().union(*blocked)}
-    firsts = [pairs[0] for pairs in separated.values() if pairs]
+    spheres = {}  # ground -> its maximal spherical subsets
+    blocked = set()
+    for p, cm, _affine in table.cores():
+        core = p | cm
+        ground = _common_neighbors(g, p) & ~core
+        ks = spheres.get(ground)
+        if ks is None:
+            ks = spheres[ground] = table.maximal_spherical(ground)
+        blocked.update(core | k for k in ks)
+    firsts = [pairs[0] for pairs in (_blocked_pairs(g, b) for b in blocked)
+              if pairs]
     if not firsts:
         return AvoidanceReport(True)
     pair = s, t = min(firsts)
-    for (d, p, q, ground), sets in zip(joins, blocked):
-        if any(pair in separated[b] for b in sets):
+    for d, p, q, ground in _join_grounds(g, cap):
+        if any(pair in _blocked_pairs(g, d | k)
+               for k in table.maximal_spherical(ground)):
             outside = ground & ~(1 << s) & ~(1 << t)
             k = next(k for k in table.maximal_spherical(outside)
                      if pair in _blocked_pairs(g, d | k))

@@ -74,14 +74,24 @@ first use and kept on the graph:
   yields a wide set unless it is spherical.  A wide set arises once per
   infinite component that witnesses it, so the sets are gathered in a set
   and sorted.  No step visits all 2^n subsets.
-* Maximal wide sets from their cores.  The cores are the sets P | Cm(P)
-  for the affine P and for the other infinite irreducible P with Cm(P)
-  non-spherical, which is what the enumeration above yields P for.  Every
-  core is wide: P is affine, or Cm(P) is a non-spherical Q.  A maximal
-  wide set D = P | Q has a core P | Cm(P) containing it (Q lies in Cm(P),
-  and if P is not affine Cm(P) holds the non-spherical Q), and that core
-  is wide, so it is D.  So the maximal wide sets are the inclusion-maximal
-  cores, found with no list of all wide sets.
+* Maximal wide sets from closed commuting sets.  Call Y closed when it is
+  an intersection of commuting masks, Y = Cm(S) for a non-empty S.  The
+  candidates are the cores P | Cm(P) of the affine P, and X | Y for each
+  non-spherical closed Y whose X = Cm(Y) is non-spherical too.  Every
+  candidate is wide: an affine core holds the affine component P, and X
+  and Y are disjoint (no vertex commutes with itself) and commute, so
+  each holds an infinite component of X | Y.  Every maximal wide set D is
+  a candidate: D = P | Q with P irreducible and infinite and Q in Cm(P),
+  so D lies in P | Cm(P), which is wide (P is affine, or Cm(P) holds the
+  non-spherical Q), hence is D.  If P is affine that is an affine core.
+  Otherwise Y = Cm(P) is closed and non-spherical, X = Cm(Y) holds P, so
+  it is infinite, and D = P | Y lies in the candidate X | Y, hence is it.
+  So the maximal wide sets are the inclusion-maximal candidates.  The
+  closed sets are found by intersecting one commuting mask at a time,
+  starting from the single masks, and a spherical Y is dropped at once:
+  every intersection below it is a subset, so spherical too, while every
+  non-spherical closed set is reached through non-spherical ones, its
+  supersets.  No irreducible P is grown.
 * Separator floor.  A set S that separates the graph leaves two vertices
   a, b in different components of V - S; they are not adjacent, and S
   holds every common neighbour of a and b, else a path a, c, b would
@@ -454,8 +464,10 @@ class SubsetTable:
     Q; the other P are grown from single vertices, one non-commuting
     neighbour at a time, until the vertices commuting with P form a
     spherical set, past which no P grown further has a non-spherical Q.
-    The maximal wide masks are the inclusion-maximal P | Cm(P) over the
-    same P, so they are found without the list of all wide masks.
+    The maximal wide masks are the inclusion-maximal candidates among the
+    cores P | Cm(P) of the affine P and the sets Cm(Y) | Y over the
+    non-spherical intersections Y of commuting masks with Cm(Y)
+    non-spherical, so they are found without growing any P.
     """
 
     def __init__(self, g: CoxeterGraph):
@@ -501,10 +513,16 @@ class SubsetTable:
                         # ``_match_clique``
                         longest[s] = label[v][c.bit_length() - 1]
                     else:
-                        if rank >= 4 and not all(
-                                s ^ (1 << u) in longest for u in bits(c)):
+                        if rank == 3:
+                            # an irreducible triple is read off its sorted
+                            # labels; see ``_match_clique``
+                            i, j = bits(c)
+                            verdict = _RANK3.get(tuple(sorted(
+                                (label[i][j], label[i][v], label[j][v]))))
+                        elif all(s ^ (1 << u) in longest for u in bits(c)):
+                            verdict = _match_clique(g, s)
+                        else:
                             continue
-                        verdict = _match_clique(g, s)
                         if verdict is None:
                             continue
                         if verdict.kind == "AffineType":
@@ -524,7 +542,17 @@ class SubsetTable:
         self.constants = GroupConstants(g.n, self.m_gamma, g.max_label())
         self._comm = tuple(g.commuting_mask(i) for i in range(g.n))
 
-    def _cores(self):
+    def _cm(self, mask: int) -> int:
+        """Cm(mask): the vertices commuting with every vertex of it."""
+        comm = self._comm
+        acc = (1 << len(comm)) - 1
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            acc &= comm[low.bit_length() - 1]
+        return acc
+
+    def cores(self):
         """Yield (P, Cm(P), affine) for each affine P and for each other
         infinite irreducible P with Cm(P) non-spherical; see the class
         docstring."""
@@ -532,10 +560,7 @@ class SubsetTable:
         full = (1 << len(comm)) - 1
         noncomm = [full & ~c for c in comm]
         for p in affine:
-            cm = full
-            for i in bits(p):
-                cm &= comm[i]
-            yield p, cm, True
+            yield p, self._cm(p), True
         # (P, Cm(P), P and its non-commuting neighbours); each P is pushed
         # once.  A vertex never commutes with itself here, so Cm(P) misses P.
         stack = [(1 << v, comm[v], noncomm[v]) for v in range(len(comm))]
@@ -557,19 +582,34 @@ class SubsetTable:
         """All wide masks, ascending; see the class docstring."""
         longest = self.longest
         found = set()
-        for p, cm, affine in self._cores():
+        for p, cm, affine in self.cores():
             found.update(p | q for q in submasks(cm)
                          if affine or q not in longest)
         return tuple(sorted(found))
 
     @cached_property
     def maximal_wide(self) -> tuple[int, ...]:
-        """Inclusion-maximal wide masks, ascending: the maximal cores
-        P | Cm(P) (see the module docstring)."""
+        """Inclusion-maximal wide masks, ascending: the maximal candidates
+        over the affine cores and the closed commuting sets (see the module
+        docstring)."""
+        comm, longest, cm = self._comm, self.longest, self._cm
+        candidates = {p | cm(p) for p in self.affine}
+        seen = set(comm)
+        stack = [y for y in seen if y not in longest]
+        while stack:
+            y = stack.pop()
+            x = cm(y)
+            if x not in longest:
+                candidates.add(x | y)
+            for c in comm:
+                z = y & c
+                if z not in seen:
+                    seen.add(z)
+                    if z not in longest:
+                        stack.append(z)
         # a strict superset is larger, so it is seen first
         found: list[int] = []
-        for m in sorted({p | cm for p, cm, _ in self._cores()},
-                        key=popcount, reverse=True):
+        for m in sorted(candidates, key=popcount, reverse=True):
             if not any(m & ~w == 0 for w in found):
                 found.append(m)
         return tuple(sorted(found))
@@ -583,11 +623,32 @@ class SubsetTable:
 
     def maximal_spherical(self, ground: int) -> list[int]:
         """Inclusion-maximal spherical subsets of ``ground``, descending.
-        Spherical sets are closed under subsets, so a maximal one cannot
-        grow by a single vertex."""
+        Spherical sets are closed under subsets, so those of ``ground`` are
+        reached from the empty set by adding one vertex above the highest at
+        a time, and the vertices extending a set to a spherical one are
+        among those extending its parent; a maximal set has none."""
         longest = self.longest
-        return [m for m in self.spherical if m & ~ground == 0
-                and not any(m | (1 << v) in longest for v in bits(ground & ~m))]
+        found = []
+        stack = [(0, ground)]  # (spherical set, the vertices extending it)
+        while stack:
+            m, ext = stack.pop()
+            if not ext:
+                found.append(m)
+            above = ext & ~((1 << m.bit_length()) - 1)
+            while above:
+                low = above & -above
+                above ^= low
+                s = m | low
+                grown = 0
+                rest = ext ^ low
+                while rest:
+                    u = rest & -rest
+                    rest ^= u
+                    if s | u in longest:
+                        grown |= u
+                stack.append((s, grown))
+        found.sort(reverse=True)
+        return found
 
 
 def subset_table(g: CoxeterGraph) -> SubsetTable:

@@ -118,7 +118,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--word", required=True)
     p.add_argument("--order-cap", type=int, default=None,
                    help="element-order cap for wall crossing tests (default "
-                        f"{DEFAULT_ORDER_CAP}; needed when an edge label "
+                        "the largest edge label; needed when an edge label "
                         f"exceeds {DEFAULT_ORDER_CAP})")
 
     p = sub.add_parser("morse-window", help="window criterion at constant k")

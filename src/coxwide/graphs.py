@@ -36,7 +36,7 @@ class CoxeterGraph:
         vertices = tuple(vertices)
         seen = set()
         for name in vertices:
-            if not name or any(ch.isspace() for ch in name):
+            if name.split() != [name]:
                 raise GraphFormatError(f"bad vertex name {name!r}")
             if name in seen:
                 raise GraphFormatError(f"duplicate vertex {name!r}")
@@ -48,6 +48,10 @@ class CoxeterGraph:
         m = [[None] * n for _ in range(n)]
         for i in range(n):
             m[i][i] = 1
+        # adjacency masks: adj[i] = neighbours of i (any label);
+        # comm[i] = vertices commuting with i (label exactly 2).
+        adj = [0] * n
+        comm = [0] * n
         for u, v, lab in edges:
             if u not in self._index or v not in self._index:
                 missing = u if u not in self._index else v
@@ -61,20 +65,12 @@ class CoxeterGraph:
                 raise GraphFormatError(
                     f"conflicting labels {m[i][j]} and {lab} for edge {u!r}-{v!r}")
             m[i][j] = m[j][i] = lab
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+            if lab == 2:
+                comm[i] |= 1 << j
+                comm[j] |= 1 << i
         self._m = tuple(tuple(row) for row in m)
-        # adjacency masks: _adj[i] = neighbours of i (any label);
-        # _comm[i] = vertices commuting with i (label exactly 2).
-        adj = []
-        comm = []
-        for i in range(n):
-            a = c = 0
-            for j in range(n):
-                if j != i and m[i][j] is not None:
-                    a |= 1 << j
-                    if m[i][j] == 2:
-                        c |= 1 << j
-            adj.append(a)
-            comm.append(c)
         self._adj = tuple(adj)
         self._comm = tuple(comm)
         self._hash = hash((self.vertices, self._m))

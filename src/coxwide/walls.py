@@ -5,10 +5,17 @@ The wall dual to position i of a geodesic word w is the fixed set of the
 reflection  r_i = s_1 ... s_{i-1} s_i s_{i-1} ... s_1.  Two walls cross
 exactly when the product of their reflections has finite order (the pair then
 generates a finite dihedral group); parallel walls give an infinite-order
-product, which is what the order cap detects.  With no cap given the cap is
-64, and a graph with an edge label R above 64 raises SizeCapError: that edge
-is a spherical pair I2(R), whose two reflections have a product of order R,
-so a cap of 64 could call crossing walls parallel.  A wall separates two
+product, which is what the order cap detects.  With no cap given, a crossing
+test probes at most R powers, R the largest edge label.  A product r r' of
+finite order generates a finite subgroup, which lies in a conjugate of a
+spherical parabolic subgroup W_T (Tits); there r r' is a rotation of a finite
+reflection group, and those never have order above the largest label of T,
+which is at most R.  ``tests/test_walls.py`` checks that bound with exact
+reflection matrices on A4, B4, D4, F4, H3 and B3 x I2(6).  An element's
+order can exceed R (the Coxeter element of A3 has order 4), so ``order_of``
+keeps the cap of 64.  A graph with an edge label R above 64 raises
+SizeCapError when no cap is given: that edge is a spherical pair I2(R),
+whose two reflections have a product of order R.  A wall separates two
 elements u, v exactly when left-multiplying by the reflection shortens
 exactly one of them.
 """
@@ -134,12 +141,10 @@ def _order(eng: WordEngine, w: tuple[int, ...], cap: int) -> Optional[int]:
     return None
 
 
-def _crossing_cap(g: CoxeterGraph, order_cap: Optional[int]) -> int:
-    """The order cap of a wall crossing test or an order probe:
-    ``order_cap`` when given, else ``DEFAULT_ORDER_CAP``, which the largest
-    edge label must not exceed (see the module docstring)."""
-    if order_cap is not None:
-        return order_cap
+def _largest_label(g: CoxeterGraph) -> int:
+    """The largest edge label R, which must not exceed
+    ``DEFAULT_ORDER_CAP`` when no order cap is given (see the module
+    docstring)."""
     r = g.max_label()
     if r > DEFAULT_ORDER_CAP:
         raise SizeCapError(
@@ -147,16 +152,24 @@ def _crossing_cap(g: CoxeterGraph, order_cap: Optional[int]) -> int:
             f"the graph has an edge label R = {r}, a rotation order above "
             f"the default order cap of {DEFAULT_ORDER_CAP}; set the order cap "
             "(--order-cap) explicitly to decide wall crossings")
-    return DEFAULT_ORDER_CAP
+    return r
+
+
+def _crossing_cap(g: CoxeterGraph, order_cap: Optional[int]) -> int:
+    """The order cap of a wall crossing test: ``order_cap`` when given,
+    else the largest edge label (see the module docstring)."""
+    return _largest_label(g) if order_cap is None else order_cap
 
 
 def order_of(g: CoxeterGraph, word: Word, cap: Optional[int] = None,
              orbit_cap: int = DEFAULT_ORBIT_CAP) -> Optional[int]:
     """Order of the element, or None when it exceeds cap (infinite order, for
-    any cap at least the largest finite rotation order in the group).  With
+    any cap at least the largest finite element order in the group).  With
     no cap the cap is 64, and a graph with an edge label above 64 raises
     SizeCapError (see the module docstring)."""
-    cap = _crossing_cap(g, cap)
+    if cap is None:
+        _largest_label(g)
+        cap = DEFAULT_ORDER_CAP
     eng = engine_for(g, orbit_cap)
     return _order(eng, eng.normalize(eng.encode(word)), cap)
 
@@ -177,8 +190,9 @@ def walls_cross(g: CoxeterGraph, word: Word, i: int, j: int,
 
     True exactly when the product of the two reflections has finite order.
     An order above ``order_cap`` is reported as parallel (infinite order).
-    With no ``order_cap`` the cap is 64, and a graph with an edge label
-    above 64 raises SizeCapError (see the module docstring).
+    With no ``order_cap`` the cap is the largest edge label R, which decides
+    every crossing, and a graph with R above 64 raises SizeCapError (see
+    the module docstring).
     """
     cap = _crossing_cap(g, order_cap)
     eng = engine_for(g, orbit_cap)

@@ -24,6 +24,12 @@ at the common-neighbour floor: every spherical set in size-lex order.
 The former clique builder recomputed each candidate's common neighbours
 and components and matched every irreducible clique by its edge list;
 ``test_table_build.py`` compares the table's build with it.
+
+``wide_spherical_avoidant_all_joins`` is the wide-spherical-avoidance
+decider as it was before it tested only the core blocked sets: it reads
+every wide set, every component bipartition of each and the maximal
+spherical sets of every join's ground, filtered out of all spherical sets
+by ``maximal_spherical``, as ``SubsetTable.maximal_spherical`` once did.
 """
 
 from __future__ import annotations
@@ -32,7 +38,8 @@ from collections import Counter
 from typing import Optional
 
 from coxwide import avoidance
-from coxwide.avoidance import AvoidanceReport, SpecialJoin, _join_grounds
+from coxwide.avoidance import (AvoidanceReport, SpecialJoin, _blocked_pairs,
+                               _join_grounds)
 from coxwide.classification import (DEFAULT_SUBSET_CAP, GroupConstants,
                                     IrreducibleVerdict, _branch_arms,
                                     _double_branch_leaf_arms, _is_clique,
@@ -453,3 +460,38 @@ def wide_spherical_avoidant_by_pairs(
                             join=SpecialJoin(g.names_of(p), g.names_of(q),
                                              g.names_of(k)))
     return AvoidanceReport(True)
+
+
+def maximal_spherical(table, ground: int) -> list[int]:
+    """``SubsetTable.maximal_spherical`` as it was: every spherical set
+    inside ``ground`` that no single vertex of ``ground`` extends,
+    descending."""
+    longest = table.longest
+    return [m for m in table.spherical if m & ~ground == 0
+            and not any(m | (1 << v) in longest for v in bits(ground & ~m))]
+
+
+def wide_spherical_avoidant_all_joins(
+        g: CoxeterGraph, cap: int = DEFAULT_SUBSET_CAP) -> AvoidanceReport:
+    """``is_wide_spherical_avoidant`` as it was: the blocked sets D | K of
+    every join, K maximal spherical in its ground; the least separated
+    pair, the first join separating it and the first K of its ground
+    minus the pair that does."""
+    joins = list(_join_grounds(g, cap))
+    table = subset_table(g)
+    blocked = [[d | k for k in maximal_spherical(table, ground)]
+               for d, _p, _q, ground in joins]
+    separated = {b: _blocked_pairs(g, b) for b in set().union(*blocked)}
+    firsts = [pairs[0] for pairs in separated.values() if pairs]
+    if not firsts:
+        return AvoidanceReport(True)
+    pair = s, t = min(firsts)
+    for (d, p, q, ground), sets in zip(joins, blocked):
+        if any(pair in separated[b] for b in sets):
+            outside = ground & ~(1 << s) & ~(1 << t)
+            k = next(k for k in maximal_spherical(table, outside)
+                     if pair in _blocked_pairs(g, d | k))
+            return AvoidanceReport(
+                False, blocking_set=g.names_of(d | k),
+                pair=(g.vertices[s], g.vertices[t]),
+                join=SpecialJoin(g.names_of(p), g.names_of(q), g.names_of(k)))

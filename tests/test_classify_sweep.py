@@ -5,10 +5,13 @@ Three shortcuts are compared with ``scan_oracle``:
 
 * the separator scan starting at the common-neighbour floor, against the
   former scan over every spherical set in size-lex order;
-* the maximal wide sets taken from their cores P | Cm(P), against the
-  former filter over the wide list of the former 2^n dynamic program;
+* the maximal wide sets taken from the affine cores and the closed
+  commuting sets, against the former filter over the wide list of the
+  former 2^n dynamic program;
 * both avoidance reports, whose blocked-set pass stops at a component
-  that touches every vertex, against the pair-by-pair deciders.
+  that touches every vertex, against the pair-by-pair deciders, and the
+  wide-spherical-avoidance report, which tests only the core blocked
+  sets, against the former decider over every join.
 
 The sweep draws a fixed number of graphs per vertex count from a fixed
 seed and keeps every one.  Right-angled graphs label half of their pairs
@@ -80,8 +83,10 @@ def test_sweep_matches_replaced_paths(labels):
     assert table.maximal_wide == S.maximal_of_wide(S.wide_masks_dp(g))
     assert is_wide_avoidant(g).to_json_obj() == \
         S.wide_avoidant_by_pairs(g).to_json_obj()
-    assert is_wide_spherical_avoidant(g).to_json_obj() == \
-        S.wide_spherical_avoidant_by_pairs(g).to_json_obj()
+    report = is_wide_spherical_avoidant(g).to_json_obj()
+    assert report == S.wide_spherical_avoidant_by_pairs(g).to_json_obj()
+    assert report == S.wide_spherical_avoidant_all_joins(
+        graph_from_labels(labels)).to_json_obj()
 
 
 def _poles(m: int, spokes: int) -> CoxeterGraph:

@@ -1,6 +1,7 @@
 """Defining-graph parsing, queries, and mask utilities."""
 
 import random
+import re
 
 import pytest
 
@@ -145,3 +146,42 @@ def test_label_matrix_adapters_invert():
         labels = random_label_matrix(rng, n)
         g = graph_from_labels(labels)
         assert labels_from_graph(g) == labels
+
+
+def test_masks_from_the_edge_list_match_the_label_matrix():
+    """Adjacency and commuting masks, built from the edges as they are
+    read, against the pairwise definition on the label matrix; a repeated
+    edge with the same label changes nothing."""
+    rng = random.Random(43)
+    for _ in range(50):
+        n = rng.randint(1, 7)
+        g = graph_from_labels(random_label_matrix(rng, n))
+        twice = CoxeterGraph(g.vertices, g.edge_list() * 2)
+        for h in (g, twice):
+            for i in range(n):
+                assert h.neighbors_mask(i) == sum(
+                    1 << j for j in range(n) if j != i and g.m(i, j))
+                assert h.commuting_mask(i) == sum(
+                    1 << j for j in range(n) if j != i and g.m(i, j) == 2)
+        assert twice == g
+
+
+@pytest.mark.parametrize("name", ["", " ", "a b", "a\tb", "a b",
+                                  "a b", "\x1c"])
+def test_bad_vertex_names_keep_their_message(name):
+    with pytest.raises(GraphFormatError,
+                       match=f"^bad vertex name {re.escape(repr(name))}$"):
+        CoxeterGraph([name], [])
+
+
+def test_edge_errors_keep_their_messages():
+    for edges, message in [
+            ([("a", "c", 3)], "edge uses undeclared vertex 'c'"),
+            ([("a", "a", 2)], "self-loop at 'a'"),
+            ([("a", "b", 1)], "edge label must be an integer >= 2, got 1"),
+            ([("a", "b", 3), ("b", "a", 4)],
+             "conflicting labels 3 and 4 for edge 'b'-'a'")]:
+        with pytest.raises(GraphFormatError, match=f"^{re.escape(message)}$"):
+            CoxeterGraph(["a", "b"], edges)
+    with pytest.raises(GraphFormatError, match="^duplicate vertex 'a'$"):
+        CoxeterGraph(["a", "a"], [])

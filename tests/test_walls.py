@@ -9,15 +9,16 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from coxwide import CoxeterGraph, build_ball, extend_geodesic, normalize
+from coxwide import (CoxeterGraph, build_ball, extend_geodesic, is_geodesic,
+                     normalize)
 from coxwide.errors import NonGeodesicError, OrbitCapError, SizeCapError
 from coxwide.walls import (find_pencil, is_reflection, morse_window_check,
                            order_of, wall_separates, walls_cross)
 from coxwide.words import engine_for
 
 import oracles as O
-from conftest import (CORPUS_MAKERS, PROPERTY, graph_from_labels, make_c5,
-                      racg_label_matrices)
+from conftest import (CORPUS_MAKERS, PROPERTY, graph_from_labels, make_a4,
+                      make_c5, make_d4, make_h3, racg_label_matrices)
 
 
 def test_ball_sizes_frozen(corpus):
@@ -201,6 +202,112 @@ def test_pencil_on_a_right_angled_graph_keeps_its_memo_short():
     assert all(p.separates_endpoints)
     added = set(eng._norm) - before
     assert added and max(map(len, added)) <= 4 * len(w)
+
+
+def _path(names: str, labels) -> CoxeterGraph:
+    """A path diagram with these labels, every other pair commuting."""
+    return CoxeterGraph(list(names), [
+        (u, v, labels[i] if j == i + 1 else 2)
+        for i, u in enumerate(names) for j, v in enumerate(names) if i < j])
+
+
+FINITE_TYPES = {
+    "A4": make_a4,
+    "B4": lambda: _path("abcd", (4, 3, 3)),
+    "D4": make_d4,
+    "F4": lambda: _path("abcd", (3, 4, 3)),
+    "H3": make_h3,
+    "B3xI2(6)": lambda: CoxeterGraph(list("abcxy"), [
+        ("a", "b", 4), ("b", "c", 3), ("a", "c", 2), ("x", "y", 6),
+        *[(u, v, 2) for u in "abc" for v in "xy"]]),
+}
+
+
+def _max_rotation_order(lab) -> int:
+    """Largest order of a product of two distinct reflections of a finite
+    Coxeter group, from its exact reflection matrices: the reflections are
+    the conjugates of the generators, found as words w s w^-1."""
+    identity, apply_gen = O._ring_machine(lab)
+
+    def times(word, mat):
+        for gen in reversed(word):
+            mat = apply_gen(gen, mat)
+        return mat
+
+    reflections = {}
+    frontier = [(i,) for i in range(len(lab))]
+    while frontier:
+        grown = []
+        for w in frontier:
+            key = times(w, identity)
+            if key not in reflections:
+                reflections[key] = w
+                grown.extend((j,) + w + (j,) for j in range(len(lab)))
+        frontier = grown
+    words = list(reflections.values())
+    best = 0
+    for a, r in enumerate(words):
+        for r2 in words[a + 1:]:
+            product = r + r2
+            mat, order = times(product, identity), 1
+            while mat != identity:
+                mat, order = times(product, mat), order + 1
+            best = max(best, order)
+    return best
+
+
+# the order of the product of the generators; F4 (12) and B3 x I2(6) (6)
+# are left out, as their powers exceed the braid-orbit cap
+COXETER_NUMBERS = {"A4": 5, "B4": 8, "D4": 6, "H3": 10}
+
+
+@pytest.mark.parametrize("name", sorted(FINITE_TYPES))
+def test_rotation_orders_never_exceed_the_largest_label(name):
+    """The bound behind the default crossing cap: in a finite Coxeter
+    group no product of two reflections has order above the largest
+    label.  Element orders can: the product of the generators has the
+    Coxeter number as its order, which ``order_of`` finds under its cap
+    of 64."""
+    g = FINITE_TYPES[name]()
+    assert _max_rotation_order(O.labels_from_graph(g)) == g.max_label()
+    if name in COXETER_NUMBERS:
+        assert order_of(g, g.vertices) == COXETER_NUMBERS[name]
+
+
+@pytest.mark.parametrize("name,word", [
+    ("A4", None), ("B4", None), ("D4", None), ("H3", None),
+    ("B3xI2(6)", "x y x y x y a b c")])
+def test_default_crossing_cap_decides_every_pair_of_walls(name, word):
+    """In a finite group all walls cross, so every probe of a product of
+    two reflections, at most R powers, must find it finite.  The longest
+    element's walls are all the reflections (on B3 x I2(6) a shorter word
+    keeps the braid orbits small)."""
+    g = FINITE_TYPES[name]()
+    if word is None:
+        w = ()
+        while True:
+            s = next((s for s in g.vertices if is_geodesic(g, w + (s,))), None)
+            if s is None:
+                break
+            w += (s,)
+    else:
+        w = tuple(word.split())
+    assert find_pencil(g, w).positions == (1,)
+    assert all(walls_cross(g, w, 1, j) for j in range(2, len(w) + 1))
+
+
+def test_pencil_probes_at_most_the_largest_label():
+    """Probing 64 powers of each wall product through braid orbits
+    exceeded the orbit cap on this word; the largest label, 3, decides
+    every crossing."""
+    g = CoxeterGraph(list("abcd"), [("a", "b", 3), ("b", "c", 3),
+                                    ("c", "d", 2)])
+    w = ("a", "b", "a", "c")
+    p = find_pencil(g, w)
+    assert p.positions == (2, 4)
+    assert not walls_cross(g, w, 2, 4)
+    assert walls_cross(g, w, 1, 2)
+    assert find_pencil(g, w, order_cap=3) == p
 
 
 @PROPERTY

@@ -69,8 +69,9 @@ def _assert_matches_dp(make):
     assert table.maximal_wide == ref_table.maximal_wide
     for mask in range(1 << min(g.n, 10)):
         assert table.wide_cover(mask) == ref_table.wide_cover(mask)
-    assert is_wide_spherical_avoidant(g).to_json_obj() == \
-        is_wide_spherical_avoidant(ref).to_json_obj()
+    report = is_wide_spherical_avoidant(g).to_json_obj()
+    assert report == is_wide_spherical_avoidant(ref).to_json_obj()
+    assert report == S.wide_spherical_avoidant_all_joins(make()).to_json_obj()
     assert classify(g).to_json_obj() == classify(ref).to_json_obj()
     return table
 
@@ -137,17 +138,87 @@ def test_affine_cycles_match_dp(n):
     assert table.wide == ((1 << (n + 1)) - 1,)
 
 
+def _grown_core(extra: int, free: int) -> CoxeterGraph:
+    """P = {a, b}, non-adjacent; ``extra`` vertices joined to a by label 3
+    and commuting with b; ``free`` pairwise non-adjacent vertices commuting
+    with all of these.  Cm(P) is the free vertices, and Cm(Cm(P)) is P with
+    the extra vertices, irreducible and strictly larger than P."""
+    extras = [f"e{i}" for i in range(extra)]
+    frees = [f"f{i}" for i in range(free)]
+    return CoxeterGraph(["a", "b"] + extras + frees, [
+        *[("a", e, 3) for e in extras], *[("b", e, 2) for e in extras],
+        *[(x, f, 2) for x in ["a", "b"] + extras for f in frees]])
+
+
+@pytest.mark.parametrize("extra", range(1, 4))
+@pytest.mark.parametrize("free", range(4))
+def test_grown_cores_match_dp(extra, free):
+    g = _grown_core(extra, free)
+    table = _assert_matches_dp(lambda: _grown_core(extra, free))
+    p = g.mask_of(["a", "b"])
+    assert table._cm(table._cm(p)) == (1 << (2 + extra)) - 1
+    # wide exactly when the free vertices hold a non-commuting pair
+    assert table.maximal_wide == (((1 << g.n) - 1,) if free >= 2 else ())
+
+
+def _joined_pairs(pairs: int, free: int) -> CoxeterGraph:
+    """``pairs`` non-adjacent pairs and ``free`` pairwise non-adjacent
+    vertices, every other pair commuting.  Cm(Cm(P)) is irreducible when P
+    is (a component of it that misses P commutes with P, so lies in Cm(P),
+    which Cm(Cm(P)) misses); a reducible X = Cm(Y) comes from a closed
+    Y = Cm(S) with S reducible, here S the first pairs less one."""
+    names = [f"{side}{i}" for i in range(pairs) for side in "ab"] + \
+        [f"f{i}" for i in range(free)]
+    def apart(u, v):
+        if "f" in (u[0], v[0]):
+            return u[0] == v[0]
+        return u[1:] == v[1:]
+
+    return CoxeterGraph(names, [(u, v, 2) for i, u in enumerate(names)
+                                for v in names[i + 1:] if not apart(u, v)])
+
+
+@pytest.mark.parametrize("pairs", range(1, 5))
+@pytest.mark.parametrize("free", range(4))
+def test_joined_pairs_match_dp(pairs, free):
+    g = _joined_pairs(pairs, free)
+    table = _assert_matches_dp(lambda: _joined_pairs(pairs, free))
+    if pairs >= 3:
+        s = (1 << 2 * (pairs - 1)) - 1
+        x = table._cm(table._cm(s))
+        assert x == s and len(g.irreducible_components_mask(x)) == pairs - 1
+    wide = pairs + (free >= 2) >= 2
+    assert table.maximal_wide == (((1 << g.n) - 1,) if wide else ())
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_joins_of_random_graphs_match_dp(seed):
+    """Two seeded general-label graphs, every pair across them commuting,
+    and one more vertex with seeded labels to all: the closed sets of a
+    join hold the reducible X = Cm(Y)."""
+    rng = random.Random(4000 + seed)
+    left, right = rng.randint(2, 5), rng.randint(2, 5)
+    n = left + right + 1
+    labels = random_label_matrix(rng, n)
+    for i in range(left):
+        for j in range(left, left + right):
+            labels[i][j] = labels[j][i] = 2
+    _assert_matches_dp(lambda: graph_from_labels(labels))
+
+
 @pytest.mark.parametrize("kind,seed", [("right-angled", 2020),
                                        ("general", 2021)])
 def test_wide_sets_and_classify_stay_small_at_the_cap(kind, seed):
     """Caps bound memory as well as time: at the default cap of 20
     vertices the wide sets, the maximal wide sets (found without the wide
-    list) and ``classify`` keep their traced peak below 16 MB (the former
-    2^n dynamic program peaked at about 43 MB)."""
+    list), wide-spherical-avoidance (from the cores) and ``classify`` keep
+    their traced peak below 16 MB (the former 2^n dynamic program peaked
+    at about 43 MB)."""
     rng = random.Random(seed)
     labels = (random_racg_matrix(rng, 20) if kind == "right-angled"
               else random_label_matrix(rng, 20))
-    for call in (wide_masks, maximal_wide_masks, classify):
+    for call in (wide_masks, maximal_wide_masks, is_wide_spherical_avoidant,
+                 classify):
         g = graph_from_labels(labels)
         tracemalloc.start()
         try:
