@@ -4,6 +4,12 @@ Exit codes: 0 for success (and for positive check verdicts), 1 for negative
 verdicts (a failed avoidance check, a non-geodesic word, a window violation,
 an impossible construction), 2 for usage and input errors, 3 when a computed
 witness fails its own re-check (a defect in the library, not in the input).
+
+Each subcommand loads only the layers it uses.  ``classify``, ``constants``
+and ``check`` run on the subset layer imported at the top of this module;
+``word`` imports the word engine, ``ball``, ``pencil`` and ``morse-window``
+import walls, and ``fan``, ``filter`` and ``mtf`` the diagram modules, in
+``_run_word``, ``_run_walls`` and ``_run_diagrams``.
 """
 
 from __future__ import annotations
@@ -14,20 +20,14 @@ import os
 import sys
 from typing import Callable, Optional
 
-from .avoidance import (is_affine_free, is_wide, is_wide_avoidant,
+from .avoidance import (is_affine_free, is_wide_avoidant,
                         is_wide_spherical_avoidant, wide_decomposition)
 from .classification import DEFAULT_SUBSET_CAP, compute_constants, ends_verdict
 from .classify import classify
-from .errors import (ConstructionError, GraphFormatError, NonGeodesicError,
-                     OrbitCapError, SizeCapError, VerificationError)
-from .fans import build_fan, check_fan
-from .filters import (build_filter, build_multitail_filter, check_filter,
-                      check_multitail_filter)
+from .errors import (DEFAULT_ORBIT_CAP, DEFAULT_ORDER_CAP, ConstructionError,
+                     GraphFormatError, NonGeodesicError, OrbitCapError,
+                     SizeCapError, VerificationError)
 from .graphs import CoxeterGraph, parse_graph
-from .walls import (DEFAULT_ORDER_CAP, build_ball, find_pencil,
-                    morse_window_check)
-from .words import (DEFAULT_ORBIT_CAP, ending_letters, extend_geodesic,
-                    is_geodesic, normalize, parse_word, wide_tail)
 
 
 def _load_graph(path: str) -> CoxeterGraph:
@@ -152,19 +152,31 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _at_least(what: str, value: int, floor: int) -> int:
+    """``value``, or an input error naming ``what`` when it is below
+    ``floor``."""
+    if value < floor:
+        raise ValueError(f"{what} must be at least {floor}, got {value}")
+    return value
+
+
 def _env_cap() -> int:
     raw = os.environ.get("COX_CAP")
     if raw is None:
         return DEFAULT_SUBSET_CAP
     try:
-        return int(raw)
+        cap = int(raw)
     except ValueError:
         raise ValueError(f"COX_CAP must be an integer, got {raw!r}") from None
+    return _at_least("COX_CAP", cap, 0)
 
 
 def _run(args) -> int:
-    if hasattr(args, "cap") and args.cap is None:
-        args.cap = _env_cap()
+    if hasattr(args, "cap"):
+        args.cap = (_env_cap() if args.cap is None
+                    else _at_least("--cap", args.cap, 0))
+    if hasattr(args, "orbit_cap"):
+        _at_least("--orbit-cap", args.orbit_cap, 1)
     g = _load_graph(args.graph)
 
     if args.cmd == "classify":
@@ -217,33 +229,51 @@ def _run(args) -> int:
         return 0
 
     if args.cmd == "word":
-        w = parse_word(g, args.word)
-        if args.what == "normalize":
-            nf = normalize(g, w, args.orbit_cap)
-            _emit(args, {"normal_form": list(nf), "length": len(nf)},
-                  " ".join(nf) if nf else "(identity)")
-            return 0
-        if args.what == "geodesic":
-            ok = is_geodesic(g, w, args.orbit_cap)
-            _emit(args, {"geodesic": ok}, f"geodesic: {ok}")
-            return 0 if ok else 1
-        if args.what == "ending-letters":
-            ends = sorted(ending_letters(g, w, args.orbit_cap))
-            _emit(args, {"ending_letters": ends}, " ".join(ends) or "(none)")
-            return 0
-        if args.what == "wide-tail":
-            tail, delta = wide_tail(g, w, args.orbit_cap)
-            obj = {"tail": list(tail),
-                   "wide_subgraph": None if delta is None else list(delta)}
-            _emit(args, obj,
-                  f"tail: {' '.join(tail) or '(empty)'}"
-                  + (f"  in wide subgraph {delta}" if delta else ""))
-            return 0
-        if args.target_len is None:
-            raise GraphFormatError("'extend' needs --target-len")
-        ext = extend_geodesic(g, w, args.target_len, args.orbit_cap)
-        _emit(args, {"word": list(ext)}, " ".join(ext))
+        return _run_word(args, g)
+    if args.cmd in ("ball", "pencil", "morse-window"):
+        return _run_walls(args, g)
+    if args.cmd in ("fan", "filter", "mtf"):
+        return _run_diagrams(args, g)
+    raise AssertionError(f"unhandled command {args.cmd}")
+
+
+def _run_word(args, g: CoxeterGraph) -> int:
+    """The ``word`` queries, on the word engine."""
+    from .words import (ending_letters, extend_geodesic, is_geodesic,
+                        normalize, parse_word, wide_tail)
+    w = parse_word(g, args.word)
+    if args.what == "normalize":
+        nf = normalize(g, w, args.orbit_cap)
+        _emit(args, {"normal_form": list(nf), "length": len(nf)},
+              " ".join(nf) if nf else "(identity)")
         return 0
+    if args.what == "geodesic":
+        ok = is_geodesic(g, w, args.orbit_cap)
+        _emit(args, {"geodesic": ok}, f"geodesic: {ok}")
+        return 0 if ok else 1
+    if args.what == "ending-letters":
+        ends = sorted(ending_letters(g, w, args.orbit_cap))
+        _emit(args, {"ending_letters": ends}, " ".join(ends) or "(none)")
+        return 0
+    if args.what == "wide-tail":
+        tail, delta = wide_tail(g, w, args.orbit_cap)
+        obj = {"tail": list(tail),
+               "wide_subgraph": None if delta is None else list(delta)}
+        _emit(args, obj,
+              f"tail: {' '.join(tail) or '(empty)'}"
+              + (f"  in wide subgraph {delta}" if delta else ""))
+        return 0
+    if args.target_len is None:
+        raise GraphFormatError("'extend' needs --target-len")
+    ext = extend_geodesic(g, w, args.target_len, args.orbit_cap)
+    _emit(args, {"word": list(ext)}, " ".join(ext))
+    return 0
+
+
+def _run_walls(args, g: CoxeterGraph) -> int:
+    """``ball``, ``pencil`` and ``morse-window``, on walls."""
+    from .walls import build_ball, find_pencil, morse_window_check
+    from .words import parse_word
 
     if args.cmd == "ball":
         ball = build_ball(g, args.radius, orbit_cap=args.orbit_cap)
@@ -260,18 +290,25 @@ def _run(args) -> int:
               f"separates endpoints: {pen.separates_endpoints}")
         return 0
 
-    if args.cmd == "morse-window":
-        w = parse_word(g, args.word)
-        rep = morse_window_check(g, w, args.k, args.orbit_cap)
-        if rep.passes:
-            _emit(args, rep.to_json_obj(),
-                  f"passes at k={args.k} "
-                  f"(within proven hypothesis: {rep.within_proven_hypothesis})")
-            return 0
+    w = parse_word(g, args.word)
+    rep = morse_window_check(g, w, args.k, args.orbit_cap)
+    if rep.passes:
         _emit(args, rep.to_json_obj(),
-              f"violation in window {rep.window}: label inside wide "
-              f"subgraph {rep.wide_subgraph}")
-        return 1
+              f"passes at k={args.k} "
+              f"(within proven hypothesis: {rep.within_proven_hypothesis})")
+        return 0
+    _emit(args, rep.to_json_obj(),
+          f"violation in window {rep.window}: label inside wide "
+          f"subgraph {rep.wide_subgraph}")
+    return 1
+
+
+def _run_diagrams(args, g: CoxeterGraph) -> int:
+    """``fan``, ``filter`` and ``mtf``, on the diagram modules."""
+    from .fans import build_fan, check_fan
+    from .filters import (build_filter, build_multitail_filter,
+                          check_filter, check_multitail_filter)
+    from .words import parse_word
 
     if args.cmd == "fan":
         base = parse_word(g, args.base)
@@ -298,21 +335,18 @@ def _run(args) -> int:
         _emit(args, obj, pretty, dot=filt.to_dot)
         return 0 if chk.ok else 1
 
-    if args.cmd == "mtf":
-        alpha, beta = parse_word(g, args.alpha), parse_word(g, args.beta)
-        mtf = build_multitail_filter(g, alpha, beta, args.n, args.depth,
-                                     args.ray_len, args.orbit_cap)
-        chk = check_multitail_filter(g, mtf, args.orbit_cap)
-        pretty = (f"sigma: {' '.join(mtf.sigma) or '(empty)'}\n"
-                  f"cases: {' '.join(mtf.cases) or '(none)'}\n"
-                  f"filters: {len(mtf.filters)}\ncheck: {chk.ok}"
-                  + ("" if chk.ok else "\n" + "\n".join(chk.failures[:10])))
-        obj = mtf.to_json_obj()
-        obj["check"] = chk.to_json_obj()
-        _emit(args, obj, pretty)
-        return 0 if chk.ok else 1
-
-    raise AssertionError(f"unhandled command {args.cmd}")
+    alpha, beta = parse_word(g, args.alpha), parse_word(g, args.beta)
+    mtf = build_multitail_filter(g, alpha, beta, args.n, args.depth,
+                                 args.ray_len, args.orbit_cap)
+    chk = check_multitail_filter(g, mtf, args.orbit_cap)
+    pretty = (f"sigma: {' '.join(mtf.sigma) or '(empty)'}\n"
+              f"cases: {' '.join(mtf.cases) or '(none)'}\n"
+              f"filters: {len(mtf.filters)}\ncheck: {chk.ok}"
+              + ("" if chk.ok else "\n" + "\n".join(chk.failures[:10])))
+    obj = mtf.to_json_obj()
+    obj["check"] = chk.to_json_obj()
+    _emit(args, obj, pretty)
+    return 0 if chk.ok else 1
 
 
 def main(argv: Optional[list[str]] = None) -> int:

@@ -1,5 +1,13 @@
-"""Exception types shared across the package, and the check that raises
-VerificationError."""
+"""Exception types shared across the package, the check that raises
+VerificationError, and the default caps of the word engine and walls.
+
+The caps live here, beside the errors that report them, so that the command
+line can print its defaults without loading the word engine or walls.
+"""
+
+DEFAULT_ORBIT_CAP = 200_000  # braid-orbit words, words.WordEngine
+DEFAULT_BALL_CAP = 100_000   # Cayley-ball elements, walls.build_ball
+DEFAULT_ORDER_CAP = 64       # element order, walls.order_of
 
 
 class GraphFormatError(ValueError):

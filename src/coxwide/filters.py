@@ -725,7 +725,9 @@ def build_multitail_filter(g: CoxeterGraph, alpha: Word, beta: Word, n: int,
     each sigma edge the dual wall crosses exactly one of the two adjacent
     tails (the step is toward the basepoint or away from it), which decides
     whether the previous ray is carried across the edge or a fresh greedy
-    ray is grown.  A filter is laid between consecutive fresh rays.
+    ray is grown.  A filter is laid between consecutive fresh rays.  A fresh
+    ray has ``ray_len`` letters (at least 0; by default
+    ``max(len(alpha), len(beta)) - n``).
     """
     eng = engine_for(g, orbit_cap)
     a, b = eng.encode(alpha), eng.encode(beta)
@@ -735,6 +737,8 @@ def build_multitail_filter(g: CoxeterGraph, alpha: Word, beta: Word, n: int,
         raise ValueError(f"level {n} out of range 0..{min(len(a), len(b))}")
     if ray_len is None:
         ray_len = max(len(a), len(b)) - n
+    elif ray_len < 0:
+        raise ValueError(f"ray_len must be at least 0, got {ray_len}")
     sigma = eng.mult(eng.inverse(a[:n]), b[:n])
     d = len(sigma)
 

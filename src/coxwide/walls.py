@@ -26,13 +26,10 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .avoidance import label_in_wide_subgraph, is_affine_free
-from .errors import SizeCapError
+from .errors import DEFAULT_BALL_CAP, DEFAULT_ORDER_CAP, SizeCapError
 from .graphs import CoxeterGraph
 from .words import (DEFAULT_ORBIT_CAP, RightAngledEngine, Word, WordEngine,
                     engine_for)
-
-DEFAULT_BALL_CAP = 100_000
-DEFAULT_ORDER_CAP = 64
 
 
 # ---------------------------------------------------------------------------

@@ -43,10 +43,9 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 from .avoidance import label_in_wide_subgraph
 from .classification import compute_constants
-from .errors import ConstructionError, GraphFormatError, NonGeodesicError, OrbitCapError
+from .errors import (DEFAULT_ORBIT_CAP, ConstructionError, GraphFormatError,
+                     NonGeodesicError, OrbitCapError)
 from .graphs import CoxeterGraph, bits
-
-DEFAULT_ORBIT_CAP = 200_000
 
 Word = tuple[str, ...]  # letters are vertex names; () is the identity
 

@@ -8,6 +8,7 @@ import pytest
 
 from coxwide import walls
 from coxwide.cli import main
+from coxwide.filters import build_multitail_filter
 from coxwide.walls import CayleyBall
 
 from conftest import make_aff_tri, make_c4, make_c5, make_g6, make_inf_pair
@@ -497,3 +498,45 @@ def test_cox_cap_sets_default_cap(capsys, monkeypatch, c5_file):
     assert "resource cap exceeded" in err
     code, out, _ = run_json(capsys, ["constants", c5_file, "--cap", "5"])
     assert code == 0 and out["V"] == 5
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "G", "--cap", "-1"],
+    ["constants", "G", "--cap", "-5"],
+    ["check", "ends", "G", "--cap", "-1"],
+])
+def test_negative_cap_is_input_error(capsys, c5_file, argv):
+    code, out, err = run(capsys, [c5_file if a == "G" else a for a in argv])
+    assert code == 2 and out == ""
+    assert err == f"input error: --cap must be at least 0, got {argv[-1]}\n"
+
+
+def test_negative_cox_cap_is_input_error(capsys, monkeypatch, c5_file):
+    monkeypatch.setenv("COX_CAP", "-1")
+    code, out, err = run(capsys, ["classify", c5_file])
+    assert code == 2 and out == ""
+    assert err == "input error: COX_CAP must be at least 0, got -1\n"
+
+
+@pytest.mark.parametrize("cap", ["0", "-3"])
+@pytest.mark.parametrize("argv", [
+    ["word", "normalize", "G", "--word", "s2 s1"],
+    ["ball", "G", "--radius", "1"],
+    ["mtf", "G", "--alpha", "s1 s3", "--beta", "s2 s4", "-n", "1"],
+])
+def test_orbit_cap_below_1_is_input_error(capsys, c5_file, argv, cap):
+    code, out, err = run(capsys, [c5_file if a == "G" else a for a in argv]
+                         + ["--orbit-cap", cap])
+    assert code == 2 and out == ""
+    assert err == f"input error: --orbit-cap must be at least 1, got {cap}\n"
+
+
+def test_negative_ray_len_is_input_error(capsys, c5_file):
+    with pytest.raises(ValueError, match="ray_len must be at least 0, got -2"):
+        build_multitail_filter(make_c5(), ("s1", "s3"), ("s2", "s4"), 1,
+                               ray_len=-2)
+    code, out, err = run(capsys, ["mtf", c5_file, "--alpha", "s1 s3",
+                                  "--beta", "s2 s4", "-n", "1",
+                                  "--ray-len", "-2"])
+    assert code == 2 and out == ""
+    assert err == "input error: ray_len must be at least 0, got -2\n"
