@@ -213,7 +213,8 @@ def _common_neighbors(g: CoxeterGraph, p_mask: int) -> int:
 
 def _spherical_submasks(g: CoxeterGraph, ground: int) -> tuple[int, ...]:
     """Spherical subsets of ``ground``, descending as masks."""
-    return tuple(m for m in subset_table(g).spherical if m & ~ground == 0)
+    return tuple(sorted((m for m in subset_table(g).longest
+                         if m & ~ground == 0), reverse=True))
 
 
 def _join_grounds(g: CoxeterGraph, cap: int):
@@ -323,11 +324,10 @@ def is_wide_spherical_avoidant(g: CoxeterGraph,
         return AvoidanceReport(True)
     pair = s, t = min(firsts)
     for d, p, q, ground in _join_grounds(g, cap):
-        if any(pair in _blocked_pairs(g, d | k)
-               for k in table.maximal_spherical(ground)):
-            outside = ground & ~(1 << s) & ~(1 << t)
-            k = next(k for k in table.maximal_spherical(outside)
-                     if pair in _blocked_pairs(g, d | k))
+        outside = ground & ~(1 << s) & ~(1 << t)
+        k = next((k for k in table.maximal_spherical(outside)
+                  if pair in _blocked_pairs(g, d | k)), None)
+        if k is not None:
             return AvoidanceReport(
                 False, blocking_set=g.names_of(d | k),
                 pair=(g.vertices[s], g.vertices[t]),

@@ -10,6 +10,36 @@ Hard-coded longest-element lengths (number of positive roots):
 A_n: n(n+1)/2, B_n: n^2, D_n: n(n-1), E6: 36, E7: 63, E8: 120, F4: 24,
 H3: 15, H4: 60, I2(m): m.
 
+Ranks 1 to 3 are read off the labels (``_match_clique``).  From rank 4
+every finite or affine diagram but the cycle A~n is a tree (Humphreys,
+*Reflection Groups and Coxeter Groups*, 2.4 and ch. 6).  A tree's *shape*
+is its number of branch vertices (degree >= 3) and, for a path, its label
+sequence read from the end giving the lexicographically smaller tuple,
+else the label sequences of the arms of its first branch vertex, read
+outwards, sorted by length and then labels, and ended by a 0 when they
+stop at another branch vertex.  With n the rank of a finite type and
+n + 1 that of an affine X~n, these are all the diagrams, by shape:
+
+  A_n (n >= 4)   path 3 ... 3 (n - 1 labels)
+  B_n (n >= 4)   path 3 ... 3 4 (n - 1 labels)
+  D_n (n >= 4)   one branch vertex, arms (3), (3), (3 ... 3) (n - 3 labels)
+  E6, E7, E8     one branch vertex, arms labeled 3 of lengths 1, 2, 2;
+                 1, 2, 3; 1, 2, 4
+  F4             path 3 4 3
+  H4             path 3 3 5
+  A~n (n >= 3)   not a tree: one cycle labeled 3 (the cycle rule below)
+  B~n (n >= 3)   one branch vertex, arms (3), (3), (3 ... 3 4) (n - 2 labels)
+  C~n (n >= 3)   path 4 3 ... 3 4 (n labels)
+  D~4            one branch vertex, arms (3), (3), (3), (3)
+  D~n (n >= 5)   two branch vertices, arms (3), (3), (3 ... 3 0) (n - 4
+                 labels), and the other branch vertex holds just two leaves
+  E~6, E~7, E~8  one branch vertex, arms labeled 3 of lengths 2, 2, 2;
+                 1, 3, 3; 1, 2, 5
+  F~4            path 3 3 4 3
+
+The shapes are distinct, so a tree whose shape is in neither
+``_free_length`` (at its rank) nor ``_FIXED`` is neither finite nor affine.
+
 Subset questions (the constant M, spherical separators, wide subsets,
 affine-freeness) are answered from one ``SubsetTable`` per graph, built on
 first use and kept on the graph:
@@ -45,14 +75,17 @@ first use and kept on the graph:
     subset.  Every proper subset of a finite or affine irreducible set is
     spherical, so from rank 4 on s is dropped unless every s - {u} is
     settled spherical (below rank 4 those are vertices and pairs of a
-    clique, always spherical).  Only the remaining trees are matched.
+    clique, always spherical).  Only the remaining trees are matched, by
+    their shape.
   - Size-lex order.  The queue visits the spherical sets by size and,
     within a size, lexicographically by their ascending vertex lists.  By
     induction on the size: a set has one parent, itself less its highest
     vertex, which ends its vertex list; the parents come in this order,
-    and each parent's children in ascending order of that last vertex.  So
-    the first separating set in queue order is the smallest one, then the
-    lexicographically least, which is what ``spherical_separator`` returns.
+    and each parent's children in ascending order of that last vertex.
+    The build enters each spherical set in ``longest`` as it queues it,
+    so ``longest`` keeps this order, and the first separating set in it
+    is the smallest one, then the lexicographically least, which is what
+    ``spherical_separator`` returns.
 * Wide sets from irreducible components.  Write Cm(P) for the vertices
   outside P that commute with every vertex of P.  A set D is wide exactly
   when it is P | Q with P irreducible and infinite, Q a subset of Cm(P), and
@@ -113,10 +146,8 @@ theory is classical background, not re-derived here.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cache, cached_property
-from itertools import islice
 from typing import Optional
 
 from .errors import GraphFormatError, SizeCapError
@@ -196,6 +227,50 @@ _RANK3 = {
 }
 
 
+def _plain(*lengths: int) -> tuple[tuple[int, ...], ...]:
+    """The arms of a tree labeled 3 throughout, by their lengths."""
+    return tuple((3,) * k for k in lengths)
+
+
+# The finite and affine trees of rank >= 4 of no free length, by shape: the
+# number of branch vertices, then the arm label sequences (see
+# ``_match_clique`` and the module docstring).
+_FIXED = {
+    (0, ((3, 4, 3),)): IrreducibleVerdict("FiniteType", "F4", 4, 24),
+    (0, ((3, 3, 5),)): IrreducibleVerdict("FiniteType", "H4", 4, 60),
+    (0, ((3, 3, 4, 3),)): IrreducibleVerdict("AffineType", "F~4", 5, None),
+    (1, _plain(1, 2, 2)): IrreducibleVerdict("FiniteType", "E6", 6, 36),
+    (1, _plain(1, 2, 3)): IrreducibleVerdict("FiniteType", "E7", 7, 63),
+    (1, _plain(1, 2, 4)): IrreducibleVerdict("FiniteType", "E8", 8, 120),
+    (1, _plain(2, 2, 2)): IrreducibleVerdict("AffineType", "E~6", 7, None),
+    (1, _plain(1, 3, 3)): IrreducibleVerdict("AffineType", "E~7", 8, None),
+    (1, _plain(1, 2, 5)): IrreducibleVerdict("AffineType", "E~8", 9, None),
+    (1, _plain(1, 1, 1, 1)): IrreducibleVerdict("AffineType", "D~4", 5, None),
+}
+
+
+@cache
+def _free_length(n: int) -> dict:
+    """The trees of rank n >= 4 in the families with a free length, by
+    shape (see ``_FIXED``), built once per rank.  The D~ shape reaches a
+    branch vertex, two leaves and n - 5 vertices up to the other branch
+    vertex, so only that one's two leaves lie beyond it."""
+    return {
+        (0, _plain(n - 1)):
+            IrreducibleVerdict("FiniteType", f"A{n}", n, n * (n + 1) // 2),
+        (0, ((3,) * (n - 2) + (4,),)):
+            IrreducibleVerdict("FiniteType", f"B{n}", n, n * n),
+        (0, ((4,) + (3,) * (n - 3) + (4,),)):
+            IrreducibleVerdict("AffineType", f"C~{n - 1}", n, None),
+        (1, _plain(1, 1, n - 3)):
+            IrreducibleVerdict("FiniteType", f"D{n}", n, n * (n - 1)),
+        (1, ((3,), (3,), (3,) * (n - 4) + (4,))):
+            IrreducibleVerdict("AffineType", f"B~{n - 1}", n, None),
+        (2, ((3,), (3,), (3,) * (n - 5) + (0,))):
+            IrreducibleVerdict("AffineType", f"D~{n - 1}", n, None),
+    }
+
+
 def _match_clique(g: CoxeterGraph, mask: int) -> Optional[IrreducibleVerdict]:
     """The finite or affine verdict of an irreducible clique, None when it
     is neither.
@@ -212,12 +287,11 @@ def _match_clique(g: CoxeterGraph, mask: int) -> Optional[IrreducibleVerdict]:
     r = 6; at q = 4, r >= 4 gives 1/r <= 1/4, equal only at r = 4; at
     q >= 5 the sum is at most 2/5 < 1/2.
 
-    From rank 4 the diagram edges are its non-commuting pairs, all with
-    finite labels, and they connect it: so it has at least rank - 1 edges,
-    exactly rank - 1 when it is a tree, and a cycle otherwise.  Finite
-    diagrams are trees, and the only affine diagram with a cycle is A~n, a
-    single cycle (every degree 2) labeled 3 throughout.  Only trees reach
-    the table matchers.
+    From rank 4 the diagram edges (the non-commuting pairs, all with finite
+    labels) connect the clique, so their degrees sum to 2(rank - 1) for a
+    tree and to more with a cycle, where only A~n is affine (see the
+    module docstring).  A tree is read once into its shape, which
+    ``_FIXED`` or ``_free_length`` decides.
     """
     label = g._m
     rank = popcount(mask)
@@ -233,172 +307,38 @@ def _match_clique(g: CoxeterGraph, mask: int) -> Optional[IrreducibleVerdict]:
         return _RANK3.get(tuple(sorted(
             (label[i][j], label[i][k], label[j][k]))))
     comm = g._comm
-    vs = list(bits(mask))
-    degs = [popcount(mask & ~comm[i]) - 1 for i in vs]
-    if sum(degs) != 2 * (rank - 1):
-        if all(d == 2 for d in degs) and all(
-                label[i][j] == 3 for i in vs
-                for j in bits(mask & ~comm[i] & ~(1 << i))):
+    near = {i: mask & ~comm[i] & ~(1 << i) for i in bits(mask)}
+    deg = {i: popcount(b) for i, b in near.items()}
+    plain = all(label[i][j] == 3 for i, b in near.items() for j in bits(b))
+    if sum(deg.values()) != 2 * (rank - 1):
+        if plain and all(d == 2 for d in deg.values()):
             return IrreducibleVerdict("AffineType", f"A~{rank - 1}", rank, None)
         return None
-    edges = [(i, j, label[i][j]) for i in vs
-             for j in bits(mask & ~comm[i] & ~((2 << i) - 1))]
-    degs.sort()
-    fin = _match_finite(rank, edges, degs)
-    if fin is not None:
-        return IrreducibleVerdict("FiniteType", fin[0], rank, fin[1])
-    aff = _match_affine(rank, edges, degs)
-    if aff is not None:
-        return IrreducibleVerdict("AffineType", aff, rank, None)
-    return None
 
+    def arm(prev: int, cur: int) -> tuple[int, ...]:
+        """The labels from ``prev`` through ``cur`` on to the next vertex
+        whose degree is not 2, then a 0 when that is a branch vertex."""
+        seq = [label[prev][cur]]
+        while deg[cur] == 2:
+            prev, cur = cur, (near[cur] ^ 1 << prev).bit_length() - 1
+            seq.append(label[prev][cur])
+        if deg[cur] > 2:
+            seq.append(0)
+        return tuple(seq)
 
-def _match_finite(rank: int, edges: list[tuple[int, int, int]],
-                  degs: list[int]) -> Optional[tuple[str, int]]:
-    """(family, longest_length) when the tree diagram of rank >= 4 with
-    these edges and ascending vertex degrees is a finite type."""
-    labels = sorted(m for _, _, m in edges)
-    if degs[-1] > 3 or degs.count(3) > 1:
-        return None
-    branched = degs[-1] == 3
-    if not branched:
-        # path: read off the label sequence
-        seq = _path_label_sequence(edges)
-        n = rank
-        if all(m == 3 for m in seq):
-            return (f"A{n}", n * (n + 1) // 2)
-        if labels.count(4) == 1 and labels.count(3) == len(labels) - 1:
-            if seq[0] == 4 or seq[-1] == 4:
-                return (f"B{n}", n * n)
-            if n == 4 and seq[1] == 4:
-                return ("F4", 24)
-            return None
-        if labels.count(5) == 1 and labels.count(3) == len(labels) - 1:
-            if n == 4 and (seq[0] == 5 or seq[-1] == 5):
-                return ("H4", 60)
-            return None
-        return None
-    # one branch vertex of degree 3
-    if any(m != 3 for m in labels):
-        return None
-    arms = sorted(len(a) for a in _branch_arms(edges))
-    n = rank
-    if arms == [1, 1, n - 3]:
-        return (f"D{n}", n * (n - 1))
-    if arms == [1, 2, 2] and n == 6:
-        return ("E6", 36)
-    if arms == [1, 2, 3] and n == 7:
-        return ("E7", 63)
-    if arms == [1, 2, 4] and n == 8:
-        return ("E8", 120)
-    return None
-
-
-def _match_affine(rank: int, edges: list[tuple[int, int, int]],
-                  degs: list[int]) -> Optional[str]:
-    """The affine family name when the tree diagram of rank >= 4 with these
-    edges and ascending vertex degrees is affine, else None."""
-    labels = sorted(m for _, _, m in edges)
-    n = rank - 1  # affine X~_n has n+1 vertices
-    branch_count = sum(1 for d in degs if d >= 3)
-    if branch_count == 0:
-        seq = _path_label_sequence(edges)
-        if seq[0] == 4 and seq[-1] == 4 and all(m == 3 for m in seq[1:-1]):
-            return f"C~{n}"
-        if rank == 5 and sorted(seq) == [3, 3, 3, 4] and seq[0] != 4 and seq[-1] != 4:
-            return "F~4"
-        return None
-    if any(m not in (3, 4) for m in labels):
-        return None
-    if degs[-1] == 4 and degs.count(4) == 1 and rank == 5 and all(m == 3 for m in labels):
-        return "D~4"
-    if degs[-1] > 3:
-        return None
-    if degs.count(3) == 1:
-        arms = _branch_arms(edges)
-        arm_lens = sorted(len(a) for a in arms)
-        if all(m == 3 for m in labels):
-            if arm_lens == [2, 2, 2] and rank == 7:
-                return "E~6"
-            if arm_lens == [1, 3, 3] and rank == 8:
-                return "E~7"
-            if arm_lens == [1, 2, 5] and rank == 9:
-                return "E~8"
-            return None
-        # B~_n: two label-3 leaf arms plus a tail whose far edge is labeled 4
-        if labels.count(4) == 1:
-            short = [a for a in arms if len(a) == 1]
-            long = [a for a in arms if len(a) > 1]
-            if len(short) >= 2 and len(short) + len(long) == 3:
-                if not long:
-                    # rank 4 star: arms all length 1, one arm edge labeled 4
-                    return "B~3"
-                tail = long[0]
-                # the 4 must sit on the far end of the tail arm
-                if tail[-1][2] == 4 and all(e[2] == 3 for e in tail[:-1]) \
-                        and all(e[2] == 3 for a in short for e in a):
-                    return f"B~{n}"
-            return None
-        return None
-    if degs.count(3) == 2 and all(m == 3 for m in labels):
-        # D~_n: two branch vertices, each with two leaf arms, joined by a path
-        arms_per = _double_branch_leaf_arms(edges)
-        if arms_per == (2, 2):
-            return f"D~{n}"
-    return None
-
-
-def _path_label_sequence(edges) -> list[int]:
-    """Label sequence along a path diagram, from one end to the other."""
-    adj: dict[int, list[tuple[int, int]]] = {}
-    for i, j, m in edges:
-        adj.setdefault(i, []).append((j, m))
-        adj.setdefault(j, []).append((i, m))
-    ends = [v for v, nb in adj.items() if len(nb) == 1]
-    start = min(ends)
-    seq = []
-    prev, cur = None, start
-    while True:
-        nxt = [(w, m) for w, m in adj[cur] if w != prev]
-        if not nxt:
-            break
-        w, m = nxt[0]
-        seq.append(m)
-        prev, cur = cur, w
-    return seq
-
-
-def _branch_arms(edges) -> list[list[tuple[int, int, int]]]:
-    """Arms (edge lists, branch vertex outward) of the unique degree-3 vertex."""
-    adj: dict[int, list[tuple[int, int]]] = {}
-    for i, j, m in edges:
-        adj.setdefault(i, []).append((j, m))
-        adj.setdefault(j, []).append((i, m))
-    center = next(v for v, nb in adj.items() if len(nb) == 3)
-    arms = []
-    for w, m in sorted(adj[center]):
-        arm = [(center, w, m)]
-        prev, cur = center, w
-        while len(adj[cur]) == 2:
-            nxt = [(x, mm) for x, mm in adj[cur] if x != prev][0]
-            arm.append((cur, nxt[0], nxt[1]))
-            prev, cur = cur, nxt[0]
-        arms.append(arm)
-    return arms
-
-
-def _double_branch_leaf_arms(edges) -> tuple[int, int]:
-    """For a tree with exactly two degree-3 vertices: how many length-1 arms each has."""
-    adj: dict[int, list[int]] = {}
-    for i, j, _ in edges:
-        adj.setdefault(i, []).append(j)
-        adj.setdefault(j, []).append(i)
-    centers = [v for v, nb in adj.items() if len(nb) == 3]
-    counts = []
-    for c in centers:
-        leaf_arms = sum(1 for w in adj[c] if len(adj[w]) == 1)
-        counts.append(leaf_arms)
-    return tuple(sorted(counts))
+    branches = sum(d > 2 for d in deg.values())
+    if branches > 1 and not plain:
+        return None  # only D~n has two branch vertices, and it is all 3
+    if branches:
+        hub = next(i for i, d in deg.items() if d > 2)
+        arms = tuple(sorted((arm(hub, j) for j in bits(near[hub])),
+                            key=lambda a: (len(a), a)))
+    else:
+        end = next(i for i, d in deg.items() if d == 1)
+        seq = arm(end, near[end].bit_length() - 1)
+        arms = (min(seq, seq[::-1]),)
+    shape = branches, arms
+    return _FIXED.get(shape) or _free_length(rank).get(shape)
 
 
 def _is_clique(g: CoxeterGraph, mask: int) -> bool:
@@ -442,9 +382,8 @@ class SubsetTable:
     """Subset analysis of one graph; see the module docstring.
 
     longest: spherical mask -> length of its longest element (0 included).
-    size_lex: the spherical masks by size, then lexicographically by their
-        ascending vertex lists: the order the build finds them in.
-    spherical: the spherical masks, descending (the order of ``submasks``).
+        Its keys come in the order the build finds them: by size, then
+        lexicographically by their ascending vertex lists.
     affine: the irreducible affine masks (all of rank >= 3).
     m_gamma: the constant M, the largest value in ``longest``.
     constants: (V, M, R) of the graph.
@@ -534,9 +473,6 @@ class SubsetTable:
                 queue.append(s)
                 cands.append(rest & adj[v])
         self.longest = longest
-        self.size_lex = tuple(queue)
-        del queue, cands  # freed before the sort, where the peak is
-        self.spherical = tuple(sorted(longest, reverse=True))
         self.affine = frozenset(affine)
         self.m_gamma = max(longest.values())
         self.constants = GroupConstants(g.n, self.m_gamma, g.max_label())
@@ -761,15 +697,16 @@ def spherical_separator(g: CoxeterGraph) -> Optional[int]:
     """Smallest (then lexicographically least) spherical separating set, as a mask.
 
     Returns None when no proper spherical subset disconnects the graph.
-    The scan starts at the separator floor (see the module docstring).
+    The scan reads ``SubsetTable.longest``, in size-lex order, from the
+    separator floor on (see the module docstring).
     """
     floor = _separator_floor(g)
     if floor is None:
         return None
     full = g.full_mask()
-    order = subset_table(g).size_lex
-    for mask in islice(order, bisect_left(order, floor, key=popcount), None):
+    for mask in subset_table(g).longest:
         rest = full & ~mask
-        if rest and len(g.components_within(rest)) > 1:
+        if popcount(mask) >= floor and rest \
+                and len(g.components_within(rest)) > 1:
             return mask
     return None

@@ -644,12 +644,13 @@ def check_filter(g: CoxeterGraph, filt: FilterDiagram,
                          f"{cls[rho[0]]} first right edge")
 
     # fans: the recorded tail is the wide tail of the base, so the check
-    # is the one ``build_fan`` made (and remembered) when it laid the fan
+    # is the one ``build_fan`` made (and remembered) when it laid the fan;
+    # it reports a base that is not geodesic and letters that are not
+    # adjacent (which have no cell, written 0 here)
     for fi, f in enumerate(filt.fans):
-        cells = tuple(2 * g.m(g.index(a), g.index(b))
+        cells = tuple(2 * (g.m(g.index(a), g.index(b)) or 0)
                       for a, b in zip(f.labels, f.labels[1:]))
         w = eng.encode(f.base)
-        eng.require_geodesic(w)
         failures = _fan_failures(g, eng, w, _wide_suffix(g, w)[0],
                                  tuple(f.labels), cells, True, f.case)
         if failures:
@@ -755,7 +756,8 @@ def build_multitail_filter(g: CoxeterGraph, alpha: Word, beta: Word, n: int,
         else:
             cases.append("fresh")
             grown = eng.encode(extend_geodesic(
-                g, eng.decode(tails_all[k]), len(tails_all[k]) + ray_len))
+                g, eng.decode(tails_all[k]), len(tails_all[k]) + ray_len,
+                orbit_cap))
             rays.append(grown[len(tails_all[k]):])
         if not eng.is_geodesic(tails_all[k] + rays[k]):
             raise ConstructionError(

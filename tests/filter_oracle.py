@@ -272,10 +272,15 @@ def check_filter(g: CoxeterGraph, filt: FilterDiagram,
                          f"{edges[rho[0]].cls} first right edge")
 
     for fi, f in enumerate(filt.fans):
-        cells = tuple(2 * g.m(g.index(f.labels[i]), g.index(f.labels[i + 1]))
-                      for i in range(len(f.labels) - 1))
-        fan = FanDiagram(f.base, f.labels, cells,
-                         *wide_tail(g, f.base, orbit_cap), f.case, ())
+        # a non-adjacent pair has no cell (0) and a base that is not
+        # geodesic no wide tail: ``check_fan`` reports both before it
+        # reads either
+        cells = tuple(
+            2 * (g.m(g.index(f.labels[i]), g.index(f.labels[i + 1])) or 0)
+            for i in range(len(f.labels) - 1))
+        tail = wide_tail(g, f.base, orbit_cap) \
+            if is_geodesic(g, f.base, orbit_cap) else ((), None)
+        fan = FanDiagram(f.base, f.labels, cells, *tail, f.case, ())
         sub = check_fan(g, fan, orbit_cap)
         if not sub.ok:
             fails.append(f"fan {fi}: " + "; ".join(sub.failures))

@@ -3,9 +3,10 @@ and the pair-by-pair avoidance deciders that ``avoidance._blocked_pairs``
 replaced, and the dynamic program over all 2^n masks that found the wide
 sets before ``SubsetTable.wide`` enumerated them from irreducible
 components, and the table's former clique builder with the edge-list
-matchers it ran on every irreducible clique, and the former maximal wide
-sets, filtered out of the full wide list before ``SubsetTable.maximal_wide``
-took them from their cores.
+matchers it ran on every irreducible clique (and the tree walkers they
+read, which ``_match_clique`` replaced by one shape table), and the former
+maximal wide sets, filtered out of the full wide list before
+``SubsetTable.maximal_wide`` took them from their cores.
 
 Each scan walks every subset (or every subset of a ground set),
 splits it into irreducible components and matches each component against
@@ -41,9 +42,8 @@ from coxwide import avoidance
 from coxwide.avoidance import (AvoidanceReport, SpecialJoin, _blocked_pairs,
                                _join_grounds)
 from coxwide.classification import (DEFAULT_SUBSET_CAP, GroupConstants,
-                                    IrreducibleVerdict, _branch_arms,
-                                    _double_branch_leaf_arms, _is_clique,
-                                    _path_label_sequence, subset_table)
+                                    IrreducibleVerdict, _is_clique,
+                                    subset_table)
 from coxwide.graphs import CoxeterGraph, bits, popcount, submasks
 
 
@@ -62,6 +62,59 @@ def _diagram_edges(g: CoxeterGraph, mask: int) -> list[tuple[int, int, Optional[
             if m is None or m >= 3:
                 out.append((i, j, m))
     return out
+
+
+def _path_label_sequence(edges) -> list[int]:
+    """Label sequence along a path diagram, from one end to the other."""
+    adj: dict[int, list[tuple[int, int]]] = {}
+    for i, j, m in edges:
+        adj.setdefault(i, []).append((j, m))
+        adj.setdefault(j, []).append((i, m))
+    ends = [v for v, nb in adj.items() if len(nb) == 1]
+    start = min(ends)
+    seq = []
+    prev, cur = None, start
+    while True:
+        nxt = [(w, m) for w, m in adj[cur] if w != prev]
+        if not nxt:
+            break
+        w, m = nxt[0]
+        seq.append(m)
+        prev, cur = cur, w
+    return seq
+
+
+def _branch_arms(edges) -> list[list[tuple[int, int, int]]]:
+    """Arms (edge lists, branch vertex outward) of the unique degree-3 vertex."""
+    adj: dict[int, list[tuple[int, int]]] = {}
+    for i, j, m in edges:
+        adj.setdefault(i, []).append((j, m))
+        adj.setdefault(j, []).append((i, m))
+    center = next(v for v, nb in adj.items() if len(nb) == 3)
+    arms = []
+    for w, m in sorted(adj[center]):
+        arm = [(center, w, m)]
+        prev, cur = center, w
+        while len(adj[cur]) == 2:
+            nxt = [(x, mm) for x, mm in adj[cur] if x != prev][0]
+            arm.append((cur, nxt[0], nxt[1]))
+            prev, cur = cur, nxt[0]
+        arms.append(arm)
+    return arms
+
+
+def _double_branch_leaf_arms(edges) -> tuple[int, int]:
+    """For a tree with exactly two degree-3 vertices: how many length-1 arms each has."""
+    adj: dict[int, list[int]] = {}
+    for i, j, _ in edges:
+        adj.setdefault(i, []).append(j)
+        adj.setdefault(j, []).append(i)
+    centers = [v for v, nb in adj.items() if len(nb) == 3]
+    counts = []
+    for c in centers:
+        leaf_arms = sum(1 for w in adj[c] if len(adj[w]) == 1)
+        counts.append(leaf_arms)
+    return tuple(sorted(counts))
 
 
 def _match_finite(rank: int, edges: list[tuple[int, int, Optional[int]]]
@@ -467,7 +520,7 @@ def maximal_spherical(table, ground: int) -> list[int]:
     inside ``ground`` that no single vertex of ``ground`` extends,
     descending."""
     longest = table.longest
-    return [m for m in table.spherical if m & ~ground == 0
+    return [m for m in sorted(longest, reverse=True) if m & ~ground == 0
             and not any(m | (1 << v) in longest for v in bits(ground & ~m))]
 
 

@@ -209,6 +209,23 @@ def test_filter_checker_rejects_tampering(c5):
     assert not check_filter(c5, bad).ok
 
 
+@pytest.mark.parametrize("field,value,failure", [
+    ("labels", ("s1", "s3", "s2"), "fan letters s1,s3 not adjacent"),
+    ("base", ("s1", "s1"), "base word is not geodesic"),
+], ids=["non-adjacent-letters", "non-geodesic-base"])
+def test_filter_checker_reports_bad_fan_records(c5, field, value, failure):
+    """A recorded fan with non-adjacent consecutive letters or a base that
+    is not geodesic is a failure of fan 0, not an exception."""
+    a, b = boundary_pair(c5)
+    filt = build_filter(c5, a, b, 2)
+    bad_fan = dataclasses.replace(filt.fans[0], **{field: value})
+    bad = dataclasses.replace(filt, fans=(bad_fan,) + filt.fans[1:])
+    ck = check_filter(c5, bad)
+    assert not ck.ok
+    assert any(f.startswith("fan 0: ") and failure in f
+               for f in ck.failures), ck.failures
+
+
 def test_filter_json_field_order(c5):
     a, b = boundary_pair(c5)
     filt = build_filter(c5, a, b, 1)

@@ -112,6 +112,15 @@ def test_mtf_degenerate_rays_raise(c5):
         build_multitail_filter(c5, a, b, 1, depth=2)
 
 
+def test_mtf_fresh_rays_keep_the_orbit_cap():
+    """Fresh rays grow under the caller's orbit cap: no second word engine
+    (at the default cap) is built on the graph."""
+    g = CORPUS_MAKERS["C5"]()
+    m = build_multitail_filter(g, ZIG, ZAG, 2, depth=2, orbit_cap=5000)
+    assert "fresh" in m.cases
+    assert sorted(g._engines) == [5000]
+
+
 def test_mtf_level_out_of_range(c5):
     with pytest.raises(ValueError):
         build_multitail_filter(c5, ZIG, ZAG, 99, depth=1)
