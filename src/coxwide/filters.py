@@ -836,23 +836,32 @@ def check_multitail_filter(g: CoxeterGraph, mtf: MultiTailFilter,
     if len(mtf.filters) != len(anchors):
         fails.append(f"{len(mtf.filters)} filters recorded, expected "
                      f"{len(anchors)}")
-    for t, (fd, (la, ra)) in enumerate(zip(mtf.filters, mtf.boundaries)):
-        if (fd.alpha, fd.beta) != (la, ra):
+    for field in ("tails", "boundaries"):
+        count = len(getattr(mtf, field))
+        if count != len(mtf.filters):
+            fails.append(f"{count} {field} recorded for "
+                         f"{len(mtf.filters)} filters")
+    for t, fd in enumerate(mtf.filters):
+        bound = mtf.boundaries[t] if t < len(mtf.boundaries) else None
+        if bound is not None and (fd.alpha, fd.beta) != bound:
             fails.append(f"filter {t} boundary mismatch")
         if t < len(anchors):
             i = anchors[t]
-            want_left = mtf.rays[i] if i < len(mtf.rays) else None
-            if la != want_left:
-                fails.append(f"filter {t} left ray is not ray {i}")
-            if i == d:
-                want_right = eng.decode(b[n:])
-            else:
-                j = fresh[t]
-                want_right = eng.decode((sigma[j - 1],)
-                                        + eng.encode(mtf.rays[j]))
-            if ra != want_right:
-                fails.append(f"filter {t} right ray mismatch")
-            if eng.encode(mtf.tails[t]) != tails_all[i]:
+            if bound is not None:
+                la, ra = bound
+                want_left = mtf.rays[i] if i < len(mtf.rays) else None
+                if la != want_left:
+                    fails.append(f"filter {t} left ray is not ray {i}")
+                if i == d:
+                    want_right = eng.decode(b[n:])
+                else:
+                    j = fresh[t]
+                    want_right = eng.decode((sigma[j - 1],)
+                                            + eng.encode(mtf.rays[j]))
+                if ra != want_right:
+                    fails.append(f"filter {t} right ray mismatch")
+            if t < len(mtf.tails) and \
+                    eng.encode(mtf.tails[t]) != tails_all[i]:
                 fails.append(f"filter {t} tail is not the level point {i}")
         sub = check_filter(g, fd, orbit_cap)
         stats[f"filter_{t}_windows"] = sub.stats.get("wide_windows_checked", 0)

@@ -27,7 +27,7 @@ from typing import Optional
 
 from .avoidance import label_in_wide_subgraph, is_affine_free
 from .errors import DEFAULT_BALL_CAP, DEFAULT_ORDER_CAP, SizeCapError
-from .graphs import CoxeterGraph
+from .graphs import CoxeterGraph, bits
 from .words import (DEFAULT_ORBIT_CAP, RightAngledEngine, Word, WordEngine,
                     engine_for)
 
@@ -81,10 +81,40 @@ def build_ball(g: CoxeterGraph, radius: int, cap: int = DEFAULT_BALL_CAP,
     new and c is its parent; otherwise p < c + (s,) puts p[:-1] lex below
     c, so p was found from it earlier in the walk.  Hence the next sphere
     is appended in lex order, each element once, and its name is its
-    parent's name plus one letter.
+    parent's name plus one letter.  Within one element the edges to
+    elements found earlier come first, by index, then the new children in
+    letter order.
+
+    On a right-angled graph the canonical forms are a regular language
+    (Brink and Howlett, Math. Ann. 1993), and the walk reads two masks per
+    element c in place of its word:
+
+    - D(c), the right descents;
+    - F(c), the letters s for which c + (s,) is not the canonical form of
+      c s: the descents, and each s whose trailing run in c (the letters
+      after the last one not commuting with s) holds a letter above s, in
+      front of which ``RightAngledEngine.right_mult`` puts s.
+
+    The identity has D = F = {}.  A child c' = c + (t,), with t outside
+    F(c), has D(c') = {t} | (Comm(t) & D(c)) and
+    F(c') = {t} | (Comm(t) & (F(c) | {s < t})): for an s not commuting
+    with t the run in c' is empty and s is no descent, and for an s
+    commuting with t it is the run in c followed by t.  A letter outside
+    F(c') gives a new element with parent c'.  A letter s in F(c') - D(c')
+    commutes with t and is not a descent of c, so c' s = (c s) t, and its
+    edge goes to up[up[c][s]][t], where up[x][y] is the index of x y for y
+    outside D(x).  That row of c s is already filled, because c s comes
+    before c' in their sphere: for s < t its canonical form is at most
+    c + (s,), and otherwise it puts s before a larger letter of c.
+    So no word is multiplied or hashed: an edge costs O(1), beside the copy
+    of each new element's name, and only the up rows of two spheres are
+    kept.  This walk builds no word engine and ignores ``orbit_cap``, since
+    it runs no orbit search.
     """
     if radius < 0:
         raise ValueError("radius must be >= 0")
+    if g.is_racg():
+        return _right_angled_ball(g, radius, cap)
     right_mult = engine_for(g, orbit_cap).right_mult
     names = g.vertices
     gens = range(g.n)
@@ -111,6 +141,60 @@ def build_ball(g: CoxeterGraph, radius: int, cap: int = DEFAULT_BALL_CAP,
                     up.append((j, s))
             up.sort()
             edges.extend([(i, j, names[s]) for j, s in up])
+        sphere = nxt
+    return CayleyBall(radius, tuple(words), tuple(edges))
+
+
+def _right_angled_ball(g: CoxeterGraph, radius: int, cap: int) -> CayleyBall:
+    """``build_ball`` on a right-angled graph, from the masks D and F."""
+    names = g.vertices
+    gens = range(g.n)
+    comm = [g.commuting_mask(s) for s in gens]
+    words: list[Word] = [()]
+    edges: list[tuple[int, int, str]] = []
+    # a sphere lists (index, parent index, last letter, D, F) in lex order;
+    # its elements are the last len(sphere) words
+    sphere = [(0, 0, 0, 0, 0)]
+    rows_below: list[list[int]] = []  # the up rows of the sphere below
+    for r in range(radius + 1):
+        # the cap counts every element so far, the identity too
+        if len(words) > cap:
+            raise SizeCapError(cap, f"ball exceeds {cap} elements")
+        if r == radius or not sphere:
+            break
+        lo = len(words) - len(sphere)
+        lo_below = lo - len(rows_below)
+        rows: list[list[int]] = []
+        nxt = []
+        for i, p, t, d, f in sphere:
+            row = [0] * g.n
+            old = f & ~d
+            if old:
+                parent_row = rows_below[p - lo_below]
+                if old & (old - 1):
+                    found = sorted([(rows[parent_row[s] - lo][t], s)
+                                    for s in bits(old)])
+                else:
+                    s = old.bit_length() - 1
+                    found = [(rows[parent_row[s] - lo][t], s)]
+                for j, s in found:
+                    row[s] = j
+                    edges.append((i, j, names[s]))
+            word = words[i]
+            j = len(words)
+            for s in gens:
+                if f >> s & 1:
+                    continue
+                row[s] = j
+                name = names[s]
+                words.append(word + (name,))
+                edges.append((i, j, name))
+                bit = 1 << s
+                nxt.append((j, i, s, bit | comm[s] & d,
+                            bit | comm[s] & (f | (bit - 1))))
+                j += 1
+            rows.append(row)
+        rows_below = rows
         sphere = nxt
     return CayleyBall(radius, tuple(words), tuple(edges))
 

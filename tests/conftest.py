@@ -161,6 +161,11 @@ CORPUS_MAKERS = {
 }
 
 
+# the right-angled corpus graphs (every edge labelled 2)
+RA_CORPUS = sorted(name for name, make in CORPUS_MAKERS.items()
+                   if make().is_racg())
+
+
 @pytest.fixture(scope="session")
 def corpus():
     return {name: mk() for name, mk in CORPUS_MAKERS.items()}

@@ -15,7 +15,8 @@ package under test:
   structure spelled out (every wide set and every special join, no
   maximality pruning), using a plain vertex BFS for path search;
 * sphere sizes of the group (for growth/ends checks) fall out of the same
-  matrix BFS.
+  matrix BFS, and on right-angled graphs also from the growth series,
+  counted from the cliques of the graph in exact integers.
 
 The only interface shared with the library is the input encoding: a graph
 is an ``n x n`` symmetric integer matrix ``labels`` with ``labels[i][j]``
@@ -279,6 +280,55 @@ def sphere_sizes(labels: Sequence[Sequence[int]], radius: int,
     sph = list(res.spheres)
     sph += [0] * (radius + 1 - len(sph))
     return tuple(sph[: radius + 1])
+
+
+def _clique_counts(labels: Sequence[Sequence[int]]) -> list[int]:
+    """counts[k] = number of k-cliques of the commuting graph (label 2),
+    the empty clique included."""
+    n = len(labels)
+    comm = [sum(1 << j for j in range(n) if j != i and labels[i][j] == 2)
+            for i in range(n)]
+    counts = [0] * (n + 1)
+
+    def grow(size: int, candidates: int) -> None:
+        counts[size] += 1
+        for v in obits(candidates):
+            grow(size + 1, candidates & comm[v] & ~((2 << v) - 1))
+
+    grow(0, (1 << n) - 1)
+    while len(counts) > 1 and counts[-1] == 0:
+        counts.pop()
+    return counts
+
+
+def racg_sphere_sizes(labels: Sequence[Sequence[int]],
+                      radius: int) -> tuple[int, ...]:
+    """Sizes of spheres 0..radius of a right-angled Coxeter group, exactly,
+    from its growth series W(t).
+
+    With x = t / (1 + t), 1 / W(t) is the sum over the cliques sigma of
+    the graph of (-x)^|sigma| (Steinberg's identity; the clique subgroups
+    are the spherical ones, each of growth (1 + t)^|sigma|).  With d the
+    clique number, P(t) = (1 + t)^d / W(t) = sum over sigma of
+    (-t)^|sigma| (1 + t)^(d - |sigma|) is an integer polynomial with
+    P(0) = 1, so W = (1 + t)^d / P divides out in integers.
+    """
+    if any(labels[i][j] not in (0, 2)
+           for i in range(len(labels)) for j in range(i)):
+        raise ValueError("not a right-angled label matrix")
+    counts = _clique_counts(labels)
+    d = len(counts) - 1
+    poly = [0] * (d + 1)
+    for k, c in enumerate(counts):
+        for i in range(d - k + 1):
+            poly[k + i] += (-1) ** k * c * math.comb(d - k, i)
+    assert poly[0] == 1
+    sizes: list[int] = []
+    for m in range(radius + 1):
+        sizes.append(math.comb(d, m)
+                     - sum(poly[i] * sizes[m - i]
+                           for i in range(1, min(m, d) + 1)))
+    return tuple(sizes)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@ import pytest
 
 from coxwide import extend_geodesic, normalize
 from coxwide.errors import ConstructionError
-from coxwide.filters import (build_multitail_filter, check_multitail_filter)
+from coxwide.filters import (build_multitail_filter, check_filter,
+                             check_multitail_filter)
 from coxwide.words import engine_for
 
 from conftest import CORPUS_MAKERS
@@ -101,6 +102,36 @@ def test_mtf_checker_rejects_tampering(c5):
     rays[1], rays[-1] = rays[-1], rays[1]
     bad3 = dataclasses.replace(m, rays=tuple(rays))
     assert not check_multitail_filter(c5, bad3).ok
+
+
+def _relabelled(filt, letter):
+    """The filter with every edge label replaced by ``letter``."""
+    return dataclasses.replace(
+        filt, edges=tuple(dataclasses.replace(e, label=letter)
+                          for e in filt.edges))
+
+
+def test_mtf_checker_checks_every_filter_when_boundaries_are_short(c5):
+    """A record with fewer boundaries than filters fails, and every filter
+    is still checked: filter 2 is broken and only boundary 0 is kept."""
+    m = build_multitail_filter(c5, ZIG, ZAG, 2, depth=2)
+    assert len(m.filters) == 3
+    broken = _relabelled(m.filters[2], "s1")
+    assert not check_filter(c5, broken).ok
+    bad = dataclasses.replace(m, filters=m.filters[:2] + (broken,),
+                              boundaries=m.boundaries[:1])
+    ck = check_multitail_filter(c5, bad)
+    assert not ck.ok
+    assert "1 boundaries recorded for 3 filters" in ck.failures
+    assert any(f.startswith("filter 2: ") for f in ck.failures), ck.failures
+
+
+def test_mtf_checker_reports_short_tails(c5):
+    """Fewer tails than filters is a failure, not an IndexError."""
+    m = build_multitail_filter(c5, ZIG, ZAG, 2, depth=2)
+    ck = check_multitail_filter(c5, dataclasses.replace(m, tails=m.tails[:1]))
+    assert not ck.ok
+    assert ck.failures == ("1 tails recorded for 3 filters",)
 
 
 def test_mtf_degenerate_rays_raise(c5):

@@ -6,6 +6,8 @@ normal forms, no orbit search).  These tests compare it with a braid-orbit
 form, and with the exact element invariant of ``tests/oracles.py``.
 """
 
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -13,9 +15,10 @@ from coxwide import build_ball, ending_letters, normalize, tits_orbit
 from coxwide.words import RightAngledEngine, WordEngine, engine_for
 
 import oracles as O
-from ball_oracle import two_pass_ball
-from conftest import (CORPUS_MAKERS, PROPERTY, graph_from_labels,
-                      label_matrices, make_c5, racg_label_matrices)
+from ball_oracle import prefix_tree_ball, two_pass_ball
+from conftest import (CORPUS_MAKERS, PROPERTY, RA_CORPUS, graph_from_labels,
+                      label_matrices, make_c5, racg_label_matrices,
+                      random_racg_matrix)
 
 
 @st.composite
@@ -92,3 +95,44 @@ def test_right_angled_ball_adds_no_memo_entries():
     eng = engine_for(g)
     build_ball(g, 6)
     assert eng._norm == {}
+
+
+# The mask walk of ``build_ball`` against the prefix-tree walk over
+# canonical words that it replaced on right-angled graphs.
+
+
+@pytest.mark.parametrize("radius", (5, 6))
+@pytest.mark.parametrize("name", RA_CORPUS)
+def test_mask_walk_equals_prefix_tree_walk(name, radius):
+    g = CORPUS_MAKERS[name]()
+    assert build_ball(g, radius) == \
+        prefix_tree_ball(RightAngledEngine(g), radius)
+
+
+def test_mask_walk_equals_prefix_tree_walk_on_c5_at_radius_7():
+    g = make_c5()
+    ball = build_ball(g, 7)
+    assert len(ball.words) == 3046
+    assert ball == prefix_tree_ball(RightAngledEngine(g), 7)
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_mask_walk_equals_prefix_tree_walk_seeded(seed):
+    """Seeded right-angled graphs on 1-8 vertices, radius 5 up to 6
+    vertices and 4 above (at most 1,610 elements)."""
+    rng = random.Random(seed)
+    g = graph_from_labels(random_racg_matrix(rng, rng.randint(1, 8)))
+    radius = 5 if g.n <= 6 else 4
+    assert build_ball(g, radius) == \
+        prefix_tree_ball(RightAngledEngine(g), radius)
+
+
+def test_right_angled_ball_builds_no_engine():
+    """The mask walk multiplies no words, so no engine is built on the
+    graph, and it runs no orbit search, so ``orbit_cap`` changes nothing."""
+    for name in RA_CORPUS:
+        g = CORPUS_MAKERS[name]()
+        ball = build_ball(g, 4)
+        assert g._engines == {}, name
+        assert build_ball(g, 4, orbit_cap=1) == ball, name
+        assert g._engines == {}, name
