@@ -65,7 +65,14 @@ first use and kept on the graph:
     and never returns to it, so the component K of s holding v is v and
     the closure of links inside c.  When K is not s, s is spherical exactly
     when K is, with length K's plus that of s - K, a subset of c: both are
-    smaller than s, so both are settled.
+    smaller than s, so both are settled.  Ranks 2 and 3 need no search.
+    At rank 2, c = {x} and K = s is I2(m) with m = m(x, v), of length m.
+    At rank 3, c = {i, j}, and K = s exactly when links = c or i and j do
+    not commute, since then v, links and c are joined by non-commuting
+    pairs; its verdict is read off the label triple.  Otherwise i and j
+    commute and v links exactly one of them, x, so the other commutes with
+    x and v: K = {x, v} and s - K is one vertex, and s has length
+    m(x, v) + 1.
   - Cycle rule and prune.  When K is s, the diagram edges of s (its
     non-commuting pairs, all with finite labels) connect it, so their
     degrees sum to at least 2(rank - 1), with equality exactly for a
@@ -77,12 +84,12 @@ first use and kept on the graph:
     settled spherical (below rank 4 those are vertices and pairs of a
     clique, always spherical).  Only the remaining trees are matched, by
     their shape.
-  - Size-lex order.  The queue visits the spherical sets by size and,
+  - Size-lex order.  The build settles the spherical sets by size and,
     within a size, lexicographically by their ascending vertex lists.  By
     induction on the size: a set has one parent, itself less its highest
     vertex, which ends its vertex list; the parents come in this order,
     and each parent's children in ascending order of that last vertex.
-    The build enters each spherical set in ``longest`` as it queues it,
+    The build enters each spherical set in ``longest`` as it settles it,
     so ``longest`` keeps this order, and the first separating set in it
     is the smallest one, then the lexicographically least, which is what
     ``spherical_separator`` returns.
@@ -131,7 +138,9 @@ first use and kept on the graph:
   avoid S.  So no separator has fewer than k0 vertices, k0 being the
   least number of common neighbours of a non-adjacent pair, and a graph
   whose pairs are all adjacent has no separator.  The separator scan
-  starts at size k0.
+  starts at size k0.  It tests each set S inline: one search inside
+  R = V - S from R's lowest vertex, which S separates exactly when the
+  search misses part of R.
 
 Callers check their size caps before the table is built.  Queries on a
 single subset (``is_spherical_mask``, ``classify_irreducible``) read the
@@ -148,6 +157,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, cached_property
+from itertools import permutations
 from typing import Optional
 
 from .errors import GraphFormatError, SizeCapError
@@ -225,6 +235,10 @@ _RANK3 = {
     (2, 4, 4): IrreducibleVerdict("AffineType", "C~2", 3, None),
     (3, 3, 3): IrreducibleVerdict("AffineType", "A~2", 3, None),
 }
+# ``_RANK3`` under every ordering of each triple, so a triple of labels is
+# looked up as it is read, with no sort.
+_RANK3_ANY_ORDER = {order: verdict for triple, verdict in _RANK3.items()
+                    for order in permutations(triple)}
 
 
 def _plain(*lengths: int) -> tuple[tuple[int, ...], ...]:
@@ -304,8 +318,7 @@ def _match_clique(g: CoxeterGraph, mask: int) -> Optional[IrreducibleVerdict]:
             family = "A2" if m == 3 else "B2" if m == 4 else f"I2({m})"
             return IrreducibleVerdict("FiniteType", family, 2, m)
         i, j, k = bits(mask)
-        return _RANK3.get(tuple(sorted(
-            (label[i][j], label[i][k], label[j][k]))))
+        return _RANK3_ANY_ORDER.get((label[i][j], label[i][k], label[j][k]))
     comm = g._comm
     near = {i: mask & ~comm[i] & ~(1 << i) for i in bits(mask)}
     deg = {i: popcount(b) for i, b in near.items()}
@@ -392,10 +405,11 @@ class SubsetTable:
     vertices above its highest adjacent to all of it) beside it, so a
     child's candidates are its parent's later ones adjacent to the new
     vertex.  A vertex commuting with all of the clique adds 1 to its
-    length; otherwise one search inside the clique finds the new vertex's
+    length.  Otherwise a grown pair or triple is settled from its labels,
+    and from rank 4 one search inside the clique finds the new vertex's
     component, and only an irreducible grown set is matched: a diagram
-    with a cycle is affine only as A~n, and from rank 4 a set with a
-    non-spherical proper subset is neither finite nor affine.
+    with a cycle is affine only as A~n, and a set with a non-spherical
+    proper subset is neither finite nor affine.
     The wide masks are filled on first use, from the commuting masks
     captured here (the table keeps no reference to the graph): D is wide
     exactly when D = P | Q with P irreducible and infinite, Q commuting
@@ -410,73 +424,95 @@ class SubsetTable:
     """
 
     def __init__(self, g: CoxeterGraph):
-        adj = [g.neighbors_mask(i) for i in range(g.n)]
-        noncomm = [g.noncommuting_mask(i) for i in range(g.n)]
-        label = g._m
+        adj, comm, label = g._adj, g._comm, g._m
+        full = g.full_mask()
+        noncomm = [full & ~m & ~(1 << i) for i, m in enumerate(comm)]
         longest = {0: 0}
         affine = []
-        # Breadth-first by size; see the module docstring.  ``cands[k]``
-        # holds the candidates of ``queue[k]``: the vertices above its
-        # highest one adjacent to all of it.  The loop appends to both
-        # lists in step.
-        queue, cands = [0], [g.full_mask()]
-        for c, rest in zip(queue, cands):
-            base = longest[c]
-            rank = popcount(c) + 1
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                v = low.bit_length() - 1
-                s = c | low
-                links = noncomm[v] & c
-                if links:
-                    # the component of s holding v: v and the closure of
-                    # links inside c
-                    comp = frontier = links
-                    while frontier:
-                        reach = 0
-                        while frontier:
-                            u = frontier & -frontier
-                            reach |= noncomm[u.bit_length() - 1]
-                            frontier ^= u
-                        frontier = reach & c & ~comp
-                        comp |= frontier
-                    comp |= low
-                    if comp != s:
-                        part = longest.get(comp)
-                        if part is None:
-                            continue
-                        longest[s] = part + longest[s ^ comp]
+        # Breadth-first by size, one size per pass, ``rank`` being the size
+        # of the sets grown in it; see the module docstring.  ``cands[k]``
+        # holds the candidates of ``level[k]``: the vertices above its
+        # highest one adjacent to all of it.  A set with no candidates
+        # grows nothing, so it is not queued.
+        level, cands = [0], [full]
+        rank = 1
+        while level:
+            grown, grown_cands = [], []
+            for c, rest in zip(level, cands):
+                base = longest[c]
+                mij = 0  # at rank 3, the label of c = {i, j} once read
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    v = low.bit_length() - 1
+                    s = c | low
+                    links = noncomm[v] & c
+                    if not links:
+                        longest[s] = base + 1
                     elif rank == 2:
                         # an irreducible pair is I2(m), of length m; see
                         # ``_match_clique``
                         longest[s] = label[v][c.bit_length() - 1]
                     else:
                         if rank == 3:
-                            # an irreducible triple is read off its sorted
-                            # labels; see ``_match_clique``
-                            i, j = bits(c)
-                            verdict = _RANK3.get(tuple(sorted(
-                                (label[i][j], label[i][v], label[j][v]))))
-                        elif all(s ^ (1 << u) in longest for u in bits(c)):
-                            verdict = _match_clique(g, s)
+                            if not mij:
+                                j = c.bit_length() - 1
+                                li = label[(c & -c).bit_length() - 1]
+                                lj, mij = label[j], li[j]
+                            # K is s when i and j do not commute, else
+                            # links and v; see the Commuting step
+                            comp = (c if mij != 2 else links) | low
                         else:
-                            continue
-                        if verdict is None:
-                            continue
-                        if verdict.kind == "AffineType":
-                            affine.append(s)
-                            continue
-                        longest[s] = verdict.longest_length
-                else:
-                    longest[s] = base + 1
-                queue.append(s)
-                cands.append(rest & adj[v])
+                            # the component of s holding v: v and the
+                            # closure of links inside c
+                            comp = frontier = links
+                            while frontier:
+                                reach = 0
+                                while frontier:
+                                    u = frontier & -frontier
+                                    reach |= noncomm[u.bit_length() - 1]
+                                    frontier ^= u
+                                frontier = reach & c & ~comp
+                                comp |= frontier
+                            comp |= low
+                        if comp != s:
+                            part = longest.get(comp)
+                            if part is None:
+                                continue
+                            longest[s] = part + longest[s ^ comp]
+                        else:
+                            if rank == 3:
+                                verdict = _RANK3_ANY_ORDER.get(
+                                    (mij, li[v], lj[v]))
+                            else:
+                                # from rank 4, only when every s - {u} is
+                                # spherical
+                                sub = c
+                                while sub:
+                                    u = sub & -sub
+                                    if s ^ u not in longest:
+                                        break
+                                    sub ^= u
+                                if sub:
+                                    continue
+                                verdict = _match_clique(g, s)
+                            if verdict is None:
+                                continue
+                            if verdict.kind == "AffineType":
+                                affine.append(s)
+                                continue
+                            longest[s] = verdict.longest_length
+                    after = rest & adj[v]
+                    if after:
+                        grown.append(s)
+                        grown_cands.append(after)
+            level, cands = grown, grown_cands
+            rank += 1
         self.longest = longest
         self.affine = frozenset(affine)
         self.m_gamma = max(longest.values())
         self.constants = GroupConstants(g.n, self.m_gamma, g.max_label())
-        self._comm = tuple(g.commuting_mask(i) for i in range(g.n))
+        self._comm = comm
 
     def _cm(self, mask: int) -> int:
         """Cm(mask): the vertices commuting with every vertex of it."""
@@ -698,15 +734,28 @@ def spherical_separator(g: CoxeterGraph) -> Optional[int]:
 
     Returns None when no proper spherical subset disconnects the graph.
     The scan reads ``SubsetTable.longest``, in size-lex order, from the
-    separator floor on (see the module docstring).
+    separator floor on, and tests each set with one search inside the
+    rest of the graph (see the module docstring).
     """
     floor = _separator_floor(g)
     if floor is None:
         return None
-    full = g.full_mask()
+    adj, full = g._adj, g.full_mask()
     for mask in subset_table(g).longest:
+        if mask.bit_count() < floor:
+            continue
+        # S separates exactly when one search inside R = V - S from R's
+        # lowest vertex misses part of R
         rest = full & ~mask
-        if popcount(mask) >= floor and rest \
-                and len(g.components_within(rest)) > 1:
+        seen = frontier = rest & -rest
+        while frontier:
+            reach = 0
+            while frontier:
+                low = frontier & -frontier
+                reach |= adj[low.bit_length() - 1]
+                frontier ^= low
+            frontier = reach & rest & ~seen
+            seen |= frontier
+        if seen != rest:
             return mask
     return None

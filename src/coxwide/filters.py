@@ -544,8 +544,9 @@ def check_filter(g: CoxeterGraph, filt: FilterDiagram,
 
     # literal path enumeration + sampled walks.  A path is geodesic iff
     # its prefix is and the last letter lengthens the prefix's canonical
-    # form ``c``; ``c`` is None below a prefix that is not geodesic.  Both
-    # carry ``c`` along the path, through one memo of the steps.
+    # form ``c``; ``c`` is None below a prefix that is not geodesic.  The
+    # enumeration carries ``c`` along each path, through a memo of the
+    # steps; each sampled walk is tested once, as a whole word.
     out_edges: dict[int, list[int]] = {}
     for i, v in enumerate(src):
         out_edges.setdefault(v, []).append(i)
@@ -581,14 +582,12 @@ def check_filter(g: CoxeterGraph, filt: FilterDiagram,
     stats["path_enum_capped"] = int(capped)
     rng = random.Random(seed)
     for _ in range(samples):
-        v, word, c = 0, (), ()
+        v, word = 0, ()
         while len(word) < sample_len and out_edges.get(v):
             i = rng.choice(out_edges[v])
             word += (lab[i],)
             v = tgt[i]
-            if c is not None:
-                c = step(c, lab[i])
-        if c is None:
+        if not eng.is_geodesic(word):
             fails.append(f"sampled path {eng.decode(word)} not geodesic")
     stats["paths_sampled"] = samples
 

@@ -144,6 +144,8 @@ class CoxeterGraph:
 
     def max_label(self) -> int:
         """Largest edge label; 2 for an edgeless graph by convention."""
+        if self.is_racg():
+            return 2
         return max((2, *(lab for row in self._m for lab in row if lab)))
 
     # -- derived graphs ---------------------------------------------------

@@ -248,14 +248,14 @@ def seeded_wsa_labels(seed: int) -> list[list[int]]:
 
 
 @st.composite
-def label_matrices(draw, max_n: int = 7):
-    """Label matrices of random general-label graphs (labels 2-5 and
-    infinity) on 1 to ``max_n`` vertices."""
+def label_matrices(draw, max_n: int = 7, choices=LABEL_CHOICES):
+    """Label matrices of random general-label graphs (by default labels 2-5
+    and infinity) on 1 to ``max_n`` vertices."""
     n = draw(st.integers(1, max_n))
     mat = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            mat[i][j] = mat[j][i] = draw(st.sampled_from(LABEL_CHOICES))
+            mat[i][j] = mat[j][i] = draw(st.sampled_from(choices))
     return mat
 
 

@@ -131,8 +131,8 @@ def test_swapped_labels_match_oracle(name):
 @pytest.mark.parametrize("name", sorted(GRAPHS))
 def test_sampled_walks_report_a_swapped_label(name):
     """With the literal enumeration cut to one letter, only the sampled
-    walks, whose canonical forms are carried letter by letter, can see a
-    swapped label; they report each whole sampled word as the oracle does."""
+    walks, each tested once as a whole word, can see a swapped label;
+    they report each whole sampled word as the oracle does."""
     g, filt = real_filter(name, 3)
     bad = swap_label(filt, random.Random(name))
     want = assert_same_filter_check(g, bad, enum_len=1)

@@ -23,12 +23,15 @@ import tracemalloc
 from functools import partial
 
 import pytest
+from hypothesis import given
 
 import oracles as O
 import scan_oracle as S
-from conftest import (CORPUS_MAKERS, MEMORY_CAP_BYTES, graph_from_labels,
-                      random_label_matrix, random_racg_matrix)
+from conftest import (CORPUS_MAKERS, MEMORY_CAP_BYTES, PROPERTY,
+                      graph_from_labels, label_matrices, random_label_matrix,
+                      random_racg_matrix)
 from coxwide import CoxeterGraph
+from coxwide import classification as C
 from coxwide.classification import (_irreducible_verdict, classify_irreducible,
                                     is_spherical_mask, spherical_separator,
                                     subset_table)
@@ -39,6 +42,7 @@ SWEEP_PER_SIZE = 4
 SWEEP_SEED = 20261019
 COMMUTING_HEAVY = (0, 2, 2, 2, 3, 4, 6)
 LARGE_LABELS = (0, 2, 2, 3, 4, 6, 7, 10 ** 6)
+ALL_LABELS = (0, 2, 3, 4, 5, 6, 7, 10 ** 6)
 
 
 def _sweep_labels():
@@ -97,13 +101,14 @@ def test_seeded_sweep_matches_builder(labels):
 
 
 def _diagram(rank, edges):
-    """Irreducible diagram on d0..d{rank-1}: the listed (i, j, m) edges,
-    every other pair commuting."""
+    """Diagram on d0..d{rank-1}: the listed (i, j, m) edges, with m None
+    for an absent edge, every other pair commuting."""
     names = [f"d{i}" for i in range(rank)]
     label = {frozenset((i, j)): m for i, j, m in edges}
     return CoxeterGraph(names, [
-        (names[i], names[j], label.get(frozenset((i, j)), 2))
-        for i in range(rank) for j in range(i + 1, rank)])
+        (names[i], names[j], m)
+        for i in range(rank) for j in range(i + 1, rank)
+        if (m := label.get(frozenset((i, j)), 2)) is not None])
 
 
 def _path(labels, start=0):
@@ -268,7 +273,7 @@ def test_diagrams_with_a_cycle_are_neither_finite_nor_affine(name):
 
 
 RANK2_LABELS = (*range(3, 13), 10 ** 6)
-RANK3_LABELS = (2, 3, 4, 5, 6, 7, 10 ** 6)
+RANK3_LABELS = (2, 3, 4, 5, 6, 7, 10 ** 6, None)   # None: absent edge
 
 
 @pytest.mark.parametrize("m", RANK2_LABELS)
@@ -284,19 +289,56 @@ def test_rank_two_cliques_match_former_matcher(m):
 
 @pytest.mark.parametrize("first", RANK3_LABELS)
 def test_rank_three_cliques_match_former_matcher(first):
-    """Every irreducible triangle and path (at most one commuting pair)
-    whose d0-d1 label is ``first`` and whose other labels lie in
-    ``RANK3_LABELS``, in every orientation."""
+    """Every triple of labels from ``RANK3_LABELS`` on the pairs d0-d1,
+    d0-d2 and d1-d2 whose first label is ``first``, so every label triple
+    in every vertex order: irreducible triangles and paths, A1 x I2(m) and
+    other reducible triples, and triples with an absent edge."""
     for second, third in itertools.product(RANK3_LABELS, repeat=2):
         labels = (first, second, third)
-        if labels.count(2) > 1:
-            continue
         make = partial(_diagram, 3, [(0, 1, first), (0, 2, second),
                                      (1, 2, third)])
         g = make()
-        assert _irreducible_verdict(g, 0b111) == \
-            S._irreducible_verdict(g, 0b111), labels
+        if g.irreducible_components_mask(0b111) == [0b111]:
+            assert _irreducible_verdict(g, 0b111) == \
+                S._irreducible_verdict(g, 0b111), labels
         _assert_matches_builder(make)
+
+
+def test_build_matches_only_from_rank_four(monkeypatch):
+    """Pairs and triples are settled from their labels: building the
+    tables of the types, of every label triple and of the seeded sweep up
+    to 10 vertices hands ``_match_clique`` only sets of rank >= 4."""
+    ranks = []
+    match = C._match_clique
+
+    def spy(g, mask):
+        ranks.append(popcount(mask))
+        return match(g, mask)
+
+    monkeypatch.setattr(C, "_match_clique", spy)
+    graphs = [_diagram(rank, edges) for _, _, rank, edges in TYPES]
+    graphs += [_diagram(3, [(0, 1, a), (0, 2, b), (1, 2, c)])
+               for a, b, c in itertools.product(RANK3_LABELS, repeat=3)]
+    graphs += [graph_from_labels(labels) for _, labels in SWEEP
+               if len(labels) <= 10]
+    for g in graphs:
+        subset_table(g)
+    assert ranks and min(ranks) == 4
+
+
+@PROPERTY
+@given(label_matrices(max_n=9, choices=ALL_LABELS))
+def test_random_tables_match_builder(labels):
+    """The spherical sets with their lengths and order, the affine sets,
+    the constants and the separator of random graphs with labels 2-7,
+    10^6 and infinity equal those of the former build and sort."""
+    g = graph_from_labels(labels)
+    longest, _, affine, constants = S.clique_table(g)
+    table = subset_table(g)
+    assert list(table.longest.items()) == list(longest.items())
+    assert table.affine == affine
+    assert table.constants == constants
+    assert spherical_separator(g) == S.sorted_separator(g, longest)
 
 
 def _dense_racg(n):
