@@ -52,49 +52,59 @@ relies on both facts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .classification import (DEFAULT_SUBSET_CAP, check_cap, irreducible_kind,
                              is_spherical_mask, subset_table)
+from .errors import Record, set_slot
 from .graphs import CoxeterGraph, bits, popcount
 
 
-@dataclass(frozen=True)
-class WideDecomposition:
+class WideDecomposition(Record):
     """Witness that a vertex set is wide.
 
     kind: 'TwoInfiniteFactors' (both parts infinite) or 'AffineRank3Plus'
     (P irreducible affine of rank >= 3, Q unconstrained).
     """
-    p: tuple[str, ...]
-    q: tuple[str, ...]
-    kind: str
+    __slots__ = ("p", "q", "kind")
+
+    def __init__(self, p: tuple[str, ...], q: tuple[str, ...], kind: str):
+        set_slot(self, "p", p)
+        set_slot(self, "q", q)
+        set_slot(self, "kind", kind)
 
     def to_json_obj(self) -> dict:
         return {"P": list(self.p), "Q": list(self.q), "kind": self.kind}
 
 
-@dataclass(frozen=True)
-class SpecialJoin:
+class SpecialJoin(Record):
     """(P, Q, K): (P, Q) a wide decomposition of P union Q; K empty or
     spherical with every K-vertex adjacent (any label) to every P-vertex.
     K attaches to P only; the asymmetry is part of the definition."""
-    p: tuple[str, ...]
-    q: tuple[str, ...]
-    k: tuple[str, ...]
+    __slots__ = ("p", "q", "k")
+
+    def __init__(self, p: tuple[str, ...], q: tuple[str, ...],
+                 k: tuple[str, ...]):
+        set_slot(self, "p", p)
+        set_slot(self, "q", q)
+        set_slot(self, "k", k)
 
     def to_json_obj(self) -> dict:
         return {"P": list(self.p), "Q": list(self.q), "K": list(self.k)}
 
 
-@dataclass(frozen=True)
-class AvoidanceReport:
+class AvoidanceReport(Record):
     """Outcome of an avoidance check; witness fields are set on failure."""
-    holds: bool
-    blocking_set: Optional[tuple[str, ...]] = None
-    pair: Optional[tuple[str, str]] = None
-    join: Optional[SpecialJoin] = None
+    __slots__ = ("holds", "blocking_set", "pair", "join")
+
+    def __init__(self, holds: bool,
+                 blocking_set: Optional[tuple[str, ...]] = None,
+                 pair: Optional[tuple[str, str]] = None,
+                 join: Optional[SpecialJoin] = None):
+        set_slot(self, "holds", holds)
+        set_slot(self, "blocking_set", blocking_set)
+        set_slot(self, "pair", pair)
+        set_slot(self, "join", join)
 
     def to_json_obj(self) -> dict:
         if self.holds:

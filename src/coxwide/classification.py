@@ -73,17 +73,20 @@ first use and kept on the graph:
     commute and v links exactly one of them, x, so the other commutes with
     x and v: K = {x, v} and s - K is one vertex, and s has length
     m(x, v) + 1.
-  - Cycle rule and prune.  When K is s, the diagram edges of s (its
-    non-commuting pairs, all with finite labels) connect it, so their
-    degrees sum to at least 2(rank - 1), with equality exactly for a
-    tree.  Finite diagrams are trees, and the only affine diagram with a
-    cycle is A~n: a single cycle, every degree 2 and every label 3; so a
-    cycle is decided there, by the same matcher that classifies a single
-    subset.  Every proper subset of a finite or affine irreducible set is
-    spherical, so from rank 4 on s is dropped unless every s - {u} is
-    settled spherical (below rank 4 those are vertices and pairs of a
-    clique, always spherical).  Only the remaining trees are matched, by
-    their shape.
+  - Prune.  From rank 4, a linked s is dropped before its search unless
+    every s - {u} is settled spherical (below rank 4 those are vertices
+    and pairs of a clique, always spherical).  That is exact whether s is
+    reducible or not: a subset of a spherical set is spherical, and every
+    proper subset of an irreducible affine set is spherical, so an s with
+    a non-spherical s - {u} is neither.  When s is kept and reducible, K
+    and s - K are proper subsets, so both are spherical.
+  - Cycle rule.  When K is s, the diagram edges of s (its non-commuting
+    pairs, all with finite labels) connect it, so their degrees sum to at
+    least 2(rank - 1), with equality exactly for a tree.  Finite diagrams
+    are trees, and the only affine diagram with a cycle is A~n: a single
+    cycle, every degree 2 and every label 3; so a cycle is decided there,
+    by the same matcher that classifies a single subset.  Only the
+    remaining trees are matched, by their shape.
   - Size-lex order.  The build settles the spherical sets by size and,
     within a size, lexicographically by their ascending vertex lists.  By
     induction on the size: a set has one parent, itself less its highest
@@ -155,19 +158,17 @@ theory is classical background, not re-derived here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import permutations
 from typing import Optional
 
-from .errors import GraphFormatError, SizeCapError
+from .errors import GraphFormatError, Record, SizeCapError, set_slot
 from .graphs import CoxeterGraph, bits, popcount, submasks
 
 DEFAULT_SUBSET_CAP = 20
 
 
-@dataclass(frozen=True)
-class IrreducibleVerdict:
+class IrreducibleVerdict(Record):
     """Classification of one irreducible system.
 
     kind: 'FiniteType' | 'AffineType' | 'InfiniteDihedral' | 'OtherInfinite'
@@ -176,18 +177,21 @@ class IrreducibleVerdict:
     rank: number of generators
     longest_length: length of the longest element for FiniteType, else None
     """
-    kind: str
-    family: Optional[str]
-    rank: int
-    longest_length: Optional[int]
+    __slots__ = ("kind", "family", "rank", "longest_length")
+
+    def __init__(self, kind: str, family: Optional[str], rank: int,
+                 longest_length: Optional[int]):
+        set_slot(self, "kind", kind)
+        set_slot(self, "family", family)
+        set_slot(self, "rank", rank)
+        set_slot(self, "longest_length", longest_length)
 
     def to_json_obj(self) -> dict:
         return {"kind": self.kind, "family": self.family, "rank": self.rank,
                 "longest_length": self.longest_length}
 
 
-@dataclass(frozen=True)
-class GroupConstants:
+class GroupConstants(Record):
     """The three quantities every window/itinerary bound is phrased in.
 
     v_gamma: vertex count.
@@ -196,24 +200,29 @@ class GroupConstants:
              (0 for the empty graph).
     r_gamma: maximum edge label, 2 for an edgeless graph by convention.
     """
-    v_gamma: int
-    m_gamma: int
-    r_gamma: int
+    __slots__ = ("v_gamma", "m_gamma", "r_gamma")
+
+    def __init__(self, v_gamma: int, m_gamma: int, r_gamma: int):
+        set_slot(self, "v_gamma", v_gamma)
+        set_slot(self, "m_gamma", m_gamma)
+        set_slot(self, "r_gamma", r_gamma)
 
     def to_json_obj(self) -> dict:
         return {"V": self.v_gamma, "M": self.m_gamma, "R": self.r_gamma}
 
 
-@dataclass(frozen=True)
-class EndsVerdict:
+class EndsVerdict(Record):
     """kind: 'FiniteGroup' | 'TwoEnded' | 'MultiEnded' | 'OneEnded'.
 
     witness: for MultiEnded, a separating spherical vertex set (empty tuple
     when the graph itself is disconnected); for TwoEnded, the non-adjacent
     pair generating the infinite dihedral component; else None.
     """
-    kind: str
-    witness: Optional[tuple[str, ...]]
+    __slots__ = ("kind", "witness")
+
+    def __init__(self, kind: str, witness: Optional[tuple[str, ...]]):
+        set_slot(self, "kind", kind)
+        set_slot(self, "witness", witness)
 
     def to_json_obj(self) -> dict:
         return {"kind": self.kind,
@@ -405,11 +414,11 @@ class SubsetTable:
     vertices above its highest adjacent to all of it) beside it, so a
     child's candidates are its parent's later ones adjacent to the new
     vertex.  A vertex commuting with all of the clique adds 1 to its
-    length.  Otherwise a grown pair or triple is settled from its labels,
-    and from rank 4 one search inside the clique finds the new vertex's
-    component, and only an irreducible grown set is matched: a diagram
-    with a cycle is affine only as A~n, and a set with a non-spherical
-    proper subset is neither finite nor affine.
+    length.  Otherwise a grown pair or triple is settled from its labels.
+    From rank 4 a grown set with a non-spherical proper subset is dropped
+    first, as it is neither finite nor affine; then one search inside the
+    clique finds the new vertex's component, and only an irreducible grown
+    set is matched: a diagram with a cycle is affine only as A~n.
     The wide masks are filled on first use, from the commuting masks
     captured here (the table keeps no reference to the graph): D is wide
     exactly when D = P | Q with P irreducible and infinite, Q commuting
@@ -463,6 +472,16 @@ class SubsetTable:
                             # links and v; see the Commuting step
                             comp = (c if mij != 2 else links) | low
                         else:
+                            # kept only when every s - {u} is spherical;
+                            # see the Prune
+                            sub = c
+                            while sub:
+                                u = sub & -sub
+                                if s ^ u not in longest:
+                                    break
+                                sub ^= u
+                            if sub:
+                                continue
                             # the component of s holding v: v and the
                             # closure of links inside c
                             comp = frontier = links
@@ -476,6 +495,7 @@ class SubsetTable:
                                 comp |= frontier
                             comp |= low
                         if comp != s:
+                            # K is missing only at rank 3, as {x, v}
                             part = longest.get(comp)
                             if part is None:
                                 continue
@@ -485,16 +505,6 @@ class SubsetTable:
                                 verdict = _RANK3_ANY_ORDER.get(
                                     (mij, li[v], lj[v]))
                             else:
-                                # from rank 4, only when every s - {u} is
-                                # spherical
-                                sub = c
-                                while sub:
-                                    u = sub & -sub
-                                    if s ^ u not in longest:
-                                        break
-                                    sub ^= u
-                                if sub:
-                                    continue
                                 verdict = _match_clique(g, s)
                             if verdict is None:
                                 continue

@@ -64,9 +64,20 @@ G6_TEXT = ("v s1; v s2; v s3; v s4; v a; v b\n"
            "e b s2 2; e b s3 2; e b s4 2\n")
 
 
-def cox_in_child(argv, *flags, before=""):
-    """(exit code, stderr, coxwide submodules loaded) of ``cox argv`` run
-    through ``cli.main`` in a fresh interpreter; ``before`` runs first."""
+# Standard modules the classification path must not import: ``dataclasses``
+# imports ``inspect``, which imports ``ast``, ``dis`` and ``tokenize``.
+HEAVY = ("dataclasses", "inspect")
+
+HEAVY_LOADED = f"""
+import json, sys
+print(json.dumps([m for m in {HEAVY!r} if m in sys.modules]))
+"""
+
+
+def cox_in_child(argv, *flags, before="", report=LOADED):
+    """(exit code, stderr, the modules ``report`` prints) of ``cox argv``
+    run through ``cli.main`` in a fresh interpreter; ``before`` runs first.
+    By default ``report`` prints the coxwide submodules loaded."""
     lines = run_child(textwrap.dedent(before) + textwrap.dedent(f"""
     import contextlib, io, json
     from coxwide.cli import main
@@ -75,7 +86,7 @@ def cox_in_child(argv, *flags, before=""):
             contextlib.redirect_stderr(err):
         code = main({argv!r})
     print(json.dumps([code, err.getvalue()]))
-    """) + LOADED, *flags)
+    """) + report, *flags)
     code, err = json.loads(lines[-2])
     return code, err, set(json.loads(lines[-1]))
 
@@ -103,6 +114,33 @@ def test_subset_commands_load_no_word_engine(c5_file, argv):
     assert code in (0, 1) and err == "", err
     assert set(CLASSIFICATION_LAYER) <= loaded
     assert not loaded & LATE_LAYERS, loaded
+
+
+@pytest.mark.parametrize("script", [
+    "import coxwide",
+    f"""
+    import json
+    import coxwide
+    verdict = coxwide.classify(coxwide.parse_graph({C5_TEXT!r}))
+    json.dumps(verdict.to_json_obj(), indent=2)
+    """,
+], ids=["import", "classify"])
+def test_classification_path_imports_no_dataclasses(script):
+    """The classification layer's records are not dataclasses, so neither
+    importing the package nor classifying loads ``dataclasses``."""
+    assert json.loads(run_child(textwrap.dedent(script) + HEAVY_LOADED)[-1]) \
+        == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "G"], ["constants", "G"], ["check", "wide", "G"],
+    ["check", "wsa", "G"], ["check", "ends", "G"],
+])
+def test_subset_commands_import_no_dataclasses(c5_file, argv):
+    code, err, heavy = cox_in_child(
+        [c5_file if a == "G" else a for a in argv], report=HEAVY_LOADED)
+    assert code in (0, 1) and err == "", err
+    assert heavy == set(), heavy
 
 
 def test_word_command_loads_no_walls_or_diagrams(c5_file):
