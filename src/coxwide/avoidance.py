@@ -52,8 +52,6 @@ relies on both facts.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from .classification import (DEFAULT_SUBSET_CAP, check_cap, irreducible_kind,
                              is_spherical_mask, subset_table)
 from .errors import Record, set_slot
@@ -66,12 +64,9 @@ class WideDecomposition(Record):
     kind: 'TwoInfiniteFactors' (both parts infinite) or 'AffineRank3Plus'
     (P irreducible affine of rank >= 3, Q unconstrained).
     """
-    __slots__ = ("p", "q", "kind")
-
-    def __init__(self, p: tuple[str, ...], q: tuple[str, ...], kind: str):
-        set_slot(self, "p", p)
-        set_slot(self, "q", q)
-        set_slot(self, "kind", kind)
+    __slots__ = ("p",     # tuple[str, ...]
+                 "q",     # tuple[str, ...]
+                 "kind")  # str
 
     def to_json_obj(self) -> dict:
         return {"P": list(self.p), "Q": list(self.q), "kind": self.kind}
@@ -81,13 +76,9 @@ class SpecialJoin(Record):
     """(P, Q, K): (P, Q) a wide decomposition of P union Q; K empty or
     spherical with every K-vertex adjacent (any label) to every P-vertex.
     K attaches to P only; the asymmetry is part of the definition."""
-    __slots__ = ("p", "q", "k")
-
-    def __init__(self, p: tuple[str, ...], q: tuple[str, ...],
-                 k: tuple[str, ...]):
-        set_slot(self, "p", p)
-        set_slot(self, "q", q)
-        set_slot(self, "k", k)
+    __slots__ = ("p",  # tuple[str, ...]
+                 "q",  # tuple[str, ...]
+                 "k")  # tuple[str, ...]
 
     def to_json_obj(self) -> dict:
         return {"P": list(self.p), "Q": list(self.q), "K": list(self.k)}
@@ -98,9 +89,9 @@ class AvoidanceReport(Record):
     __slots__ = ("holds", "blocking_set", "pair", "join")
 
     def __init__(self, holds: bool,
-                 blocking_set: Optional[tuple[str, ...]] = None,
-                 pair: Optional[tuple[str, str]] = None,
-                 join: Optional[SpecialJoin] = None):
+                 blocking_set: tuple[str, ...] | None = None,
+                 pair: tuple[str, str] | None = None,
+                 join: SpecialJoin | None = None):
         set_slot(self, "holds", holds)
         set_slot(self, "blocking_set", blocking_set)
         set_slot(self, "pair", pair)
@@ -119,7 +110,7 @@ class AvoidanceReport(Record):
 # wideness
 
 
-def wide_decomposition_mask(g: CoxeterGraph, mask: int) -> Optional[tuple[int, int, str]]:
+def wide_decomposition_mask(g: CoxeterGraph, mask: int) -> tuple[int, int, str] | None:
     """(P mask, Q mask, kind) for the canonical witness, or None if not wide."""
     comps = g.irreducible_components_mask(mask)
     infinite = [c for c in comps if irreducible_kind(g, c) != "FiniteType"]
@@ -134,7 +125,7 @@ def wide_decomposition_mask(g: CoxeterGraph, mask: int) -> Optional[tuple[int, i
     return None
 
 
-def wide_decomposition(g: CoxeterGraph, names) -> Optional[WideDecomposition]:
+def wide_decomposition(g: CoxeterGraph, names) -> WideDecomposition | None:
     """Canonical wide decomposition of a vertex set, or None.
 
     P is the least-vertex infinite component (two-infinite case) or the least
@@ -168,7 +159,7 @@ def enumerate_wide_subgraphs(g: CoxeterGraph, maximal_only: bool = False,
     return [g.names_of(m) for m in masks]
 
 
-def label_in_wide_subgraph(g: CoxeterGraph, label_mask: int) -> Optional[int]:
+def label_in_wide_subgraph(g: CoxeterGraph, label_mask: int) -> int | None:
     """The first maximal wide subgraph containing the label set, or None."""
     check_cap(g, DEFAULT_SUBSET_CAP, "enumeration")
     return subset_table(g).wide_cover(label_mask)

@@ -160,9 +160,8 @@ from __future__ import annotations
 
 from functools import cache, cached_property
 from itertools import permutations
-from typing import Optional
 
-from .errors import GraphFormatError, Record, SizeCapError, set_slot
+from .errors import GraphFormatError, Record, SizeCapError
 from .graphs import CoxeterGraph, bits, popcount, submasks
 
 DEFAULT_SUBSET_CAP = 20
@@ -177,14 +176,10 @@ class IrreducibleVerdict(Record):
     rank: number of generators
     longest_length: length of the longest element for FiniteType, else None
     """
-    __slots__ = ("kind", "family", "rank", "longest_length")
-
-    def __init__(self, kind: str, family: Optional[str], rank: int,
-                 longest_length: Optional[int]):
-        set_slot(self, "kind", kind)
-        set_slot(self, "family", family)
-        set_slot(self, "rank", rank)
-        set_slot(self, "longest_length", longest_length)
+    __slots__ = ("kind",            # str
+                 "family",          # str | None
+                 "rank",            # int
+                 "longest_length")  # int | None
 
     def to_json_obj(self) -> dict:
         return {"kind": self.kind, "family": self.family, "rank": self.rank,
@@ -200,12 +195,9 @@ class GroupConstants(Record):
              (0 for the empty graph).
     r_gamma: maximum edge label, 2 for an edgeless graph by convention.
     """
-    __slots__ = ("v_gamma", "m_gamma", "r_gamma")
-
-    def __init__(self, v_gamma: int, m_gamma: int, r_gamma: int):
-        set_slot(self, "v_gamma", v_gamma)
-        set_slot(self, "m_gamma", m_gamma)
-        set_slot(self, "r_gamma", r_gamma)
+    __slots__ = ("v_gamma",  # int
+                 "m_gamma",  # int
+                 "r_gamma")  # int
 
     def to_json_obj(self) -> dict:
         return {"V": self.v_gamma, "M": self.m_gamma, "R": self.r_gamma}
@@ -218,11 +210,8 @@ class EndsVerdict(Record):
     when the graph itself is disconnected); for TwoEnded, the non-adjacent
     pair generating the infinite dihedral component; else None.
     """
-    __slots__ = ("kind", "witness")
-
-    def __init__(self, kind: str, witness: Optional[tuple[str, ...]]):
-        set_slot(self, "kind", kind)
-        set_slot(self, "witness", witness)
+    __slots__ = ("kind",     # str
+                 "witness")  # tuple[str, ...] | None
 
     def to_json_obj(self) -> dict:
         return {"kind": self.kind,
@@ -294,7 +283,7 @@ def _free_length(n: int) -> dict:
     }
 
 
-def _match_clique(g: CoxeterGraph, mask: int) -> Optional[IrreducibleVerdict]:
+def _match_clique(g: CoxeterGraph, mask: int) -> IrreducibleVerdict | None:
     """The finite or affine verdict of an irreducible clique, None when it
     is neither.
 
@@ -668,7 +657,7 @@ def is_spherical(g: CoxeterGraph, names) -> bool:
     return is_spherical_mask(g, g.mask_of(names))
 
 
-def longest_element_length_mask(g: CoxeterGraph, mask: int) -> Optional[int]:
+def longest_element_length_mask(g: CoxeterGraph, mask: int) -> int | None:
     """Length of the longest element of a spherical subset; None if not spherical."""
     t = g._subsets
     if t is not None:
@@ -724,7 +713,7 @@ def ends_verdict(g: CoxeterGraph, cap: int = DEFAULT_SUBSET_CAP) -> EndsVerdict:
     return EndsVerdict("OneEnded", None)
 
 
-def _separator_floor(g: CoxeterGraph) -> Optional[int]:
+def _separator_floor(g: CoxeterGraph) -> int | None:
     """The least number of common neighbours of a non-adjacent pair, None
     when every pair is adjacent; see the module docstring."""
     adj, full = g._adj, g.full_mask()
@@ -739,7 +728,7 @@ def _separator_floor(g: CoxeterGraph) -> Optional[int]:
     return floor
 
 
-def spherical_separator(g: CoxeterGraph) -> Optional[int]:
+def spherical_separator(g: CoxeterGraph) -> int | None:
     """Smallest (then lexicographically least) spherical separating set, as a mask.
 
     Returns None when no proper spherical subset disconnects the graph.

@@ -22,9 +22,9 @@ from __future__ import annotations
 from .avoidance import (AvoidanceReport, is_affine_free, is_wide_avoidant,
                         is_wide_spherical_avoidant, maximal_wide_masks,
                         wide_decomposition)
-from .classification import (DEFAULT_SUBSET_CAP, EndsVerdict, GroupConstants,
-                             compute_constants, ends_verdict, is_spherical_mask)
-from .errors import Record, VerificationError, set_slot, verify
+from .classification import (DEFAULT_SUBSET_CAP, compute_constants,
+                             ends_verdict, is_spherical_mask)
+from .errors import Record, VerificationError, verify
 from .graphs import CoxeterGraph, bits
 
 
@@ -32,14 +32,10 @@ class Splitting(Record):
     """Amalgam-shaped decomposition of the defining graph: gamma1 and gamma2
     cover the graph, meet exactly in delta, and have no edges across.
     via: 'component' | 'star'."""
-    __slots__ = ("gamma1", "gamma2", "delta", "via")
-
-    def __init__(self, gamma1: tuple[str, ...], gamma2: tuple[str, ...],
-                 delta: tuple[str, ...], via: str):
-        set_slot(self, "gamma1", gamma1)
-        set_slot(self, "gamma2", gamma2)
-        set_slot(self, "delta", delta)
-        set_slot(self, "via", via)
+    __slots__ = ("gamma1",  # tuple[str, ...]
+                 "gamma2",  # tuple[str, ...]
+                 "delta",   # tuple[str, ...]
+                 "via")     # str
 
     def to_json_obj(self) -> dict:
         return {"gamma1": list(self.gamma1), "gamma2": list(self.gamma2),
@@ -50,16 +46,12 @@ class ClassificationVerdict(Record):
     """The verdict of ``classify``: the case (one of ``RACG_CASES`` or
     ``GENERAL_CASES``), whether the graph is right-angled, its constants
     and ends verdict, the hypotheses checked and the witness."""
-    __slots__ = ("case", "racg", "constants", "ends", "hypotheses", "witness")
-
-    def __init__(self, case: str, racg: bool, constants: GroupConstants,
-                 ends: EndsVerdict, hypotheses: dict, witness: dict):
-        set_slot(self, "case", case)
-        set_slot(self, "racg", racg)
-        set_slot(self, "constants", constants)
-        set_slot(self, "ends", ends)
-        set_slot(self, "hypotheses", hypotheses)
-        set_slot(self, "witness", witness)
+    __slots__ = ("case",        # str
+                 "racg",        # bool
+                 "constants",   # GroupConstants
+                 "ends",        # EndsVerdict
+                 "hypotheses",  # dict
+                 "witness")     # dict
 
     def to_json_obj(self) -> dict:
         return {"case": self.case, "racg": self.racg,

@@ -18,7 +18,7 @@ import argparse
 import json
 import os
 import sys
-from typing import Callable, Optional
+from collections.abc import Callable
 
 from .avoidance import (is_affine_free, is_wide_avoidant,
                         is_wide_spherical_avoidant, wide_decomposition)
@@ -38,7 +38,7 @@ def _load_graph(path: str) -> CoxeterGraph:
 
 
 def _emit(args, obj, pretty: str,
-          dot: Optional[Callable[[], str]] = None) -> None:
+          dot: Callable[[], str] | None = None) -> None:
     """Print ``obj`` or ``pretty`` as ``--format`` asks.  ``dot`` renders
     the DOT text and is called only when ``--dot`` or ``--format dot`` asks
     for it."""
@@ -349,7 +349,7 @@ def _run_diagrams(args, g: CoxeterGraph) -> int:
     return 0 if chk.ok else 1
 
 
-def main(argv: Optional[list[str]] = None) -> int:
+def main(argv: list[str] | None = None) -> int:
     ap = _build_parser()
     args = ap.parse_args(argv)
     try:

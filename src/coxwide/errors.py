@@ -1,13 +1,13 @@
 """Exception types shared across the package, the check that raises
 VerificationError, the default caps of the word engine and walls, and
-``Record``, the base of the classification layer's result types.
+``Record``, the base of every result type the package returns.
 
 The caps live here, beside the errors that report them, so that the command
 line can print its defaults without loading the word engine or walls.
-``Record`` lives here because every module of the classification layer
-imports this one, and it imports nothing from the standard library that
-``import coxwide`` would not load anyway (``dataclasses`` would add
-``inspect``, ``ast``, ``dis`` and ``tokenize``).
+``Record`` lives here because every module of the package imports this one,
+and it imports nothing from the standard library that ``import coxwide``
+would not load anyway (``dataclasses`` would add ``inspect``, ``ast``,
+``dis`` and ``tokenize``).
 """
 
 from reprlib import recursive_repr
@@ -80,26 +80,40 @@ set_slot = object.__setattr__
 
 
 class Record:
-    """Immutable record with named fields, the classification layer's
-    replacement for ``@dataclass(frozen=True)``.
+    """Immutable record with named fields: the package's one mechanism for
+    result types, in place of ``@dataclass(frozen=True)``.
 
-    A subclass lists its fields in ``__slots__``, in order, and sets each
-    in its own ``__init__`` with ``set_slot``; a written signature keeps
-    construction by position and keyword as fast as a dataclass's.  The
-    base behaves as the frozen dataclass did: the repr names each field,
-    records are equal only to records of the same class with equal field
-    values and hash as the tuple of them, assignment and deletion raise
-    ``AttributeError``, ``__match_args__`` lists the fields, and
-    ``copy.replace`` (Python 3.13) builds a changed copy.  Pickling and
-    copying rebuild through the constructor (``__reduce__``), as the
-    default would restore the slots by assignment.  ``dataclasses.replace``,
-    ``asdict``, ``fields`` and ``is_dataclass`` do not apply.
+    A subclass lists its fields once, in order, in ``__slots__``.  Unless
+    the class defines ``__init__`` itself (as it must to give a field a
+    default), the base generates one when the subclass is created: a
+    written positional-or-keyword signature with one ``set_slot`` per
+    field, the code ``dataclass`` generates, so construction stays as fast
+    as a dataclass's.  The base behaves as the frozen dataclass did: the
+    repr names each field, records are equal only to records of the same
+    class with equal field values and hash as the tuple of them, assignment
+    and deletion raise ``AttributeError``, ``__match_args__`` lists the
+    fields, and ``copy.replace`` (Python 3.13) builds a changed copy.
+    Pickling and copying rebuild through the constructor (``__reduce__``),
+    as the default would restore the slots by assignment.
+    ``dataclasses.replace``, ``asdict``, ``fields`` and ``is_dataclass`` do
+    not apply, and instances have no ``__dict__``.
     """
 
     __slots__ = ()
 
     def __init_subclass__(cls):
-        cls.__match_args__ = cls.__slots__
+        fields = cls.__slots__
+        cls.__match_args__ = fields
+        if "__init__" not in cls.__dict__:
+            body = "".join(f"\n    set_slot(self, {name!r}, {name})"
+                           for name in fields)
+            namespace = {}
+            exec(f"def __init__(self, {', '.join(fields)}):{body}",
+                 {"set_slot": set_slot, "__name__": cls.__module__},
+                 namespace)
+            init = namespace["__init__"]
+            init.__qualname__ = f"{cls.__qualname__}.__init__"
+            cls.__init__ = init
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self.__slots__])

@@ -27,31 +27,27 @@ connected, the slot letters a filter asks for have no fan at all
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
-
 from .avoidance import (wide_decomposition_mask, wide_masks)
 from .classification import compute_constants, is_spherical_mask
-from .errors import ConstructionError
+from .errors import ConstructionError, Record
 from .graphs import CoxeterGraph, bits
 from .words import (Word, WordEngine, engine_for, _wide_suffix,
                     DEFAULT_ORBIT_CAP)
 
 
-@dataclass(frozen=True)
-class FanDiagram:
+class FanDiagram(Record):
     """base: the geodesic word gamma; labels: fan letters s_0..s_r;
     cells: polygon sizes (2 * m(s_i, s_i+1)); tail/tail_delta: the wide tail
     of the base and a wide subgraph containing its label (None when empty or
     the tail condition ran in the short case); case: 'short-tail' or
     'wide-tail'; blocked: the vertex set interior letters were kept out of."""
-    base: Word
-    labels: tuple[str, ...]
-    cells: tuple[int, ...]
-    tail: Word
-    tail_delta: Optional[tuple[str, ...]]
-    case: str
-    blocked: tuple[str, ...]
+    __slots__ = ("base",        # Word
+                 "labels",      # tuple[str, ...]
+                 "cells",       # tuple[int, ...]
+                 "tail",        # Word
+                 "tail_delta",  # tuple[str, ...] | None
+                 "case",        # str
+                 "blocked")     # tuple[str, ...]
 
     @property
     def left(self) -> str:
@@ -81,17 +77,16 @@ class FanDiagram:
                 "blocked": list(self.blocked)}
 
 
-@dataclass(frozen=True)
-class FanCheck:
-    ok: bool
-    failures: tuple[str, ...]
+class FanCheck(Record):
+    __slots__ = ("ok",        # bool
+                 "failures")  # tuple[str, ...]
 
     def to_json_obj(self) -> dict:
         return {"ok": self.ok, "failures": list(self.failures)}
 
 
 def _lex_least_path(g: CoxeterGraph, s: int, t: int, allowed: int,
-                    direct: bool = True) -> Optional[list[int]]:
+                    direct: bool = True) -> list[int] | None:
     """Lexicographically least shortest path s -> t whose interior vertices
     lie in ``allowed`` (endpoints exempt), or None.  Without ``direct`` the
     edge s - t is left out, so the path found has length at least 2."""

@@ -26,38 +26,34 @@ unclassified and their startpoints are marked open.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Optional
 
 from .classification import (DEFAULT_SUBSET_CAP, check_cap,
                              compute_constants, subset_table)
-from .errors import ConstructionError, SizeCapError, verify
+from .errors import ConstructionError, Record, SizeCapError, verify
 from .fans import _build_fan, _fan_failures
 from .graphs import CoxeterGraph
 from .words import (Word, engine_for, extend_geodesic, _wide_suffix,
                     DEFAULT_ORBIT_CAP)
 
 
-@dataclass(frozen=True)
-class FilterVertex:
-    element: Word    # geodesic tree-path word from the basepoint
-    level: int       # construction round that created it (0 = boundary)
-    is_top: bool     # top vertex of a polygon
-    open: bool       # outgoing structure incomplete (no fan built here)
+class FilterVertex(Record):
+    __slots__ = ("element",  # Word: geodesic tree-path word from the basepoint
+                 "level",    # int: construction round that created it (0 = boundary)
+                 "is_top",   # bool: top vertex of a polygon
+                 "open")     # bool: outgoing structure incomplete (no fan built here)
 
     def to_json_obj(self) -> dict:
         return {"element": " ".join(self.element), "level": self.level,
                 "is_top": self.is_top, "open": self.open}
 
 
-@dataclass(frozen=True)
-class FilterEdge:
-    src: int
-    tgt: int
-    label: str
-    cls: Optional[str]        # 'L' | 'R' | 'I' | None (frontier)
-    top_left: bool            # removed from the spanning tree
-    boundary: Optional[str]   # 'alpha' | 'beta' | None
+class FilterEdge(Record):
+    __slots__ = ("src",       # int
+                 "tgt",       # int
+                 "label",     # str
+                 "cls",       # 'L' | 'R' | 'I' | None (frontier)
+                 "top_left",  # bool: removed from the spanning tree
+                 "boundary")  # 'alpha' | 'beta' | None
 
     def to_json_obj(self) -> dict:
         return {"src": self.src, "tgt": self.tgt, "label": self.label,
@@ -65,27 +61,25 @@ class FilterEdge:
                 "boundary": self.boundary}
 
 
-@dataclass(frozen=True)
-class FilterCell:
-    fan: int                  # owning fan index
-    lam: tuple[int, ...]      # left-side edge ids, fan edge first
-    rho: tuple[int, ...]      # right-side edge ids, fan edge first
-    cycle: tuple[int, ...]    # polygon vertices: apex, up lambda, down rho
+class FilterCell(Record):
+    __slots__ = ("fan",    # int: owning fan index
+                 "lam",    # tuple[int, ...]: left-side edge ids, fan edge first
+                 "rho",    # tuple[int, ...]: right-side edge ids, fan edge first
+                 "cycle")  # tuple[int, ...]: polygon vertices: apex, up lambda, down rho
 
     def to_json_obj(self) -> dict:
         return {"fan": self.fan, "lambda": list(self.lam),
                 "rho": list(self.rho), "cycle": list(self.cycle)}
 
 
-@dataclass(frozen=True)
-class FilterFan:
-    level: int
-    apex: int
-    base: Word
-    labels: tuple[str, ...]
-    edge_ids: tuple[int, ...]
-    cell_ids: tuple[int, ...]
-    case: str
+class FilterFan(Record):
+    __slots__ = ("level",     # int
+                 "apex",      # int
+                 "base",      # Word
+                 "labels",    # tuple[str, ...]
+                 "edge_ids",  # tuple[int, ...]
+                 "cell_ids",  # tuple[int, ...]
+                 "case")      # str
 
     def to_json_obj(self) -> dict:
         return {"level": self.level, "apex": self.apex,
@@ -94,20 +88,16 @@ class FilterFan:
                 "case": self.case}
 
 
-@dataclass(frozen=True)
-class FilterDiagram:
+class FilterDiagram(Record):
     """Field order in JSON output is fixed: alpha, beta, depth, vertices,
     edges, cells, fans.  Vertex 0 is the basepoint."""
-    alpha: Word
-    beta: Word
-    depth: int
-    vertices: tuple[FilterVertex, ...]
-    edges: tuple[FilterEdge, ...]
-    cells: tuple[FilterCell, ...]
-    fans: tuple[FilterFan, ...]
-
-    def tree_edges(self) -> list[int]:
-        return [i for i, e in enumerate(self.edges) if not e.top_left]
+    __slots__ = ("alpha",     # Word
+                 "beta",      # Word
+                 "depth",     # int
+                 "vertices",  # tuple[FilterVertex, ...]
+                 "edges",     # tuple[FilterEdge, ...]
+                 "cells",     # tuple[FilterCell, ...]
+                 "fans")      # tuple[FilterFan, ...]
 
     def to_json_obj(self) -> dict:
         return {"alpha": " ".join(self.alpha), "beta": " ".join(self.beta),
@@ -144,7 +134,7 @@ class _Builder:
         self.level: list[int] = []
         self.is_top: list[bool] = []
         self.edges: list[list] = []                 # [src,tgt,lab,cls,tl,bdy]
-        self.slots: dict[int, dict[str, Optional[int]]] = {}
+        self.slots: dict[int, dict[str, int | None]] = {}
         self.pending_next: list[int] = []
         self.built: set[int] = set()
         self.cells: list[FilterCell] = []
@@ -160,7 +150,7 @@ class _Builder:
         return v
 
     def add_edge(self, src: int, tgt: int, lab: int, top_left: bool = False,
-                 boundary: Optional[str] = None) -> int:
+                 boundary: str | None = None) -> int:
         self.edges.append([src, tgt, lab, None, top_left, boundary])
         if not top_left:
             # tree edge: the target's tree word runs through it
@@ -306,11 +296,10 @@ def build_filter(g: CoxeterGraph, alpha: Word, beta: Word, depth: int,
 # verification
 
 
-@dataclass(frozen=True)
-class FilterCheck:
-    ok: bool
-    failures: tuple[str, ...]
-    stats: dict
+class FilterCheck(Record):
+    __slots__ = ("ok",        # bool
+                 "failures",  # tuple[str, ...]
+                 "stats")     # dict
 
     def to_json_obj(self) -> dict:
         return {"ok": self.ok, "failures": list(self.failures),
@@ -682,8 +671,7 @@ def check_filter(g: CoxeterGraph, filt: FilterDiagram,
 # multi-tail filters
 
 
-@dataclass(frozen=True)
-class MultiTailFilter:
+class MultiTailFilter(Record):
     """Filters glued along a connecting geodesic at level n.
 
     sigma: canonical geodesic from the alpha-side endpoint to the beta-side
@@ -694,15 +682,15 @@ class MultiTailFilter:
     filter spans consecutive fresh rays; tails[i] is the geodesic from the
     basepoint to filter i's basepoint.
     """
-    alpha: Word
-    beta: Word
-    n: int
-    sigma: Word
-    cases: tuple[str, ...]
-    rays: tuple[Word, ...]            # alpha_0 .. alpha_d
-    tails: tuple[Word, ...]           # one per filter
-    boundaries: tuple[tuple[Word, Word], ...]
-    filters: tuple[FilterDiagram, ...]
+    __slots__ = ("alpha",       # Word
+                 "beta",        # Word
+                 "n",           # int
+                 "sigma",       # Word
+                 "cases",       # tuple[str, ...]
+                 "rays",        # tuple[Word, ...]: alpha_0 .. alpha_d
+                 "tails",       # tuple[Word, ...]: one per filter
+                 "boundaries",  # tuple[tuple[Word, Word], ...]
+                 "filters")     # tuple[FilterDiagram, ...]
 
     def to_json_obj(self) -> dict:
         return {"alpha": " ".join(self.alpha), "beta": " ".join(self.beta),
@@ -716,7 +704,7 @@ class MultiTailFilter:
 
 
 def build_multitail_filter(g: CoxeterGraph, alpha: Word, beta: Word, n: int,
-                           depth: int = 2, ray_len: Optional[int] = None,
+                           depth: int = 2, ray_len: int | None = None,
                            orbit_cap: int = DEFAULT_ORBIT_CAP
                            ) -> MultiTailFilter:
     """Multi-tail filter of level n between the geodesic words alpha, beta.

@@ -14,7 +14,7 @@ the public API speaks vertex names.
 from __future__ import annotations
 
 import json
-from typing import Iterable, Optional, Sequence
+from collections.abc import Iterable, Sequence
 
 from .errors import GraphFormatError
 
@@ -99,14 +99,14 @@ class CoxeterGraph:
         except KeyError:
             raise GraphFormatError(f"unknown vertex {name!r}") from None
 
-    def label(self, u: str, v: str) -> Optional[int]:
+    def label(self, u: str, v: str) -> int | None:
         """Edge label, or None when the pair is non-adjacent (m = infinity)."""
         i, j = self.index(u), self.index(v)
         if i == j:
             raise GraphFormatError(f"label of a vertex with itself is undefined ({u!r})")
         return self._m[i][j]
 
-    def m(self, i: int, j: int) -> Optional[int]:
+    def m(self, i: int, j: int) -> int | None:
         """Index-space label lookup (None = infinity)."""
         return self._m[i][j]
 
@@ -166,7 +166,7 @@ class CoxeterGraph:
         """Vertices j != i that do not commute with i (non-adjacent or label != 2)."""
         return self.full_mask() & ~self._comm[i] & ~(1 << i)
 
-    def irreducible_components_mask(self, mask: Optional[int] = None) -> list[int]:
+    def irreducible_components_mask(self, mask: int | None = None) -> list[int]:
         """Connected components of the non-commuting relation inside ``mask``.
 
         Two generators are linked when they are non-adjacent or joined by an
@@ -190,7 +190,7 @@ class CoxeterGraph:
             todo &= ~comp
         return comps
 
-    def irreducible_components(self, names: Optional[Iterable[str]] = None
+    def irreducible_components(self, names: Iterable[str] | None = None
                                ) -> list[tuple[str, ...]]:
         mask = None if names is None else self.mask_of(names)
         return [self.names_of(c) for c in self.irreducible_components_mask(mask)]

@@ -22,11 +22,8 @@ exactly one of them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
-
 from .avoidance import label_in_wide_subgraph, is_affine_free
-from .errors import DEFAULT_BALL_CAP, DEFAULT_ORDER_CAP, SizeCapError
+from .errors import DEFAULT_BALL_CAP, DEFAULT_ORDER_CAP, Record, SizeCapError
 from .graphs import CoxeterGraph, bits
 from .words import (DEFAULT_ORBIT_CAP, RightAngledEngine, Word, WordEngine,
                     engine_for)
@@ -36,8 +33,7 @@ from .words import (DEFAULT_ORBIT_CAP, RightAngledEngine, Word, WordEngine,
 # Cayley balls
 
 
-@dataclass(frozen=True)
-class CayleyBall:
+class CayleyBall(Record):
     """Ball of given radius in the Cayley graph, elements as canonical words.
 
     words: canonical geodesic words in breadth-first order (lexicographic
@@ -46,9 +42,9 @@ class CayleyBall:
     triples (i, j, s), sorted, with i < j meaning the i-th and j-th
     elements differ by right-multiplication by generator s.
     """
-    radius: int
-    words: tuple[Word, ...]
-    edges: tuple[tuple[int, int, str], ...]
+    __slots__ = ("radius",  # int
+                 "words",   # tuple[Word, ...]
+                 "edges")   # tuple[tuple[int, int, str], ...]
 
     def to_json_obj(self) -> dict:
         return {"radius": self.radius,
@@ -203,7 +199,7 @@ def _right_angled_ball(g: CoxeterGraph, radius: int, cap: int) -> CayleyBall:
 # crossing and separation
 
 
-def _order(eng: WordEngine, w: tuple[int, ...], cap: int) -> Optional[int]:
+def _order(eng: WordEngine, w: tuple[int, ...], cap: int) -> int | None:
     """Order of the element with canonical form ``w``, or None above ``cap``.
 
     A finite subgroup of a right-angled Coxeter group lies in a conjugate of
@@ -236,14 +232,14 @@ def _largest_label(g: CoxeterGraph) -> int:
     return r
 
 
-def _crossing_cap(g: CoxeterGraph, order_cap: Optional[int]) -> int:
+def _crossing_cap(g: CoxeterGraph, order_cap: int | None) -> int:
     """The order cap of a wall crossing test: ``order_cap`` when given,
     else the largest edge label (see the module docstring)."""
     return _largest_label(g) if order_cap is None else order_cap
 
 
-def order_of(g: CoxeterGraph, word: Word, cap: Optional[int] = None,
-             orbit_cap: int = DEFAULT_ORBIT_CAP) -> Optional[int]:
+def order_of(g: CoxeterGraph, word: Word, cap: int | None = None,
+             orbit_cap: int = DEFAULT_ORBIT_CAP) -> int | None:
     """Order of the element, or None when it exceeds cap (infinite order, for
     any cap at least the largest finite element order in the group).  With
     no cap the cap is 64, and a graph with an edge label above 64 raises
@@ -265,7 +261,7 @@ def is_reflection(g: CoxeterGraph, word: Word,
 
 
 def walls_cross(g: CoxeterGraph, word: Word, i: int, j: int,
-                order_cap: Optional[int] = None,
+                order_cap: int | None = None,
                 orbit_cap: int = DEFAULT_ORBIT_CAP) -> bool:
     """Do the walls dual to positions i and j (1-based) of a geodesic cross?
 
@@ -312,8 +308,7 @@ def wall_separates(g: CoxeterGraph, reflection_word: Word, u: Word,
 # pencils
 
 
-@dataclass(frozen=True)
-class Pencil:
+class Pencil(Record):
     """A maximum pairwise-parallel set of walls dual to one geodesic word.
 
     positions: 1-based letter positions, lexicographically least among the
@@ -321,9 +316,9 @@ class Pencil:
     separates_endpoints: per-wall verification that the wall separates the
     identity from the word's endpoint (true for every dual wall).
     """
-    positions: tuple[int, ...]
-    reflections: tuple[Word, ...]
-    separates_endpoints: tuple[bool, ...]
+    __slots__ = ("positions",            # tuple[int, ...]
+                 "reflections",          # tuple[Word, ...]
+                 "separates_endpoints")  # tuple[bool, ...]
 
     def to_json_obj(self) -> dict:
         return {"positions": list(self.positions),
@@ -365,7 +360,7 @@ def _max_independent_set(n: int, adj: list[int]) -> tuple[int, ...]:
 
 
 def find_pencil(g: CoxeterGraph, word: Word,
-                order_cap: Optional[int] = None,
+                order_cap: int | None = None,
                 orbit_cap: int = DEFAULT_ORBIT_CAP) -> Pencil:
     """Largest set of pairwise non-crossing walls dual to a geodesic word,
     with each wall checked to separate the endpoints of the word.  Walls
@@ -395,8 +390,7 @@ def find_pencil(g: CoxeterGraph, word: Word,
 # the window test
 
 
-@dataclass(frozen=True)
-class MorseWindowReport:
+class MorseWindowReport(Record):
     """Outcome of the wide-window scan.
 
     passes: no window of length k+1 has all letters inside one wide subgraph.
@@ -405,11 +399,11 @@ class MorseWindowReport:
     the window criterion is known to characterize Morse directions; outside
     it the scan still runs but the flag warns the verdict is heuristic.
     """
-    passes: bool
-    k: int
-    window: Optional[tuple[int, int]]
-    wide_subgraph: Optional[tuple[str, ...]]
-    within_proven_hypothesis: bool
+    __slots__ = ("passes",                    # bool
+                 "k",                         # int
+                 "window",                    # tuple[int, int] | None
+                 "wide_subgraph",             # tuple[str, ...] | None
+                 "within_proven_hypothesis")  # bool
 
     def to_json_obj(self) -> dict:
         return {"passes": self.passes, "k": self.k,

@@ -38,32 +38,26 @@ with the fans checked.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 
 from .avoidance import label_in_wide_subgraph
 from .classification import compute_constants
 from .errors import (DEFAULT_ORBIT_CAP, ConstructionError, GraphFormatError,
-                     NonGeodesicError, OrbitCapError)
+                     NonGeodesicError, OrbitCapError, Record)
 from .graphs import CoxeterGraph, bits
 
 Word = tuple[str, ...]  # letters are vertex names; () is the identity
 
 
-@dataclass(frozen=True)
-class GroupElement:
+class GroupElement(Record):
     """A group element, identified by its canonical (lex-least geodesic) word."""
-    word: Word
+    __slots__ = ("word",)  # Word
 
     def __len__(self):
         return len(self.word)
 
-    def serialize(self) -> str:
-        return " ".join(self.word)
 
-
-@dataclass(frozen=True)
-class Reflection:
+class Reflection(Record):
     """An involution conjugate to a generator.
 
     ``type_generator`` records the generator the defining construction
@@ -72,8 +66,8 @@ class Reflection:
     construction artifact, not a conjugacy invariant, since generators joined
     by odd-labeled paths are conjugate to each other.
     """
-    element: GroupElement
-    type_generator: str
+    __slots__ = ("element",         # GroupElement
+                 "type_generator")  # str
 
 
 def parse_word(g: CoxeterGraph, text: str) -> Word:
@@ -148,14 +142,14 @@ class WordEngine:
                 yield w[:i] + rev + w[i + m:]
 
     @staticmethod
-    def _doubled_at(w: tuple[int, ...]) -> Optional[int]:
+    def _doubled_at(w: tuple[int, ...]) -> int | None:
         for i in range(len(w) - 1):
             if w[i] == w[i + 1]:
                 return i
         return None
 
     def orbit(self, w: tuple[int, ...],
-              cap: Optional[int] = None) -> Iterator[tuple[int, ...]]:
+              cap: int | None = None) -> Iterator[tuple[int, ...]]:
         """Yield the braid orbit of any word, ``w`` first, breadth first.
 
         Moves preserve length.  The cap counts the members a caller has
@@ -370,7 +364,7 @@ def reflection_of_edge(g: CoxeterGraph, word: Sequence[str], i: int) -> Reflecti
 
 def wide_tail(g: CoxeterGraph, word: Sequence[str],
               orbit_cap: int = DEFAULT_ORBIT_CAP
-              ) -> tuple[Word, Optional[tuple[str, ...]]]:
+              ) -> tuple[Word, tuple[str, ...] | None]:
     """Longest suffix whose label set lies in a wide subgraph, with one such subgraph.
 
     Returns ``((), None)`` when even the last letter is in no wide subgraph.

@@ -17,6 +17,12 @@ settings.register_profile("coxwide", derandomize=True, deadline=None,
 PROPERTY = settings.get_profile("coxwide")
 
 
+def replace(rec, **changes):
+    """A copy of the record ``rec`` with the given fields changed, as the
+    tamper tests build bad witnesses (``copy.replace`` from Python 3.13)."""
+    return rec.__replace__(**changes)
+
+
 def racg(vertices, edge_pairs) -> CoxeterGraph:
     """Right-angled graph: every listed edge has label 2."""
     return CoxeterGraph(vertices, [(u, v, 2) for u, v in edge_pairs])

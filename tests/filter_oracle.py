@@ -43,8 +43,9 @@ def default_bounds(g: CoxeterGraph) -> tuple[int, int, int, int]:
 
 def root_paths(filt: FilterDiagram) -> list[list[int]]:
     children: dict[int, list[int]] = {}
-    for i in filt.tree_edges():
-        children.setdefault(filt.edges[i].src, []).append(i)
+    for i, e in enumerate(filt.edges):
+        if not e.top_left:
+            children.setdefault(e.src, []).append(i)
     out: list[list[int]] = []
     stack: list[tuple[int, list[int]]] = [(0, [])]
     while stack:

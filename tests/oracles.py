@@ -263,7 +263,11 @@ def subset_order(labels: Sequence[Sequence[int]], mask: int,
 
 def sphere_sizes(labels: Sequence[Sequence[int]], radius: int,
                  cap: int = 2_000_000) -> tuple[int, ...]:
-    """Sizes of spheres 0..radius around the identity (exact BFS)."""
+    """Sizes of spheres 0..radius around the identity (exact BFS).
+
+    Raises RuntimeError when the BFS passes ``cap`` elements before it
+    reaches ``radius``, rather than report the unseen spheres as empty.
+    """
     n = len(labels)
     if n == 0:
         return (1,) + (0,) * radius
@@ -277,6 +281,9 @@ def sphere_sizes(labels: Sequence[Sequence[int]], radius: int,
         sph += [0] * (radius + 1 - len(sph))
         return tuple(sph[: radius + 1])
     res = _matrix_bfs(labels, cap, max_depth=radius)
+    if res.finite is None and len(res.spheres) < radius + 1:
+        raise RuntimeError(f"sphere_sizes cap of {cap} exhausted before "
+                           f"radius {radius}")
     sph = list(res.spheres)
     sph += [0] * (radius + 1 - len(sph))
     return tuple(sph[: radius + 1])

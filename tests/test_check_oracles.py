@@ -5,7 +5,6 @@ exception, on real filters, on tampered ones, and with the fan verdicts
 remembered on the engine (right after ``build_filter``) or not (a fresh
 copy of the graph)."""
 
-import dataclasses
 import random
 
 import pytest
@@ -19,7 +18,7 @@ from coxwide.fans import FanDiagram, build_fan, check_fan
 from coxwide.words import engine_for, wide_tail
 
 import filter_oracle as O
-from conftest import CORPUS_MAKERS
+from conftest import CORPUS_MAKERS, replace
 from test_filter_itinerary import (C5_FILTER, DEPTHS, GRAPHS, real_filter,
                                    run_child, with_edges)
 
@@ -69,8 +68,8 @@ def recorded_fans(g, filt):
 
 def with_fan(filt, k, **change):
     changed = list(filt.fans)
-    changed[k] = dataclasses.replace(changed[k], **change)
-    return dataclasses.replace(filt, fans=tuple(changed))
+    changed[k] = replace(changed[k], **change)
+    return replace(filt, fans=tuple(changed))
 
 
 @pytest.mark.parametrize("name", sorted(GRAPHS))
@@ -111,7 +110,7 @@ def swap_label(filt, rng):
              if not e.top_left and e.src != 0 and e.tgt in sources]
     k = rng.choice(picks)
     label = into[filt.edges[k].src].label
-    return with_edges(filt, lambda i, e: dataclasses.replace(e, label=label)
+    return with_edges(filt, lambda i, e: replace(e, label=label)
                       if i == k else e)
 
 
@@ -228,16 +227,16 @@ def corpus_fans(g):
 def fan_variants(g, fan):
     other = next(v for v in g.vertices if v not in fan.labels[:1])
     yield fan
-    yield dataclasses.replace(fan, cells=(fan.cells[0] + 2,) + fan.cells[1:])
-    yield dataclasses.replace(fan, cells=fan.cells[:-1])
-    yield dataclasses.replace(fan, labels=fan.labels[:1] * len(fan.labels))
-    yield dataclasses.replace(fan, labels=(other,) + fan.labels[1:])
-    yield dataclasses.replace(fan, labels=fan.labels[::-1])
-    yield dataclasses.replace(fan, case="wide-tail" if fan.case ==
-                              "short-tail" else "short-tail")
-    yield dataclasses.replace(fan, tail=fan.tail[1:] or (other,))
-    yield dataclasses.replace(fan, base=fan.base + fan.labels[:1])
-    yield dataclasses.replace(fan, base=fan.base + fan.base[-1:])
+    yield replace(fan, cells=(fan.cells[0] + 2,) + fan.cells[1:])
+    yield replace(fan, cells=fan.cells[:-1])
+    yield replace(fan, labels=fan.labels[:1] * len(fan.labels))
+    yield replace(fan, labels=(other,) + fan.labels[1:])
+    yield replace(fan, labels=fan.labels[::-1])
+    yield replace(fan, case="wide-tail" if fan.case ==
+                  "short-tail" else "short-tail")
+    yield replace(fan, tail=fan.tail[1:] or (other,))
+    yield replace(fan, base=fan.base + fan.labels[:1])
+    yield replace(fan, base=fan.base + fan.base[-1:])
 
 
 @pytest.mark.parametrize("name", FAN_GRAPHS)
@@ -297,8 +296,7 @@ def test_each_fan_is_verified_once(name, monkeypatch):
 
 def test_foreign_fan_label_is_a_graph_format_error(c5):
     fan = build_fan(c5, ("s3",), "s1", "s2")
-    bad = dataclasses.replace(fan, labels=fan.labels[:1] + ("zz",)
-                              + fan.labels[2:])
+    bad = replace(fan, labels=fan.labels[:1] + ("zz",) + fan.labels[2:])
     for check in (check_fan, O.check_fan):
         with pytest.raises(GraphFormatError, match="unknown vertex 'zz'"):
             check(c5, bad)
@@ -307,7 +305,7 @@ def test_foreign_fan_label_is_a_graph_format_error(c5):
 def test_foreign_edge_label_is_a_graph_format_error():
     _, filt = real_filter("C5", 2)
     g = fresh(GRAPHS["C5"])
-    bad = with_edges(filt, lambda i, e: dataclasses.replace(e, label="zz")
+    bad = with_edges(filt, lambda i, e: replace(e, label="zz")
                      if i == 3 else e)
     for check in (check_filter, O.check_filter):
         with pytest.raises(GraphFormatError, match="unknown vertex 'zz'"):
@@ -330,15 +328,15 @@ def test_fan_checks_survive_python_O():
     print("optimize", sys.flags.optimize)
     k = len(filt.fans) - 1
     fans = list(filt.fans)
-    fans[k] = dataclasses.replace(fans[k], case="wide-tail")
-    bad = dataclasses.replace(filt, fans=tuple(fans))
+    fans[k] = replace(fans[k], case="wide-tail")
+    bad = replace(filt, fans=tuple(fans))
     for run, h in (("cold", fresh), ("memo", fresh), ("built", g)):
         chk = check_filter(h, bad)
         print(run, chk.ok, " | ".join(f for f in chk.failures
                                       if f.startswith("fan")))
     h = parse_graph(text)
     fan = build_fan(h, ("s3",), "s1", "s2")
-    fan = dataclasses.replace(fan, cells=(6,) + fan.cells[1:])
+    fan = replace(fan, cells=(6,) + fan.cells[1:])
     for run in ("cold", "memo"):
         chk = check_fan(h, fan)
         print(run, chk.ok, " | ".join(chk.failures))

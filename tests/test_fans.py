@@ -1,14 +1,12 @@
 """Fan diagrams: spreading edge bundles with dihedral polygon cells."""
 
-import dataclasses
-
 import pytest
 
 from coxwide import extend_geodesic, fans, is_geodesic
 from coxwide.errors import ConstructionError, NonGeodesicError
 from coxwide.fans import FanDiagram, build_fan, check_fan
 
-from conftest import CORPUS_MAKERS
+from conftest import CORPUS_MAKERS, replace
 
 
 def test_fan_frozen(c5):
@@ -118,13 +116,13 @@ def test_fan_checker_rejects_tampering(c5):
     assert check_fan(c5, f).ok
     # corrupt a cell size
     bad_cells = (f.cells[0] + 2,) + f.cells[1:]
-    f_bad = dataclasses.replace(f, cells=bad_cells)
+    f_bad = replace(f, cells=bad_cells)
     assert not check_fan(c5, f_bad).ok
     # corrupt the label sequence: repeat a letter (not geodesically spreading)
-    f_bad2 = dataclasses.replace(f, labels=(f.labels[0],) * len(f.labels))
+    f_bad2 = replace(f, labels=(f.labels[0],) * len(f.labels))
     assert not check_fan(c5, f_bad2).ok
     # claim a different case than the tail length dictates
-    f_bad3 = dataclasses.replace(f, case="wide-tail")
+    f_bad3 = replace(f, case="wide-tail")
     assert not check_fan(c5, f_bad3).ok
 
 

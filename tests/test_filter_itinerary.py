@@ -3,7 +3,6 @@ pass over a valid spanning tree and the walk root path by root path that
 spells out the failures, both against the per-path loop they replaced
 (kept in ``tests/filter_oracle.py``)."""
 
-import dataclasses
 import functools
 import os
 import random
@@ -21,7 +20,7 @@ from coxwide.filters import (_path_route, _tree_shape, _weighted_pass,
 
 import filter_oracle as O
 from conftest import (PROPERTY, graph_from_labels, make_c5, make_o8,
-                      seeded_wsa_labels)
+                      replace, seeded_wsa_labels)
 
 GRAPHS = {"C5": make_c5(), "O8": make_o8(),
           **{f"WSA{s}": graph_from_labels(seeded_wsa_labels(s))
@@ -41,12 +40,12 @@ def real_filter(name: str, depth: int):
 
 
 def with_edges(filt, change):
-    return dataclasses.replace(
+    return replace(
         filt, edges=tuple(change(i, e) for i, e in enumerate(filt.edges)))
 
 
 def strip_boundary(filt):
-    return with_edges(filt, lambda i, e: dataclasses.replace(e, boundary=None))
+    return with_edges(filt, lambda i, e: replace(e, boundary=None))
 
 
 def assert_agree(g, filt, bounds):
@@ -98,7 +97,7 @@ def test_one_pass_matches_per_path_on_reassigned_classes(
     others."""
     g, filt = real_filter(*key)
     rng = random.Random(seed)
-    tampered = with_edges(filt, lambda i, e: dataclasses.replace(
+    tampered = with_edges(filt, lambda i, e: replace(
         e, cls=rng.choice(classes), boundary=rng.choice(marks)))
     assert_agree(g, tampered, bounds)
 
@@ -109,7 +108,7 @@ def test_one_pass_finds_lr_subpaths_alone(name):
     no off-boundary window, so the LR-subpaths are the only failures."""
     g, filt = real_filter(name, 3)
     rng = random.Random(name)
-    tampered = with_edges(filt, lambda i, e: dataclasses.replace(
+    tampered = with_edges(filt, lambda i, e: replace(
         e, cls=rng.choice("LR"), boundary="alpha"))
     fails = assert_agree(g, tampered, (1, 4, 4, 4))
     assert fails and all("LR-subpaths" in f for f in fails)
@@ -135,14 +134,14 @@ def expected_check(g, filt, bounds, monkeypatch):
 def reclass_first_interior(filt):
     """A fault of the fan axioms: one interior fan edge classed L."""
     first = next(i for i, e in enumerate(filt.edges) if e.cls == "I")
-    return with_edges(filt, lambda i, e: dataclasses.replace(e, cls="L")
+    return with_edges(filt, lambda i, e: replace(e, cls="L")
                       if i == first else e)
 
 
 def untree_first_top_left(filt):
     """A fault of the tree shape: a cell top gets two tree parents."""
     first = next(i for i, e in enumerate(filt.edges) if e.top_left)
-    return with_edges(filt, lambda i, e: dataclasses.replace(
+    return with_edges(filt, lambda i, e: replace(
         e, top_left=False) if i == first else e)
 
 
@@ -203,9 +202,11 @@ def run_child(script, *flags):
 
 
 C5_FILTER = """
-    import dataclasses, sys
+    import sys
     from coxwide import (build_filter, check_filter, extend_geodesic,
                          parse_graph)
+    def replace(rec, **changes):
+        return rec.__replace__(**changes)
     g = parse_graph("v s1; v s2; v s3; v s4; v s5; e s1 s2 2; "
                     "e s2 s3 2; e s3 s4 2; e s4 s5 2; e s5 s1 2")
     filt = build_filter(g, extend_geodesic(g, ("s1",), 8),
@@ -221,13 +222,13 @@ def test_itinerary_check_survives_python_O():
     lines = run_child(C5_FILTER.format(depth=4) + """
     print("optimize", sys.flags.optimize)
     print("clean", check_filter(g, filt).ok)
-    filt = dataclasses.replace(filt, edges=tuple(
-        dataclasses.replace(e, boundary=None) for e in filt.edges))
+    filt = replace(filt, edges=tuple(
+        replace(e, boundary=None) for e in filt.edges))
     chk = check_filter(g, filt)
     print("stripped", chk.ok, sorted(set(chk.failures)))
     first = next(i for i, e in enumerate(filt.edges) if e.top_left)
-    filt = dataclasses.replace(filt, edges=tuple(
-        dataclasses.replace(e, top_left=False) if i == first else e
+    filt = replace(filt, edges=tuple(
+        replace(e, top_left=False) if i == first else e
         for i, e in enumerate(filt.edges)))
     chk = check_filter(g, filt)
     print("untreed", chk.ok, chk.failures[0],
@@ -251,10 +252,8 @@ def test_cyclic_tree_terminates():
     limit = 512 * 2 ** 20
     resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
     last = max(e.tgt for e in filt.edges if e.boundary == "alpha")
-    back = dataclasses.replace(filt.edges[0], src=last, tgt=0,
-                               cls=None, boundary=None)
-    chk = check_filter(g, dataclasses.replace(filt,
-                                              edges=filt.edges + (back,)))
+    back = replace(filt.edges[0], src=last, tgt=0, cls=None, boundary=None)
+    chk = check_filter(g, replace(filt, edges=filt.edges + (back,)))
     print(chk.ok, chk.failures[0])
     """)
     assert lines == ["False basepoint has incoming edges"]

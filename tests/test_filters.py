@@ -1,7 +1,5 @@
 """Filter diagrams: tree shape, cells, side classes, itinerary bounds."""
 
-import dataclasses
-
 import pytest
 
 from coxwide import extend_geodesic, normalize
@@ -9,7 +7,7 @@ from coxwide.errors import ConstructionError, NonGeodesicError
 from coxwide.filters import (DEFAULT_ORBIT_CAP, build_filter, check_filter,
                              itinerary_cap)
 
-from conftest import CORPUS_MAKERS, racg
+from conftest import CORPUS_MAKERS, racg, replace
 
 
 def boundary_pair(g, length=6):
@@ -180,8 +178,8 @@ def test_filter_checker_rejects_tampering(c5):
     # flip one interior edge class
     for idx, e in enumerate(filt.edges):
         if e.cls == "I":
-            bad_edge = dataclasses.replace(e, cls="L")
-            bad = dataclasses.replace(
+            bad_edge = replace(e, cls="L")
+            bad = replace(
                 filt, edges=filt.edges[:idx] + (bad_edge,)
                 + filt.edges[idx + 1:])
             assert not check_filter(c5, bad).ok
@@ -192,8 +190,8 @@ def test_filter_checker_rejects_tampering(c5):
     # erase a duplicate-corner marking: the tree gains a cycle
     for idx, e in enumerate(filt.edges):
         if e.top_left:
-            bad_edge = dataclasses.replace(e, top_left=False)
-            bad = dataclasses.replace(
+            bad_edge = replace(e, top_left=False)
+            bad = replace(
                 filt, edges=filt.edges[:idx] + (bad_edge,)
                 + filt.edges[idx + 1:])
             assert not check_filter(c5, bad).ok
@@ -203,8 +201,8 @@ def test_filter_checker_rejects_tampering(c5):
     e0 = next(e for e in filt.edges if not e.top_left and e.cls == "I")
     idx0 = filt.edges.index(e0)
     other = next(s for s in c5.vertices if s != e0.label)
-    bad_edge = dataclasses.replace(e0, label=other)
-    bad = dataclasses.replace(
+    bad_edge = replace(e0, label=other)
+    bad = replace(
         filt, edges=filt.edges[:idx0] + (bad_edge,) + filt.edges[idx0 + 1:])
     assert not check_filter(c5, bad).ok
 
@@ -218,8 +216,8 @@ def test_filter_checker_reports_bad_fan_records(c5, field, value, failure):
     is not geodesic is a failure of fan 0, not an exception."""
     a, b = boundary_pair(c5)
     filt = build_filter(c5, a, b, 2)
-    bad_fan = dataclasses.replace(filt.fans[0], **{field: value})
-    bad = dataclasses.replace(filt, fans=(bad_fan,) + filt.fans[1:])
+    bad_fan = replace(filt.fans[0], **{field: value})
+    bad = replace(filt, fans=(bad_fan,) + filt.fans[1:])
     ck = check_filter(c5, bad)
     assert not ck.ok
     assert any(f.startswith("fan 0: ") and failure in f

@@ -70,6 +70,19 @@ def test_series_equals_matrix_bfs_seeded(seed):
         O.sphere_sizes(labels, radius)
 
 
+def test_matrix_bfs_cut_short_by_its_cap_raises():
+    """Spheres the capped BFS never reached are not reported as empty; the
+    empty spheres past a finite group's longest element still are."""
+    c5 = O.labels_from_graph(CORPUS_MAKERS["C5"]())
+    a3 = O.labels_from_graph(CORPUS_MAKERS["A3"]())
+    assert O.sphere_sizes(c5, 2, cap=20) == (1, 5, 15)
+    with pytest.raises(RuntimeError, match="cap of 20 exhausted"):
+        O.sphere_sizes(c5, 4, cap=20)
+    assert O.sphere_sizes(a3, 8, cap=24) == (1, 3, 5, 6, 5, 3, 1, 0, 0)
+    with pytest.raises(RuntimeError, match="cap of 23 exhausted"):
+        O.sphere_sizes(a3, 8, cap=23)
+
+
 def _radius_within_budget(series) -> int:
     return max(r for r in range(MAX_RADIUS + 1)
                if sum(series[:r + 1]) <= BALL_BUDGET)

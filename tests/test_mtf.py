@@ -1,7 +1,5 @@
 """Multi-tail filters: case traces, carried rays, glued filters."""
 
-import dataclasses
-
 import pytest
 
 from coxwide import extend_geodesic, normalize
@@ -10,7 +8,7 @@ from coxwide.filters import (build_multitail_filter, check_filter,
                              check_multitail_filter)
 from coxwide.words import engine_for
 
-from conftest import CORPUS_MAKERS
+from conftest import CORPUS_MAKERS, replace
 
 ZIG = ("s1", "s3", "s1", "s3", "s1", "s3", "s1", "s3")
 ZAG = ("s2", "s4", "s2", "s4", "s2", "s4", "s2", "s4")
@@ -92,22 +90,22 @@ def test_mtf_checker_rejects_tampering(c5):
     # flip one case tag
     flipped = tuple(("fresh" if c == "prepend" else "prepend")
                     for c in m.cases)
-    bad = dataclasses.replace(m, cases=flipped)
+    bad = replace(m, cases=flipped)
     assert not check_multitail_filter(c5, bad).ok
     # corrupt sigma
-    bad2 = dataclasses.replace(m, sigma=("s1",) + m.sigma)
+    bad2 = replace(m, sigma=("s1",) + m.sigma)
     assert not check_multitail_filter(c5, bad2).ok
     # swap a carried ray
     rays = list(m.rays)
     rays[1], rays[-1] = rays[-1], rays[1]
-    bad3 = dataclasses.replace(m, rays=tuple(rays))
+    bad3 = replace(m, rays=tuple(rays))
     assert not check_multitail_filter(c5, bad3).ok
 
 
 def _relabelled(filt, letter):
     """The filter with every edge label replaced by ``letter``."""
-    return dataclasses.replace(
-        filt, edges=tuple(dataclasses.replace(e, label=letter)
+    return replace(
+        filt, edges=tuple(replace(e, label=letter)
                           for e in filt.edges))
 
 
@@ -118,8 +116,8 @@ def test_mtf_checker_checks_every_filter_when_boundaries_are_short(c5):
     assert len(m.filters) == 3
     broken = _relabelled(m.filters[2], "s1")
     assert not check_filter(c5, broken).ok
-    bad = dataclasses.replace(m, filters=m.filters[:2] + (broken,),
-                              boundaries=m.boundaries[:1])
+    bad = replace(m, filters=m.filters[:2] + (broken,),
+                  boundaries=m.boundaries[:1])
     ck = check_multitail_filter(c5, bad)
     assert not ck.ok
     assert "1 boundaries recorded for 3 filters" in ck.failures
@@ -129,7 +127,7 @@ def test_mtf_checker_checks_every_filter_when_boundaries_are_short(c5):
 def test_mtf_checker_reports_short_tails(c5):
     """Fewer tails than filters is a failure, not an IndexError."""
     m = build_multitail_filter(c5, ZIG, ZAG, 2, depth=2)
-    ck = check_multitail_filter(c5, dataclasses.replace(m, tails=m.tails[:1]))
+    ck = check_multitail_filter(c5, replace(m, tails=m.tails[:1]))
     assert not ck.ok
     assert ck.failures == ("1 tails recorded for 3 filters",)
 

@@ -1,6 +1,6 @@
-"""The result records of the classification layer (``errors.Record``).
+"""The result records of the package (``errors.Record``).
 
-The eight types were frozen dataclasses; as slotted records they keep the
+The 22 types were frozen dataclasses; as slotted records they keep the
 same construction, repr, equality, hash, immutability, pickling and
 copying.  Each check here runs in this process and, with explicit checks
 in place of ``assert``, in a fresh ``python -O`` interpreter.
@@ -10,19 +10,39 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import inspect
 import json
 import pickle
 
 import pytest
 
-from coxwide import (AvoidanceReport, ClassificationVerdict, EndsVerdict,
-                     GroupConstants, IrreducibleVerdict, SpecialJoin,
-                     Splitting, WideDecomposition, classify, parse_graph)
+from coxwide import (AvoidanceReport, CayleyBall, ClassificationVerdict,
+                     EndsVerdict, FanCheck, FanDiagram, FilterCheck,
+                     FilterDiagram, GroupConstants, GroupElement,
+                     IrreducibleVerdict, MorseWindowReport, MultiTailFilter,
+                     Pencil, Reflection, SpecialJoin, Splitting,
+                     WideDecomposition, classify, parse_graph)
 from coxwide.errors import Record
+from coxwide.filters import FilterCell, FilterEdge, FilterFan, FilterVertex
 
 from test_filter_itinerary import run_child
 
 JOIN = SpecialJoin(("a",), ("b", "c"), ())
+ELEMENT = GroupElement(("a",))
+VERTEX = FilterVertex(("a",), 1, False, True)
+VERTEX_TEXT = "FilterVertex(element=('a',), level=1, is_top=False, open=True)"
+EDGE = FilterEdge(0, 1, "a", "I", False, "alpha")
+EDGE_TEXT = ("FilterEdge(src=0, tgt=1, label='a', cls='I', top_left=False, "
+             "boundary='alpha')")
+CELL = FilterCell(0, (1, 2), (3, 4), (0, 1, 2, 3))
+CELL_TEXT = "FilterCell(fan=0, lam=(1, 2), rho=(3, 4), cycle=(0, 1, 2, 3))"
+FAN = FilterFan(1, 0, (), ("a", "b"), (0, 1), (0,), "short-tail")
+FAN_TEXT = ("FilterFan(level=1, apex=0, base=(), labels=('a', 'b'), "
+            "edge_ids=(0, 1), cell_ids=(0,), case='short-tail')")
+FILTER = FilterDiagram(("a",), ("b",), 1, (VERTEX,), (EDGE,), (CELL,), (FAN,))
+FILTER_TEXT = (f"FilterDiagram(alpha=('a',), beta=('b',), depth=1, "
+               f"vertices=({VERTEX_TEXT},), edges=({EDGE_TEXT},), "
+               f"cells=({CELL_TEXT},), fans=({FAN_TEXT},))")
 
 # One record of each type, its fields in order, and its repr.
 CASES = [
@@ -63,10 +83,67 @@ CASES = [
      "constants=GroupConstants(v_gamma=2, m_gamma=3, r_gamma=3), "
      "ends=EndsVerdict(kind='FiniteGroup', witness=None), "
      "hypotheses={'finite': True}, witness={'note': [1]})"),
+    (ELEMENT, {"word": ("a",)}, "GroupElement(word=('a',))"),
+    (Reflection(ELEMENT, "a"),
+     {"element": ELEMENT, "type_generator": "a"},
+     "Reflection(element=GroupElement(word=('a',)), type_generator='a')"),
+    (CayleyBall(1, ((), ("a",)), ((0, 1, "a"),)),
+     {"radius": 1, "words": ((), ("a",)), "edges": ((0, 1, "a"),)},
+     "CayleyBall(radius=1, words=((), ('a',)), edges=((0, 1, 'a'),))"),
+    (Pencil((1, 3), (("a",), ("a", "b", "a")), (True, True)),
+     {"positions": (1, 3), "reflections": (("a",), ("a", "b", "a")),
+      "separates_endpoints": (True, True)},
+     "Pencil(positions=(1, 3), reflections=(('a',), ('a', 'b', 'a')), "
+     "separates_endpoints=(True, True))"),
+    (MorseWindowReport(False, 2, (1, 3), ("a", "b"), True),
+     {"passes": False, "k": 2, "window": (1, 3), "wide_subgraph": ("a", "b"),
+      "within_proven_hypothesis": True},
+     "MorseWindowReport(passes=False, k=2, window=(1, 3), "
+     "wide_subgraph=('a', 'b'), within_proven_hypothesis=True)"),
+    (FanDiagram(("c",), ("a", "b"), (4,), ("c",), None, "short-tail",
+                ("d",)),
+     {"base": ("c",), "labels": ("a", "b"), "cells": (4,), "tail": ("c",),
+      "tail_delta": None, "case": "short-tail", "blocked": ("d",)},
+     "FanDiagram(base=('c',), labels=('a', 'b'), cells=(4,), tail=('c',), "
+     "tail_delta=None, case='short-tail', blocked=('d',))"),
+    (FanCheck(False, ("bad cell",)),
+     {"ok": False, "failures": ("bad cell",)},
+     "FanCheck(ok=False, failures=('bad cell',))"),
+    (VERTEX,
+     {"element": ("a",), "level": 1, "is_top": False, "open": True},
+     VERTEX_TEXT),
+    (EDGE,
+     {"src": 0, "tgt": 1, "label": "a", "cls": "I", "top_left": False,
+      "boundary": "alpha"},
+     EDGE_TEXT),
+    (CELL, {"fan": 0, "lam": (1, 2), "rho": (3, 4), "cycle": (0, 1, 2, 3)},
+     CELL_TEXT),
+    (FAN,
+     {"level": 1, "apex": 0, "base": (), "labels": ("a", "b"),
+      "edge_ids": (0, 1), "cell_ids": (0,), "case": "short-tail"},
+     FAN_TEXT),
+    (FILTER,
+     {"alpha": ("a",), "beta": ("b",), "depth": 1, "vertices": (VERTEX,),
+      "edges": (EDGE,), "cells": (CELL,), "fans": (FAN,)},
+     FILTER_TEXT),
+    (FilterCheck(False, ("bad edge",), {"edges_checked": 3}),
+     {"ok": False, "failures": ("bad edge",), "stats": {"edges_checked": 3}},
+     "FilterCheck(ok=False, failures=('bad edge',), "
+     "stats={'edges_checked': 3})"),
+    (MultiTailFilter(("a",), ("b",), 1, ("a", "b"), ("fresh",),
+                     (("a",), ("b",)), ((),), ((("a",), ("b",)),),
+                     (FILTER,)),
+     {"alpha": ("a",), "beta": ("b",), "n": 1, "sigma": ("a", "b"),
+      "cases": ("fresh",), "rays": (("a",), ("b",)), "tails": ((),),
+      "boundaries": ((("a",), ("b",)),), "filters": (FILTER,)},
+     f"MultiTailFilter(alpha=('a',), beta=('b',), n=1, sigma=('a', 'b'), "
+     f"cases=('fresh',), rays=(('a',), ('b',)), tails=((),), "
+     f"boundaries=((('a',), ('b',)),), filters=({FILTER_TEXT},))"),
 ]
 IDS = [type(rec).__name__ for rec, _, _ in CASES]
-HASHABLE = [case for case in CASES
-            if not isinstance(case[0], ClassificationVerdict)]
+# records holding a dict, unhashable as their dataclasses were
+UNHASHABLE = (ClassificationVerdict, FilterCheck)
+HASHABLE = [case for case in CASES if not isinstance(case[0], UNHASHABLE)]
 HASHABLE_IDS = [type(rec).__name__ for rec, _, _ in HASHABLE]
 
 C5_TEXT = ("v s1; v s2; v s3; v s4; v s5; "
@@ -85,7 +162,8 @@ def frozen_dataclass(rec: Record):
     return cls(*rec._values())
 
 
-def test_every_result_type_of_the_classification_layer_is_a_record():
+def test_every_result_type_is_a_record():
+    assert len(IDS) == len(set(IDS)) == 22
     assert sorted(IDS) == sorted(cls.__name__
                                  for cls in Record.__subclasses__())
     for rec, _, _ in CASES:
@@ -100,7 +178,8 @@ def test_repr_is_the_dataclass_repr(rec, fields, text):
 
 def test_repr_of_a_verdict_inside_its_own_witness_stops_as_before():
     texts = []
-    for verdict in (CASES[-1][0], frozen_dataclass(CASES[-1][0])):
+    verdict = CASES[IDS.index("ClassificationVerdict")][0]
+    for verdict in (verdict, frozen_dataclass(verdict)):
         verdict = copy.deepcopy(verdict)
         verdict.witness["self"] = verdict
         texts.append(repr(verdict))
@@ -113,6 +192,12 @@ def test_construction_by_position_and_keyword(rec, fields, text):
     cls = type(rec)
     assert {name: getattr(rec, name) for name in rec.__slots__} == fields
     assert list(rec.__slots__) == list(fields) == list(cls.__match_args__)
+    signature = inspect.signature(cls)
+    assert list(signature.parameters) == list(fields)
+    assert {p.kind for p in signature.parameters.values()} \
+        == {inspect.Parameter.POSITIONAL_OR_KEYWORD}
+    assert cls.__init__.__qualname__ == f"{cls.__qualname__}.__init__"
+    assert cls.__init__.__module__ == cls.__module__
     by_keyword = cls(**fields)
     assert by_keyword == cls(*fields.values()) == rec
     assert repr(by_keyword) == text
@@ -156,10 +241,11 @@ def test_hash_is_the_hash_of_the_field_values(rec, fields, text):
 
 
 def test_a_verdict_holding_dicts_is_unhashable_as_before():
-    verdict = CASES[-1][0]
-    for value in (verdict, frozen_dataclass(verdict)):
-        with pytest.raises(TypeError, match="unhashable"):
-            hash(value)
+    for cls in UNHASHABLE:
+        rec = CASES[IDS.index(cls.__name__)][0]
+        for value in (rec, frozen_dataclass(rec)):
+            with pytest.raises(TypeError, match="unhashable"):
+                hash(value)
 
 
 @pytest.mark.parametrize("rec, fields, text", CASES, ids=IDS)
@@ -221,6 +307,7 @@ UNDER_O = """
 import copy, json, pickle, sys
 from coxwide import (AvoidanceReport, GroupConstants, IrreducibleVerdict,
                      SpecialJoin, WideDecomposition, classify, parse_graph)
+from coxwide.filters import FilterEdge
 if not sys.flags.optimize:
     sys.exit("not running under -O")
 failed = []
@@ -235,16 +322,23 @@ check(WideDecomposition(("a",), ("b", "c"), ()) != join, "class equality")
 check(hash(GroupConstants(5, 2, 2)) == hash((5, 2, 2)), "hash")
 check(IrreducibleVerdict(kind="A", family=None, rank=1, longest_length=1)
       == IrreducibleVerdict("A", None, 1, 1), "keywords")
+edge = FilterEdge(src=0, tgt=1, label="a", cls=None, top_left=False,
+                  boundary=None)
+check(edge == FilterEdge(0, 1, "a", None, False, None), "generated init")
+check(edge.__replace__(label="b") == FilterEdge(0, 1, "b", None, False, None)
+      and edge.label == "a", "replace")
 for action in (lambda: setattr(rec, "holds", True),
-               lambda: delattr(rec, "pair")):
+               lambda: delattr(rec, "pair"),
+               lambda: setattr(edge, "label", "b")):
     try:
         action()
         failed.append("mutation")
     except AttributeError:
         pass
-for twin in (pickle.loads(pickle.dumps(rec)), copy.copy(rec),
-             copy.deepcopy(rec)):
-    check(twin == rec and repr(twin) == repr(rec), "round trip")
+for value in (rec, edge):
+    for twin in (pickle.loads(pickle.dumps(value)), copy.copy(value),
+                 copy.deepcopy(value)):
+        check(twin == value and repr(twin) == repr(value), "round trip")
 verdict = classify(parse_graph(%r))
 check(copy.deepcopy(verdict).to_json_obj() == verdict.to_json_obj(),
       "verdict deepcopy")

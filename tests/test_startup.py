@@ -9,8 +9,10 @@ interpreters, since this test process has loaded every module already.
 
 from __future__ import annotations
 
+import ast
 import importlib
 import json
+import pathlib
 import textwrap
 
 import pytest
@@ -71,6 +73,16 @@ HEAVY = ("dataclasses", "inspect")
 HEAVY_LOADED = f"""
 import json, sys
 print(json.dumps([m for m in {HEAVY!r} if m in sys.modules]))
+"""
+
+# No part of the package imports ``typing`` either (its annotations are not
+# evaluated), so with ``-S`` (no ``site``, which can import ``typing``
+# through a ``.pth`` file) no command loads any of the three.
+UNUSED = ("dataclasses", "inspect", "typing")
+
+UNUSED_LOADED = f"""
+import json, sys
+print(json.dumps([m for m in {UNUSED!r} if m in sys.modules]))
 """
 
 
@@ -141,6 +153,50 @@ def test_subset_commands_import_no_dataclasses(c5_file, argv):
         [c5_file if a == "G" else a for a in argv], report=HEAVY_LOADED)
     assert code in (0, 1) and err == "", err
     assert heavy == set(), heavy
+
+
+def test_no_module_imports_dataclasses_or_typing():
+    """Read from the source, so an import inside a function counts too."""
+    found = []
+    paths = sorted(pathlib.Path(coxwide.__file__).parent.glob("*.py"))
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if name.partition(".")[0] in ("dataclasses", "typing")]
+    assert paths and found == []
+
+
+def test_import_under_python_S_loads_no_dataclasses_inspect_or_typing():
+    assert json.loads(run_child("import coxwide" + UNUSED_LOADED, "-S")[-1]) \
+        == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "G"], ["constants", "G"], ["check", "wsa", "G"],
+    ["word", "normalize", "G", "--word", "s2 s1"],
+    ["ball", "G", "--radius", "2"],
+    ["pencil", "G", "--word", "s1 s3 s1"],
+    ["morse-window", "G", "--word", "s1 s3 s1", "-k", "1"],
+    ["fan", "G", "--base", "", "-x", "s1", "-y", "s2"],
+    ["filter", "G", "--alpha", "s1 s2 s3 s1", "--beta", "s2 s1 s3 s1",
+     "--depth", "1"],
+    ["mtf", "G", "--alpha", "s1 s3 s1 s3", "--beta", "s2 s4 s2 s4",
+     "-n", "1", "--depth", "1"],
+], ids=lambda argv: argv[0])
+def test_commands_under_python_S_load_no_dataclasses_inspect_or_typing(
+        c5_file, argv):
+    code, err, unused = cox_in_child(
+        [c5_file if a == "G" else a for a in argv], "-S",
+        report=UNUSED_LOADED)
+    assert code == 0 and err == "", err
+    assert unused == set(), unused
 
 
 def test_word_command_loads_no_walls_or_diagrams(c5_file):

@@ -258,7 +258,7 @@ def test_memory_does_not_grow_with_edge_labels():
 
 def test_element_serialization(c5):
     e = element(c5, ("s2", "s1", "s2"))
-    assert e.serialize() == "s1"
+    assert e.word == ("s1",)
     assert len(e) == 1
 
 
