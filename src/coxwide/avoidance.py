@@ -18,12 +18,10 @@ Both deciders test only inclusion-maximal blocked sets B, as blocking is
 monotone in B, and find every pair s, t that B separates in one pass over
 the components of V - B: the pair is joined outside B exactly when s and t
 are adjacent or one component contains or touches both (``_blocked_pairs``).
-The pass grows each component frontier by frontier and gathers what it
-touches on the way, and it stops at the first component that, with its
-neighbours, covers V: every pair then lies in what that component touches,
-so B separates none.  When V - B is connected and every vertex of B has a
-neighbour outside B, that is the first component, and the pass ends after
-one search.
+The pass stops at the first component that, with its neighbours, covers V:
+every pair then lies in what that component touches, so B separates none.
+When V - B is connected and every vertex of B has a neighbour outside B,
+that is the first component, and the pass ends after one search.
 
 Wide-spherical-avoidance tests only the core blocked sets P | Cm(P) | K,
 over the cores (P, Cm(P)) of the subset table (P affine, or infinite and
@@ -55,7 +53,7 @@ from __future__ import annotations
 from .classification import (DEFAULT_SUBSET_CAP, check_cap, irreducible_kind,
                              is_spherical_mask, subset_table)
 from .errors import Record, set_slot
-from .graphs import CoxeterGraph, bits, popcount
+from .graphs import CoxeterGraph, bits, meet, popcount, reach
 
 
 class WideDecomposition(Record):
@@ -206,10 +204,7 @@ def _component_bipartitions(g: CoxeterGraph, mask: int):
 
 def _common_neighbors(g: CoxeterGraph, p_mask: int) -> int:
     """Vertices adjacent (any label) to every vertex of ``p_mask``."""
-    acc = g.full_mask()
-    for i in bits(p_mask):
-        acc &= g.neighbors_mask(i)
-    return acc & ~p_mask
+    return meet(g._adj, p_mask) & ~p_mask
 
 
 def _spherical_submasks(g: CoxeterGraph, ground: int) -> tuple[int, ...]:
@@ -252,33 +247,22 @@ def enumerate_special_joins(g: CoxeterGraph, maximal_only: bool = False,
 def _blocked_pairs(g: CoxeterGraph, blocked: int) -> list[tuple[int, int]]:
     """Pairs s < t, ascending, such that every path from s to t meets
     ``blocked`` outside its endpoints: s and t are not adjacent and no
-    component of the complement contains or touches both.  Each component
-    is grown frontier by frontier, and the neighbours gathered on the way
-    are what it touches; one that touches all of V joins every pair."""
+    component of the complement contains or touches both.  A component
+    that touches all of V joins every pair."""
     full = g.full_mask()
     adj = g._adj
-    reach = list(adj)
+    joined = list(adj)
     todo = full & ~blocked
     while todo:
-        comp = frontier = todo & -todo
-        touched = 0
-        while frontier:
-            nxt = 0
-            while frontier:
-                low = frontier & -frontier
-                nxt |= adj[low.bit_length() - 1]
-                frontier ^= low
-            touched |= nxt
-            frontier = nxt & todo & ~comp
-            comp |= frontier
+        comp, touched = reach(adj, todo & -todo, todo)
         touched |= comp
         if touched == full:
             return []
         todo ^= comp
         for v in bits(touched):
-            reach[v] |= touched
+            joined[v] |= touched
     return [(s, t) for s in range(g.n)
-            for t in bits(full & ~reach[s] & ~((2 << s) - 1))]
+            for t in bits(full & ~joined[s] & ~((2 << s) - 1))]
 
 
 def is_wide_avoidant(g: CoxeterGraph, cap: int = DEFAULT_SUBSET_CAP) -> AvoidanceReport:

@@ -141,9 +141,9 @@ first use and kept on the graph:
   avoid S.  So no separator has fewer than k0 vertices, k0 being the
   least number of common neighbours of a non-adjacent pair, and a graph
   whose pairs are all adjacent has no separator.  The separator scan
-  starts at size k0.  It tests each set S inline: one search inside
-  R = V - S from R's lowest vertex, which S separates exactly when the
-  search misses part of R.
+  starts at size k0.  It tests each set S with one search inside R = V - S
+  from R's lowest vertex, which S separates exactly when the search misses
+  part of R.
 
 Callers check their size caps before the table is built.  Queries on a
 single subset (``is_spherical_mask``, ``classify_irreducible``) read the
@@ -162,7 +162,7 @@ from functools import cache, cached_property
 from itertools import permutations
 
 from .errors import GraphFormatError, Record, SizeCapError
-from .graphs import CoxeterGraph, bits, popcount, submasks
+from .graphs import CoxeterGraph, bits, meet, popcount, reach, submasks
 
 DEFAULT_SUBSET_CAP = 20
 
@@ -317,8 +317,8 @@ def _match_clique(g: CoxeterGraph, mask: int) -> IrreducibleVerdict | None:
             return IrreducibleVerdict("FiniteType", family, 2, m)
         i, j, k = bits(mask)
         return _RANK3_ANY_ORDER.get((label[i][j], label[i][k], label[j][k]))
-    comm = g._comm
-    near = {i: mask & ~comm[i] & ~(1 << i) for i in bits(mask)}
+    noncomm = g._noncomm
+    near = {i: mask & noncomm[i] for i in bits(mask)}
     deg = {i: popcount(b) for i, b in near.items()}
     plain = all(label[i][j] == 3 for i, b in near.items() for j in bits(b))
     if sum(deg.values()) != 2 * (rank - 1):
@@ -408,10 +408,10 @@ class SubsetTable:
     first, as it is neither finite nor affine; then one search inside the
     clique finds the new vertex's component, and only an irreducible grown
     set is matched: a diagram with a cycle is affine only as A~n.
-    The wide masks are filled on first use, from the commuting masks
-    captured here (the table keeps no reference to the graph): D is wide
-    exactly when D = P | Q with P irreducible and infinite, Q commuting
-    with P, and P affine or Q non-spherical.  The affine P take every such
+    The wide masks are filled on first use, from the commuting and
+    non-commuting rows captured here (the table keeps no reference to the
+    graph): D is wide exactly when D = P | Q with P irreducible and
+    infinite, Q commuting with P, and P affine or Q non-spherical.  The affine P take every such
     Q; the other P are grown from single vertices, one non-commuting
     neighbour at a time, until the vertices commuting with P form a
     spherical set, past which no P grown further has a non-spherical Q.
@@ -422,9 +422,8 @@ class SubsetTable:
     """
 
     def __init__(self, g: CoxeterGraph):
-        adj, comm, label = g._adj, g._comm, g._m
+        adj, noncomm, label = g._adj, g._noncomm, g._m
         full = g.full_mask()
-        noncomm = [full & ~m & ~(1 << i) for i, m in enumerate(comm)]
         longest = {0: 0}
         affine = []
         # Breadth-first by size, one size per pass, ``rank`` being the size
@@ -473,16 +472,7 @@ class SubsetTable:
                                 continue
                             # the component of s holding v: v and the
                             # closure of links inside c
-                            comp = frontier = links
-                            while frontier:
-                                reach = 0
-                                while frontier:
-                                    u = frontier & -frontier
-                                    reach |= noncomm[u.bit_length() - 1]
-                                    frontier ^= u
-                                frontier = reach & c & ~comp
-                                comp |= frontier
-                            comp |= low
+                            comp = reach(noncomm, links, c)[0] | low
                         if comp != s:
                             # K is missing only at rank 3, as {x, v}
                             part = longest.get(comp)
@@ -511,42 +501,36 @@ class SubsetTable:
         self.affine = frozenset(affine)
         self.m_gamma = max(longest.values())
         self.constants = GroupConstants(g.n, self.m_gamma, g.max_label())
-        self._comm = comm
+        self._comm, self._noncomm = g._comm, noncomm
 
     def _cm(self, mask: int) -> int:
         """Cm(mask): the vertices commuting with every vertex of it."""
-        comm = self._comm
-        acc = (1 << len(comm)) - 1
-        while mask:
-            low = mask & -mask
-            mask ^= low
-            acc &= comm[low.bit_length() - 1]
-        return acc
+        return meet(self._comm, mask)
 
     def cores(self):
         """Yield (P, Cm(P), affine) for each affine P and for each other
         infinite irreducible P with Cm(P) non-spherical; see the class
         docstring."""
-        comm, longest, affine = self._comm, self.longest, self.affine
-        full = (1 << len(comm)) - 1
-        noncomm = [full & ~c for c in comm]
+        comm, noncomm = self._comm, self._noncomm
+        longest, affine = self.longest, self.affine
         for p in affine:
             yield p, self._cm(p), True
-        # (P, Cm(P), P and its non-commuting neighbours); each P is pushed
-        # once.  A vertex never commutes with itself here, so Cm(P) misses P.
+        # (P, Cm(P), the vertices not commuting with some vertex of P);
+        # each P is pushed once.  A vertex never commutes with itself here,
+        # so Cm(P) misses P.
         stack = [(1 << v, comm[v], noncomm[v]) for v in range(len(comm))]
         seen = {p for p, _, _ in stack}
         while stack:
-            p, cm, reach = stack.pop()
+            p, cm, near = stack.pop()
             if cm in longest:
                 continue
             if p not in longest and p not in affine:
                 yield p, cm, False
-            for u in bits(reach & ~p):
+            for u in bits(near & ~p):
                 grown = p | 1 << u
                 if grown not in seen:
                     seen.add(grown)
-                    stack.append((grown, cm & comm[u], reach | noncomm[u]))
+                    stack.append((grown, cm & comm[u], near | noncomm[u]))
 
     @cached_property
     def wide(self) -> tuple[int, ...]:
@@ -743,18 +727,7 @@ def spherical_separator(g: CoxeterGraph) -> int | None:
     for mask in subset_table(g).longest:
         if mask.bit_count() < floor:
             continue
-        # S separates exactly when one search inside R = V - S from R's
-        # lowest vertex misses part of R
         rest = full & ~mask
-        seen = frontier = rest & -rest
-        while frontier:
-            reach = 0
-            while frontier:
-                low = frontier & -frontier
-                reach |= adj[low.bit_length() - 1]
-                frontier ^= low
-            frontier = reach & rest & ~seen
-            seen |= frontier
-        if seen != rest:
+        if reach(adj, rest & -rest, rest)[0] != rest:
             return mask
     return None

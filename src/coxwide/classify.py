@@ -58,7 +58,17 @@ class ClassificationVerdict(Record):
                 "constants": self.constants.to_json_obj(),
                 "ends": self.ends.to_json_obj(),
                 "hypotheses": dict(self.hypotheses),
-                "witness": self.witness}
+                "witness": _fresh(self.witness)}
+
+
+def _fresh(obj):
+    """A copy of JSON-shaped ``obj`` with new dicts and lists all the way
+    down, so that changing it leaves the record as it was."""
+    if isinstance(obj, dict):
+        return {k: _fresh(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [_fresh(v) for v in obj]
+    return obj
 
 
 RACG_CASES = ("EmptyBoundary_FiniteOrWide", "Disconnected_MultiEnded",

@@ -30,7 +30,7 @@ from __future__ import annotations
 from .avoidance import (wide_decomposition_mask, wide_masks)
 from .classification import compute_constants, is_spherical_mask
 from .errors import ConstructionError, Record
-from .graphs import CoxeterGraph, bits
+from .graphs import CoxeterGraph, bits, spread
 from .words import (Word, WordEngine, engine_for, _wide_suffix,
                     DEFAULT_ORBIT_CAP)
 
@@ -95,25 +95,20 @@ def _lex_least_path(g: CoxeterGraph, s: int, t: int, allowed: int,
     if not direct:
         nbr[s] &= ~(1 << t)
         nbr[t] &= ~(1 << s)
-    dist = {t: 0}
-    frontier = [t]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in bits(nbr[u]):
-                if v not in dist:
-                    dist[v] = dist[u] + 1
-                    nxt.append(v)
-        frontier = nxt
-    if s not in dist:
-        return None
+    # layers[k]: the vertices at distance k from t, up to s's layer; each
+    # step from s takes the least neighbour one layer closer to t
+    layers = [1 << t]
+    seen = 1 << t
+    while not seen >> s & 1:
+        layer = spread(nbr, layers[-1]) & ~seen
+        if not layer:
+            return None
+        layers.append(layer)
+        seen |= layer
     path = [s]
-    cur = s
-    while cur != t:
-        step = min(v for v in bits(nbr[cur])
-                   if dist.get(v, -1) == dist[cur] - 1)
-        path.append(step)
-        cur = step
+    for layer in reversed(layers[:-1]):
+        step = nbr[path[-1]] & layer
+        path.append((step & -step).bit_length() - 1)
     return path
 
 

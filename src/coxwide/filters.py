@@ -303,7 +303,7 @@ class FilterCheck(Record):
 
     def to_json_obj(self) -> dict:
         return {"ok": self.ok, "failures": list(self.failures),
-                "stats": self.stats}
+                "stats": dict(self.stats)}
 
 
 def itinerary_bounds(g: CoxeterGraph) -> tuple[int, int, int, int]:

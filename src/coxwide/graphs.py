@@ -8,7 +8,13 @@ every lexicographic tie-break downstream, so two files with the same vertices
 in a different order are different objects even when isomorphic.
 
 Subsets of vertices are handled internally as bitmasks over the vertex order;
-the public API speaks vertex names.
+the public API speaks vertex names.  A *row* list maps each vertex to a mask:
+its neighbours (``_adj``), the vertices commuting with it (``_comm``) or those
+that do not (``_noncomm``, itself excluded).  Every search of the package over
+such rows goes through three kernels: ``reach`` (the closure of a seed inside
+a mask, and what it touched), ``spread`` (the union of the rows over a mask)
+and ``meet`` (their intersection); ``components`` lists the components of a
+mask by ``reach``.
 """
 
 from __future__ import annotations
@@ -29,8 +35,8 @@ class CoxeterGraph:
     (2, None)
     """
 
-    __slots__ = ("vertices", "_index", "n", "_m", "_adj", "_comm", "_hash",
-                 "_subsets", "_engines")
+    __slots__ = ("vertices", "_index", "n", "_m", "_adj", "_comm", "_noncomm",
+                 "_hash", "_subsets", "_engines")
 
     def __init__(self, vertices: Sequence[str], edges: Iterable[tuple[str, str, int]]):
         vertices = tuple(vertices)
@@ -48,8 +54,8 @@ class CoxeterGraph:
         m = [[None] * n for _ in range(n)]
         for i in range(n):
             m[i][i] = 1
-        # adjacency masks: adj[i] = neighbours of i (any label);
-        # comm[i] = vertices commuting with i (label exactly 2).
+        # rows: adj[i] = neighbours of i (any label); comm[i] = vertices
+        # commuting with i (label exactly 2); noncomm[i] = the others but i.
         adj = [0] * n
         comm = [0] * n
         for u, v, lab in edges:
@@ -73,6 +79,8 @@ class CoxeterGraph:
         self._m = tuple(tuple(row) for row in m)
         self._adj = tuple(adj)
         self._comm = tuple(comm)
+        full = (1 << n) - 1
+        self._noncomm = tuple(full & ~c & ~(1 << i) for i, c in enumerate(comm))
         self._hash = hash((self.vertices, self._m))
         # the coxwide.classification.SubsetTable, built on first use
         self._subsets = None
@@ -164,7 +172,7 @@ class CoxeterGraph:
 
     def noncommuting_mask(self, i: int) -> int:
         """Vertices j != i that do not commute with i (non-adjacent or label != 2)."""
-        return self.full_mask() & ~self._comm[i] & ~(1 << i)
+        return self._noncomm[i]
 
     def irreducible_components_mask(self, mask: int | None = None) -> list[int]:
         """Connected components of the non-commuting relation inside ``mask``.
@@ -172,57 +180,19 @@ class CoxeterGraph:
         Two generators are linked when they are non-adjacent or joined by an
         edge labeled >= 3.  Components are returned sorted by least vertex.
         """
-        world = self.full_mask() if mask is None else mask
-        comm = self._comm
-        comps = []
-        todo = world
-        while todo:
-            comp = frontier = todo & -todo
-            while frontier:
-                nxt = 0
-                while frontier:
-                    low = frontier & -frontier
-                    nxt |= ~comm[low.bit_length() - 1]
-                    frontier ^= low
-                frontier = nxt & world & ~comp
-                comp |= frontier
-            comps.append(comp)
-            todo &= ~comp
-        return comps
-
-    def irreducible_components(self, names: Iterable[str] | None = None
-                               ) -> list[tuple[str, ...]]:
-        mask = None if names is None else self.mask_of(names)
-        return [self.names_of(c) for c in self.irreducible_components_mask(mask)]
+        return components(self._noncomm,
+                          self.full_mask() if mask is None else mask)
 
     # -- plain-graph connectivity (edges = adjacency, any label) -----------
 
-    def connected_within(self, mask: int) -> bool:
-        """Is the induced subgraph on ``mask`` connected (empty = connected)?"""
-        return mask == 0 or self.component_of(lowest_bit(mask), mask) == mask
-
     def component_of(self, start: int, mask: int) -> int:
         """Connected component (ordinary adjacency) of ``start`` inside ``mask``."""
-        adj = self._adj
-        seen = frontier = 1 << start
-        while frontier:
-            nxt = 0
-            while frontier:
-                low = frontier & -frontier
-                nxt |= adj[low.bit_length() - 1]
-                frontier ^= low
-            frontier = nxt & mask & ~seen
-            seen |= frontier
-        return seen
+        return reach(self._adj, 1 << start, mask)[0]
 
     def components_within(self, mask: int) -> list[int]:
-        comps = []
-        todo = mask
-        while todo:
-            c = self.component_of(lowest_bit(todo), mask)
-            comps.append(c)
-            todo &= ~c
-        return comps
+        """Connected components (ordinary adjacency) inside ``mask``, sorted
+        by least vertex."""
+        return components(self._adj, mask)
 
     # -- serialization ------------------------------------------------------
 
@@ -252,10 +222,6 @@ def bits(mask: int):
         mask ^= low
 
 
-def lowest_bit(mask: int) -> int:
-    return (mask & -mask).bit_length() - 1
-
-
 def popcount(mask: int) -> int:
     return mask.bit_count()
 
@@ -268,6 +234,61 @@ def submasks(mask: int):
         if sub == 0:
             return
         sub = (sub - 1) & mask
+
+
+# ---------------------------------------------------------------------------
+# the kernels over rows (vertex -> mask)
+
+
+def spread(rows, mask: int) -> int:
+    """The union of the rows of the vertices in ``mask`` (0 when empty)."""
+    acc = 0
+    while mask:
+        low = mask & -mask
+        acc |= rows[low.bit_length() - 1]
+        mask ^= low
+    return acc
+
+
+def meet(rows, mask: int) -> int:
+    """The intersection of the rows of the vertices in ``mask``; every
+    vertex when ``mask`` is empty."""
+    acc = (1 << len(rows)) - 1
+    while mask:
+        low = mask & -mask
+        acc &= rows[low.bit_length() - 1]
+        mask ^= low
+    return acc
+
+
+def reach(rows, seed: int, within: int) -> tuple[int, int]:
+    """(closure, touched): the closure holds ``seed`` and every vertex of
+    ``within`` that a row path from the seed reaches through ``within``;
+    touched is the union of the rows of the closure's vertices.  The seed
+    need not lie in ``within``."""
+    seen = frontier = seed
+    touched = 0
+    while frontier:
+        grown = 0  # spread(rows, frontier), inline on this hot path
+        while frontier:
+            low = frontier & -frontier
+            grown |= rows[low.bit_length() - 1]
+            frontier ^= low
+        touched |= grown
+        frontier = grown & within & ~seen
+        seen |= frontier
+    return seen, touched
+
+
+def components(rows, within: int) -> list[int]:
+    """The row components of ``within``, sorted by least vertex."""
+    comps = []
+    todo = within
+    while todo:
+        comp = reach(rows, todo & -todo, within)[0]
+        comps.append(comp)
+        todo &= ~comp
+    return comps
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,9 @@ decider as it was before it tested only the core blocked sets: it reads
 every wide set, every component bipartition of each and the maximal
 spherical sets of every join's ground, filtered out of all spherical sets
 by ``maximal_spherical``, as ``SubsetTable.maximal_spherical`` once did.
+
+``lex_least_path`` is ``fans._lex_least_path`` as it was before it walked
+mask layers: a breadth-first search with a distance dict.
 """
 
 from __future__ import annotations
@@ -548,3 +551,35 @@ def wide_spherical_avoidant_all_joins(
                 False, blocking_set=g.names_of(d | k),
                 pair=(g.vertices[s], g.vertices[t]),
                 join=SpecialJoin(g.names_of(p), g.names_of(q), g.names_of(k)))
+
+
+def lex_least_path(g: CoxeterGraph, s: int, t: int, allowed: int,
+                   direct: bool = True) -> Optional[list[int]]:
+    """Lexicographically least shortest path s -> t whose interior vertices
+    lie in ``allowed`` (endpoints exempt), or None.  Without ``direct`` the
+    edge s - t is left out, so the path found has length at least 2."""
+    usable = allowed | (1 << s) | (1 << t)
+    nbr = [g.neighbors_mask(u) & usable for u in range(g.n)]
+    if not direct:
+        nbr[s] &= ~(1 << t)
+        nbr[t] &= ~(1 << s)
+    dist = {t: 0}
+    frontier = [t]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for v in bits(nbr[u]):
+                if v not in dist:
+                    dist[v] = dist[u] + 1
+                    nxt.append(v)
+        frontier = nxt
+    if s not in dist:
+        return None
+    path = [s]
+    cur = s
+    while cur != t:
+        step = min(v for v in bits(nbr[cur])
+                   if dist.get(v, -1) == dist[cur] - 1)
+        path.append(step)
+        cur = step
+    return path

@@ -1,12 +1,16 @@
 """Fan diagrams: spreading edge bundles with dihedral polygon cells."""
 
+import random
+
 import pytest
 
 from coxwide import extend_geodesic, fans, is_geodesic
 from coxwide.errors import ConstructionError, NonGeodesicError
 from coxwide.fans import FanDiagram, build_fan, check_fan
 
-from conftest import CORPUS_MAKERS, replace
+import scan_oracle as S
+from conftest import (CORPUS_MAKERS, graph_from_labels, random_label_matrix,
+                      replace)
 
 
 def test_fan_frozen(c5):
@@ -109,6 +113,25 @@ def test_fan_detour_around_adjacent_letters(o8, monkeypatch):
     assert f.case == "wide-tail" and f.blocked == ("s1", "s2", "s3", "s4")
     assert check_fan(o8, f).ok
     assert searched == [True, False]   # one blocked set: direct, then detour
+
+
+def test_lex_least_path_matches_the_distance_dict_search():
+    """The mask-layer search against the former one on random graphs of up
+    to 9 vertices, every endpoint pair (equal ones too) and random allowed
+    masks, with and without the direct edge."""
+    rng = random.Random(22)
+    found = 0
+    for _ in range(150):
+        g = graph_from_labels(random_label_matrix(rng, rng.randint(1, 9)))
+        for s in range(g.n):
+            for t in range(g.n):
+                allowed = rng.getrandbits(g.n)
+                for direct in (True, False):
+                    path = fans._lex_least_path(g, s, t, allowed, direct)
+                    assert path == S.lex_least_path(g, s, t, allowed, direct), \
+                        (g.edge_list(), s, t, allowed, direct)
+                    found += path is not None and len(path) > 2
+    assert found > 1000
 
 
 def test_fan_checker_rejects_tampering(c5):

@@ -4,12 +4,15 @@ import random
 import re
 
 import pytest
+from hypothesis import given, strategies as st
 
 from coxwide import CoxeterGraph, GraphFormatError, parse_graph
-from coxwide.graphs import bits, popcount, submasks
+from coxwide.graphs import (bits, components, meet, popcount, reach, spread,
+                            submasks)
 
 import scan_oracle as S
-from conftest import CORPUS_MAKERS, graph_from_labels, random_label_matrix
+from conftest import (CORPUS_MAKERS, PROPERTY, graph_from_labels,
+                      random_label_matrix)
 from oracles import labels_from_graph
 
 
@@ -107,14 +110,17 @@ def test_neighbors_and_commuting(c5):
 def test_irreducible_components():
     # two commuting factors split; an infinite bond joins
     g = parse_graph("v a\nv b\nv c\ne a b 2\ne a c 2\ne b c 2")
-    comps = g.irreducible_components()
-    assert sorted(len(c) for c in comps) == [1, 1, 1]
+    comps = g.irreducible_components_mask()
+    assert [g.names_of(c) for c in comps] == [("a",), ("b",), ("c",)]
     h = parse_graph("v a\nv b\nv c\ne a b 2")  # a-c, b-c infinite bonds
-    assert len(h.irreducible_components()) == 1
+    assert h.irreducible_components_mask() == [h.full_mask()]
+    assert h.irreducible_components_mask(h.mask_of(["a", "b"])) == [1, 2]
 
 
 def test_connectivity(c5, p3):
-    assert c5.connected_within(c5.full_mask())
+    full = c5.full_mask()
+    assert c5.component_of(0, full) == full
+    assert c5.components_within(full) == [full]
     # removing adjacent vertices keeps the 5-cycle connected
     rest = c5.full_mask() & ~c5.mask_of(["s1"])
     assert len(c5.components_within(rest)) == 1
@@ -123,13 +129,94 @@ def test_connectivity(c5, p3):
     assert len(p3.components_within(rest)) == 2
 
 
-def test_connected_within_agrees_with_components():
+def test_components_within_agrees_with_component_of():
+    """The components partition the mask, in order of their least vertex,
+    each the component of that vertex; one component (or none) exactly when
+    the search from the lowest vertex reaches the whole mask."""
     rng = random.Random(7)
     for _ in range(50):
         g = graph_from_labels(random_label_matrix(rng, rng.randint(1, 6)))
         for mask in range(1 << g.n):
-            assert g.connected_within(mask) == \
-                (len(g.components_within(mask)) <= 1), (g.edge_list(), mask)
+            comps = g.components_within(mask)
+            assert sorted(comps, key=lambda c: c & -c) == comps
+            union = 0
+            for c in comps:
+                assert c and c & union == 0, (g.edge_list(), mask)
+                assert g.component_of((c & -c).bit_length() - 1, mask) == c
+                union |= c
+            assert union == mask
+            connected = mask == 0 or \
+                g.component_of((mask & -mask).bit_length() - 1, mask) == mask
+            assert connected == (len(comps) <= 1), (g.edge_list(), mask)
+
+
+# -- the kernels over rows, against plain set-based searches and folds -----
+
+
+def set_reach(rows, seed, within):
+    """(closure, touched) as sets: breadth-first from every seed vertex,
+    entering only vertices of ``within``."""
+    sets = [set(bits(r)) for r in rows]
+    inside = set(bits(within))
+    closure = set(bits(seed))
+    queue = list(closure)
+    touched = set()
+    while queue:
+        u = queue.pop(0)
+        touched |= sets[u]
+        for v in sorted(sets[u]):
+            if v in inside and v not in closure:
+                closure.add(v)
+                queue.append(v)
+    return closure, touched
+
+
+def to_mask(vertices):
+    return sum(1 << v for v in vertices)
+
+
+@st.composite
+def rows_and_masks(draw, max_n=10):
+    """Rows over n <= ``max_n`` vertices (not necessarily symmetric, self
+    loops allowed) and two masks over them."""
+    n = draw(st.integers(0, max_n))
+    mask = st.integers(0, (1 << n) - 1)
+    return (tuple(draw(st.lists(mask, min_size=n, max_size=n))),
+            draw(mask), draw(mask))
+
+
+@PROPERTY
+@given(rows_and_masks())
+def test_kernels_match_set_searches_and_folds(case):
+    rows, seed, within = case
+    n = len(rows)
+    closure, touched = set_reach(rows, seed, within)
+    assert reach(rows, seed, within) == (to_mask(closure), to_mask(touched))
+    for mask in (seed, within):
+        picked = [set(bits(rows[v])) for v in bits(mask)]
+        assert spread(rows, mask) == to_mask(set().union(*picked))
+        assert meet(rows, mask) == to_mask(set(range(n)).intersection(*picked))
+    comps = []
+    todo = set(bits(within))
+    while todo:
+        comp = set_reach(rows, 1 << min(todo), within)[0]
+        comps.append(to_mask(comp))
+        todo -= comp
+    assert components(rows, within) == comps
+
+
+def test_kernels_on_empty_masks_and_a_seed_outside():
+    rows = (0b0110, 0b1001, 0b1001, 0b0110)  # the 4-cycle 0-1-3-2-0
+    assert reach(rows, 0, 0b1111) == (0, 0)
+    assert reach(rows, 0b0001, 0) == (0b0001, 0b0110)
+    # a seed outside ``within`` stays in the closure and is searched from
+    assert reach(rows, 0b0001, 0b1000) == (0b0001, 0b0110)
+    assert reach(rows, 0b0001, 0b0100) == (0b0101, 0b1111)
+    assert reach(rows, 0b0001, 0b1110) == (0b1111, 0b1111)
+    assert spread(rows, 0) == 0 and meet(rows, 0) == 0b1111
+    assert meet((), 0) == 0 and components(rows, 0) == []
+    assert spread(rows, 0b0011) == 0b1111 and meet(rows, 0b0011) == 0
+    assert components(rows, 0b0110) == [0b0010, 0b0100]
 
 
 def test_induced(g6):

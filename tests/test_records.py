@@ -301,6 +301,32 @@ def test_classify_verdicts_round_trip_with_the_same_json(text):
         assert json.dumps(twin.to_json_obj(), indent=2) == dumped
 
 
+def _scribble(obj):
+    """Add a key to every dict and an item to every list inside ``obj``."""
+    if isinstance(obj, dict):
+        for value in list(obj.values()):
+            _scribble(value)
+        obj["scribbled"] = 1
+    elif isinstance(obj, list):
+        for value in obj:
+            _scribble(value)
+        obj.append("scribbled")
+
+
+@pytest.mark.parametrize("text", [C5_TEXT, G6_TEXT], ids=["C5", "G6"])
+def test_json_objects_share_no_container_with_their_record(text):
+    verdict = classify(parse_graph(text))
+    witness = copy.deepcopy(verdict.witness)
+    dumped = json.dumps(verdict.to_json_obj(), indent=2)
+    _scribble(verdict.to_json_obj())
+    assert verdict.witness == witness
+    assert json.dumps(verdict.to_json_obj(), indent=2) == dumped
+    check = CASES[IDS.index("FilterCheck")][0]
+    _scribble(check.to_json_obj())
+    assert check.stats == {"edges_checked": 3}
+    assert check.to_json_obj()["stats"] == {"edges_checked": 3}
+
+
 # The checks above, in explicit form, for a ``python -O`` interpreter (where
 # ``assert`` statements are compiled away).
 UNDER_O = """
