@@ -181,10 +181,6 @@ class IrreducibleVerdict(Record):
                  "rank",            # int
                  "longest_length")  # int | None
 
-    def to_json_obj(self) -> dict:
-        return {"kind": self.kind, "family": self.family, "rank": self.rank,
-                "longest_length": self.longest_length}
-
 
 class GroupConstants(Record):
     """The three quantities every window/itinerary bound is phrased in.
@@ -212,10 +208,6 @@ class EndsVerdict(Record):
     """
     __slots__ = ("kind",     # str
                  "witness")  # tuple[str, ...] | None
-
-    def to_json_obj(self) -> dict:
-        return {"kind": self.kind,
-                "witness": None if self.witness is None else list(self.witness)}
 
 
 # ---------------------------------------------------------------------------

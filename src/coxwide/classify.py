@@ -37,10 +37,6 @@ class Splitting(Record):
                  "delta",   # tuple[str, ...]
                  "via")     # str
 
-    def to_json_obj(self) -> dict:
-        return {"gamma1": list(self.gamma1), "gamma2": list(self.gamma2),
-                "delta": list(self.delta), "via": self.via}
-
 
 class ClassificationVerdict(Record):
     """The verdict of ``classify``: the case (one of ``RACG_CASES`` or
@@ -52,23 +48,6 @@ class ClassificationVerdict(Record):
                  "ends",        # EndsVerdict
                  "hypotheses",  # dict
                  "witness")     # dict
-
-    def to_json_obj(self) -> dict:
-        return {"case": self.case, "racg": self.racg,
-                "constants": self.constants.to_json_obj(),
-                "ends": self.ends.to_json_obj(),
-                "hypotheses": dict(self.hypotheses),
-                "witness": _fresh(self.witness)}
-
-
-def _fresh(obj):
-    """A copy of JSON-shaped ``obj`` with new dicts and lists all the way
-    down, so that changing it leaves the record as it was."""
-    if isinstance(obj, dict):
-        return {k: _fresh(v) for k, v in obj.items()}
-    if isinstance(obj, list):
-        return [_fresh(v) for v in obj]
-    return obj
 
 
 RACG_CASES = ("EmptyBoundary_FiniteOrWide", "Disconnected_MultiEnded",

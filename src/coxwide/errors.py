@@ -7,7 +7,8 @@ line can print its defaults without loading the word engine or walls.
 ``Record`` lives here because every module of the package imports this one,
 and it imports nothing from the standard library that ``import coxwide``
 would not load anyway (``dataclasses`` would add ``inspect``, ``ast``,
-``dis`` and ``tokenize``).
+``dis`` and ``tokenize``).  From a type's ``__slots__`` it writes the
+type's ``__init__`` and, unless the type has its own, its ``to_json_obj``.
 """
 
 from reprlib import recursive_repr
@@ -78,6 +79,48 @@ class ConstructionError(RuntimeError):
 # ``Record.__setattr__`` raises.
 set_slot = object.__setattr__
 
+# the types ``json_value`` returns as they are
+_PLAIN = frozenset((str, int, bool, type(None)))
+
+
+def json_value(value):
+    """``value`` as JSON data, by its exact type: a ``str``, ``int``,
+    ``bool`` or None as it is, a tuple or list as a new list and a dict as
+    a new dict (their items rendered in turn), and a record by its own
+    ``to_json_obj``.  No container of the result is shared with ``value``,
+    so changing the result leaves the record as it was."""
+    # Copy a container whole, then render in place its items that are not
+    # plain (a comprehension or ``enumerate`` measured slower).  Containers
+    # come first: the generated methods and these loops pass no plain value.
+    kind = value.__class__
+    if kind is dict:
+        out = dict(value)
+        for key, item in value.items():
+            if item.__class__ not in _PLAIN:
+                out[key] = json_value(item)
+        return out
+    if kind is tuple or kind is list:
+        out = list(value)
+        i = 0
+        for item in value:
+            if item.__class__ not in _PLAIN:
+                out[i] = json_value(item)
+            i += 1
+        return out
+    if kind in _PLAIN:
+        return value
+    return value.to_json_obj()
+
+
+def _add_method(cls, source: str) -> None:
+    """Compile the one function ``source`` defines as a method of ``cls``."""
+    namespace = {}
+    exec(source, {"set_slot": set_slot, "json_value": json_value,
+                  "PLAIN": _PLAIN, "__name__": cls.__module__}, namespace)
+    (name, method), = namespace.items()
+    method.__qualname__ = f"{cls.__qualname__}.{name}"
+    setattr(cls, name, method)
+
 
 class Record:
     """Immutable record with named fields: the package's one mechanism for
@@ -88,11 +131,15 @@ class Record:
     default), the base generates one when the subclass is created: a
     written positional-or-keyword signature with one ``set_slot`` per
     field, the code ``dataclass`` generates, so construction stays as fast
-    as a dataclass's.  The base behaves as the frozen dataclass did: the
-    repr names each field, records are equal only to records of the same
-    class with equal field values and hash as the tuple of them, assignment
-    and deletion raise ``AttributeError``, ``__match_args__`` lists the
-    fields, and ``copy.replace`` (Python 3.13) builds a changed copy.
+    as a dataclass's.  In the same way, unless the class defines
+    ``to_json_obj`` itself (as it must to rename a field, join a word into
+    a string or nest a witness), the base generates one that returns the
+    fields in slot order as a dict, each value rendered by ``json_value``.
+    The base behaves as the frozen dataclass did: the repr names each
+    field, records are equal only to records of the same class with equal
+    field values and hash as the tuple of them, assignment and deletion
+    raise ``AttributeError``, ``__match_args__`` lists the fields, and
+    ``copy.replace`` (Python 3.13) builds a changed copy.
     Pickling and copying rebuild through the constructor (``__reduce__``),
     as the default would restore the slots by assignment.
     ``dataclasses.replace``, ``asdict``, ``fields`` and ``is_dataclass`` do
@@ -107,13 +154,13 @@ class Record:
         if "__init__" not in cls.__dict__:
             body = "".join(f"\n    set_slot(self, {name!r}, {name})"
                            for name in fields)
-            namespace = {}
-            exec(f"def __init__(self, {', '.join(fields)}):{body}",
-                 {"set_slot": set_slot, "__name__": cls.__module__},
-                 namespace)
-            init = namespace["__init__"]
-            init.__qualname__ = f"{cls.__qualname__}.__init__"
-            cls.__init__ = init
+            _add_method(cls, f"def __init__(self, {', '.join(fields)}):{body}")
+        if "to_json_obj" not in cls.__dict__:
+            # a plain field value is written out without calling json_value
+            items = ", ".join(
+                f"{name!r}: v if (v := self.{name}).__class__ in PLAIN"
+                f" else json_value(v)" for name in fields)
+            _add_method(cls, f"def to_json_obj(self):\n    return {{{items}}}")
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self.__slots__])

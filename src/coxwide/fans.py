@@ -81,9 +81,6 @@ class FanCheck(Record):
     __slots__ = ("ok",        # bool
                  "failures")  # tuple[str, ...]
 
-    def to_json_obj(self) -> dict:
-        return {"ok": self.ok, "failures": list(self.failures)}
-
 
 def _lex_least_path(g: CoxeterGraph, s: int, t: int, allowed: int,
                     direct: bool = True) -> list[int] | None:

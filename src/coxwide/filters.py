@@ -239,17 +239,11 @@ class _Builder:
         self.built.add(v)
 
     def finish(self, alpha: Word, beta: Word, depth: int) -> FilterDiagram:
-        # a tree edge extends its source's tree word (``add_edge``), and
-        # comes after the tree edge into its source
         names = self.g.vertices
-        words: list[Word] = [()] * len(self.elem)
-        for s, t, lab, _cls, tl, _bdy in self.edges:
-            if not tl:
-                words[t] = words[s] + (names[lab],)
         vertices = tuple(
-            FilterVertex(words[i], self.level[i], self.is_top[i],
+            FilterVertex(self.eng.decode(word), self.level[i], self.is_top[i],
                          i not in self.built)
-            for i in range(len(self.elem)))
+            for i, word in enumerate(self.elem))
         edges = tuple(
             FilterEdge(s, t, names[lab], cls, tl, bdy)
             for s, t, lab, cls, tl, bdy in self.edges)
@@ -300,10 +294,6 @@ class FilterCheck(Record):
     __slots__ = ("ok",        # bool
                  "failures",  # tuple[str, ...]
                  "stats")     # dict
-
-    def to_json_obj(self) -> dict:
-        return {"ok": self.ok, "failures": list(self.failures),
-                "stats": dict(self.stats)}
 
 
 def itinerary_bounds(g: CoxeterGraph) -> tuple[int, int, int, int]:

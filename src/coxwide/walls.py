@@ -405,13 +405,6 @@ class MorseWindowReport(Record):
                  "wide_subgraph",             # tuple[str, ...] | None
                  "within_proven_hypothesis")  # bool
 
-    def to_json_obj(self) -> dict:
-        return {"passes": self.passes, "k": self.k,
-                "window": None if self.window is None else list(self.window),
-                "wide_subgraph": (None if self.wide_subgraph is None
-                                  else list(self.wide_subgraph)),
-                "within_proven_hypothesis": self.within_proven_hypothesis}
-
 
 def morse_window_check(g: CoxeterGraph, word: Word, k: int,
                        orbit_cap: int = DEFAULT_ORBIT_CAP) -> MorseWindowReport:

@@ -308,6 +308,12 @@ def _clique_counts(labels: Sequence[Sequence[int]]) -> list[int]:
     return counts
 
 
+def is_right_angled(labels: Sequence[Sequence[int]]) -> bool:
+    """Every pair of distinct generators commutes (2) or is free (0)."""
+    return all(labels[i][j] in (0, 2)
+               for i in range(len(labels)) for j in range(i))
+
+
 def racg_sphere_sizes(labels: Sequence[Sequence[int]],
                       radius: int) -> tuple[int, ...]:
     """Sizes of spheres 0..radius of a right-angled Coxeter group, exactly,
@@ -320,8 +326,7 @@ def racg_sphere_sizes(labels: Sequence[Sequence[int]],
     (-t)^|sigma| (1 + t)^(d - |sigma|) is an integer polynomial with
     P(0) = 1, so W = (1 + t)^d / P divides out in integers.
     """
-    if any(labels[i][j] not in (0, 2)
-           for i in range(len(labels)) for j in range(i)):
+    if not is_right_angled(labels):
         raise ValueError("not a right-angled label matrix")
     counts = _clique_counts(labels)
     d = len(counts) - 1
@@ -668,10 +673,14 @@ def oracle_ends(labels, radius: int = 9, order_cap: int = 100_000) -> str:
             break
     if not has_separator:
         return "one"
-    sph = sphere_sizes(labels, radius)
+    # a right-angled group's spheres come from its growth series, exactly
+    # and at once; ``tests/test_growth_series.py`` checks the series
+    # against the matrix BFS
+    sizes = racg_sphere_sizes if is_right_angled(labels) else sphere_sizes
+    sph = sizes(labels, radius)
     tail = sph[-4:]
     if len(set(tail)) == 1 and tail[0] > 0:
-        more = sphere_sizes(labels, radius + 3)
+        more = sizes(labels, radius + 3)
         if len(set(more[-6:])) == 1:
             return "two"
     return "multi"

@@ -513,6 +513,9 @@ def test_criterion_7_classifier_partitions_small_racgs():
                 finite = O.group_order(lab, cap=200).finite is True
                 wide = O.brute_is_wide(lab, (1 << n) - 1)
                 ends = O.oracle_ends(lab, radius=8, order_cap=200)
+                # oracle_ends reads the growth series of a right-angled
+                # group; keep the matrix BFS as an independent path
+                assert O.racg_sphere_sizes(lab, 5) == O.sphere_sizes(lab, 5)
                 wa, _ = O.brute_is_wide_avoidant(lab)
                 want = _racg_case_from({
                     "finite": finite, "wide": wide,

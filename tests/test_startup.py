@@ -60,24 +60,20 @@ print(json.dumps(sorted(m[len("coxwide."):] for m in sys.modules
 C5_TEXT = ("v s1; v s2; v s3; v s4; v s5\n"
            "e s1 s2 2; e s2 s3 2; e s3 s4 2; e s4 s5 2; e s5 s1 2\n")
 
+C4_TEXT = ("v s1; v s2; v s3; v s4\n"
+           "e s1 s2 2; e s2 s3 2; e s3 s4 2; e s4 s1 2\n")
+
 G6_TEXT = ("v s1; v s2; v s3; v s4; v a; v b\n"
            "e s1 s2 2; e s2 s3 2; e s3 s4 2; e s4 s1 2\n"
            "e a s1 2; e a s2 2; e a s3 2\n"
            "e b s2 2; e b s3 2; e b s4 2\n")
 
 
-# Standard modules the classification path must not import: ``dataclasses``
-# imports ``inspect``, which imports ``ast``, ``dis`` and ``tokenize``.
-HEAVY = ("dataclasses", "inspect")
-
-HEAVY_LOADED = f"""
-import json, sys
-print(json.dumps([m for m in {HEAVY!r} if m in sys.modules]))
-"""
-
-# No part of the package imports ``typing`` either (its annotations are not
-# evaluated), so with ``-S`` (no ``site``, which can import ``typing``
-# through a ``.pth`` file) no command loads any of the three.
+# Standard modules no command may import: ``dataclasses`` imports
+# ``inspect``, which imports ``ast``, ``dis`` and ``tokenize``, and no part
+# of the package imports ``typing`` (its annotations are not evaluated).
+# The checks run with ``-S``, since ``site`` can import ``typing`` through a
+# ``.pth`` file.
 UNUSED = ("dataclasses", "inspect", "typing")
 
 UNUSED_LOADED = f"""
@@ -110,6 +106,14 @@ def c5_file(tmp_path):
     return str(p)
 
 
+@pytest.fixture
+def c4_file(tmp_path):
+    """The square, a wide graph, so ``check wide`` exits 0 on it."""
+    p = tmp_path / "c4.cox"
+    p.write_text(C4_TEXT, encoding="utf-8")
+    return str(p)
+
+
 def test_import_loads_the_classification_layer_only():
     assert json.loads(run_child("import coxwide" + LOADED)[-1]) \
         == CLASSIFICATION_LAYER
@@ -126,33 +130,6 @@ def test_subset_commands_load_no_word_engine(c5_file, argv):
     assert code in (0, 1) and err == "", err
     assert set(CLASSIFICATION_LAYER) <= loaded
     assert not loaded & LATE_LAYERS, loaded
-
-
-@pytest.mark.parametrize("script", [
-    "import coxwide",
-    f"""
-    import json
-    import coxwide
-    verdict = coxwide.classify(coxwide.parse_graph({C5_TEXT!r}))
-    json.dumps(verdict.to_json_obj(), indent=2)
-    """,
-], ids=["import", "classify"])
-def test_classification_path_imports_no_dataclasses(script):
-    """The classification layer's records are not dataclasses, so neither
-    importing the package nor classifying loads ``dataclasses``."""
-    assert json.loads(run_child(textwrap.dedent(script) + HEAVY_LOADED)[-1]) \
-        == []
-
-
-@pytest.mark.parametrize("argv", [
-    ["classify", "G"], ["constants", "G"], ["check", "wide", "G"],
-    ["check", "wsa", "G"], ["check", "ends", "G"],
-])
-def test_subset_commands_import_no_dataclasses(c5_file, argv):
-    code, err, heavy = cox_in_child(
-        [c5_file if a == "G" else a for a in argv], report=HEAVY_LOADED)
-    assert code in (0, 1) and err == "", err
-    assert heavy == set(), heavy
 
 
 def test_no_module_imports_dataclasses_or_typing():
@@ -180,6 +157,8 @@ def test_import_under_python_S_loads_no_dataclasses_inspect_or_typing():
 
 @pytest.mark.parametrize("argv", [
     ["classify", "G"], ["constants", "G"], ["check", "wsa", "G"],
+    pytest.param(["check", "wide", "W"], id="check-wide"),
+    pytest.param(["check", "ends", "G"], id="check-ends"),
     ["word", "normalize", "G", "--word", "s2 s1"],
     ["ball", "G", "--radius", "2"],
     ["pencil", "G", "--word", "s1 s3 s1"],
@@ -191,10 +170,10 @@ def test_import_under_python_S_loads_no_dataclasses_inspect_or_typing():
      "-n", "1", "--depth", "1"],
 ], ids=lambda argv: argv[0])
 def test_commands_under_python_S_load_no_dataclasses_inspect_or_typing(
-        c5_file, argv):
-    code, err, unused = cox_in_child(
-        [c5_file if a == "G" else a for a in argv], "-S",
-        report=UNUSED_LOADED)
+        c5_file, c4_file, argv):
+    files = {"G": c5_file, "W": c4_file}
+    code, err, unused = cox_in_child([files.get(a, a) for a in argv], "-S",
+                                     report=UNUSED_LOADED)
     assert code == 0 and err == "", err
     assert unused == set(), unused
 
