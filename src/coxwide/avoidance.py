@@ -11,8 +11,10 @@ exhaustive bipartition search survives only as a test oracle.
 
 The wide masks, the maximal wide masks, the spherical subsets of a ground
 set and affine-freeness are read from the graph's ``SubsetTable`` (see
-``coxwide.classification``), which is built once per graph after the cap
-check; a single vertex set is still decided from its own components.
+``coxwide.classification``).  Each public entry reaches it once, through
+``subset_table(g, cap)``, which checks the vertex cap and builds the table
+on first use; the helpers below are handed the table.  A single vertex set
+is still decided from its own components.
 
 Both deciders test only inclusion-maximal blocked sets B, as blocking is
 monotone in B, and find every pair s, t that B separates in one pass over
@@ -50,7 +52,7 @@ relies on both facts.
 
 from __future__ import annotations
 
-from .classification import (DEFAULT_SUBSET_CAP, check_cap, irreducible_kind,
+from .classification import (DEFAULT_SUBSET_CAP, SubsetTable, irreducible_kind,
                              is_spherical_mask, subset_table)
 from .errors import Record, set_slot
 from .graphs import CoxeterGraph, bits, meet, popcount, reach
@@ -140,27 +142,12 @@ def is_wide(g: CoxeterGraph) -> bool:
     return wide_decomposition_mask(g, g.full_mask()) is not None
 
 
-def wide_masks(g: CoxeterGraph, cap: int = DEFAULT_SUBSET_CAP) -> tuple[int, ...]:
-    """All wide subsets of the graph, ascending as masks.  Exponential in |V|."""
-    check_cap(g, cap, "enumeration")
-    return subset_table(g).wide
-
-
-def maximal_wide_masks(g: CoxeterGraph, cap: int = DEFAULT_SUBSET_CAP) -> tuple[int, ...]:
-    check_cap(g, cap, "enumeration")
-    return subset_table(g).maximal_wide
-
-
 def enumerate_wide_subgraphs(g: CoxeterGraph, maximal_only: bool = False,
                              cap: int = DEFAULT_SUBSET_CAP) -> list[tuple[str, ...]]:
-    masks = maximal_wide_masks(g, cap) if maximal_only else wide_masks(g, cap)
+    """The wide (or maximal wide) subsets, ascending as masks.  Exponential."""
+    table = subset_table(g, cap)
+    masks = table.maximal_wide if maximal_only else table.wide
     return [g.names_of(m) for m in masks]
-
-
-def label_in_wide_subgraph(g: CoxeterGraph, label_mask: int) -> int | None:
-    """The first maximal wide subgraph containing the label set, or None."""
-    check_cap(g, DEFAULT_SUBSET_CAP, "enumeration")
-    return subset_table(g).wide_cover(label_mask)
 
 
 # ---------------------------------------------------------------------------
@@ -171,12 +158,10 @@ def is_affine_free(g: CoxeterGraph, cap: int = DEFAULT_SUBSET_CAP) -> bool:
     """No subset of generators has an affine irreducible component of rank >= 3.
 
     Such a component is itself an irreducible affine subset, so this asks
-    whether the subset table found one.  Right-angled graphs are always
-    affine-free: their conventional diagrams carry only infinity labels,
-    while affine diagrams have finite ones.
+    whether the subset table found one.  A right-angled table holds none:
+    an affine diagram of rank >= 3 is connected by labels >= 3.
     """
-    check_cap(g, cap, "enumeration")
-    return g.is_racg() or not subset_table(g).affine
+    return not subset_table(g, cap).affine
 
 
 # ---------------------------------------------------------------------------
@@ -207,17 +192,18 @@ def _common_neighbors(g: CoxeterGraph, p_mask: int) -> int:
     return meet(g._adj, p_mask) & ~p_mask
 
 
-def _spherical_submasks(g: CoxeterGraph, ground: int) -> tuple[int, ...]:
+def _spherical_submasks(table: SubsetTable, ground: int) -> tuple[int, ...]:
     """Spherical subsets of ``ground``, descending as masks."""
-    return tuple(sorted((m for m in subset_table(g).longest
-                         if m & ~ground == 0), reverse=True))
+    return tuple(sorted((m for m in table.longest if m & ~ground == 0),
+                        reverse=True))
 
 
-def _join_grounds(g: CoxeterGraph, cap: int):
-    """Yield ``(D, P, Q, ground)`` for every wide set D (ascending), every
-    wide decomposition (P, Q) of D, and the vertices outside D adjacent to
-    all of P: the ground set from which a special join's K is drawn."""
-    for d in wide_masks(g, cap):
+def _join_grounds(g: CoxeterGraph, table: SubsetTable):
+    """Yield ``(D, P, Q, ground)`` for every wide set D of the graph's
+    ``table`` (ascending), every wide decomposition (P, Q) of D, and the
+    vertices outside D adjacent to all of P: the ground set from which a
+    special join's K is drawn."""
+    for d in table.wide:
         for p, q in _component_bipartitions(g, d):
             yield d, p, q, _common_neighbors(g, p) & ~d
 
@@ -229,8 +215,9 @@ def enumerate_special_joins(g: CoxeterGraph, maximal_only: bool = False,
     With ``maximal_only``, keep those whose blocked set P|Q|K is
     inclusion-maximal among all blocked sets.
     """
-    triples = [(p, q, k) for _d, p, q, ground in _join_grounds(g, cap)
-               for k in _spherical_submasks(g, ground)]
+    table = subset_table(g, cap)
+    triples = [(p, q, k) for _d, p, q, ground in _join_grounds(g, table)
+               for k in _spherical_submasks(table, ground)]
     if maximal_only:
         blocked = [p | q | k for p, q, k in triples]
         triples = [j for j, b in zip(triples, blocked)
@@ -270,7 +257,7 @@ def is_wide_avoidant(g: CoxeterGraph, cap: int = DEFAULT_SUBSET_CAP) -> Avoidanc
     Delta only in the endpoints.  Checked against maximal wide subgraphs only
     (avoiding a superset is stronger).  Vacuously true without wide subgraphs.
     """
-    for wm in maximal_wide_masks(g, cap):
+    for wm in subset_table(g, cap).maximal_wide:
         pairs = _blocked_pairs(g, wm)
         if pairs:
             s, t = pairs[0]
@@ -292,8 +279,7 @@ def is_wide_spherical_avoidant(g: CoxeterGraph,
     pair, the first join separating it and the first K of its ground minus
     the pair that does.
     """
-    check_cap(g, cap, "enumeration")
-    table = subset_table(g)
+    table = subset_table(g, cap)
     spheres = {}  # ground -> its maximal spherical subsets
     blocked = set()
     for p, cm, _affine in table.cores():
@@ -308,7 +294,7 @@ def is_wide_spherical_avoidant(g: CoxeterGraph,
     if not firsts:
         return AvoidanceReport(True)
     pair = s, t = min(firsts)
-    for d, p, q, ground in _join_grounds(g, cap):
+    for d, p, q, ground in _join_grounds(g, table):
         outside = ground & ~(1 << s) & ~(1 << t)
         k = next((k for k in table.maximal_spherical(outside)
                   if pair in _blocked_pairs(g, d | k)), None)

@@ -145,10 +145,12 @@ first use and kept on the graph:
   from R's lowest vertex, which S separates exactly when the search misses
   part of R.
 
-Callers check their size caps before the table is built.  Queries on a
-single subset (``is_spherical_mask``, ``classify_irreducible``) read the
-table when the graph has one and otherwise classify the subset's
-components directly, so they also answer on graphs beyond every cap.
+Every reader reaches the table through ``subset_table``, which checks the
+vertex cap on each call before it builds or returns the table; internal
+helpers are handed the table.  Queries on a single subset
+(``is_spherical_mask``, ``classify_irreducible``) read the table when the
+graph has one and otherwise classify the subset's components directly, so
+they also answer on graphs beyond every cap.
 
 The ends verdict rests on the standard theory of ends for Coxeter groups
 (splittings over finite subgroups correspond to spherical separators of the
@@ -598,9 +600,13 @@ class SubsetTable:
         return found
 
 
-def subset_table(g: CoxeterGraph) -> SubsetTable:
+def subset_table(g: CoxeterGraph, cap: int = DEFAULT_SUBSET_CAP,
+                 layer: str = "enumeration") -> SubsetTable:
     """The graph's subset table, built on first use and kept on the graph.
-    Exponential in the worst case: callers check their caps first."""
+    The one gate to it: every call first raises SizeCapError naming
+    ``layer`` when the graph has more than ``cap`` vertices."""
+    if g.n > cap:
+        raise SizeCapError(cap, f"graph has {g.n} vertices, {layer} cap is {cap}")
     t = g._subsets
     if t is None:
         t = g._subsets = SubsetTable(g)
@@ -647,17 +653,9 @@ def longest_element_length_mask(g: CoxeterGraph, mask: int) -> int | None:
     return total
 
 
-def check_cap(g: CoxeterGraph, cap: int, layer: str) -> None:
-    """SizeCapError naming ``layer`` when the graph has more than ``cap``
-    vertices; every exponential subset query checks this first."""
-    if g.n > cap:
-        raise SizeCapError(cap, f"graph has {g.n} vertices, {layer} cap is {cap}")
-
-
 def compute_constants(g: CoxeterGraph, cap: int = DEFAULT_SUBSET_CAP) -> GroupConstants:
     """(V, M, R) of the graph, kept on its subset table; guarded by ``cap``."""
-    check_cap(g, cap, "constants")
-    return subset_table(g).constants
+    return subset_table(g, cap, "constants").constants
 
 
 # ---------------------------------------------------------------------------
@@ -672,7 +670,7 @@ def ends_verdict(g: CoxeterGraph, cap: int = DEFAULT_SUBSET_CAP) -> EndsVerdict:
     (degenerate) spherical separator; everything else with a spherical
     separator or a disconnected graph is multi-ended; the rest is one-ended.
     """
-    check_cap(g, cap, "ends")
+    table = subset_table(g, cap, "ends")
     full = g.full_mask()
     comps = g.irreducible_components_mask(full) if g.n else []
     infinite = [c for c in comps if irreducible_kind(g, c) != "FiniteType"]
@@ -683,7 +681,8 @@ def ends_verdict(g: CoxeterGraph, cap: int = DEFAULT_SUBSET_CAP) -> EndsVerdict:
         return EndsVerdict("TwoEnded", g.names_of(infinite[0]))
     if len(g.components_within(full)) > 1:
         return EndsVerdict("MultiEnded", ())
-    sep = spherical_separator(g)
+    floor = _separator_floor(g)
+    sep = None if floor is None else _separator_scan(g, table, floor)
     if sep is not None:
         return EndsVerdict("MultiEnded", g.names_of(sep))
     return EndsVerdict("OneEnded", None)
@@ -710,13 +709,20 @@ def spherical_separator(g: CoxeterGraph) -> int | None:
     Returns None when no proper spherical subset disconnects the graph.
     The scan reads ``SubsetTable.longest``, in size-lex order, from the
     separator floor on, and tests each set with one search inside the
-    rest of the graph (see the module docstring).
+    rest of the graph (see the module docstring), through the gate at the
+    default cap; a graph whose pairs are all adjacent reads no table.
     """
     floor = _separator_floor(g)
     if floor is None:
         return None
+    return _separator_scan(g, subset_table(g), floor)
+
+
+def _separator_scan(g: CoxeterGraph, table: SubsetTable,
+                    floor: int) -> int | None:
+    """``spherical_separator`` on the graph's table, from ``floor`` on."""
     adj, full = g._adj, g.full_mask()
-    for mask in subset_table(g).longest:
+    for mask in table.longest:
         if mask.bit_count() < floor:
             continue
         rest = full & ~mask

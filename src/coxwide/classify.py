@@ -20,10 +20,9 @@ VerificationError, so they also run under ``python -O``.
 from __future__ import annotations
 
 from .avoidance import (AvoidanceReport, is_affine_free, is_wide_avoidant,
-                        is_wide_spherical_avoidant, maximal_wide_masks,
-                        wide_decomposition)
+                        is_wide_spherical_avoidant, wide_decomposition)
 from .classification import (DEFAULT_SUBSET_CAP, compute_constants,
-                             ends_verdict, is_spherical_mask)
+                             ends_verdict, is_spherical_mask, subset_table)
 from .errors import Record, VerificationError, verify
 from .graphs import CoxeterGraph, bits
 
@@ -156,8 +155,8 @@ def classify(g: CoxeterGraph,
                        {"avoidance": wa.to_json_obj(),
                         "splitting": sp.to_json_obj()})
     if racg or (affine_free and ends.kind == "OneEnded" and wsa.holds):
-        witness = {"maximal_wide": [list(g.names_of(wm))
-                                    for wm in maximal_wide_masks(g, cap)]}
+        witness = {"maximal_wide": [list(g.names_of(wm)) for wm
+                                    in subset_table(g, cap).maximal_wide]}
         if racg:
             witness["wide_spherical_avoidant"] = wsa.holds
         return verdict("Connected_LocallyConnected" if racg

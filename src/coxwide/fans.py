@@ -27,8 +27,8 @@ connected, the slot letters a filter asks for have no fan at all
 
 from __future__ import annotations
 
-from .avoidance import (wide_decomposition_mask, wide_masks)
-from .classification import compute_constants, is_spherical_mask
+from .avoidance import wide_decomposition_mask
+from .classification import compute_constants, is_spherical_mask, subset_table
 from .errors import ConstructionError, Record
 from .graphs import CoxeterGraph, bits, spread
 from .words import (Word, WordEngine, engine_for, _wide_suffix,
@@ -273,7 +273,7 @@ def _verify_fan(g: CoxeterGraph, eng: WordEngine, w: tuple[int, ...],
     if long_tail:
         tail_mask, interior = _mask(w[start:]), _mask(idx[1:-1])
         if not any(tail_mask & ~wm == 0 and interior & wm == 0
-                   for wm in wide_masks(g)):
+                   for wm in subset_table(g).wide):
             fails.append("no wide subgraph contains the tail label and "
                          "avoids all interior fan letters")
     return tuple(fails)

@@ -27,8 +27,7 @@ from __future__ import annotations
 
 import random
 
-from .classification import (DEFAULT_SUBSET_CAP, check_cap,
-                             compute_constants, subset_table)
+from .classification import compute_constants, subset_table
 from .errors import ConstructionError, Record, SizeCapError, verify
 from .fans import _build_fan, _fan_failures
 from .graphs import CoxeterGraph
@@ -374,7 +373,6 @@ def _window_walker(g: CoxeterGraph, filt: FilterDiagram,
     cls = [e.cls for e in filt.edges]
     on_boundary = [e.boundary is not None for e in filt.edges]
     bit = [1 << g.index(e.label) for e in filt.edges]
-    check_cap(g, DEFAULT_SUBSET_CAP, "enumeration")
     cover = subset_table(g).wide_cover
 
     def walk(ends, prev) -> tuple[list[int], list]:

@@ -22,7 +22,8 @@ exactly one of them.
 
 from __future__ import annotations
 
-from .avoidance import label_in_wide_subgraph, is_affine_free
+from .avoidance import is_affine_free
+from .classification import subset_table
 from .errors import DEFAULT_BALL_CAP, DEFAULT_ORDER_CAP, Record, SizeCapError
 from .graphs import CoxeterGraph, bits
 from .words import (DEFAULT_ORBIT_CAP, RightAngledEngine, Word, WordEngine,
@@ -420,12 +421,13 @@ def morse_window_check(g: CoxeterGraph, word: Word, k: int,
     eng = engine_for(g, orbit_cap)
     eng.require_geodesic(eng.encode(word))
     hypothesis = is_affine_free(g)
+    cover = subset_table(g).wide_cover
     width = k + 1
     for start in range(len(word) - width + 1):
         mask = 0
         for s in word[start:start + width]:
             mask |= 1 << g.index(s)
-        wm = label_in_wide_subgraph(g, mask)
+        wm = cover(mask)
         if wm is not None:
             return MorseWindowReport(False, k, (start + 1, start + width),
                                      g.names_of(wm), hypothesis)

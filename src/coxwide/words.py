@@ -40,8 +40,7 @@ from __future__ import annotations
 from collections import deque
 from collections.abc import Iterable, Iterator, Sequence
 
-from .avoidance import label_in_wide_subgraph
-from .classification import compute_constants
+from .classification import compute_constants, subset_table
 from .errors import (DEFAULT_ORBIT_CAP, ConstructionError, GraphFormatError,
                      NonGeodesicError, OrbitCapError, Record)
 from .graphs import CoxeterGraph, bits
@@ -382,12 +381,16 @@ def wide_tail(g: CoxeterGraph, word: Sequence[str],
 def _wide_suffix(g: CoxeterGraph, w: tuple[int, ...]) -> tuple[int, int]:
     """Start of the longest suffix of ``w`` whose letters lie in a wide
     subgraph, and the first maximal wide mask containing them;
-    ``(len(w), 0)`` when there is none."""
+    ``(len(w), 0)`` when there is none.  A word with no letters reads no
+    subset table."""
     start, delta = len(w), 0
+    if not w:
+        return start, delta
+    cover = subset_table(g).wide_cover
     suffix_mask = 0
     for j in range(len(w) - 1, -1, -1):
         suffix_mask |= 1 << w[j]
-        hit = label_in_wide_subgraph(g, suffix_mask)
+        hit = cover(suffix_mask)
         if hit is None:
             break
         start, delta = j, hit

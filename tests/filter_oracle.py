@@ -22,8 +22,7 @@ from __future__ import annotations
 import random
 from typing import Optional
 
-from coxwide.avoidance import label_in_wide_subgraph, wide_masks
-from coxwide.classification import compute_constants
+from coxwide.classification import compute_constants, subset_table
 from coxwide.fans import FanCheck, FanDiagram
 from coxwide.filters import FilterCheck, FilterDiagram, _tree_shape
 from coxwide.graphs import CoxeterGraph
@@ -75,7 +74,7 @@ def itinerary(g: CoxeterGraph, filt: FilterDiagram,
             for z in range(a, k):
                 e = filt.edges[path[z]]
                 mask |= 1 << g.index(e.label)
-                wide = label_in_wide_subgraph(g, mask) is not None
+                wide = subset_table(g).wide_cover(mask) is not None
                 if not wide:
                     break
                 windows += 1
@@ -152,7 +151,7 @@ def check_fan(g: CoxeterGraph, fan: FanDiagram,
         tail_mask = g.mask_of(tuple(set(tail)))
         interior = g.mask_of(tuple(set(labels[1:-1])))
         if not any(tail_mask & ~wm == 0 and interior & wm == 0
-                   for wm in wide_masks(g)):
+                   for wm in subset_table(g).wide):
             fails.append("no wide subgraph contains the tail label and "
                          "avoids all interior fan letters")
     return FanCheck(not fails, tuple(fails))

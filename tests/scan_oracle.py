@@ -41,7 +41,6 @@ from __future__ import annotations
 from collections import Counter
 from typing import Optional
 
-from coxwide import avoidance
 from coxwide.avoidance import (AvoidanceReport, SpecialJoin, _blocked_pairs,
                                _join_grounds)
 from coxwide.classification import (DEFAULT_SUBSET_CAP, GroupConstants,
@@ -402,7 +401,7 @@ def is_wide_mask(g: CoxeterGraph, mask: int) -> bool:
     return len(infinite) >= 2 or any(_affine_rank3(g, c) for c in comps)
 
 
-def wide_masks(g: CoxeterGraph) -> tuple[int, ...]:
+def wide_sets(g: CoxeterGraph) -> tuple[int, ...]:
     return tuple(m for m in sorted(submasks(g.full_mask()))
                  if is_wide_mask(g, m))
 
@@ -453,8 +452,8 @@ def maximal_of_wide(wide) -> tuple[int, ...]:
     return tuple(sorted(found))
 
 
-def maximal_wide_masks(g: CoxeterGraph) -> tuple[int, ...]:
-    all_wide = wide_masks(g)
+def maximal_wide_sets(g: CoxeterGraph) -> tuple[int, ...]:
+    all_wide = wide_sets(g)
     return tuple(m for m in all_wide
                  if not any(m != w and m & ~w == 0 for w in all_wide))
 
@@ -484,7 +483,7 @@ def _connected_pair(g: CoxeterGraph, s: int, t: int, allowed: int) -> bool:
 def wide_avoidant_by_pairs(g: CoxeterGraph,
                            cap: int = DEFAULT_SUBSET_CAP) -> AvoidanceReport:
     full = g.full_mask()
-    for wm in avoidance.maximal_wide_masks(g, cap):
+    for wm in subset_table(g, cap).maximal_wide:
         for s in range(g.n):
             for t in range(s + 1, g.n):
                 allowed = (full & ~wm) | (1 << s) | (1 << t)
@@ -499,9 +498,9 @@ def wide_spherical_avoidant_by_pairs(
         g: CoxeterGraph, cap: int = DEFAULT_SUBSET_CAP) -> AvoidanceReport:
     """Per pair, the maximal blocked sets among joins keeping the pair
     outside K."""
-    decomps = list(_join_grounds(g, cap))
+    table = subset_table(g, cap)
+    decomps = list(_join_grounds(g, table))
     full = g.full_mask()
-    table = subset_table(g)
     for s in range(g.n):
         for t in range(s + 1, g.n):
             pair_mask = (1 << s) | (1 << t)
@@ -533,8 +532,8 @@ def wide_spherical_avoidant_all_joins(
     every join, K maximal spherical in its ground; the least separated
     pair, the first join separating it and the first K of its ground
     minus the pair that does."""
-    joins = list(_join_grounds(g, cap))
-    table = subset_table(g)
+    table = subset_table(g, cap)
+    joins = list(_join_grounds(g, table))
     blocked = [[d | k for k in maximal_spherical(table, ground)]
                for d, _p, _q, ground in joins]
     separated = {b: _blocked_pairs(g, b) for b in set().union(*blocked)}

@@ -14,9 +14,8 @@ from coxwide import classify
 from coxwide.avoidance import (_blocked_pairs, enumerate_special_joins,
                                enumerate_wide_subgraphs, is_affine_free,
                                is_wide, is_wide_avoidant,
-                               is_wide_spherical_avoidant, label_in_wide_subgraph,
-                               maximal_wide_masks, wide_decomposition,
-                               wide_masks)
+                               is_wide_spherical_avoidant, wide_decomposition)
+from coxwide.classification import subset_table
 from coxwide.errors import SizeCapError
 
 import oracles as O
@@ -48,7 +47,7 @@ def test_wide_masks_against_brute_force(corpus):
         if g.n > 6:
             continue
         lab = O.labels_from_graph(g)
-        assert set(wide_masks(g)) == set(O.brute_wide_masks(lab)), name
+        assert set(subset_table(g).wide) == set(O.brute_wide_masks(lab)), name
 
 
 def test_wide_masks_random_against_brute_force():
@@ -57,19 +56,19 @@ def test_wide_masks_random_against_brute_force():
         n = rng.randint(2, 5)
         lab = random_label_matrix(rng, n)
         g = graph_from_labels(lab)
-        assert set(wide_masks(g)) == set(O.brute_wide_masks(lab)), lab
+        assert set(subset_table(g).wide) == set(O.brute_wide_masks(lab)), lab
 
 
 def test_maximal_wide_masks(g6, o8):
     for g in (g6, o8):
-        all_w = set(wide_masks(g))
-        mx = set(maximal_wide_masks(g))
+        all_w = set(subset_table(g).wide)
+        mx = set(subset_table(g).maximal_wide)
         assert mx <= all_w
         for m in all_w:
             assert any(m & ~t == 0 for t in mx)
         for m in mx:
             assert not any(m != t and m & ~t == 0 for t in mx)
-    assert maximal_wide_masks(o8) == (
+    assert subset_table(o8).maximal_wide == (
         o8.mask_of(["s1", "s2", "s3", "s4"]), o8.mask_of(["t1", "t2", "t3", "t4"]))
 
 
@@ -81,9 +80,9 @@ def test_enumerate_wide_subgraphs(c4):
 
 
 def test_label_in_wide_subgraph(c4, c5):
-    hit = label_in_wide_subgraph(c4, c4.mask_of(["s1", "s2"]))
+    hit = subset_table(c4).wide_cover(c4.mask_of(["s1", "s2"]))
     assert hit is not None and c4.mask_of(["s1", "s2"]) & ~hit == 0
-    assert label_in_wide_subgraph(c5, c5.mask_of(["s1", "s2"])) is None
+    assert subset_table(c5).wide_cover(c5.mask_of(["s1", "s2"])) is None
 
 
 def test_avoidance_frozen(corpus):
@@ -108,7 +107,7 @@ def test_g6_wa_witness_validated(g6):
     s, t = (g6.index(x) for x in rep.pair)
     assert not O._path_avoiding(lab, s, t, blocked)
     # and it contains a wide subgraph of the defining graph
-    assert any(wm & ~blocked == 0 for wm in wide_masks(g6))
+    assert any(wm & ~blocked == 0 for wm in subset_table(g6).wide)
 
 
 def test_wsa_witness_join_validated(g6):

@@ -11,7 +11,7 @@ import pytest
 
 from coxwide import (CoxeterGraph, build_filter, check_filter,
                      extend_geodesic, fans, is_geodesic)
-from coxwide.avoidance import maximal_wide_masks
+from coxwide.classification import subset_table
 from coxwide.errors import (ConstructionError, GraphFormatError,
                             NonGeodesicError)
 from coxwide.fans import FanDiagram, build_fan, check_fan
@@ -192,7 +192,7 @@ FAN_GRAPHS = ("C5", "G6", "O8", "WIDE8", "A3", "H3")
 def wide_base(g):
     """A geodesic word in the letters of the first maximal wide set,
     cycling through them, if one of length at least 8 comes out."""
-    masks = maximal_wide_masks(g)
+    masks = subset_table(g).maximal_wide
     if not masks:
         return None
     letters = g.names_of(masks[0])

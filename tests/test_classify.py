@@ -11,9 +11,10 @@ from hypothesis import given, strategies as st
 
 from coxwide import CoxeterGraph, classify
 from coxwide.avoidance import (is_wide, is_wide_avoidant,
-                               is_wide_spherical_avoidant, maximal_wide_masks)
+                               is_wide_spherical_avoidant)
 from coxwide.classify import GENERAL_CASES, RACG_CASES, _splitting_from_blocker
-from coxwide.classification import ends_verdict, is_spherical_mask
+from coxwide.classification import (ends_verdict, is_spherical_mask,
+                                    subset_table)
 
 import oracles as O
 from conftest import (CORPUS_MAKERS, PROPERTY, graph_from_labels,
@@ -205,7 +206,7 @@ def test_every_blocked_pair_splits_at_a_component_or_a_star(lab):
     g = graph_from_labels(lab)
     if is_wide(g):
         return
-    for wm in maximal_wide_masks(g):
+    for wm in subset_table(g).maximal_wide:
         for s in range(g.n):
             for t in range(s + 1, g.n):
                 if not O._path_avoiding(lab, s, t, wm):

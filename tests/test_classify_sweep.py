@@ -26,10 +26,10 @@ import random
 import pytest
 
 import scan_oracle as S
-from conftest import graph_from_labels
+from conftest import CORPUS_MAKERS, RA_CORPUS, graph_from_labels
 from coxwide import CoxeterGraph
-from coxwide.avoidance import (is_wide_avoidant, is_wide_spherical_avoidant,
-                               maximal_wide_masks)
+from coxwide.avoidance import (is_affine_free, is_wide_avoidant,
+                               is_wide_spherical_avoidant)
 from coxwide.classification import spherical_separator, subset_table
 from coxwide.classify import classify
 from coxwide.graphs import popcount
@@ -134,5 +134,18 @@ def test_right_angled_classify_builds_no_wide_list(labels):
     table = subset_table(g)
     assert "wide" not in table.__dict__
     assert "maximal_wide" in table.__dict__
-    assert maximal_wide_masks(g) == S.maximal_of_wide(S.wide_masks_dp(g))
+    assert table.maximal_wide == S.maximal_of_wide(S.wide_masks_dp(g))
     assert verdict.racg
+
+
+@pytest.mark.parametrize("name", [name for name, _ in SWEEP
+                                  if name.startswith("ra")] + RA_CORPUS)
+def test_right_angled_tables_hold_no_affine_set(name):
+    """An affine diagram of rank >= 3 is connected by labels >= 3, so the
+    table of a right-angled graph (the sweep's and the corpus's) holds no
+    affine set, and ``is_affine_free`` needs no right-angled shortcut."""
+    g = (CORPUS_MAKERS[name]() if name in CORPUS_MAKERS
+         else graph_from_labels(dict(SWEEP)[name]))
+    assert g.is_racg()
+    assert subset_table(g).affine == frozenset()
+    assert is_affine_free(g)

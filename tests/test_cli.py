@@ -518,6 +518,49 @@ def test_negative_cox_cap_is_input_error(capsys, monkeypatch, c5_file):
     assert err == "input error: COX_CAP must be at least 0, got -1\n"
 
 
+_CAPPED = "resource cap exceeded: graph has 21 vertices, {} cap is 20\n"
+
+
+@pytest.mark.parametrize("argv, code, err", [
+    (["classify", "G"], 2, _CAPPED.format("constants")),
+    (["constants", "G"], 2, _CAPPED.format("constants")),
+    (["filter", "G", "--alpha", "v0", "--beta", "v1"], 2,
+     _CAPPED.format("constants")),
+    (["check", "ends", "G"], 2, _CAPPED.format("ends")),
+    (["check", "wide-avoidant", "G"], 2, _CAPPED.format("enumeration")),
+    (["check", "wsa", "G"], 2, _CAPPED.format("enumeration")),
+    (["check", "affine-free", "G"], 2, _CAPPED.format("enumeration")),
+    (["word", "wide-tail", "G", "--word", "v0"], 2,
+     _CAPPED.format("enumeration")),
+    (["word", "extend", "G", "--word", "v0", "--target-len", "2"], 2,
+     _CAPPED.format("enumeration")),
+    (["morse-window", "G", "--word", "v0 v1", "-k", "1"], 2,
+     _CAPPED.format("enumeration")),
+    (["fan", "G", "--base", "v0", "-x", "v1", "-y", "v1"], 2,
+     _CAPPED.format("enumeration")),
+    (["ball", "G", "--radius", "1"], 0, ""),
+    (["pencil", "G", "--word", "v0 v1"], 0, ""),
+    (["check", "wide", "G"], 1, ""),
+    (["classify", "G", "--cap", "21"], 0, ""),
+    (["check", "ends", "G", "--cap", "21"], 0, ""),
+    (["check", "wsa", "G", "--cap", "21"], 0, ""),
+])
+def test_subset_cap_on_21_vertices(capsys, monkeypatch, tmp_path, argv, code,
+                                   err):
+    """A path of 21 vertices labelled 3: each command that reads the subset
+    table exits 2 naming its layer's cap of 20, unless ``--cap 21`` lifts
+    it; the commands that read no table answer."""
+    monkeypatch.delenv("COX_CAP", raising=False)
+    p = tmp_path / "path21.cox"
+    p.write_text("\n".join([f"v v{i}" for i in range(21)]
+                           + [f"e v{i} v{i + 1} 3" for i in range(20)]) + "\n",
+                 encoding="utf-8")
+    got_code, out, got_err = run(capsys, [str(p) if a == "G" else a
+                                          for a in argv])
+    assert (got_code, got_err) == (code, err)
+    assert (out == "") == (code == 2)
+
+
 @pytest.mark.parametrize("cap", ["0", "-3"])
 @pytest.mark.parametrize("argv", [
     ["word", "normalize", "G", "--word", "s2 s1"],

@@ -19,17 +19,20 @@ from coxwide import CoxeterGraph
 from coxwide.avoidance import (_spherical_submasks, enumerate_special_joins,
                                enumerate_wide_subgraphs, is_affine_free,
                                is_wide, is_wide_avoidant,
-                               is_wide_spherical_avoidant,
-                               label_in_wide_subgraph, maximal_wide_masks,
-                               wide_masks)
-from coxwide.classification import (classify_irreducible, compute_constants,
-                                    ends_verdict, irreducible_kind,
-                                    is_spherical, is_spherical_mask,
+                               is_wide_spherical_avoidant)
+from coxwide.classification import (DEFAULT_SUBSET_CAP, classify_irreducible,
+                                    compute_constants, ends_verdict,
+                                    irreducible_kind, is_spherical,
+                                    is_spherical_mask,
                                     longest_element_length_mask,
                                     spherical_separator, subset_table)
 from coxwide.classify import classify
 from coxwide.errors import SizeCapError
+from coxwide.fans import FanDiagram, build_fan, check_fan
+from coxwide.filters import build_filter, check_filter
 from coxwide.graphs import popcount
+from coxwide.walls import morse_window_check
+from coxwide.words import extend_geodesic, wide_tail
 
 
 def _per_mask(g):
@@ -53,13 +56,13 @@ def test_table_equals_replaced_scans(labels):
     assert g._subsets is None
     assert compute_constants(g).m_gamma == S.m_gamma(g)
     assert _per_mask(g) == want          # read from the table
-    assert wide_masks(g) == S.wide_masks(g)
-    assert maximal_wide_masks(g) == S.maximal_wide_masks(g)
+    assert subset_table(g).wide == S.wide_sets(g)
+    assert subset_table(g).maximal_wide == S.maximal_wide_sets(g)
     assert is_affine_free(g) == S.is_affine_free(g)
     assert spherical_separator(g) == S.spherical_separator(g)
     table = subset_table(g)
     for ground in range(full + 1):
-        assert _spherical_submasks(g, ground) == \
+        assert _spherical_submasks(table, ground) == \
             S.spherical_submasks(g, ground)
         assert table.maximal_spherical(ground) == \
             S.maximal_spherical_submasks(g, ground)
@@ -73,26 +76,11 @@ def test_table_equals_oracles(labels):
     full = g.full_mask()
     for mask in range(full + 1):
         assert is_spherical_mask(g, mask) == O.is_spherical_subset(labels, mask)
-    assert list(wide_masks(g)) == O.brute_wide_masks(labels)
+    assert list(subset_table(g).wide) == O.brute_wide_masks(labels)
     affine = {m for m in range(full + 1) if popcount(m) >= 3
               and O.is_affine_irreducible_subset(labels, m)}
     assert subset_table(g).affine == affine
     assert is_affine_free(g) == (not affine)
-
-
-def _capped_calls(cap):
-    return [
-        lambda g: compute_constants(g, cap),
-        lambda g: ends_verdict(g, cap),
-        lambda g: wide_masks(g, cap),
-        lambda g: maximal_wide_masks(g, cap),
-        lambda g: enumerate_wide_subgraphs(g, cap=cap),
-        lambda g: is_affine_free(g, cap),
-        lambda g: enumerate_special_joins(g, cap=cap),
-        lambda g: is_wide_avoidant(g, cap),
-        lambda g: is_wide_spherical_avoidant(g, cap),
-        lambda g: classify(g, cap),
-    ]
 
 
 def _path(n: int, label: int = 3) -> CoxeterGraph:
@@ -101,18 +89,60 @@ def _path(n: int, label: int = 3) -> CoxeterGraph:
                                 for i in range(n - 1)])
 
 
+def _pentagon_filter():
+    """A depth-2 filter on the right-angled pentagon v0 .. v4, to be
+    checked on a larger graph holding those vertices."""
+    names = [f"v{i}" for i in range(5)]
+    return build_filter(CoxeterGraph(names, [(names[i], names[(i + 1) % 5], 2)
+                                             for i in range(5)]),
+                        ("v0",), ("v1",), 2)
+
+
+# A fan on the base v0: reading its wide tail reads the subset table.
+_FAN = FanDiagram(("v0",), ("v1", "v0", "v1"), (6, 6), (), None,
+                  "short-tail", ())
+
+
+def _capped_calls(cap):
+    """``(layer, takes_cap, call)`` for the readers of the subset table.
+    Those that take no cap read it at the default cap; a word needs a
+    letter before its wide tail reads the table."""
+    return [
+        ("constants", True, lambda g: compute_constants(g, cap)),
+        ("ends", True, lambda g: ends_verdict(g, cap)),
+        ("enumeration", True, lambda g: subset_table(g, cap).wide),
+        ("enumeration", True, lambda g: subset_table(g, cap).maximal_wide),
+        ("enumeration", True, lambda g: enumerate_wide_subgraphs(g, cap=cap)),
+        ("enumeration", True, lambda g: is_affine_free(g, cap)),
+        ("enumeration", True, lambda g: enumerate_special_joins(g, cap=cap)),
+        ("enumeration", True, lambda g: is_wide_avoidant(g, cap)),
+        ("enumeration", True, lambda g: is_wide_spherical_avoidant(g, cap)),
+        ("constants", True, lambda g: classify(g, cap)),
+        ("enumeration", False, spherical_separator),
+        ("enumeration", False, lambda g: wide_tail(g, ("v0",))),
+        ("enumeration", False, lambda g: extend_geodesic(g, (), 2)),
+        ("enumeration", False, lambda g: morse_window_check(g, ("v0",), 0)),
+        ("enumeration", False, lambda g: build_fan(g, ("v0",), "v1", "v1")),
+        ("enumeration", False, lambda g: check_fan(g, _FAN)),
+        ("constants", False, lambda g: check_filter(g, _pentagon_filter())),
+    ]
+
+
 @pytest.mark.parametrize("idx", range(len(_capped_calls(0))))
 def test_caps_raise_before_any_table(idx):
-    g = _path(5)
-    with pytest.raises(SizeCapError):
-        _capped_calls(4)[idx](g)
+    layer, takes_cap, call = _capped_calls(4)[idx]
+    n, cap = (5, 4) if takes_cap else (21, DEFAULT_SUBSET_CAP)
+    g = _path(n)
+    with pytest.raises(SizeCapError) as exc:
+        call(g)
+    assert str(exc.value) == f"graph has {n} vertices, {layer} cap is {cap}"
     assert g._subsets is None
 
 
 def test_cap_errors_name_their_layer():
     g = _path(5)
     for call, layer in ((compute_constants, "constants"),
-                        (ends_verdict, "ends"), (wide_masks, "enumeration")):
+                        (ends_verdict, "ends"), (subset_table, "enumeration")):
         with pytest.raises(SizeCapError,
                            match=f"graph has 5 vertices, {layer} cap is 4"):
             call(g, 4)
@@ -120,14 +150,37 @@ def test_cap_errors_name_their_layer():
 
 def test_default_caps_raise_at_21_vertices():
     g = _path(21)
-    for call in (compute_constants, ends_verdict, wide_masks,
-                 maximal_wide_masks, enumerate_wide_subgraphs,
-                 is_affine_free, enumerate_special_joins, is_wide_avoidant,
-                 is_wide_spherical_avoidant, classify,
-                 lambda h: label_in_wide_subgraph(h, 1)):
-        with pytest.raises(SizeCapError):
+    calls = [("constants", compute_constants), ("ends", ends_verdict),
+             ("enumeration", lambda h: subset_table(h).wide),
+             ("enumeration", lambda h: subset_table(h).maximal_wide),
+             ("enumeration", enumerate_wide_subgraphs),
+             ("enumeration", is_affine_free),
+             ("enumeration", enumerate_special_joins),
+             ("enumeration", is_wide_avoidant),
+             ("enumeration", is_wide_spherical_avoidant),
+             ("constants", classify),
+             ("enumeration", lambda h: subset_table(h).wide_cover(1))]
+    calls += [(layer, call) for layer, takes_cap, call
+              in _capped_calls(None) if not takes_cap]
+    for layer, call in calls:
+        with pytest.raises(SizeCapError) as exc:
             call(g)
+        assert str(exc.value) == \
+            f"graph has 21 vertices, {layer} cap is {DEFAULT_SUBSET_CAP}"
     assert g._subsets is None
+
+
+def test_reads_without_a_table_answer_beyond_the_cap():
+    """A word with no letters has no wide tail and a graph whose pairs are
+    all adjacent no separator: neither reads the subset table."""
+    g = _path(21)
+    assert wide_tail(g, ()) == ((), None)
+    assert extend_geodesic(g, (), 1) == ("v0",)
+    names = [f"v{i}" for i in range(21)]
+    clique = CoxeterGraph(names, [(a, b, 2) for i, a in enumerate(names)
+                                  for b in names[i + 1:]])
+    assert spherical_separator(clique) is None
+    assert g._subsets is None and clique._subsets is None
 
 
 def test_uncapped_queries_answer_on_large_graphs():

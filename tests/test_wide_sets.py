@@ -26,8 +26,7 @@ import scan_oracle as S
 from conftest import (MEMORY_CAP_BYTES, graph_from_labels, make_wide8,
                       random_label_matrix, random_racg_matrix)
 from coxwide import CoxeterGraph
-from coxwide.avoidance import (is_wide_spherical_avoidant, maximal_wide_masks,
-                               wide_masks)
+from coxwide.avoidance import is_wide_spherical_avoidant
 from coxwide.classification import subset_table
 from coxwide.classify import classify
 
@@ -217,8 +216,10 @@ def test_wide_sets_and_classify_stay_small_at_the_cap(kind, seed):
     rng = random.Random(seed)
     labels = (random_racg_matrix(rng, 20) if kind == "right-angled"
               else random_label_matrix(rng, 20))
-    for call in (wide_masks, maximal_wide_masks, is_wide_spherical_avoidant,
-                 classify):
+    for name, call in (("wide", lambda g: subset_table(g).wide),
+                       ("maximal_wide", lambda g: subset_table(g).maximal_wide),
+                       ("is_wide_spherical_avoidant", is_wide_spherical_avoidant),
+                       ("classify", classify)):
         g = graph_from_labels(labels)
         tracemalloc.start()
         try:
@@ -226,7 +227,7 @@ def test_wide_sets_and_classify_stay_small_at_the_cap(kind, seed):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < MEMORY_CAP_BYTES, (call.__name__, peak)
+        assert peak < MEMORY_CAP_BYTES, (name, peak)
 
 
 def test_table_keeps_no_reference_to_its_graph():

@@ -12,8 +12,7 @@ from coxwide import (CoxeterGraph, GraphFormatError, NonGeodesicError,
                      OrbitCapError, element, ending_letters, extend_geodesic,
                      extension_constant, is_geodesic, normalize, parse_word,
                      reflection_of_edge, tits_orbit, wide_tail)
-from coxwide.avoidance import maximal_wide_masks
-from coxwide.classification import is_spherical_mask
+from coxwide.classification import is_spherical_mask, subset_table
 from coxwide.words import DEFAULT_ORBIT_CAP, engine_for
 
 import oracles as O
@@ -208,7 +207,7 @@ def test_wide_tail_is_longest_suffix_in_first_wide(corpus):
     rng = random.Random(41)
     for name in ["C4", "C5", "G6", "O8", "WIDE8"]:
         g = corpus[name]
-        wides = maximal_wide_masks(g)
+        wides = subset_table(g).maximal_wide
 
         def first_wide(suffix):
             m = g.mask_of(suffix)

@@ -25,7 +25,7 @@ import pytest
 import oracles as O
 import scan_oracle as S
 from conftest import graph_from_labels, random_label_matrix, random_racg_matrix
-from coxwide.avoidance import is_wide_spherical_avoidant, maximal_wide_masks
+from coxwide.avoidance import is_wide_spherical_avoidant
 from coxwide.classification import SubsetTable, irreducible_kind, subset_table
 from coxwide.classify import classify
 
@@ -62,7 +62,10 @@ def test_small_sweep_matches_all_joins_pairs_and_brute_force(labels):
         graph_from_labels(labels)).to_json_obj()
     assert report == S.wide_spherical_avoidant_by_pairs(g).to_json_obj()
     assert report["holds"] == O.brute_is_wide_spherical_avoidant(labels)[0]
-    assert maximal_wide_masks(g) == S.maximal_of_wide(S.wide_masks_dp(g))
+    assert subset_table(g).maximal_wide == S.maximal_of_wide(S.wide_masks_dp(g))
+    if g.is_racg():
+        # see test_classify_sweep.test_right_angled_tables_hold_no_affine_set
+        assert subset_table(g).affine == frozenset()
 
 
 def test_small_sweep_fails_with_affine_joins():
@@ -109,7 +112,7 @@ def test_classify_never_grows_p_for_the_maximal_wide_sets(monkeypatch):
     asked = set()
     for _, labels in SMALL:
         before = len(callers)
-        maximal_wide_masks(graph_from_labels(labels))
+        subset_table(graph_from_labels(labels)).maximal_wide
         assert len(callers) == before
         g = graph_from_labels(labels)
         classify(g)
