@@ -21,6 +21,22 @@ cell tops has exactly one incoming edge.  An edge's class --- L, R or I ---
 is its role in the fan at its startpoint, assigned when that fan is built;
 edges whose startpoint never got its fan (the truncation frontier) stay
 unclassified and their startpoints are marked open.
+
+Work per distinct element.  A truncated filter repeats a few group elements
+over thousands of vertices, so building and checking do their expensive
+work once per distinct word.  The fan at a vertex depends only on its tree
+word and its two slot letters, so ``build_filter`` keeps one memo per call
+from (tree word, left letter, right letter) to the fan: a pure cache,
+dropped when the build returns.  ``check_filter`` encodes and normalizes
+each distinct vertex element once, checks each distinct (base, labels,
+case) fan record once, and tests an edge u -> v with letter a as
+``step(canon[u], a) == canon[v]`` when u's word is geodesic, where
+``step(c, a)`` is the canonical form of c times a if that is longer than c,
+kept in a (canonical form, letter) memo that the path enumeration shares.
+This agrees with normalizing u's word plus a from scratch on every edge:
+when the word is geodesic, both compute the canonical form of u's element
+times a; when it is not, both fail the length test.  The checker takes
+nothing from the builder.
 """
 
 from __future__ import annotations
@@ -31,8 +47,8 @@ from .classification import compute_constants, subset_table
 from .errors import ConstructionError, Record, SizeCapError, verify
 from .fans import _build_fan, _fan_failures
 from .graphs import CoxeterGraph
-from .words import (Word, engine_for, extend_geodesic, _wide_suffix,
-                    DEFAULT_ORBIT_CAP)
+from .words import (Word, WordEngine, engine_for, extend_geodesic,
+                    _wide_suffix, DEFAULT_ORBIT_CAP)
 
 
 class FilterVertex(Record):
@@ -126,126 +142,152 @@ class FilterDiagram(Record):
 
 
 class _Builder:
+    """The state of one ``build_filter`` call, kept in columns.  Vertex i
+    has its encoded tree word ``elem[i]``, ``level[i]``, ``is_top[i]`` and
+    the ids of the edges filling its slots, ``left[i]`` and ``right[i]``
+    (None while unfilled).  Edge i is ``src[i]``, ``tgt[i]``, ``lab[i]``,
+    ``cls[i]``, ``top_left[i]`` and ``boundary[i]``.  ``fan_memo`` maps
+    (tree word, left letter, right letter) to what ``_build_fan`` returned
+    for them; it lives as long as the build."""
+
     def __init__(self, g: CoxeterGraph, orbit_cap: int):
         self.g = g
         self.eng = engine_for(g, orbit_cap)
-        self.elem: list[tuple[int, ...]] = []       # tree word (encoded)
-        self.level: list[int] = []
-        self.is_top: list[bool] = []
-        self.edges: list[list] = []                 # [src,tgt,lab,cls,tl,bdy]
-        self.slots: dict[int, dict[str, int | None]] = {}
+        self.elem: list[tuple[int, ...]] = [()]     # vertex 0, the basepoint
+        self.level = [0]
+        self.is_top = [False]
+        self.left: list[int | None] = [None]
+        self.right: list[int | None] = [None]
+        self.src: list[int] = []
+        self.tgt: list[int] = []
+        self.lab: list[int] = []
+        self.cls: list[str | None] = []
+        self.top_left: list[bool] = []
+        self.boundary: list[str | None] = []
         self.pending_next: list[int] = []
         self.built: set[int] = set()
         self.cells: list[FilterCell] = []
         self.fans: list[FilterFan] = []
+        self.fan_memo: dict = {}
 
     def add_vertex(self, tree_word: tuple[int, ...], level: int,
                    is_top: bool = False) -> int:
         self.elem.append(tree_word)
         self.level.append(level)
         self.is_top.append(is_top)
-        v = len(self.elem) - 1
-        self.slots[v] = {"left": None, "right": None}
-        return v
+        self.left.append(None)
+        self.right.append(None)
+        return len(self.elem) - 1
 
-    def add_edge(self, src: int, tgt: int, lab: int, top_left: bool = False,
-                 boundary: str | None = None) -> int:
-        self.edges.append([src, tgt, lab, None, top_left, boundary])
+    def add_edge(self, src: int, tgt: int, lab: int, cls: str | None = None,
+                 top_left: bool = False, boundary: str | None = None) -> int:
         if not top_left:
             # tree edge: the target's tree word runs through it
             verify(self.elem[tgt] == self.elem[src] + (lab,),
                    "tree edge does not extend its source's tree word")
-        return len(self.edges) - 1
+        self.src.append(src)
+        self.tgt.append(tgt)
+        self.lab.append(lab)
+        self.cls.append(cls)
+        self.top_left.append(top_left)
+        self.boundary.append(boundary)
+        return len(self.src) - 1
 
-    def set_slot(self, v: int, side: str, edge_id: int):
-        verify(self.slots[v][side] is None, "slot filled twice")
-        self.slots[v][side] = edge_id
-        if (self.slots[v]["left"] is not None
-                and self.slots[v]["right"] is not None
-                and v not in self.built):
-            self.pending_next.append(v)
+    def lay_path(self, cur: int, letters, level: int, slot: list,
+                 other: list, top: int | None = None,
+                 boundary: str | None = None) -> list[int]:
+        """Edges spelling ``letters`` up from vertex ``cur``, each to a new
+        vertex and filling the ``slot`` column (``left`` or ``right``) at
+        its source, which is complete once its ``other`` slot is filled
+        too.  Returns the edge ids.  The last step of a cell side ends at
+        the cell's ``top``: the left side makes it, through a top-left
+        edge, and the right side reaches it again, so that its tree word
+        runs through the right side."""
+        elem = self.elem
+        pend = self.pending_next.append
+        last = len(letters) - 1
+        ids = []
+        for j, x in enumerate(letters):
+            if j == last and top is not None and top < len(elem):
+                elem[top] = elem[cur] + (x,)
+                v, top_left = top, False
+            else:
+                top_left = j == last and top is not None
+                v = self.add_vertex(elem[cur] + (x,), level, top_left)
+            e = self.add_edge(cur, v, x, None, top_left, boundary)
+            verify(slot[cur] is None, "slot filled twice")
+            slot[cur] = e
+            if other[cur] is not None:
+                pend(cur)
+            ids.append(e)
+            cur = v
+        return ids
 
     def lay_boundary(self, word: Word, which: str) -> None:
-        side = "left" if which == "alpha" else "right"
-        prev = 0
-        for name in word:
-            lab = self.g.index(name)
-            v = self.add_vertex(self.elem[prev] + (lab,), 0)
-            e = self.add_edge(prev, v, lab, boundary=which)
-            self.set_slot(prev, side, e)
-            prev = v
+        slot, other = ((self.left, self.right) if which == "alpha"
+                       else (self.right, self.left))
+        self.lay_path(0, self.eng.encode(word), 0, slot, other,
+                      boundary=which)
 
     def lay_cell(self, fan_idx: int, e_left: int, e_right: int, level: int):
         """Polygon between consecutive fan edges; returns the cell id."""
-        g = self.g
-        s = self.edges[e_left][2]
-        t = self.edges[e_right][2]
-        m = g.m(s, t)
+        tgt, lab = self.tgt, self.lab
+        s, t = lab[e_left], lab[e_right]
+        m = self.g.m(s, t)
         verify(m is not None, "fan letters of a cell must be adjacent")
-        lam = [e_left]
-        cur = self.edges[e_left][1]
-        for j in range(1, m):
-            lab = t if j % 2 == 1 else s
-            last = j == m - 1
-            v = self.add_vertex(self.elem[cur] + (lab,), level, is_top=last)
-            e = self.add_edge(cur, v, lab, top_left=last)
-            self.set_slot(cur, "right", e)
-            lam.append(e)
-            cur = v
-        top = cur
-        rho = [e_right]
-        cur = self.edges[e_right][1]
-        for j in range(1, m):
-            lab = s if j % 2 == 1 else t
-            last = j == m - 1
-            v = top if last else self.add_vertex(self.elem[cur] + (lab,),
-                                                 level)
-            if last:
-                # the top vertex's tree word runs through the rho side
-                self.elem[top] = self.elem[cur] + (lab,)
-            e = self.add_edge(cur, v, lab)
-            self.set_slot(cur, "left", e)
-            rho.append(e)
-            cur = v
-        cycle = ((self.edges[lam[0]][0],)
-                 + tuple(self.edges[e][1] for e in lam)
-                 + tuple(self.edges[e][1] for e in reversed(rho[:-1])))
+        top = len(self.elem) + m - 2        # the left side's last new vertex
+        lam = [e_left] + self.lay_path(
+            tgt[e_left], [(t, s)[j % 2] for j in range(m - 1)], level,
+            self.right, self.left, top)
+        rho = [e_right] + self.lay_path(
+            tgt[e_right], [(s, t)[j % 2] for j in range(m - 1)], level,
+            self.left, self.right, top)
+        cycle = ((self.src[e_left],) + tuple([tgt[e] for e in lam])
+                 + tuple([tgt[e] for e in reversed(rho[:-1])]))
         self.cells.append(FilterCell(fan_idx, tuple(lam), tuple(rho), cycle))
         return len(self.cells) - 1
 
     def build_fan_at(self, v: int, level: int) -> None:
-        x = self.slots[v]["left"]
-        y = self.slots[v]["right"]
-        s, t = self.edges[x][2], self.edges[y][2]
-        fan, labels = _build_fan(self.g, self.eng, self.elem[v], s, t)
+        x, y = self.left[v], self.right[v]
+        elem = self.elem
+        s, t = self.lab[x], self.lab[y]
+        key = (elem[v], s, t)
+        hit = self.fan_memo.get(key)
+        if hit is None:
+            hit = self.fan_memo[key] = _build_fan(self.g, self.eng, elem[v],
+                                                  s, t)
+        fan, labels = hit
         verify(labels[0] == s and labels[-1] == t,
                "fan does not run from the slot letters")
         edge_ids = [x]
-        for lab in labels[1:-1]:
-            u = self.add_vertex(self.elem[v] + (lab,), level)
-            edge_ids.append(self.add_edge(v, u, lab))
+        for a in labels[1:-1]:
+            u = self.add_vertex(elem[v] + (a,), level)
+            edge_ids.append(self.add_edge(v, u, a, "I"))
         edge_ids.append(y)
-        self.edges[x][3] = "L"
-        self.edges[y][3] = "R"
-        for e in edge_ids[1:-1]:
-            self.edges[e][3] = "I"
+        self.cls[x] = "L"
+        self.cls[y] = "R"
         fan_idx = len(self.fans)
-        cell_ids = tuple(
+        cell_ids = tuple([
             self.lay_cell(fan_idx, edge_ids[i], edge_ids[i + 1], level)
-            for i in range(len(edge_ids) - 1))
+            for i in range(len(edge_ids) - 1)])
         self.fans.append(FilterFan(level, v, fan.base, fan.labels,
                                    tuple(edge_ids), cell_ids, fan.case))
         self.built.add(v)
 
     def finish(self, alpha: Word, beta: Word, depth: int) -> FilterDiagram:
-        names = self.g.vertices
-        vertices = tuple(
-            FilterVertex(self.eng.decode(word), self.level[i], self.is_top[i],
-                         i not in self.built)
-            for i, word in enumerate(self.elem))
-        edges = tuple(
-            FilterEdge(s, t, names[lab], cls, tl, bdy)
-            for s, t, lab, cls, tl, bdy in self.edges)
+        """The diagram; vertices with the same tree word share one decoded
+        word."""
+        decode = self.eng.decode
+        words = dict.fromkeys(self.elem)
+        for w in words:
+            words[w] = decode(w)
+        built = self.built
+        vertices = tuple(map(FilterVertex, map(words.__getitem__, self.elem),
+                             self.level, self.is_top,
+                             [i not in built for i in range(len(self.elem))]))
+        edges = tuple(map(FilterEdge, self.src, self.tgt,
+                          map(self.g.vertices.__getitem__, self.lab),
+                          self.cls, self.top_left, self.boundary))
         return FilterDiagram(alpha, beta, depth, vertices, edges,
                              tuple(self.cells), tuple(self.fans))
 
@@ -272,7 +314,6 @@ def build_filter(g: CoxeterGraph, alpha: Word, beta: Word, depth: int,
     if depth < 0:
         raise ValueError("depth must be >= 0")
     b = _Builder(g, orbit_cap)
-    b.add_vertex((), 0)
     b.lay_boundary(alpha, "alpha")
     b.lay_boundary(beta, "beta")
     for level in range(1, depth + 1):
@@ -322,57 +363,96 @@ def itinerary_cap(g: CoxeterGraph) -> int:
     return itinerary_bounds(g)[2]
 
 
-def _tree_shape(filt: FilterDiagram) -> tuple[list, list, list, list]:
-    """The tree edges into and out of each vertex, the vertices reached from
-    the basepoint (parents first), and the tree-shape and incoming failures."""
-    n = len(filt.vertices)
-    tree_in: list[list[int]] = [[] for _ in range(n)]
-    tree_out: list[list[int]] = [[] for _ in range(n)]
+def _edge_fields(eng: WordEngine, filt: FilterDiagram) -> tuple:
+    """The fields of the edges of ``filt``, read once: the sources, the
+    targets, the encoded labels, the classes, the top-left marks and
+    whether each edge lies on a boundary ray."""
+    edges = filt.edges
+    return ([e.src for e in edges], [e.tgt for e in edges],
+            eng.encode([e.label for e in edges]), [e.cls for e in edges],
+            [e.top_left for e in edges],
+            [e.boundary is not None for e in edges])
+
+
+def _id_failures(filt: FilterDiagram, src: list[int], tgt: list[int]
+                 ) -> list[str]:
+    """A failure for each vertex id and edge id that ``filt`` records but
+    that names no vertex or edge, and for a filter with no basepoint or a
+    fan with no edges: every later check indexes by them."""
+    n, m = len(filt.vertices), len(src)
+    fails = [] if n else ["filter has no basepoint"]
+    for end, ids in (("source", src), ("target", tgt)):
+        fails += [f"edge {i}: {end} {v} is not a vertex"
+                  for i, v in enumerate(ids) if not 0 <= v < n]
+    fails += [f"cell {ci}: edge {i} is not an edge"
+              for ci, cell in enumerate(filt.cells)
+              for i in cell.lam + cell.rho if not 0 <= i < m]
+    for fi, f in enumerate(filt.fans):
+        if not 0 <= f.apex < n:
+            fails.append(f"fan {fi}: apex {f.apex} is not a vertex")
+        if not f.edge_ids:
+            fails.append(f"fan {fi}: no edges")
+        fails += [f"fan {fi}: edge {i} is not an edge"
+                  for i in f.edge_ids if not 0 <= i < m]
+    return fails
+
+
+def _tree_shape(src: list[int], tgt: list[int], top_left: list[bool],
+                is_top: list[bool]) -> tuple[list, list, list, list]:
+    """The tree edge into each vertex (the last one, -1 for none), the tree
+    edges out of each vertex, the vertices reached from the basepoint
+    (parents first), and the tree-shape and incoming failures, of the
+    edges ``src``, ``tgt``, ``top_left`` on the vertices ``is_top``."""
+    n = len(is_top)
+    parent = [-1] * n
+    parents = [0] * n
     incoming = [0] * n
-    for i, e in enumerate(filt.edges):
-        incoming[e.tgt] += 1
-        if not e.top_left:
-            tree_in[e.tgt].append(i)
-            tree_out[e.src].append(i)
+    tree_out: list[list[int]] = [[] for _ in range(n)]
+    for i, v in enumerate(tgt):
+        incoming[v] += 1
+        if not top_left[i]:
+            parents[v] += 1
+            parent[v] = i
+            tree_out[src[i]].append(i)
     fails = []
-    if tree_in[0] or incoming[0]:
+    if incoming[0]:
         fails.append("basepoint has incoming edges")
     for v in range(1, n):
-        if len(tree_in[v]) != 1:
-            fails.append(f"vertex {v} has {len(tree_in[v])} tree parents")
-        want = 2 if filt.vertices[v].is_top else 1
+        if parents[v] != 1:
+            fails.append(f"vertex {v} has {parents[v]} tree parents")
+        want = 2 if is_top[v] else 1
         if incoming[v] != want:
             fails.append(f"vertex {v} has {incoming[v]} incoming, "
                          f"expected {want}")
     order = [0]
-    reached = {0}
+    reached = [False] * n
+    reached[0] = True
     for v in order:
         for i in tree_out[v]:
-            u = filt.edges[i].tgt
-            if u not in reached:
-                reached.add(u)
+            u = tgt[i]
+            if not reached[u]:
+                reached[u] = True
                 order.append(u)
     if len(order) != n:
         fails.append(f"spanning tree reaches {len(order)} of {n} vertices")
-    return tree_in, tree_out, order, fails
+    return parent, tree_out, order, fails
 
 
-def _window_walker(g: CoxeterGraph, filt: FilterDiagram,
+def _window_walker(g: CoxeterGraph, lab, cls: list, on_boundary: list[bool],
                    bounds: tuple[int, int, int, int]):
     """``walk(ends, prev)``, the one check of the itinerary ``bounds``
-    (Q, L, N, R) on ``filt``.  For each edge of ``ends`` it walks the wide
-    windows that end there, back through ``prev`` (edge -> the edge before
-    it, -1 at the root), with running counts as a window grows by a
-    prepended edge, and carries the off-boundary R-run along ``prev`` (so
-    each edge's ``prev`` comes first in ``ends``).  It returns the windows
-    per end and the faults as (first edge of the window, or None for an
-    R-run; end; message).  The bounds are positive, so a too long L-run
-    first reaches exactly L.
+    (Q, L, N, R) on the edges with encoded labels ``lab``, classes ``cls``
+    and boundary marks ``on_boundary``.  For each edge of ``ends`` it walks
+    the wide windows that end there, back through ``prev`` (edge -> the
+    edge before it, -1 at the root), with running counts as a window grows
+    by a prepended edge, and carries the off-boundary R-run along ``prev``
+    (so each edge's ``prev`` comes first in ``ends``).  It returns the
+    windows per end and the faults as (first edge of the window, or None
+    for an R-run; end; message).  The bounds are positive, so a too long
+    L-run first reaches exactly L.
     """
     q, l_cap, n_cap, r_cap = bounds
-    cls = [e.cls for e in filt.edges]
-    on_boundary = [e.boundary is not None for e in filt.edges]
-    bit = [1 << g.index(e.label) for e in filt.edges]
+    bit = [1 << a for a in lab]
     cover = subset_table(g).wide_cover
 
     def walk(ends, prev) -> tuple[list[int], list]:
@@ -425,31 +505,29 @@ def _window_walker(g: CoxeterGraph, filt: FilterDiagram,
     return walk
 
 
-def _weighted_pass(walk, filt: FilterDiagram, tree_in: list[list[int]],
+def _weighted_pass(walk, src: list[int], tgt: list[int], parent: list[int],
                    tree_out: list[list[int]], order: list[int]
                    ) -> tuple[int, bool]:
     """The number of windows on a valid spanning tree, and whether none is
     faulty.  Each tree edge is walked once; a window lies on one maximal
     root path per leaf below its last edge, so it counts that many times."""
-    edges = filt.edges
     leaves = [1] * len(order)
     for v in reversed(order):
         if tree_out[v]:
-            leaves[v] = sum(leaves[edges[i].tgt] for i in tree_out[v])
-    ends = [tree_in[v][0] for v in order[1:]]
-    prev = [tree_in[e.src][0] if e.src else -1 for e in edges]
-    counts, faults = walk(ends, prev)
-    windows = sum(c * leaves[edges[i].tgt] for c, i in zip(counts, ends))
+            leaves[v] = sum([leaves[tgt[i]] for i in tree_out[v]])
+    ends = [parent[v] for v in order[1:]]
+    # the basepoint has no tree parent, so its edges start a root path
+    counts, faults = walk(ends, [parent[v] for v in src])
+    windows = sum([c * leaves[tgt[i]] for c, i in zip(counts, ends)])
     return windows, not faults
 
 
-def _path_route(walk, filt: FilterDiagram, tree_out: list[list[int]]
+def _path_route(walk, tgt: list[int], tree_out: list[list[int]]
                 ) -> tuple[int, list[str]]:
     """The number of windows and the failure messages, root path by root
     path, on any tree: the maximal directed tree paths from the basepoint
     that repeat no vertex, depth first.  A path reports its faulty windows
     by (start, end), then its first too long R-run."""
-    tgt = [e.tgt for e in filt.edges]
     windows = 0
     fails: list[str] = []
     stack: list[tuple[int, list[int]]] = [(0, [])]
@@ -477,67 +555,80 @@ def check_filter(g: CoxeterGraph, filt: FilterDiagram,
                  seed: int = 0) -> FilterCheck:
     """Verify the filter axioms on a truncated diagram.
 
-    Checks, in order: spanning-tree shape (out-tree rooted at the basepoint,
-    exactly the non-top-left edges); the incoming-edge law (two incoming
-    exactly at cell tops, none at the basepoint, one elsewhere); per-edge
-    geodesy (each edge extends its source's element by one letter, which
-    makes every rooted directed path geodesic); literal geodesy of all rooted
-    directed paths up to ``enum_len`` plus seeded random longer walks; cell
-    shape (equal alternating sides, top-left marking, side classes); fan
-    axioms per recorded fan; and the itinerary bounds on wide-labelled
-    windows of directed tree paths (``itinerary_bounds``: I-edge and LR
-    counts at most Q = M+V+1, L-runs inside off-boundary windows shorter
-    than R(M+V+2), off-boundary R-runs at most R, off-boundary wide windows
-    no longer than the closed-form cap).  The root paths are the maximal
-    directed tree paths from the basepoint that repeat no vertex; a faulty
-    window is reported once per root path through it, and a too long R-run
-    once per root path, and ``wide_windows_checked`` counts a window once
-    per root path through it.
+    First every recorded vertex and edge id must name a vertex or edge;
+    if one does not, the check reports each such id and stops there.
+    Then it checks, in order: spanning-tree shape (out-tree rooted at the
+    basepoint, exactly the non-top-left edges); the incoming-edge law (two
+    incoming exactly at cell tops, none at the basepoint, one elsewhere);
+    per-edge geodesy (each edge extends its source's element by one
+    letter, which makes every rooted directed path geodesic); literal
+    geodesy of all rooted directed paths up to ``enum_len`` plus seeded
+    random longer walks; cell shape (equal alternating sides, top-left
+    marking, side classes); fan axioms per recorded fan; and the itinerary
+    bounds on wide-labelled windows of directed tree paths
+    (``itinerary_bounds``: I-edge and LR counts at most Q = M+V+1, L-runs
+    inside off-boundary windows shorter than R(M+V+2), off-boundary R-runs
+    at most R, off-boundary wide windows no longer than the closed-form
+    cap).  The root paths are the maximal directed tree paths from the
+    basepoint that repeat no vertex; a faulty window is reported once per
+    root path through it, and a too long R-run once per root path, and
+    ``wide_windows_checked`` counts a window once per root path through it.
     """
     eng = engine_for(g, orbit_cap)
     stats: dict[str, int] = {}
-    n = len(filt.vertices)
-    enc = [eng.encode(v.element) for v in filt.vertices]
-
-    tree_in, tree_out, order, fails = _tree_shape(filt)
+    vertices = filt.vertices
+    # each distinct element is encoded and normalized once: its canonical
+    # form, and whether the recorded word is geodesic
+    forms = dict.fromkeys(v.element for v in vertices)
+    for w in forms:
+        code = eng.encode(w)
+        c = eng.normalize(code)
+        forms[w] = c, len(c) == len(code)
+    src, tgt, lab, cls, top_left, on_boundary = _edge_fields(eng, filt)
+    fails = _id_failures(filt, src, tgt)
+    if fails:
+        return FilterCheck(False, tuple(fails), stats)
+    is_top = [v.is_top for v in vertices]
+    parent, tree_out, order, fails = _tree_shape(src, tgt, top_left, is_top)
     tree_ok = not fails
 
-    # per-edge geodesy (this alone makes every rooted directed path geodesic)
-    canon = [eng.normalize(w) for w in enc]
-    for v in range(n):
-        if len(canon[v]) != len(enc[v]):
-            fails.append(f"vertex {v} element word not geodesic")
-    edges = filt.edges
-    src = [e.src for e in edges]
-    tgt = [e.tgt for e in edges]
-    lab = eng.encode(e.label for e in edges)
-    cls = [e.cls for e in edges]
-    top_left = [e.top_left for e in edges]
-    for i, a in enumerate(lab):
-        got = eng.normalize(enc[src[i]] + (a,))
-        if len(got) != len(enc[src[i]]) + 1 or got != canon[tgt[i]]:
-            fails.append(f"edge {i} does not extend its source geodesically")
-    stats["edges_checked"] = len(edges)
-
-    # literal path enumeration + sampled walks.  A path is geodesic iff
-    # its prefix is and the last letter lengthens the prefix's canonical
-    # form ``c``; ``c`` is None below a prefix that is not geodesic.  The
-    # enumeration carries ``c`` along each path, through a memo of the
-    # steps; each sampled walk is tested once, as a whole word.
-    out_edges: dict[int, list[int]] = {}
-    for i, v in enumerate(src):
-        out_edges.setdefault(v, []).append(i)
+    # A path is geodesic iff its prefix is and the last letter lengthens
+    # the prefix's canonical form ``c``: ``step(c, a)`` is c times a when
+    # that lengthens c, else None.  The per-edge check and the enumeration
+    # share its memo.
     right_mult = eng.right_mult
     steps: dict = {}
 
     def step(c, a):
-        """c times a when that lengthens c, else None."""
-        key = c, a
-        if key not in steps:
+        try:
+            return steps[c, a]
+        except KeyError:
             p = right_mult(c, a)
-            steps[key] = p if len(p) > len(c) else None
-        return steps[key]
+            p = steps[c, a] = p if len(p) > len(c) else None
+            return p
 
+    # per-vertex and per-edge geodesy (this alone makes every rooted
+    # directed path geodesic); the edge test is the step from its source's
+    # canonical form (see the module docstring)
+    canon, geodesic = [], []
+    for v, vertex in enumerate(vertices):
+        c, ok = forms[vertex.element]
+        canon.append(c)
+        geodesic.append(ok)
+        if not ok:
+            fails.append(f"vertex {v} element word not geodesic")
+    for i, a in enumerate(lab):
+        v = src[i]
+        if not geodesic[v] or step(canon[v], a) != canon[tgt[i]]:
+            fails.append(f"edge {i} does not extend its source geodesically")
+    stats["edges_checked"] = len(lab)
+
+    # literal path enumeration + sampled walks.  The enumeration carries
+    # ``c`` along each path, None below a prefix that is not geodesic;
+    # each sampled walk is tested once, as a whole word.
+    out_edges: dict[int, list[int]] = {}
+    for i, v in enumerate(src):
+        out_edges.setdefault(v, []).append(i)
     count = 0
     stack = [(0, (), ())]
     capped = False
@@ -574,6 +665,9 @@ def check_filter(g: CoxeterGraph, filt: FilterDiagram,
         if len(lam) != len(rho):
             fails.append(f"cell {ci}: unequal sides")
             continue
+        if not lam:
+            fails.append(f"cell {ci}: empty sides")
+            continue
         s, t = lab[lam[0]], lab[rho[0]]
         m = g.m(s, t)
         if m is None or len(lam) != m:
@@ -594,7 +688,7 @@ def check_filter(g: CoxeterGraph, filt: FilterDiagram,
             fails.append(f"cell {ci}: stray top-left marking")
         if tgt[lam[-1]] != tgt[rho[-1]]:
             fails.append(f"cell {ci}: sides do not meet at a top vertex")
-        if not filt.vertices[tgt[lam[-1]]].is_top:
+        if not is_top[tgt[lam[-1]]]:
             fails.append(f"cell {ci}: meeting vertex not marked top")
         want_cycle = ((src[lam[0]],) + tuple(tgt[i] for i in lam)
                       + tuple(tgt[i] for i in reversed(rho[:-1])))
@@ -622,13 +716,19 @@ def check_filter(g: CoxeterGraph, filt: FilterDiagram,
     # fans: the recorded tail is the wide tail of the base, so the check
     # is the one ``build_fan`` made (and remembered) when it laid the fan;
     # it reports a base that is not geodesic and letters that are not
-    # adjacent (which have no cell, written 0 here)
+    # adjacent (which have no cell, written 0 here).  Each distinct
+    # (base, labels, case) record is checked, and its base normalized, once.
+    records: dict = {}
     for fi, f in enumerate(filt.fans):
-        cells = tuple(2 * (g.m(g.index(a), g.index(b)) or 0)
-                      for a, b in zip(f.labels, f.labels[1:]))
-        w = eng.encode(f.base)
-        failures = _fan_failures(g, eng, w, _wide_suffix(g, w)[0],
-                                 tuple(f.labels), cells, True, f.case)
+        key = tuple(f.base), tuple(f.labels), f.case
+        if key not in records:
+            cells = tuple(2 * (g.m(g.index(a), g.index(b)) or 0)
+                          for a, b in zip(f.labels, f.labels[1:]))
+            w = eng.encode(f.base)
+            records[key] = eng.normalize(w), _fan_failures(
+                g, eng, w, _wide_suffix(g, w)[0], key[1], cells, True,
+                f.case)
+        reached, failures = records[key]
         if failures:
             fails.append(f"fan {fi}: " + "; ".join(failures))
         if cls[f.edge_ids[0]] != "L":
@@ -637,18 +737,19 @@ def check_filter(g: CoxeterGraph, filt: FilterDiagram,
             fails.append(f"fan {fi}: right fan edge not classed R")
         if any(cls[i] != "I" for i in f.edge_ids[1:-1]):
             fails.append(f"fan {fi}: interior fan edge not classed I")
-        if eng.normalize(w) != canon[f.apex]:
+        if reached != canon[f.apex]:
             fails.append(f"fan {fi}: base word does not reach its apex")
 
     # itineraries along directed tree paths: on a valid tree one walk per
     # edge decides, and the root paths spell out the failures if any
     bounds = itinerary_bounds(g)
-    walk = _window_walker(g, filt, bounds)
+    walk = _window_walker(g, lab, cls, on_boundary, bounds)
     clean = False
     if tree_ok:
-        windows, clean = _weighted_pass(walk, filt, tree_in, tree_out, order)
+        windows, clean = _weighted_pass(walk, src, tgt, parent, tree_out,
+                                        order)
     if not clean:
-        windows, found = _path_route(walk, filt, tree_out)
+        windows, found = _path_route(walk, tgt, tree_out)
         fails += found
     stats["wide_windows_checked"] = windows
     stats["itinerary_cap"] = bounds[2]

@@ -9,6 +9,11 @@ its counts.  ``test_filter_itinerary.py`` compares window counts and
 whole failure lists with it.  It costs O(k^3) on a path of k edges: keep
 filters small.
 
+``tree_shape`` is the spanning-tree and incoming-edge check as it read
+the records before ``check_filter`` read the edge fields into lists, and
+``id_failures`` the range check of the recorded vertex and edge ids that
+comes first.
+
 ``check_fan`` and ``check_filter`` work in vertex-name space through the
 public word functions: every fan check runs in full (no memo of fan
 verdicts), and every rooted path of the literal enumeration is
@@ -24,7 +29,7 @@ from typing import Optional
 
 from coxwide.classification import compute_constants, subset_table
 from coxwide.fans import FanCheck, FanDiagram
-from coxwide.filters import FilterCheck, FilterDiagram, _tree_shape
+from coxwide.filters import FilterCheck, FilterDiagram
 from coxwide.graphs import CoxeterGraph
 from coxwide.words import (DEFAULT_ORBIT_CAP, is_geodesic, normalize,
                            wide_tail)
@@ -38,6 +43,68 @@ def default_bounds(g: CoxeterGraph) -> tuple[int, int, int, int]:
     n_cap = 2 * q * (c.r_gamma * (c.m_gamma + c.v_gamma + 2)
                      + c.r_gamma) + 3 * q
     return q, l_cap, n_cap, c.r_gamma
+
+
+def id_failures(filt: FilterDiagram) -> list[str]:
+    """The ids of ``filt`` that name no vertex or edge: a missing
+    basepoint, then edge sources, edge targets, the edge ids of each cell,
+    and each fan's apex, emptiness and edge ids."""
+    vertices, edges = range(len(filt.vertices)), range(len(filt.edges))
+    fails = [] if vertices else ["filter has no basepoint"]
+    for field, end in (("src", "source"), ("tgt", "target")):
+        for i, e in enumerate(filt.edges):
+            if getattr(e, field) not in vertices:
+                fails.append(f"edge {i}: {end} {getattr(e, field)} is not "
+                             "a vertex")
+    for ci, c in enumerate(filt.cells):
+        for i in (*c.lam, *c.rho):
+            if i not in edges:
+                fails.append(f"cell {ci}: edge {i} is not an edge")
+    for fi, f in enumerate(filt.fans):
+        if f.apex not in vertices:
+            fails.append(f"fan {fi}: apex {f.apex} is not a vertex")
+        if not f.edge_ids:
+            fails.append(f"fan {fi}: no edges")
+        for i in f.edge_ids:
+            if i not in edges:
+                fails.append(f"fan {fi}: edge {i} is not an edge")
+    return fails
+
+
+def tree_shape(filt: FilterDiagram) -> tuple[list, list, list, list]:
+    """The tree edges into and out of each vertex, the vertices reached from
+    the basepoint (parents first), and the tree-shape and incoming failures,
+    read off the records."""
+    n = len(filt.vertices)
+    tree_in: list[list[int]] = [[] for _ in range(n)]
+    tree_out: list[list[int]] = [[] for _ in range(n)]
+    incoming = [0] * n
+    for i, e in enumerate(filt.edges):
+        incoming[e.tgt] += 1
+        if not e.top_left:
+            tree_in[e.tgt].append(i)
+            tree_out[e.src].append(i)
+    fails = []
+    if tree_in[0] or incoming[0]:
+        fails.append("basepoint has incoming edges")
+    for v in range(1, n):
+        if len(tree_in[v]) != 1:
+            fails.append(f"vertex {v} has {len(tree_in[v])} tree parents")
+        want = 2 if filt.vertices[v].is_top else 1
+        if incoming[v] != want:
+            fails.append(f"vertex {v} has {incoming[v]} incoming, "
+                         f"expected {want}")
+    order = [0]
+    reached = {0}
+    for v in order:
+        for i in tree_out[v]:
+            u = filt.edges[i].tgt
+            if u not in reached:
+                reached.add(u)
+                order.append(u)
+    if len(order) != n:
+        fails.append(f"spanning tree reaches {len(order)} of {n} vertices")
+    return tree_in, tree_out, order, fails
 
 
 def root_paths(filt: FilterDiagram) -> list[list[int]]:
@@ -194,7 +261,12 @@ def check_filter(g: CoxeterGraph, filt: FilterDiagram,
     for v in vertices:
         for name in v.element:
             g.index(name)
-    _, _, _, fails = _tree_shape(filt)
+    for e in edges:
+        g.index(e.label)
+    fails = id_failures(filt)
+    if fails:
+        return FilterCheck(False, tuple(fails), stats)
+    _, _, _, fails = tree_shape(filt)
 
     canon = [normalize(g, v.element, orbit_cap) for v in vertices]
     for v, vert in enumerate(vertices):
@@ -230,6 +302,9 @@ def check_filter(g: CoxeterGraph, filt: FilterDiagram,
         lam, rho = c.lam, c.rho
         if len(lam) != len(rho):
             fails.append(f"cell {ci}: unequal sides")
+            continue
+        if not lam:
+            fails.append(f"cell {ci}: empty sides")
             continue
         s, t = edges[lam[0]].label, edges[rho[0]].label
         m = g.m(g.index(s), g.index(t))

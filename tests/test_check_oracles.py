@@ -186,6 +186,127 @@ def test_wide_tail_fan_in_a_filter_matches_oracle():
         assert (len(fan_fails) == 1) == (case == "wide-tail")
 
 
+def relabel_edge(filt):
+    """The first interior fan edge takes another letter, so it no longer
+    extends its source's element to its target's."""
+    k = next(i for i, e in enumerate(filt.edges) if e.cls == "I")
+    other = next(e.label for e in filt.edges
+                 if e.label != filt.edges[k].label)
+    return k, with_edges(filt, lambda i, e: replace(e, label=other)
+                         if i == k else e)
+
+
+def retarget_edge(filt):
+    """The first edge with a sibling (an edge from the same vertex) of
+    another label points at that sibling's target instead."""
+    for k, e in enumerate(filt.edges):
+        sib = next((f for f in filt.edges if f.src == e.src
+                    and f.label != e.label), None)
+        if sib is not None:
+            return k, with_edges(filt, lambda i, d: replace(d, tgt=sib.tgt)
+                                 if i == k else d)
+
+
+def respell_vertex(filt):
+    """The first vertex other than the basepoint with edges out of it
+    spells its element with a doubled letter appended: the same element,
+    by a word that is not geodesic."""
+    sources = {e.src for e in filt.edges}
+    v = next(v for v, x in enumerate(filt.vertices)
+             if x.element and v in sources)
+    x = filt.vertices[v]
+    spelled = x.element + x.element[-1:] * 2
+    return v, replace(filt, vertices=filt.vertices[:v] + (
+        replace(x, element=spelled),) + filt.vertices[v + 1:])
+
+
+@pytest.mark.parametrize("name", sorted(GRAPHS))
+def test_edge_and_vertex_geodesy_failures_match_oracle(name):
+    """The per-edge test from the step memo against normalizing each
+    source word plus its letter from scratch: a relabelled edge and a
+    retargeted one fail it; a vertex whose element word is not geodesic
+    fails, and so do the edges out of it, but not the edges into it."""
+    g, filt = real_filter(name, 3)
+    for tamper in (relabel_edge, retarget_edge):
+        k, bad = tamper(filt)
+        want = assert_same_filter_check(g, bad)
+        assert (f"edge {k} does not extend its source geodesically"
+                in want.failures), (tamper.__name__, want.failures[:5])
+    v, bad = respell_vertex(filt)
+    want = assert_same_filter_check(g, bad)
+    assert f"vertex {v} element word not geodesic" in want.failures
+    for i, e in enumerate(bad.edges):
+        message = f"edge {i} does not extend its source geodesically"
+        assert (message in want.failures) == (e.src == v), (i, e)
+
+
+# ---------------------------------------------------------------------------
+# ids that name no vertex or edge
+
+
+def with_cell(filt, k, **change):
+    changed = list(filt.cells)
+    changed[k] = replace(changed[k], **change)
+    return replace(filt, cells=tuple(changed))
+
+
+def bad_ids(filt):
+    """What -> (tampered filter, its failures) for each kind of recorded id
+    that names no vertex or edge, and for a cell with empty sides."""
+    n, m = len(filt.vertices), len(filt.edges)
+    last = len(filt.fans) - 1
+    edge, cell, fan = filt.edges[5], filt.cells[2], filt.fans[last]
+
+    def with_edge(**change):
+        return with_edges(filt, lambda i, e: replace(e, **change)
+                          if i == 5 else e)
+
+    return {
+        "source past the end": (with_edge(src=n), (
+            f"edge 5: source {n} is not a vertex",)),
+        "target past the end": (with_edge(tgt=n + 3), (
+            f"edge 5: target {n + 3} is not a vertex",)),
+        "negative source and target": (with_edge(src=-1, tgt=-edge.tgt), (
+            "edge 5: source -1 is not a vertex",
+            f"edge 5: target {-edge.tgt} is not a vertex")),
+        "cell edge past the end": (
+            with_cell(filt, 2, lam=cell.lam[:-1] + (m,)),
+            (f"cell 2: edge {m} is not an edge",)),
+        "empty cell": (with_cell(filt, 2, lam=(), rho=()), (
+            "cell 2: empty sides",)),
+        "fan edge past the end": (
+            with_fan(filt, last, edge_ids=fan.edge_ids + (m + 1,)),
+            (f"fan {last}: edge {m + 1} is not an edge",)),
+        "fan apex past the end": (with_fan(filt, last, apex=n), (
+            f"fan {last}: apex {n} is not a vertex",)),
+        "fan without edges": (with_fan(filt, last, edge_ids=()), (
+            f"fan {last}: no edges",)),
+    }
+
+
+@pytest.mark.parametrize("what", [
+    "source past the end", "target past the end",
+    "negative source and target", "cell edge past the end", "empty cell",
+    "fan edge past the end", "fan apex past the end", "fan without edges"])
+def test_ids_out_of_range_are_failures(what):
+    """Each recorded id that names no vertex or edge is a failure, and the
+    check stops there, where it used to raise IndexError or, for -1, read
+    the last vertex; a cell with empty sides fails the cell check."""
+    g, filt = real_filter("C5", 3)
+    bad, failures = bad_ids(filt)[what]
+    want = assert_same_filter_check(g, bad)
+    assert not want.ok
+    assert want.failures == failures
+
+
+def test_a_filter_without_vertices_reports_its_ids():
+    g, filt = real_filter("C5", 3)
+    want = assert_same_filter_check(g, replace(filt, vertices=()))
+    assert want.failures[:2] == ("filter has no basepoint",
+                                 "edge 0: source 0 is not a vertex")
+    assert len(want.failures) == 1 + 2 * len(filt.edges) + len(filt.fans)
+
+
 FAN_GRAPHS = ("C5", "G6", "O8", "WIDE8", "A3", "H3")
 
 

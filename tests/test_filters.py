@@ -1,13 +1,17 @@
 """Filter diagrams: tree shape, cells, side classes, itinerary bounds."""
 
+import hashlib
+import json
+
 import pytest
 
-from coxwide import extend_geodesic, normalize
+from coxwide import extend_geodesic, filters, normalize
 from coxwide.errors import ConstructionError, NonGeodesicError
 from coxwide.filters import (DEFAULT_ORBIT_CAP, build_filter, check_filter,
                              itinerary_cap)
 
-from conftest import CORPUS_MAKERS, racg, replace
+from conftest import (CORPUS_MAKERS, graph_from_labels, make_c5, racg,
+                      replace, seeded_wsa_labels)
 
 
 def boundary_pair(g, length=6):
@@ -249,3 +253,60 @@ def test_filter_open_vertices(c5):
     apexes = {f.apex for f in filt.fans}
     for v_idx, v in enumerate(filt.vertices):
         assert v.open == (v_idx not in apexes)
+
+
+# ---------------------------------------------------------------------------
+# one fan per (tree word, slot letters) in a build
+
+
+def acceptance_filter(g, depth):
+    """The filter acceptance criterion's filter: rays of length 8 from the
+    first two vertices."""
+    a, b = boundary_pair(g, 8)
+    return build_filter(g, a, b, depth)
+
+
+def test_a_build_makes_each_fan_once(monkeypatch):
+    """``build_filter`` calls ``_build_fan`` once per distinct (tree word,
+    left letter, right letter): on WSA16 at depth 5, 67 times for 214
+    fans.  The memo lives as long as one build, so building again on the
+    same graph makes the same calls again."""
+    calls = []
+    real = filters._build_fan
+
+    def spy(g, eng, w, s, t):
+        calls.append((w, s, t))
+        return real(g, eng, w, s, t)
+
+    monkeypatch.setattr(filters, "_build_fan", spy)
+    g = graph_from_labels(seeded_wsa_labels(16))
+    filt = acceptance_filter(g, 5)
+    assert len(filt.fans) == 214
+    assert len(calls) == len(set(calls)) == 67
+    first = list(calls)
+    assert acceptance_filter(g, 5) == filt
+    assert calls[67:] == first
+
+
+# sha256 of ``json.dumps(filt.to_json_obj())`` for the acceptance filters,
+# as built before the fan memo and the columnar builder
+PINNED_JSON = {
+    ("C5", 6):
+        "abfafdf69cb64d50506b7b990dec37322c101fe58f56e8bf39369ca86b8f9455",
+    ("WSA12", 5):
+        "10d9d983ed89cbb2c817928820a37a41ca646792b507ca76a36a8dbb93b5edcd",
+    ("WSA16", 5):
+        "334c40b58f58058fff0bf3ff0bedaa4bcda94d1a85510b0b8b70b16bee498fe2",
+    ("WSA21", 5):
+        "96518d10ac79b39177961def190fa15be2b953b3e123b2e7f66c5b738a7908da",
+}
+
+
+@pytest.mark.parametrize("name,depth", sorted(PINNED_JSON))
+def test_filter_json_is_pinned(name, depth):
+    g = make_c5() if name == "C5" else graph_from_labels(
+        seeded_wsa_labels(int(name[3:])))
+    filt = acceptance_filter(g, depth)
+    text = json.dumps(filt.to_json_obj())
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_JSON[
+        (name, depth)]

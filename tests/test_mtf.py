@@ -132,6 +132,20 @@ def test_mtf_checker_reports_short_tails(c5):
     assert ck.failures == ("1 tails recorded for 3 filters",)
 
 
+def test_mtf_checker_reports_a_filter_id_out_of_range(c5):
+    """An edge of a constituent filter whose source names no vertex is a
+    failure of that filter, not an IndexError."""
+    m = build_multitail_filter(c5, ZIG, ZAG, 2, depth=2)
+    filt = m.filters[1]
+    n = len(filt.vertices)
+    bad = replace(filt, edges=(replace(filt.edges[0], src=n),)
+                  + filt.edges[1:])
+    ck = check_multitail_filter(
+        c5, replace(m, filters=m.filters[:1] + (bad,) + m.filters[2:]))
+    assert not ck.ok
+    assert ck.failures == (f"filter 1: edge 0: source {n} is not a vertex",)
+
+
 def test_mtf_degenerate_rays_raise(c5):
     """When both inputs are greedy extensions of the same kind, the last
     fresh ray coincides with the second boundary: no diagram exists."""
