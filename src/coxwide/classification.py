@@ -600,13 +600,20 @@ class SubsetTable:
         return found
 
 
+def _require_cap(g: CoxeterGraph, cap: int, layer: str) -> None:
+    """Raise SizeCapError naming ``layer`` when the graph has more than
+    ``cap`` vertices."""
+    if g.n > cap:
+        raise SizeCapError(cap, f"graph has {g.n} vertices, {layer} cap is {cap}")
+
+
 def subset_table(g: CoxeterGraph, cap: int = DEFAULT_SUBSET_CAP,
                  layer: str = "enumeration") -> SubsetTable:
     """The graph's subset table, built on first use and kept on the graph.
     The one gate to it: every call first raises SizeCapError naming
-    ``layer`` when the graph has more than ``cap`` vertices."""
-    if g.n > cap:
-        raise SizeCapError(cap, f"graph has {g.n} vertices, {layer} cap is {cap}")
+    ``layer`` when the graph has more than ``cap`` vertices
+    (``_require_cap``)."""
+    _require_cap(g, cap, layer)
     t = g._subsets
     if t is None:
         t = g._subsets = SubsetTable(g)
@@ -669,8 +676,10 @@ def ends_verdict(g: CoxeterGraph, cap: int = DEFAULT_SUBSET_CAP) -> EndsVerdict:
     finite group is two-ended even though, e.g., the middle vertex of P3 is a
     (degenerate) spherical separator; everything else with a spherical
     separator or a disconnected graph is multi-ended; the rest is one-ended.
+    It checks the cap first, but only the separator scan reads the subset
+    table: the other verdicts come from the irreducible components.
     """
-    table = subset_table(g, cap, "ends")
+    _require_cap(g, cap, "ends")
     full = g.full_mask()
     comps = g.irreducible_components_mask(full) if g.n else []
     infinite = [c for c in comps if irreducible_kind(g, c) != "FiniteType"]
@@ -682,7 +691,8 @@ def ends_verdict(g: CoxeterGraph, cap: int = DEFAULT_SUBSET_CAP) -> EndsVerdict:
     if len(g.components_within(full)) > 1:
         return EndsVerdict("MultiEnded", ())
     floor = _separator_floor(g)
-    sep = None if floor is None else _separator_scan(g, table, floor)
+    sep = None if floor is None else _separator_scan(
+        g, subset_table(g, cap, "ends"), floor)
     if sep is not None:
         return EndsVerdict("MultiEnded", g.names_of(sep))
     return EndsVerdict("OneEnded", None)

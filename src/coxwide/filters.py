@@ -37,18 +37,29 @@ This agrees with normalizing u's word plus a from scratch on every edge:
 when the word is geodesic, both compute the canonical form of u's element
 times a; when it is not, both fail the length test.  The checker takes
 nothing from the builder.
+
+Columns.  A filter's vertices and edges stay in columns, one tuple per
+record field, from the builder to the JSON: ``FilterDiagram.vertices`` and
+``.edges`` of a built filter are read-only sequences that build a
+``FilterVertex`` or ``FilterEdge`` when an item is read and keep none, and
+that compare, hash, print, concatenate, slice and pickle as the tuple of
+those records would.  Every vertex with the same tree word shares one
+decoded word.  ``to_json_obj``, ``to_dot`` and ``check_filter`` read the
+columns; a diagram built by hand from tuples of records is first zipped
+into columns, so both kinds take one path after that.
 """
 
 from __future__ import annotations
 
 import random
+from collections.abc import Sequence
 
 from .classification import compute_constants, subset_table
 from .errors import ConstructionError, Record, SizeCapError, verify
 from .fans import _build_fan, _fan_failures
 from .graphs import CoxeterGraph
-from .words import (Word, WordEngine, engine_for, extend_geodesic,
-                    _wide_suffix, DEFAULT_ORBIT_CAP)
+from .words import (Word, engine_for, extend_geodesic, _wide_suffix,
+                    DEFAULT_ORBIT_CAP)
 
 
 class FilterVertex(Record):
@@ -103,22 +114,90 @@ class FilterFan(Record):
                 "case": self.case}
 
 
+class _Rows(Sequence):
+    """A read-only sequence of ``kind`` records kept as ``cols``, one tuple
+    per field of ``kind`` in slot order.  Reading an item builds its record
+    and keeps none.  Equality, hash, repr, ``+``, slicing, ``index``,
+    pickling and copying behave as on the tuple of the records."""
+    __slots__ = ("kind", "cols")
+
+    def __init__(self, kind, cols: tuple):
+        self.kind = kind
+        self.cols = cols
+
+    def __len__(self) -> int:
+        return len(self.cols[0])
+
+    def __getitem__(self, i):
+        if i.__class__ is slice:
+            return tuple(map(self.kind, *[c[i] for c in self.cols]))
+        return self.kind(*[c[i] for c in self.cols])
+
+    def __iter__(self):
+        return map(self.kind, *self.cols)
+
+    def __eq__(self, other):
+        if other.__class__ is _Rows and other.kind is self.kind:
+            return other.cols == self.cols
+        if other.__class__ is _Rows or other.__class__ is tuple:
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+    def __hash__(self):
+        # a record hashes as the tuple of its field values
+        return hash(tuple(zip(*self.cols)))
+
+    def __repr__(self):
+        return repr(tuple(self))
+
+    def __add__(self, other):
+        if other.__class__ is _Rows or other.__class__ is tuple:
+            return tuple(self) + tuple(other)
+        return NotImplemented
+
+    def __radd__(self, other):
+        if other.__class__ is tuple:
+            return other + tuple(self)
+        return NotImplemented
+
+    def __reduce__(self):
+        return _Rows, (self.kind, self.cols)
+
+
+def _columns(rows, kind) -> tuple:
+    """The field columns of ``rows``, a sequence of ``kind`` records: a
+    view's own, else the records' fields zipped into tuples."""
+    if rows.__class__ is _Rows:
+        return rows.cols
+    return tuple([tuple([getattr(r, name) for r in rows])
+                  for name in kind.__slots__])
+
+
 class FilterDiagram(Record):
     """Field order in JSON output is fixed: alpha, beta, depth, vertices,
-    edges, cells, fans.  Vertex 0 is the basepoint."""
+    edges, cells, fans.  Vertex 0 is the basepoint.  The constructor takes
+    tuples of records; a built filter's ``vertices`` and ``edges`` are
+    read-only views of columns (see the module docstring)."""
     __slots__ = ("alpha",     # Word
                  "beta",      # Word
                  "depth",     # int
-                 "vertices",  # tuple[FilterVertex, ...]
-                 "edges",     # tuple[FilterEdge, ...]
+                 "vertices",  # Sequence[FilterVertex]
+                 "edges",     # Sequence[FilterEdge]
                  "cells",     # tuple[FilterCell, ...]
                  "fans")      # tuple[FilterFan, ...]
 
     def to_json_obj(self) -> dict:
+        elem, level, is_top, open_ = _columns(self.vertices, FilterVertex)
         return {"alpha": " ".join(self.alpha), "beta": " ".join(self.beta),
                 "depth": self.depth,
-                "vertices": [v.to_json_obj() for v in self.vertices],
-                "edges": [e.to_json_obj() for e in self.edges],
+                "vertices": [{"element": " ".join(w), "level": lv,
+                              "is_top": t, "open": o}
+                             for w, lv, t, o in zip(elem, level, is_top,
+                                                    open_)],
+                "edges": [{"src": s, "tgt": t, "label": a, "class": c,
+                           "top_left": tl, "boundary": b}
+                          for s, t, a, c, tl, b in zip(
+                              *_columns(self.edges, FilterEdge))],
                 "cells": [c.to_json_obj() for c in self.cells],
                 "fans": [f.to_json_obj() for f in self.fans]}
 
@@ -126,17 +205,17 @@ class FilterDiagram(Record):
         colors = {"L": "blue", "R": "red", "I": "forestgreen", None: "gray"}
         lines = ["digraph filter {", "  rankdir=BT;",
                  "  node [shape=point, width=0.06];"]
-        for i, v in enumerate(self.vertices):
-            shape = "circle" if v.is_top else "point"
-            extra = ', color="orange"' if v.open else ""
+        elem, _, is_top, open_ = _columns(self.vertices, FilterVertex)
+        for i, w, t, o in zip(range(len(elem)), elem, is_top, open_):
+            shape = "circle" if t else "point"
+            extra = ', color="orange"' if o else ""
             lines.append(f'  n{i} [shape={shape}, width=0.06{extra}, '
-                         f'tooltip="{" ".join(v.element)}"];')
-        for e in self.edges:
-            style = "dashed" if e.top_left else "solid"
-            pen = ", penwidth=2.0" if e.boundary else ""
-            lines.append(
-                f'  n{e.src} -> n{e.tgt} [label="{e.label}", style={style}, '
-                f'color="{colors[e.cls]}"{pen}];')
+                         f'tooltip="{" ".join(w)}"];')
+        for s, t, a, c, tl, b in zip(*_columns(self.edges, FilterEdge)):
+            style = "dashed" if tl else "solid"
+            pen = ", penwidth=2.0" if b else ""
+            lines.append(f'  n{s} -> n{t} [label="{a}", style={style}, '
+                         f'color="{colors[c]}"{pen}];')
         lines.append("}")
         return "\n".join(lines)
 
@@ -275,19 +354,21 @@ class _Builder:
         self.built.add(v)
 
     def finish(self, alpha: Word, beta: Word, depth: int) -> FilterDiagram:
-        """The diagram; vertices with the same tree word share one decoded
-        word."""
+        """The diagram, its vertices and edges in columns; vertices with
+        the same tree word share one decoded word."""
         decode = self.eng.decode
         words = dict.fromkeys(self.elem)
         for w in words:
             words[w] = decode(w)
         built = self.built
-        vertices = tuple(map(FilterVertex, map(words.__getitem__, self.elem),
-                             self.level, self.is_top,
-                             [i not in built for i in range(len(self.elem))]))
-        edges = tuple(map(FilterEdge, self.src, self.tgt,
-                          map(self.g.vertices.__getitem__, self.lab),
-                          self.cls, self.top_left, self.boundary))
+        vertices = _Rows(FilterVertex, (
+            tuple(map(words.__getitem__, self.elem)), tuple(self.level),
+            tuple(self.is_top),
+            tuple([i not in built for i in range(len(self.elem))])))
+        edges = _Rows(FilterEdge, (
+            tuple(self.src), tuple(self.tgt),
+            tuple(map(self.g.vertices.__getitem__, self.lab)),
+            tuple(self.cls), tuple(self.top_left), tuple(self.boundary)))
         return FilterDiagram(alpha, beta, depth, vertices, edges,
                              tuple(self.cells), tuple(self.fans))
 
@@ -363,31 +444,22 @@ def itinerary_cap(g: CoxeterGraph) -> int:
     return itinerary_bounds(g)[2]
 
 
-def _edge_fields(eng: WordEngine, filt: FilterDiagram) -> tuple:
-    """The fields of the edges of ``filt``, read once: the sources, the
-    targets, the encoded labels, the classes, the top-left marks and
-    whether each edge lies on a boundary ray."""
-    edges = filt.edges
-    return ([e.src for e in edges], [e.tgt for e in edges],
-            eng.encode([e.label for e in edges]), [e.cls for e in edges],
-            [e.top_left for e in edges],
-            [e.boundary is not None for e in edges])
-
-
-def _id_failures(filt: FilterDiagram, src: list[int], tgt: list[int]
+def _id_failures(n: int, src: tuple[int, ...], tgt: tuple[int, ...],
+                 cells: tuple[FilterCell, ...], fans: tuple[FilterFan, ...]
                  ) -> list[str]:
-    """A failure for each vertex id and edge id that ``filt`` records but
-    that names no vertex or edge, and for a filter with no basepoint or a
-    fan with no edges: every later check indexes by them."""
-    n, m = len(filt.vertices), len(src)
+    """A failure for each vertex id and edge id, among the edges ``src``
+    -> ``tgt`` and the ``cells`` and ``fans`` of a filter with ``n``
+    vertices, that names no vertex or edge, and for a filter with no
+    basepoint or a fan with no edges: every later check indexes by them."""
+    m = len(src)
     fails = [] if n else ["filter has no basepoint"]
     for end, ids in (("source", src), ("target", tgt)):
         fails += [f"edge {i}: {end} {v} is not a vertex"
                   for i, v in enumerate(ids) if not 0 <= v < n]
     fails += [f"cell {ci}: edge {i} is not an edge"
-              for ci, cell in enumerate(filt.cells)
+              for ci, cell in enumerate(cells)
               for i in cell.lam + cell.rho if not 0 <= i < m]
-    for fi, f in enumerate(filt.fans):
+    for fi, f in enumerate(fans):
         if not 0 <= f.apex < n:
             fails.append(f"fan {fi}: apex {f.apex} is not a vertex")
         if not f.edge_ids:
@@ -576,19 +648,21 @@ def check_filter(g: CoxeterGraph, filt: FilterDiagram,
     """
     eng = engine_for(g, orbit_cap)
     stats: dict[str, int] = {}
-    vertices = filt.vertices
+    elem, _, is_top, _ = _columns(filt.vertices, FilterVertex)
+    src, tgt, label, cls, top_left, boundary = _columns(filt.edges,
+                                                        FilterEdge)
     # each distinct element is encoded and normalized once: its canonical
     # form, and whether the recorded word is geodesic
-    forms = dict.fromkeys(v.element for v in vertices)
+    forms = dict.fromkeys(elem)
     for w in forms:
         code = eng.encode(w)
         c = eng.normalize(code)
         forms[w] = c, len(c) == len(code)
-    src, tgt, lab, cls, top_left, on_boundary = _edge_fields(eng, filt)
-    fails = _id_failures(filt, src, tgt)
+    lab = eng.encode(label)
+    on_boundary = [b is not None for b in boundary]
+    fails = _id_failures(len(elem), src, tgt, filt.cells, filt.fans)
     if fails:
         return FilterCheck(False, tuple(fails), stats)
-    is_top = [v.is_top for v in vertices]
     parent, tree_out, order, fails = _tree_shape(src, tgt, top_left, is_top)
     tree_ok = not fails
 
@@ -611,8 +685,8 @@ def check_filter(g: CoxeterGraph, filt: FilterDiagram,
     # directed path geodesic); the edge test is the step from its source's
     # canonical form (see the module docstring)
     canon, geodesic = [], []
-    for v, vertex in enumerate(vertices):
-        c, ok = forms[vertex.element]
+    for v, w in enumerate(elem):
+        c, ok = forms[w]
         canon.append(c)
         geodesic.append(ok)
         if not ok:

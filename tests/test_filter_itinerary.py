@@ -15,8 +15,9 @@ from hypothesis import given, strategies as st
 
 from coxwide import build_filter, check_filter, extend_geodesic
 from coxwide import filters
-from coxwide.filters import (_edge_fields, _path_route, _tree_shape,
-                             _weighted_pass, _window_walker, itinerary_bounds)
+from coxwide.filters import (FilterEdge, FilterVertex, _columns,
+                             _path_route, _tree_shape, _weighted_pass,
+                             _window_walker, itinerary_bounds)
 from coxwide.words import engine_for
 
 import filter_oracle as O
@@ -54,11 +55,12 @@ def assert_agree(g, filt, bounds):
     gives its window count and whether any bound fails, the per-path route
     its window count and whole failure list."""
     windows, fails = O.itinerary(g, filt, bounds)
-    src, tgt, lab, cls, top_left, on_boundary = _edge_fields(
-        engine_for(g), filt)
+    src, tgt, label, cls, top_left, boundary = _columns(filt.edges,
+                                                        FilterEdge)
     parent, tree_out, order, shape_fails = _tree_shape(
-        src, tgt, top_left, [v.is_top for v in filt.vertices])
-    walk = _window_walker(g, lab, cls, on_boundary, bounds)
+        src, tgt, top_left, _columns(filt.vertices, FilterVertex)[2])
+    walk = _window_walker(g, engine_for(g).encode(label), cls,
+                          [b is not None for b in boundary], bounds)
     if not shape_fails:
         assert _weighted_pass(walk, src, tgt, parent, tree_out, order) == (
             windows, not fails)

@@ -15,7 +15,8 @@ from hypothesis import given, strategies as st
 import oracles as O
 import scan_oracle as S
 from conftest import PROPERTY, graph_from_labels, label_matrices
-from coxwide import CoxeterGraph
+from coxwide import CoxeterGraph, EndsVerdict
+from coxwide import classification
 from coxwide.avoidance import (_spherical_submasks, enumerate_special_joins,
                                enumerate_wide_subgraphs, is_affine_free,
                                is_wide, is_wide_avoidant,
@@ -181,6 +182,47 @@ def test_reads_without_a_table_answer_beyond_the_cap():
                                   for b in names[i + 1:]])
     assert spherical_separator(clique) is None
     assert g._subsets is None and clique._subsets is None
+
+
+def test_ends_verdict_builds_a_table_only_for_the_separator_scan(
+        monkeypatch):
+    """Finite, two-ended and disconnected graphs are decided from their
+    components: ``ends_verdict`` builds no ``SubsetTable`` for them, not
+    even on 20 pairwise commuting vertices (2^20 spherical sets).  A
+    connected graph with a non-adjacent pair does need the scan."""
+    built = []
+    real = classification.SubsetTable.__init__
+
+    def spy(self, g):
+        built.append(g)
+        real(self, g)
+
+    monkeypatch.setattr(classification.SubsetTable, "__init__", spy)
+    names = [f"v{i}" for i in range(20)]
+    commuting = CoxeterGraph(names, [(a, b, 2) for i, a in enumerate(names)
+                                     for b in names[i + 1:]])
+    two_ended = CoxeterGraph(["a", "b", "c", "d"],
+                             [("a", "c", 2), ("b", "c", 2), ("a", "d", 2),
+                              ("b", "d", 2), ("c", "d", 5)])
+    disconnected = CoxeterGraph(["a", "b", "c", "d"],
+                                [("a", "b", 3), ("c", "d", 3)])
+    for g, kind, witness in ((commuting, "FiniteGroup", None),
+                             (two_ended, "TwoEnded", ("a", "b")),
+                             (disconnected, "MultiEnded", ())):
+        assert ends_verdict(g) == EndsVerdict(kind, witness)
+        assert g._subsets is None
+    assert built == []
+    p4 = _path(4)
+    assert ends_verdict(p4) == EndsVerdict("MultiEnded", ("v1",))
+    assert built == [p4]
+
+
+@PROPERTY
+@given(label_matrices())
+def test_ends_verdict_with_and_without_a_table(labels):
+    fresh, tabled = graph_from_labels(labels), graph_from_labels(labels)
+    subset_table(tabled)
+    assert ends_verdict(fresh) == ends_verdict(tabled)
 
 
 def test_uncapped_queries_answer_on_large_graphs():
