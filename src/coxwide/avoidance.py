@@ -16,8 +16,9 @@ set and affine-freeness are read from the graph's ``SubsetTable`` (see
 on first use; the helpers below are handed the table.  A single vertex set
 is still decided from its own components.
 
-Both deciders test only inclusion-maximal blocked sets B, as blocking is
-monotone in B, and find every pair s, t that B separates in one pass over
+Blocking is monotone in B: wide-avoidance tests only the maximal wide sets,
+wide-spherical-avoidance every core blocked set (below), maximal or not.
+Both find each pair s, t that a blocked set B separates in one pass over
 the components of V - B: the pair is joined outside B exactly when s and t
 are adjacent or one component contains or touches both (``_blocked_pairs``).
 The pass stops at the first component that, with its neighbours, covers V:

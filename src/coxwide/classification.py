@@ -681,7 +681,7 @@ def ends_verdict(g: CoxeterGraph, cap: int = DEFAULT_SUBSET_CAP) -> EndsVerdict:
     """
     _require_cap(g, cap, "ends")
     full = g.full_mask()
-    comps = g.irreducible_components_mask(full) if g.n else []
+    comps = g.irreducible_components_mask(full)
     infinite = [c for c in comps if irreducible_kind(g, c) != "FiniteType"]
     if not infinite:
         return EndsVerdict("FiniteGroup", None)
@@ -690,12 +690,9 @@ def ends_verdict(g: CoxeterGraph, cap: int = DEFAULT_SUBSET_CAP) -> EndsVerdict:
         return EndsVerdict("TwoEnded", g.names_of(infinite[0]))
     if len(g.components_within(full)) > 1:
         return EndsVerdict("MultiEnded", ())
-    floor = _separator_floor(g)
-    sep = None if floor is None else _separator_scan(
-        g, subset_table(g, cap, "ends"), floor)
-    if sep is not None:
-        return EndsVerdict("MultiEnded", g.names_of(sep))
-    return EndsVerdict("OneEnded", None)
+    sep = _separator(g, cap, "ends")
+    return (EndsVerdict("OneEnded", None) if sep is None
+            else EndsVerdict("MultiEnded", g.names_of(sep)))
 
 
 def _separator_floor(g: CoxeterGraph) -> int | None:
@@ -722,10 +719,15 @@ def spherical_separator(g: CoxeterGraph) -> int | None:
     rest of the graph (see the module docstring), through the gate at the
     default cap; a graph whose pairs are all adjacent reads no table.
     """
+    return _separator(g, DEFAULT_SUBSET_CAP, "enumeration")
+
+
+def _separator(g: CoxeterGraph, cap: int, layer: str) -> int | None:
+    """``spherical_separator`` through the gate at ``cap`` and ``layer``."""
     floor = _separator_floor(g)
     if floor is None:
         return None
-    return _separator_scan(g, subset_table(g), floor)
+    return _separator_scan(g, subset_table(g, cap, layer), floor)
 
 
 def _separator_scan(g: CoxeterGraph, table: SubsetTable,

@@ -171,12 +171,18 @@ def _env_cap() -> int:
     return _at_least("COX_CAP", cap, 0)
 
 
+_AVOIDANCE = {"wide-avoidant": (is_wide_avoidant, "wide-avoidant"),
+              "wsa": (is_wide_spherical_avoidant, "wide-spherical-avoidant")}
+
+
 def _run(args) -> int:
     if hasattr(args, "cap"):
         args.cap = (_env_cap() if args.cap is None
                     else _at_least("--cap", args.cap, 0))
     if hasattr(args, "orbit_cap"):
         _at_least("--orbit-cap", args.orbit_cap, 1)
+    if getattr(args, "order_cap", None) is not None:
+        _at_least("--order-cap", args.order_cap, 1)
     g = _load_graph(args.graph)
 
     if args.cmd == "classify":
@@ -204,17 +210,11 @@ def _run(args) -> int:
             _emit(args, obj, f"wide: {ok}"
                   + (f"  P={dec.p} Q={dec.q} ({dec.kind})" if ok else ""))
             return 0 if ok else 1
-        if args.what == "wide-avoidant":
-            rep = is_wide_avoidant(g, args.cap)
+        if args.what in _AVOIDANCE:
+            decide, name = _AVOIDANCE[args.what]
+            rep = decide(g, args.cap)
             _emit(args, rep.to_json_obj(),
-                  f"wide-avoidant: {rep.holds}"
-                  + ("" if rep.holds else
-                     f"  blocked pair {rep.pair} by {rep.blocking_set}"))
-            return 0 if rep.holds else 1
-        if args.what == "wsa":
-            rep = is_wide_spherical_avoidant(g, args.cap)
-            _emit(args, rep.to_json_obj(),
-                  f"wide-spherical-avoidant: {rep.holds}"
+                  f"{name}: {rep.holds}"
                   + ("" if rep.holds else
                      f"  blocked pair {rep.pair} by {rep.blocking_set}"))
             return 0 if rep.holds else 1
@@ -282,15 +282,14 @@ def _run_walls(args, g: CoxeterGraph) -> int:
               f"{len(ball.edges)} edges", dot=ball.to_dot)
         return 0
 
+    w = parse_word(g, args.word)
     if args.cmd == "pencil":
-        w = parse_word(g, args.word)
         pen = find_pencil(g, w, args.order_cap, args.orbit_cap)
         _emit(args, pen.to_json_obj(),
               f"pencil positions: {pen.positions}  "
               f"separates endpoints: {pen.separates_endpoints}")
         return 0
 
-    w = parse_word(g, args.word)
     rep = morse_window_check(g, w, args.k, args.orbit_cap)
     if rep.passes:
         _emit(args, rep.to_json_obj(),
@@ -314,38 +313,37 @@ def _run_diagrams(args, g: CoxeterGraph) -> int:
         base = parse_word(g, args.base)
         fan = build_fan(g, base, args.x, args.y, args.orbit_cap)
         chk = check_fan(g, fan, args.orbit_cap)
-        pretty = (f"fan letters: {' '.join(fan.labels)}\n"
-                  f"cells: {fan.cells}\ncase: {fan.case}\n"
-                  f"blocked: {fan.blocked}\ncheck: {chk.ok}")
-        obj = fan.to_json_obj()
-        obj["check"] = chk.to_json_obj()
-        _emit(args, obj, pretty)
-        return 0 if chk.ok else 1
-
-    if args.cmd == "filter":
-        alpha, beta = parse_word(g, args.alpha), parse_word(g, args.beta)
-        filt = build_filter(g, alpha, beta, args.depth, args.orbit_cap)
-        chk = check_filter(g, filt, args.orbit_cap, seed=args.seed)
-        pretty = (f"vertices: {len(filt.vertices)}  edges: {len(filt.edges)}"
-                  f"  cells: {len(filt.cells)}  fans: {len(filt.fans)}\n"
-                  f"check: {chk.ok}"
-                  + ("" if chk.ok else "\n" + "\n".join(chk.failures[:10])))
-        obj = filt.to_json_obj()
-        obj["check"] = chk.to_json_obj()
-        _emit(args, obj, pretty, dot=filt.to_dot)
-        return 0 if chk.ok else 1
+        return _emit_checked(args, fan, chk,
+                             f"fan letters: {' '.join(fan.labels)}\n"
+                             f"cells: {fan.cells}\ncase: {fan.case}\n"
+                             f"blocked: {fan.blocked}")
 
     alpha, beta = parse_word(g, args.alpha), parse_word(g, args.beta)
+    if args.cmd == "filter":
+        filt = build_filter(g, alpha, beta, args.depth, args.orbit_cap)
+        chk = check_filter(g, filt, args.orbit_cap, seed=args.seed)
+        return _emit_checked(
+            args, filt, chk,
+            f"vertices: {len(filt.vertices)}  edges: {len(filt.edges)}"
+            f"  cells: {len(filt.cells)}  fans: {len(filt.fans)}",
+            filt.to_dot)
+
     mtf = build_multitail_filter(g, alpha, beta, args.n, args.depth,
                                  args.ray_len, args.orbit_cap)
     chk = check_multitail_filter(g, mtf, args.orbit_cap)
-    pretty = (f"sigma: {' '.join(mtf.sigma) or '(empty)'}\n"
-              f"cases: {' '.join(mtf.cases) or '(none)'}\n"
-              f"filters: {len(mtf.filters)}\ncheck: {chk.ok}"
-              + ("" if chk.ok else "\n" + "\n".join(chk.failures[:10])))
-    obj = mtf.to_json_obj()
+    return _emit_checked(args, mtf, chk,
+                         f"sigma: {' '.join(mtf.sigma) or '(empty)'}\n"
+                         f"cases: {' '.join(mtf.cases) or '(none)'}\n"
+                         f"filters: {len(mtf.filters)}")
+
+
+def _emit_checked(args, built, chk, summary: str, dot=None) -> int:
+    """Emit a built diagram with its check, the pretty ``summary`` followed
+    by the verdict and the first ten failures; exit 1 if the check fails."""
+    obj = built.to_json_obj()
     obj["check"] = chk.to_json_obj()
-    _emit(args, obj, pretty)
+    _emit(args, obj, f"{summary}\ncheck: {chk.ok}"
+          + ("" if chk.ok else "\n" + "\n".join(chk.failures[:10])), dot)
     return 0 if chk.ok else 1
 
 

@@ -61,6 +61,9 @@ from .graphs import CoxeterGraph
 from .words import (Word, engine_for, extend_geodesic, _wide_suffix,
                     DEFAULT_ORBIT_CAP)
 
+VERTEX_CAP = 500_000  # ``build_filter`` starts no fan past this many vertices
+SAMPLE_LEN = 40  # letters in each of ``check_filter``'s sampled walks
+
 
 class FilterVertex(Record):
     __slots__ = ("element",  # Word: geodesic tree-path word from the basepoint
@@ -374,8 +377,7 @@ class _Builder:
 
 
 def build_filter(g: CoxeterGraph, alpha: Word, beta: Word, depth: int,
-                 orbit_cap: int = DEFAULT_ORBIT_CAP,
-                 vertex_cap: int = 500_000) -> FilterDiagram:
+                 orbit_cap: int = DEFAULT_ORBIT_CAP) -> FilterDiagram:
     """Truncated filter spanning the geodesic words alpha and beta.
 
     ``depth`` is the number of fan rounds.  The words must be geodesic,
@@ -400,9 +402,9 @@ def build_filter(g: CoxeterGraph, alpha: Word, beta: Word, depth: int,
     for level in range(1, depth + 1):
         todo, b.pending_next = sorted(b.pending_next), []
         for v in todo:
-            if len(b.elem) > vertex_cap:
-                raise SizeCapError(vertex_cap,
-                                   f"filter exceeds {vertex_cap} vertices")
+            if len(b.elem) > VERTEX_CAP:
+                raise SizeCapError(VERTEX_CAP,
+                                   f"filter exceeds {VERTEX_CAP} vertices")
             b.build_fan_at(v, level)
     return b.finish(alpha, beta, depth)
 
@@ -470,18 +472,20 @@ def _id_failures(n: int, src: tuple[int, ...], tgt: tuple[int, ...],
 
 
 def _tree_shape(src: list[int], tgt: list[int], top_left: list[bool],
-                is_top: list[bool]) -> tuple[list, list, list, list]:
-    """The tree edge into each vertex (the last one, -1 for none), the tree
-    edges out of each vertex, the vertices reached from the basepoint
-    (parents first), and the tree-shape and incoming failures, of the
-    edges ``src``, ``tgt``, ``top_left`` on the vertices ``is_top``."""
+                is_top: list[bool]) -> tuple[list, list, dict, list, list]:
+    """The tree edge into each vertex (the last one, -1 for none), its tree
+    out-edges, every source's out-edges, the vertices reached from the
+    basepoint (parents first), and the tree-shape and incoming failures,
+    of the edges ``src``, ``tgt``, ``top_left`` on the vertices ``is_top``."""
     n = len(is_top)
     parent = [-1] * n
     parents = [0] * n
     incoming = [0] * n
     tree_out: list[list[int]] = [[] for _ in range(n)]
+    out: dict[int, list[int]] = {}
     for i, v in enumerate(tgt):
         incoming[v] += 1
+        out.setdefault(src[i], []).append(i)
         if not top_left[i]:
             parents[v] += 1
             parent[v] = i
@@ -507,7 +511,7 @@ def _tree_shape(src: list[int], tgt: list[int], top_left: list[bool],
                 order.append(u)
     if len(order) != n:
         fails.append(f"spanning tree reaches {len(order)} of {n} vertices")
-    return parent, tree_out, order, fails
+    return parent, tree_out, out, order, fails
 
 
 def _window_walker(g: CoxeterGraph, lab, cls: list, on_boundary: list[bool],
@@ -623,8 +627,7 @@ def _path_route(walk, tgt: list[int], tree_out: list[list[int]]
 def check_filter(g: CoxeterGraph, filt: FilterDiagram,
                  orbit_cap: int = DEFAULT_ORBIT_CAP,
                  enum_len: int = 14, enum_cap: int = 200_000,
-                 samples: int = 64, sample_len: int = 40,
-                 seed: int = 0) -> FilterCheck:
+                 samples: int = 64, seed: int = 0) -> FilterCheck:
     """Verify the filter axioms on a truncated diagram.
 
     First every recorded vertex and edge id must name a vertex or edge;
@@ -663,7 +666,8 @@ def check_filter(g: CoxeterGraph, filt: FilterDiagram,
     fails = _id_failures(len(elem), src, tgt, filt.cells, filt.fans)
     if fails:
         return FilterCheck(False, tuple(fails), stats)
-    parent, tree_out, order, fails = _tree_shape(src, tgt, top_left, is_top)
+    parent, tree_out, out_edges, order, fails = _tree_shape(
+        src, tgt, top_left, is_top)
     tree_ok = not fails
 
     # A path is geodesic iff its prefix is and the last letter lengthens
@@ -700,9 +704,6 @@ def check_filter(g: CoxeterGraph, filt: FilterDiagram,
     # literal path enumeration + sampled walks.  The enumeration carries
     # ``c`` along each path, None below a prefix that is not geodesic;
     # each sampled walk is tested once, as a whole word.
-    out_edges: dict[int, list[int]] = {}
-    for i, v in enumerate(src):
-        out_edges.setdefault(v, []).append(i)
     count = 0
     stack = [(0, (), ())]
     capped = False
@@ -725,7 +726,7 @@ def check_filter(g: CoxeterGraph, filt: FilterDiagram,
     rng = random.Random(seed)
     for _ in range(samples):
         v, word = 0, ()
-        while len(word) < sample_len and out_edges.get(v):
+        while len(word) < SAMPLE_LEN and out_edges.get(v):
             i = rng.choice(out_edges[v])
             word += (lab[i],)
             v = tgt[i]

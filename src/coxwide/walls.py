@@ -219,10 +219,14 @@ def _order(eng: WordEngine, w: tuple[int, ...], cap: int) -> int | None:
     return None
 
 
-def _largest_label(g: CoxeterGraph) -> int:
-    """The largest edge label R, which must not exceed
-    ``DEFAULT_ORDER_CAP`` when no order cap is given (see the module
-    docstring)."""
+def _order_cap(g: CoxeterGraph, cap: int | None, default: int = 0) -> int:
+    """``cap``, which must be at least 1; when None, ``default``, or the
+    largest edge label R if that is 0.  With no cap, R must not exceed
+    ``DEFAULT_ORDER_CAP`` (see the module docstring)."""
+    if cap is not None:
+        if cap < 1:
+            raise ValueError(f"order cap must be >= 1, got {cap}")
+        return cap
     r = g.max_label()
     if r > DEFAULT_ORDER_CAP:
         raise SizeCapError(
@@ -230,13 +234,7 @@ def _largest_label(g: CoxeterGraph) -> int:
             f"the graph has an edge label R = {r}, a rotation order above "
             f"the default order cap of {DEFAULT_ORDER_CAP}; set the order cap "
             "(--order-cap) explicitly to decide wall crossings")
-    return r
-
-
-def _crossing_cap(g: CoxeterGraph, order_cap: int | None) -> int:
-    """The order cap of a wall crossing test: ``order_cap`` when given,
-    else the largest edge label (see the module docstring)."""
-    return _largest_label(g) if order_cap is None else order_cap
+    return default or r
 
 
 def order_of(g: CoxeterGraph, word: Word, cap: int | None = None,
@@ -244,12 +242,20 @@ def order_of(g: CoxeterGraph, word: Word, cap: int | None = None,
     """Order of the element, or None when it exceeds cap (infinite order, for
     any cap at least the largest finite element order in the group).  With
     no cap the cap is 64, and a graph with an edge label above 64 raises
-    SizeCapError (see the module docstring)."""
-    if cap is None:
-        _largest_label(g)
-        cap = DEFAULT_ORDER_CAP
+    SizeCapError (module docstring); a cap below 1 raises ValueError."""
+    cap = _order_cap(g, cap, DEFAULT_ORDER_CAP)
     eng = engine_for(g, orbit_cap)
     return _order(eng, eng.normalize(eng.encode(word)), cap)
+
+
+def _crossing(g: CoxeterGraph, word: Word, order_cap: int | None,
+              orbit_cap: int):
+    """The cap, checked first, then the engine, the word encoded and checked
+    geodesic, and the one crossing predicate on two reflection words."""
+    cap = _order_cap(g, order_cap)
+    eng = engine_for(g, orbit_cap)
+    eng.require_geodesic(w := eng.encode(word))
+    return eng, w, lambda r, s: _order(eng, eng.mult(r, s), cap) is not None
 
 
 def is_reflection(g: CoxeterGraph, word: Word,
@@ -270,20 +276,16 @@ def walls_cross(g: CoxeterGraph, word: Word, i: int, j: int,
     An order above ``order_cap`` is reported as parallel (infinite order).
     With no ``order_cap`` the cap is the largest edge label R, which decides
     every crossing, and a graph with R above 64 raises SizeCapError (see
-    the module docstring).
+    the module docstring).  An ``order_cap`` below 1 raises ValueError.
     """
-    cap = _crossing_cap(g, order_cap)
-    eng = engine_for(g, orbit_cap)
-    w = eng.encode(word)
-    eng.require_geodesic(w)
+    eng, w, crosses = _crossing(g, word, order_cap, orbit_cap)
     for pos in (i, j):
         if not 1 <= pos <= len(w):
             raise ValueError(f"position {pos} out of range 1..{len(w)}")
-    ri = eng.reflection_word(w, i)
-    rj = eng.reflection_word(w, j)
+    ri, rj = eng.reflection_word(w, i), eng.reflection_word(w, j)
     if ri == rj:
         raise ValueError(f"positions {i} and {j} are dual to the same wall")
-    return _order(eng, eng.mult(ri, rj), cap) is not None
+    return crosses(ri, rj)
 
 
 def wall_separates(g: CoxeterGraph, reflection_word: Word, u: Word,
@@ -366,25 +368,20 @@ def find_pencil(g: CoxeterGraph, word: Word,
     """Largest set of pairwise non-crossing walls dual to a geodesic word,
     with each wall checked to separate the endpoints of the word.  Walls
     cross as in ``walls_cross``, with the same ``order_cap``."""
-    cap = _crossing_cap(g, order_cap)
-    eng = engine_for(g, orbit_cap)
-    w = eng.encode(word)
-    eng.require_geodesic(w)
+    eng, w, crosses = _crossing(g, word, order_cap, orbit_cap)
     n = len(w)
     refl = [eng.reflection_word(w, i + 1) for i in range(n)]
     adj = [0] * n
     for a in range(n):
         for b in range(a + 1, n):
-            if _order(eng, eng.mult(refl[a], refl[b]), cap) is not None:
+            if crosses(refl[a], refl[b]):
                 adj[a] |= 1 << b
                 adj[b] |= 1 << a
     picked = _max_independent_set(n, adj)
-    seps = []
-    for p in picked:
-        du = len(eng.mult(refl[p], w)) < len(w)
-        seps.append(du)  # identity side never descends, so this is the XOR
+    # the identity side never descends, so the XOR is whether w does
     return Pencil(tuple(p + 1 for p in picked),
-                  tuple(eng.decode(refl[p]) for p in picked), tuple(seps))
+                  tuple(eng.decode(refl[p]) for p in picked),
+                  tuple(len(eng.mult(refl[p], w)) < len(w) for p in picked))
 
 
 # ---------------------------------------------------------------------------

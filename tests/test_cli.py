@@ -304,6 +304,19 @@ def test_pencil_explicit_order_cap_keeps_its_meaning(capsys, tmp_path):
     assert code == 0 and obj["positions"] == [1]
 
 
+@pytest.mark.parametrize("cap", ["0", "-3"])
+def test_pencil_order_cap_below_1_is_input_error(capsys, tmp_path, cap):
+    """A cap below 1 is an input error: at cap 0 every wall would read as
+    parallel to every other."""
+    p = tmp_path / "a3.cox"
+    p.write_text("v a; v b; v c; e a b 3; e b c 3; e a c 2\n",
+                 encoding="utf-8")
+    code, out, err = run(capsys, ["pencil", str(p), "--word", "a b a",
+                                  "--order-cap", cap])
+    assert code == 2 and out == ""
+    assert err == f"input error: --order-cap must be at least 1, got {cap}\n"
+
+
 def test_morse_window(capsys, c4_file, c5_file):
     code, obj, _ = run_json(capsys, ["morse-window", c4_file,
                                      "--word", "s1 s3 s1 s3", "-k", "2"])

@@ -57,7 +57,7 @@ def assert_agree(g, filt, bounds):
     windows, fails = O.itinerary(g, filt, bounds)
     src, tgt, label, cls, top_left, boundary = _columns(filt.edges,
                                                         FilterEdge)
-    parent, tree_out, order, shape_fails = _tree_shape(
+    parent, tree_out, _, order, shape_fails = _tree_shape(
         src, tgt, top_left, _columns(filt.vertices, FilterVertex)[2])
     walk = _window_walker(g, engine_for(g).encode(label), cls,
                           [b is not None for b in boundary], bounds)

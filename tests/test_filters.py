@@ -6,7 +6,7 @@ import json
 import pytest
 
 from coxwide import extend_geodesic, filters, normalize
-from coxwide.errors import ConstructionError, NonGeodesicError
+from coxwide.errors import ConstructionError, NonGeodesicError, SizeCapError
 from coxwide.filters import (DEFAULT_ORBIT_CAP, build_filter, check_filter,
                              itinerary_cap)
 
@@ -41,6 +41,19 @@ def test_filter_sizes_frozen(corpus):
         got = (len(filt.vertices), len(filt.edges), len(filt.cells),
                len(filt.fans))
         assert got == (nv, ne, nc, nf), (name, depth, got)
+
+
+def test_filter_vertex_cap(monkeypatch):
+    """A round starts only while the filter has at most ``VERTEX_CAP``
+    vertices; C5 at depth 4 has more than 50 before its last round."""
+    g = make_c5()
+    a, b = boundary_pair(g)
+    assert len(build_filter(g, a, b, 4).vertices) > 50
+    monkeypatch.setattr(filters, "VERTEX_CAP", 50)
+    with pytest.raises(SizeCapError, match="^filter exceeds 50 vertices$") \
+            as exc:
+        build_filter(g, a, b, 4)
+    assert exc.value.cap == 50
 
 
 def test_filter_check_passes(corpus):

@@ -5,6 +5,7 @@ reflection-matrix BFS oracle.
 """
 
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, strategies as st
@@ -17,8 +18,9 @@ from coxwide.walls import (find_pencil, is_reflection, morse_window_check,
 from coxwide.words import engine_for
 
 import oracles as O
-from conftest import (CORPUS_MAKERS, PROPERTY, graph_from_labels, make_a4,
-                      make_c5, make_d4, make_h3, racg_label_matrices)
+from conftest import (CORPUS_MAKERS, PROPERTY, graph_from_labels, make_a3,
+                      make_a4, make_c5, make_c6, make_d4, make_h3, make_o8,
+                      make_wide8, racg_label_matrices, random_label_matrix)
 
 
 def test_ball_sizes_frozen(corpus):
@@ -308,6 +310,98 @@ def test_pencil_probes_at_most_the_largest_label():
     assert not walls_cross(g, w, 2, 4)
     assert walls_cross(g, w, 1, 2)
     assert find_pencil(g, w, order_cap=3) == p
+
+
+def test_order_caps_below_one_are_refused():
+    """A cap below 1 is refused: at cap 0 a generator of order 2 would read
+    as of infinite order and every wall as parallel.  Cap 1 stays valid."""
+    g = make_a3()
+    w = ("a", "b", "a")
+    for cap in (0, -3):
+        with pytest.raises(ValueError, match="order cap must be >= 1"):
+            order_of(g, ("a",), cap=cap)
+        with pytest.raises(ValueError, match="order cap must be >= 1"):
+            order_of(g, (), cap=cap)
+        with pytest.raises(ValueError, match="order cap must be >= 1"):
+            walls_cross(g, w, 1, 2, order_cap=cap)
+        with pytest.raises(ValueError, match="order cap must be >= 1"):
+            find_pencil(g, w, order_cap=cap)
+    assert order_of(g, (), cap=1) == 1
+    assert order_of(g, ("a",), cap=1) is None
+    assert find_pencil(g, w, order_cap=1).positions == (1, 2, 3)
+
+
+def _random_geodesic(g, rng, length):
+    """A geodesic of ``length`` letters, each drawn among those that keep
+    it geodesic; shorter only when the group's longest element ends it."""
+    w = ()
+    while len(w) < length:
+        ext = [s for s in g.vertices if is_geodesic(g, w + (s,))]
+        if not ext:
+            break
+        w += (rng.choice(ext),)
+    return w
+
+
+def _crossings(g, w, order_cap=None):
+    n = len(w)
+    return {(i, j): walls_cross(g, w, i, j, order_cap)
+            for i in range(1, n + 1) for j in range(i + 1, n + 1)}
+
+
+def _longest_parallel_chain(n, cross):
+    """The lex-least longest chain of positions whose consecutive walls do
+    not cross, by brute force."""
+    for size in range(n, 0, -1):
+        for chain in combinations(range(1, n + 1), size):
+            if not any(cross[a, b] for a, b in zip(chain, chain[1:])):
+                return chain
+    return ()
+
+
+def _pencil_sweep():
+    """Fixed seeded geodesics: the right-angled C5, C6, O8 and WIDE8 at
+    lengths 8, 12 and 16, and general-label graphs on 3-5 vertices (labels
+    2-5 and infinity) at length 5, where every crossing test finishes."""
+    cases = []
+    for make in (make_c5, make_c6, make_o8, make_wide8):
+        g, rng = make(), random.Random(make.__name__)
+        cases += [(g, _random_geodesic(g, rng, length))
+                  for length in (8, 12, 16) for _ in range(4)]
+    for seed in range(16):
+        rng = random.Random(seed)
+        g = graph_from_labels(random_label_matrix(rng, rng.choice((3, 4, 5))))
+        cases += [(g, _random_geodesic(g, rng, 5)) for _ in range(3)]
+    return cases
+
+
+def test_pencil_is_the_longest_chain_of_parallel_walls():
+    """At the default cap, non-crossing is transitive along a geodesic:
+    for i < j < l, a wall j crossing neither wall i nor wall l lies between
+    them, so they do not cross either.  So the pencil is the lex-least
+    longest chain of consecutively parallel walls."""
+    for g, w in _pencil_sweep():
+        n = len(w)
+        cross = _crossings(g, w)
+        for i, j, l in combinations(range(1, n + 1), 3):
+            if not cross[i, j] and not cross[j, l]:
+                assert not cross[i, l], (g.vertices, w, i, j, l)
+        assert find_pencil(g, w).positions == \
+            _longest_parallel_chain(n, cross), (g.vertices, w)
+
+
+def test_pencil_at_an_explicit_cap_below_the_largest_label_is_no_chain():
+    """Below R, an order above the cap reads as parallel, and the chain
+    argument fails: on B2 x A1 (R = 4) walls 2-3, 3-4 and 4-5 are each
+    parallel at caps 2 and 3, but walls 2 and 4 (and 3 and 5) cross."""
+    g = graph_from_labels([[1, 2, 4], [2, 1, 2], [4, 2, 1]])
+    w = ("v1", "v2", "v0", "v2", "v0")
+    assert find_pencil(g, w).positions == (1,)
+    for cap in (2, 3):
+        cross = _crossings(g, w, cap)
+        assert cross[2, 4] and cross[3, 5]
+        assert _longest_parallel_chain(len(w), cross) == (2, 3, 4, 5)
+        assert find_pencil(g, w, order_cap=cap).positions == (2, 3)
 
 
 @PROPERTY
