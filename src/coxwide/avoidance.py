@@ -55,7 +55,7 @@ from __future__ import annotations
 
 from .classification import (DEFAULT_SUBSET_CAP, SubsetTable, irreducible_kind,
                              is_spherical_mask, subset_table)
-from .errors import Record, set_slot
+from .errors import Record, set_slot, verify
 from .graphs import CoxeterGraph, bits, meet, popcount, reach
 
 
@@ -304,3 +304,6 @@ def is_wide_spherical_avoidant(g: CoxeterGraph,
                 False, blocking_set=g.names_of(d | k),
                 pair=(g.vertices[s], g.vertices[t]),
                 join=SpecialJoin(g.names_of(p), g.names_of(q), g.names_of(k)))
+    # each core blocked set is a join's blocked set (module docstring)
+    verify(False, f"no special join separates {g.vertices[s]}, "
+           f"{g.vertices[t]}, which a core blocked set separates")

@@ -390,8 +390,8 @@ class SubsetTable:
         Its keys come in the order the build finds them: by size, then
         lexicographically by their ascending vertex lists.
     affine: the irreducible affine masks (all of rank >= 3).
-    m_gamma: the constant M, the largest value in ``longest``.
-    constants: (V, M, R) of the graph.
+    constants: (V, M, R) of the graph, M being the largest value in
+        ``longest``.
     The build grows spherical cliques breadth-first by size, one vertex
     above the highest at a time, and keeps each clique's candidates (the
     vertices above its highest adjacent to all of it) beside it, so a
@@ -468,11 +468,10 @@ class SubsetTable:
                             # closure of links inside c
                             comp = reach(noncomm, links, c)[0] | low
                         if comp != s:
-                            # K is missing only at rank 3, as {x, v}
-                            part = longest.get(comp)
-                            if part is None:
-                                continue
-                            longest[s] = part + longest[s ^ comp]
+                            # K is settled: at rank 3 it is the adjacent
+                            # pair {x, v}, and from rank 4 it lies in some
+                            # s - {u} the Prune found spherical
+                            longest[s] = longest[comp] + longest[s ^ comp]
                         else:
                             if rank == 3:
                                 verdict = _RANK3_ANY_ORDER.get(
@@ -493,8 +492,8 @@ class SubsetTable:
             rank += 1
         self.longest = longest
         self.affine = frozenset(affine)
-        self.m_gamma = max(longest.values())
-        self.constants = GroupConstants(g.n, self.m_gamma, g.max_label())
+        self.constants = GroupConstants(g.n, max(longest.values()),
+                                        g.max_label())
         self._comm, self._noncomm = g._comm, noncomm
 
     def _cm(self, mask: int) -> int:
@@ -695,21 +694,6 @@ def ends_verdict(g: CoxeterGraph, cap: int = DEFAULT_SUBSET_CAP) -> EndsVerdict:
             else EndsVerdict("MultiEnded", g.names_of(sep)))
 
 
-def _separator_floor(g: CoxeterGraph) -> int | None:
-    """The least number of common neighbours of a non-adjacent pair, None
-    when every pair is adjacent; see the module docstring."""
-    adj, full = g._adj, g.full_mask()
-    floor = None
-    for a, near in enumerate(adj):
-        for b in bits(full & ~near & ~((2 << a) - 1)):
-            k = popcount(near & adj[b])
-            if k == 0:
-                return 0
-            if floor is None or k < floor:
-                floor = k
-    return floor
-
-
 def spherical_separator(g: CoxeterGraph) -> int | None:
     """Smallest (then lexicographically least) spherical separating set, as a mask.
 
@@ -723,18 +707,16 @@ def spherical_separator(g: CoxeterGraph) -> int | None:
 
 
 def _separator(g: CoxeterGraph, cap: int, layer: str) -> int | None:
-    """``spherical_separator`` through the gate at ``cap`` and ``layer``."""
-    floor = _separator_floor(g)
+    """``spherical_separator`` through the gate at ``cap`` and ``layer``.
+    The scan starts at the separator floor, the least number of common
+    neighbours of a non-adjacent pair; with no such pair there is no
+    separator, and no table is read (see the module docstring)."""
+    adj, full = g._adj, g.full_mask()
+    floor = min((popcount(near & adj[b]) for a, near in enumerate(adj)
+                 for b in bits(full & ~near & ~((2 << a) - 1))), default=None)
     if floor is None:
         return None
-    return _separator_scan(g, subset_table(g, cap, layer), floor)
-
-
-def _separator_scan(g: CoxeterGraph, table: SubsetTable,
-                    floor: int) -> int | None:
-    """``spherical_separator`` on the graph's table, from ``floor`` on."""
-    adj, full = g._adj, g.full_mask()
-    for mask in table.longest:
+    for mask in subset_table(g, cap, layer).longest:
         if mask.bit_count() < floor:
             continue
         rest = full & ~mask

@@ -13,10 +13,30 @@ guarantees K separates nothing).  Long tail: the blocked set C1 | D2 | K'
 (infinite tail-side C1, full opposite side D2, K' = K minus tail letters)
 forms a special join, so wide-spherical-avoidance supplies the path; a
 length-1 path is replaced by the walk s,t,s,t and an s = t request by s,z,s.
-If no blocked set gives a fan that passes the fan check and s, t are
-adjacent, each blocked set is tried again with the shortest, then lex-least,
-s -> t path of length at least 2 that avoids the edge s - t (on O8 the walk
-s,t,s,t can fail the wide-tail condition where such a detour passes).
+If that letter path fails the fan check and s, t are adjacent, the
+shortest, then lex-least, s -> t path of length at least 2 that avoids the
+edge s - t is tried under the same blocked set (on O8 the walk s,t,s,t can
+fail the wide-tail condition where such a detour passes).
+
+One blocked set is enough: every letter path found under it passes the fan
+check but the walk s,t,s,t, whose interior letters are s and t.
+- Cell sides are geodesic.  The blocked set holds K (on a long tail the
+  tail letters lie in C1 | D2), so each fan letter is a non-descent of the
+  base w.  For consecutive letters a, b, w is then the minimal
+  representative of its coset in the dihedral group W_ab, so
+  l(wu) = l(w) + l(u) for u in W_ab (parabolic factorization; Bjorner &
+  Brenti, *Combinatorics of Coxeter Groups*, 2.4), and a side, a reduced
+  alternating word of length m_ab, extends w geodesically.
+- On a long tail, C1 | D2 is a wide set holding the tail, so every path
+  avoiding the blocked set passes the tail condition.  With (P, Q) the
+  decomposition of Delta: if the tail's part in P is not spherical, it is
+  C1 and D2 = Q, and C1 | Q is Delta when P is affine (a non-spherical
+  subset of P is P) and otherwise has the infinite C1 and an infinite
+  component of Q; if it is spherical, the tail's part in Q is not, and it
+  is C1 with D2 = P, affine or infinite and commuting with C1.
+So Delta | K, a superset of the join set, could only give the same walk
+s,t,s,t or no path, and it is not tried.  A ConstructionError names
+Delta | K on a long tail and K on a short one.
 
 A ConstructionError means that none of these letter paths passed the fan
 check.  It does not show that the graph is not one-ended or not
@@ -30,9 +50,9 @@ from __future__ import annotations
 from .avoidance import wide_decomposition_mask
 from .classification import compute_constants, is_spherical_mask, subset_table
 from .errors import ConstructionError, Record
-from .graphs import CoxeterGraph, bits, spread
-from .words import (Word, WordEngine, engine_for, _wide_suffix,
-                    DEFAULT_ORBIT_CAP)
+from .graphs import CoxeterGraph, spread
+from .words import (Word, WordEngine, engine_for, _encode_geodesic,
+                    _wide_suffix, DEFAULT_ORBIT_CAP)
 
 
 class FanDiagram(Record):
@@ -126,13 +146,11 @@ def build_fan(g: CoxeterGraph, base: Word, s: str, t: str,
     """Fan at the endpoint of ``base`` with left letter s and right letter t.
 
     Raises NonGeodesicError when base, base+s or base+t is not geodesic, and
-    ConstructionError (carrying the last blocked set tried) when no letter
-    path tried passes the fan check; see the module docstring for what that
+    ConstructionError when no letter path tried passes the fan check; see
+    the module docstring for the blocking set it carries and for what it
     does and does not show.
     """
-    eng = engine_for(g, orbit_cap)
-    w = eng.encode(base)
-    eng.require_geodesic(w)
+    eng, w = _encode_geodesic(g, base, orbit_cap)
     return _build_fan(g, eng, w, g.index(s), g.index(t))[0]
 
 
@@ -152,51 +170,41 @@ def _build_fan(g: CoxeterGraph, eng: WordEngine, w: tuple[int, ...],
     k_mask = _mask(eng.ending_letters(w))
     start, delta = _wide_suffix(g, w)
     tail = eng.decode(w[start:])
-    full = g.full_mask()
-
-    attempts: list[tuple[str, int]] = []
     if len(tail) <= compute_constants(g).m_gamma:
-        attempts.append(("short-tail", k_mask))
+        case, blocked, reported = "short-tail", k_mask, k_mask
     else:
-        joined = _blocked_for_tail(g, _mask(w[start:]), delta, k_mask)
-        attempts.append(("wide-tail", joined))
-        # fallback: block the whole containing wide subgraph (always sound;
-        # needed only when the join trick leaves an interior letter wide)
-        fallback = delta | k_mask
-        if fallback != joined:
-            attempts.append(("wide-tail", fallback))
+        case = "wide-tail"
+        blocked = _blocked_for_tail(g, _mask(w[start:]), delta, k_mask)
+        reported = delta | k_mask  # see the module docstring
 
-    # the detour round (see the module docstring) runs only after every
-    # attempt failed, so no fan the attempts build changes
+    # the detour round (see the module docstring) runs only after the
+    # direct one failed, so no fan the direct round builds changes
     rounds = [True]
     if si != ti and g.m(si, ti) is not None:
         rounds.append(False)
-    last_blocked = 0
+    allowed = g.full_mask() & ~blocked
     for direct in rounds:
-        for case, blocked in attempts:
-            last_blocked = blocked
-            allowed = full & ~blocked
-            if si == ti:
-                zs = [z for z in bits(g.neighbors_mask(si) & allowed)]
-                if not zs:
-                    continue
-                idx_path = [si, zs[0], si]
-            else:
-                path = _lex_least_path(g, si, ti, allowed, direct)
-                if path is None:
-                    continue
-                idx_path = path if len(path) > 2 else [si, ti, si, ti]
-            labels = eng.decode(idx_path)
-            cells = tuple(2 * g.m(idx_path[i], idx_path[i + 1])
-                          for i in range(len(idx_path) - 1))
-            if not _fan_failures(g, eng, w, start, labels, cells, True, case):
-                return FanDiagram(eng.decode(w), labels, cells, tail,
-                                  g.names_of(delta) if delta else None, case,
-                                  g.names_of(blocked)), idx_path
+        if si == ti:
+            near = g.neighbors_mask(si) & allowed
+            if not near:
+                continue
+            idx_path = [si, (near & -near).bit_length() - 1, si]
+        else:
+            path = _lex_least_path(g, si, ti, allowed, direct)
+            if path is None:
+                continue
+            idx_path = path if len(path) > 2 else [si, ti, si, ti]
+        labels = eng.decode(idx_path)
+        cells = tuple(2 * g.m(idx_path[i], idx_path[i + 1])
+                      for i in range(len(idx_path) - 1))
+        if not _fan_failures(g, eng, w, start, labels, cells, True, case):
+            return FanDiagram(eng.decode(w), labels, cells, tail,
+                              g.names_of(delta) if delta else None, case,
+                              g.names_of(blocked)), idx_path
     raise ConstructionError(
         f"no fan from {g.vertices[si]} to {g.vertices[ti]}: every connecting "
         "path meets the blocked set",
-        blocking_set=g.names_of(last_blocked))
+        blocking_set=g.names_of(reported))
 
 
 def check_fan(g: CoxeterGraph, fan: FanDiagram,

@@ -32,11 +32,13 @@ each distinct vertex element once, checks each distinct (base, labels,
 case) fan record once, and tests an edge u -> v with letter a as
 ``step(canon[u], a) == canon[v]`` when u's word is geodesic, where
 ``step(c, a)`` is the canonical form of c times a if that is longer than c,
-kept in a (canonical form, letter) memo that the path enumeration shares.
-This agrees with normalizing u's word plus a from scratch on every edge:
-when the word is geodesic, both compute the canonical form of u's element
-times a; when it is not, both fail the length test.  The checker takes
-nothing from the builder.
+kept in a (canonical form, letter) memo.  This agrees with normalizing u's
+word plus a from scratch on every edge: when the word is geodesic, both
+compute the canonical form of u's element times a; when it is not, both
+fail the length test.  The rooted paths, enumerated and sampled, are tested
+the same way, one ``step`` per letter through the shared memo: each letter
+changes the length by one, so a word is geodesic exactly when every step
+lengthens it.  The checker takes nothing from the builder.
 
 Columns.  A filter's vertices and edges stay in columns, one tuple per
 record field, from the builder to the JSON: ``FilterDiagram.vertices`` and
@@ -58,8 +60,8 @@ from .classification import compute_constants, subset_table
 from .errors import ConstructionError, Record, SizeCapError, verify
 from .fans import _build_fan, _fan_failures
 from .graphs import CoxeterGraph
-from .words import (Word, engine_for, extend_geodesic, _wide_suffix,
-                    DEFAULT_ORBIT_CAP)
+from .words import (Word, engine_for, extend_geodesic, _encode_geodesic,
+                    _wide_suffix, DEFAULT_ORBIT_CAP)
 
 VERTEX_CAP = 500_000  # ``build_filter`` starts no fan past this many vertices
 SAMPLE_LEN = 40  # letters in each of ``check_filter``'s sampled walks
@@ -384,7 +386,6 @@ def build_filter(g: CoxeterGraph, alpha: Word, beta: Word, depth: int,
     non-empty, and diverge immediately (distinct first letters); a shared
     first edge would collapse the two boundary rays.
     """
-    eng = engine_for(g, orbit_cap)
     if not alpha or not beta:
         raise ConstructionError("boundary rays must be non-empty",
                                 blocking_set=frozenset())
@@ -392,8 +393,8 @@ def build_filter(g: CoxeterGraph, alpha: Word, beta: Word, depth: int,
         raise ConstructionError(
             "boundary rays share their first edge; the diagram degenerates",
             blocking_set=frozenset({alpha[0]}))
-    eng.require_geodesic(eng.encode(alpha))
-    eng.require_geodesic(eng.encode(beta))
+    _encode_geodesic(g, alpha, orbit_cap)
+    _encode_geodesic(g, beta, orbit_cap)
     if depth < 0:
         raise ValueError("depth must be >= 0")
     b = _Builder(g, orbit_cap)
@@ -701,9 +702,8 @@ def check_filter(g: CoxeterGraph, filt: FilterDiagram,
             fails.append(f"edge {i} does not extend its source geodesically")
     stats["edges_checked"] = len(lab)
 
-    # literal path enumeration + sampled walks.  The enumeration carries
-    # ``c`` along each path, None below a prefix that is not geodesic;
-    # each sampled walk is tested once, as a whole word.
+    # literal path enumeration + sampled walks.  Both carry ``c`` along
+    # each path, None once a prefix is not geodesic.
     count = 0
     stack = [(0, (), ())]
     capped = False
@@ -725,12 +725,14 @@ def check_filter(g: CoxeterGraph, filt: FilterDiagram,
     stats["path_enum_capped"] = int(capped)
     rng = random.Random(seed)
     for _ in range(samples):
-        v, word = 0, ()
+        v, word, c = 0, (), ()
         while len(word) < SAMPLE_LEN and out_edges.get(v):
             i = rng.choice(out_edges[v])
             word += (lab[i],)
             v = tgt[i]
-        if not eng.is_geodesic(word):
+            if c is not None:
+                c = step(c, lab[i])
+        if c is None:
             fails.append(f"sampled path {eng.decode(word)} not geodesic")
     stats["paths_sampled"] = samples
 
@@ -910,10 +912,10 @@ def build_multitail_filter(g: CoxeterGraph, alpha: Word, beta: Word, n: int,
                 g, eng.decode(tails_all[k]), len(tails_all[k]) + ray_len,
                 orbit_cap))
             rays.append(grown[len(tails_all[k]):])
-        if not eng.is_geodesic(tails_all[k] + rays[k]):
-            raise ConstructionError(
-                f"ray at sigma step {k} does not extend its tail",
-                blocking_set=frozenset())
+        # by induction on k: a carried ray follows a step down, so tail k
+        # times the edge is tail k - 1, and a fresh ray extends tail k
+        verify(eng.is_geodesic(tails_all[k] + rays[k]),
+               f"ray at sigma step {k} does not extend its tail")
 
     fresh = [k for k, c in enumerate(cases, start=1) if c == "fresh"]
     anchors = [j - 1 for j in fresh] + [d]

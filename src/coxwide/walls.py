@@ -27,7 +27,7 @@ from .classification import subset_table
 from .errors import DEFAULT_BALL_CAP, DEFAULT_ORDER_CAP, Record, SizeCapError
 from .graphs import CoxeterGraph, bits
 from .words import (DEFAULT_ORBIT_CAP, RightAngledEngine, Word, WordEngine,
-                    engine_for)
+                    _encode_geodesic, engine_for)
 
 
 # ---------------------------------------------------------------------------
@@ -253,8 +253,7 @@ def _crossing(g: CoxeterGraph, word: Word, order_cap: int | None,
     """The cap, checked first, then the engine, the word encoded and checked
     geodesic, and the one crossing predicate on two reflection words."""
     cap = _order_cap(g, order_cap)
-    eng = engine_for(g, orbit_cap)
-    eng.require_geodesic(w := eng.encode(word))
+    eng, w = _encode_geodesic(g, word, orbit_cap)
     return eng, w, lambda r, s: _order(eng, eng.mult(r, s), cap) is not None
 
 
@@ -415,15 +414,14 @@ def morse_window_check(g: CoxeterGraph, word: Word, k: int,
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    eng = engine_for(g, orbit_cap)
-    eng.require_geodesic(eng.encode(word))
+    w = _encode_geodesic(g, word, orbit_cap)[1]
     hypothesis = is_affine_free(g)
     cover = subset_table(g).wide_cover
     width = k + 1
-    for start in range(len(word) - width + 1):
+    for start in range(len(w) - width + 1):
         mask = 0
-        for s in word[start:start + width]:
-            mask |= 1 << g.index(s)
+        for s in w[start:start + width]:
+            mask |= 1 << s
         wm = cover(mask)
         if wm is not None:
             return MorseWindowReport(False, k, (start + 1, start + width),

@@ -297,6 +297,17 @@ def engine_for(g: CoxeterGraph, orbit_cap: int = DEFAULT_ORBIT_CAP) -> WordEngin
     return eng
 
 
+def _encode_geodesic(g: CoxeterGraph, word: Iterable[str],
+                     orbit_cap: int = DEFAULT_ORBIT_CAP
+                     ) -> tuple[WordEngine, tuple[int, ...]]:
+    """The engine for ``orbit_cap`` and ``word`` encoded, which must be
+    geodesic: GraphFormatError for an unknown vertex, else NonGeodesicError."""
+    eng = engine_for(g, orbit_cap)
+    w = eng.encode(word)
+    eng.require_geodesic(w)
+    return eng, w
+
+
 # ---------------------------------------------------------------------------
 # name-space API
 
@@ -348,9 +359,7 @@ def reflection_of_edge(g: CoxeterGraph, word: Sequence[str], i: int) -> Reflecti
 
     A word is geodesic iff its edge reflections are pairwise distinct.
     """
-    eng = engine_for(g)
-    w = eng.encode(word)
-    eng.require_geodesic(w)
+    eng, w = _encode_geodesic(g, word)
     if not 1 <= i <= len(w):
         raise GraphFormatError(f"edge index {i} out of range 1..{len(w)}")
     return Reflection(GroupElement(eng.decode(eng.reflection_word(w, i))),
@@ -369,9 +378,7 @@ def wide_tail(g: CoxeterGraph, word: Sequence[str],
     Returns ``((), None)`` when even the last letter is in no wide subgraph.
     The word must be geodesic.
     """
-    eng = engine_for(g, orbit_cap)
-    w = eng.encode(word)
-    eng.require_geodesic(w)
+    eng, w = _encode_geodesic(g, word, orbit_cap)
     j, delta = _wide_suffix(g, w)
     if not delta:
         return (), None
@@ -419,9 +426,7 @@ def extend_geodesic(g: CoxeterGraph, word: Sequence[str], target_len: int,
     blocking set when no legal letter exists -- which happens exactly when the
     graph fails the preconditions (wide-spherical-avoidant, infinite group).
     """
-    eng = engine_for(g, orbit_cap)
-    w = eng.encode(word)
-    eng.require_geodesic(w)
+    eng, w = _encode_geodesic(g, word, orbit_cap)
     if target_len < len(w):
         raise GraphFormatError(f"target length {target_len} shorter than word")
     full = g.full_mask()

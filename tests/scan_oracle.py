@@ -34,6 +34,11 @@ by ``maximal_spherical``, as ``SubsetTable.maximal_spherical`` once did.
 
 ``lex_least_path`` is ``fans._lex_least_path`` as it was before it walked
 mask layers: a breadth-first search with a distance dict.
+
+``build_fan_attempts`` is ``fans._build_fan`` as it was when a long tail
+had two blocked sets: the join set C1 | D2 | K' and, when it differs, the
+whole containing wide set with the ending letters, Delta | K, tried in turn
+under each round; ``test_fans.py`` compares the one-set builder with it.
 """
 
 from __future__ import annotations
@@ -45,8 +50,12 @@ from coxwide.avoidance import (AvoidanceReport, SpecialJoin, _blocked_pairs,
                                _join_grounds)
 from coxwide.classification import (DEFAULT_SUBSET_CAP, GroupConstants,
                                     IrreducibleVerdict, _is_clique,
-                                    subset_table)
+                                    compute_constants, subset_table)
+from coxwide.errors import ConstructionError
+from coxwide.fans import (FanDiagram, _blocked_for_tail, _fan_failures,
+                          _lex_least_path, _mask)
 from coxwide.graphs import CoxeterGraph, bits, popcount, submasks
+from coxwide.words import _wide_suffix
 
 
 # ---------------------------------------------------------------------------
@@ -582,3 +591,58 @@ def lex_least_path(g: CoxeterGraph, s: int, t: int, allowed: int,
         path.append(step)
         cur = step
     return path
+
+
+def build_fan_attempts(g: CoxeterGraph, eng, w: tuple[int, ...], si: int,
+                       ti: int) -> tuple[FanDiagram, list[int]]:
+    """``fans._build_fan`` with its former attempt list: a short tail
+    blocks K; a long one blocks the join set, then Delta | K when that
+    differs.  Each round (direct, then the detour for adjacent letters)
+    tries every blocked set in turn, and the error names the last one
+    tried."""
+    eng.require_geodesic(w + (si,))
+    eng.require_geodesic(w + (ti,))
+    k_mask = _mask(eng.ending_letters(w))
+    start, delta = _wide_suffix(g, w)
+    tail = eng.decode(w[start:])
+    full = g.full_mask()
+
+    attempts: list[tuple[str, int]] = []
+    if len(tail) <= compute_constants(g).m_gamma:
+        attempts.append(("short-tail", k_mask))
+    else:
+        joined = _blocked_for_tail(g, _mask(w[start:]), delta, k_mask)
+        attempts.append(("wide-tail", joined))
+        fallback = delta | k_mask
+        if fallback != joined:
+            attempts.append(("wide-tail", fallback))
+
+    rounds = [True]
+    if si != ti and g.m(si, ti) is not None:
+        rounds.append(False)
+    last_blocked = 0
+    for direct in rounds:
+        for case, blocked in attempts:
+            last_blocked = blocked
+            allowed = full & ~blocked
+            if si == ti:
+                zs = [z for z in bits(g.neighbors_mask(si) & allowed)]
+                if not zs:
+                    continue
+                idx_path = [si, zs[0], si]
+            else:
+                path = _lex_least_path(g, si, ti, allowed, direct)
+                if path is None:
+                    continue
+                idx_path = path if len(path) > 2 else [si, ti, si, ti]
+            labels = eng.decode(idx_path)
+            cells = tuple(2 * g.m(idx_path[i], idx_path[i + 1])
+                          for i in range(len(idx_path) - 1))
+            if not _fan_failures(g, eng, w, start, labels, cells, True, case):
+                return FanDiagram(eng.decode(w), labels, cells, tail,
+                                  g.names_of(delta) if delta else None, case,
+                                  g.names_of(blocked)), idx_path
+    raise ConstructionError(
+        f"no fan from {g.vertices[si]} to {g.vertices[ti]}: every connecting "
+        "path meets the blocked set",
+        blocking_set=g.names_of(last_blocked))

@@ -10,13 +10,13 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from coxwide import classify
+from coxwide import avoidance, classify
 from coxwide.avoidance import (_blocked_pairs, enumerate_special_joins,
                                enumerate_wide_subgraphs, is_affine_free,
                                is_wide, is_wide_avoidant,
                                is_wide_spherical_avoidant, wide_decomposition)
 from coxwide.classification import subset_table
-from coxwide.errors import SizeCapError
+from coxwide.errors import SizeCapError, VerificationError
 
 import oracles as O
 import scan_oracle as S
@@ -257,3 +257,14 @@ def test_avoidance_size_cap():
     g = racg([f"v{i}" for i in range(25)], [])
     with pytest.raises(SizeCapError):
         is_wide_avoidant(g, cap=20)
+
+
+def test_wsa_witness_walk_that_finds_no_join_is_a_defect(g6, monkeypatch):
+    """Every core blocked set is the blocked set of a special join, so the
+    witness walk always finds one; a walk that ends without one is a
+    library defect (exit 3), not a verdict."""
+    monkeypatch.setattr(avoidance, "_join_grounds", lambda g, table: iter(()))
+    with pytest.raises(VerificationError) as exc:
+        is_wide_spherical_avoidant(g6)
+    assert str(exc.value) == ("no special join separates s1, s3, which a "
+                              "core blocked set separates")

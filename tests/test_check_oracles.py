@@ -307,6 +307,75 @@ def test_a_filter_without_vertices_reports_its_ids():
     assert len(want.failures) == 1 + 2 * len(filt.edges) + len(filt.fans)
 
 
+# ---------------------------------------------------------------------------
+# shape, class and fan-edge failures that no real filter reaches
+
+
+def shape_tamperings(filt):
+    """What -> (tampered filter, one failure it must report), each about
+    the first fan and its last cell, which its right fan edge bounds."""
+    fan = filt.fans[0]
+    ci = fan.cell_ids[-1]
+    cell = filt.cells[ci]
+    top = filt.edges[cell.lam[-1]].tgt
+    elsewhere = filt.edges[cell.lam[0]].tgt
+
+    def with_edge(k, **change):
+        return with_edges(filt, lambda i, e: replace(e, **change)
+                          if i == k else e)
+
+    vertices = list(filt.vertices)
+    vertices[top] = replace(vertices[top], is_top=False)
+    return {
+        "edge into the basepoint": (
+            with_edge(cell.lam[-1], tgt=0), "basepoint has incoming edges"),
+        "short left side": (
+            with_cell(filt, ci, lam=cell.lam[:-1]),
+            f"cell {ci}: unequal sides"),
+        "top-left right side": (
+            with_edge(cell.rho[-1], top_left=True),
+            f"cell {ci}: stray top-left marking"),
+        "right side ends elsewhere": (
+            with_edge(cell.rho[-1], tgt=elsewhere),
+            f"cell {ci}: sides do not meet at a top vertex"),
+        "top vertex unmarked": (
+            replace(filt, vertices=tuple(vertices)),
+            f"cell {ci}: meeting vertex not marked top"),
+        "left side classed I": (
+            with_edge(cell.lam[1], cls="I"),
+            f"cell {ci}: left-side edge {cell.lam[1]} classed I, expected R"),
+        "right side classed R": (
+            with_edge(cell.rho[1], cls="R"),
+            f"cell {ci}: right-side edge {cell.rho[1]} classed R, "
+            "expected L"),
+        "right-bounded cell with an L edge": (
+            with_edge(cell.lam[0], cls="L"),
+            f"cell {ci}: right-bounded cell with L first left edge"),
+        "left fan edge unclassed": (
+            with_edge(fan.edge_ids[0], cls=None),
+            "fan 0: left fan edge not classed L"),
+        "right fan edge unclassed": (
+            with_edge(fan.edge_ids[-1], cls=None),
+            "fan 0: right fan edge not classed R"),
+    }
+
+
+@pytest.mark.parametrize("what", [
+    "edge into the basepoint", "short left side", "top-left right side",
+    "right side ends elsewhere", "top vertex unmarked",
+    "left side classed I", "right side classed R",
+    "right-bounded cell with an L edge", "left fan edge unclassed",
+    "right fan edge unclassed"])
+def test_shape_and_class_tamperings_match_oracle(what):
+    """Each tampering of a real filter reports its failure, and the whole
+    check equals the oracle's."""
+    g, filt = real_filter("C5", 3)
+    bad, failure = shape_tamperings(filt)[what]
+    want = assert_same_filter_check(g, bad)
+    assert not want.ok
+    assert failure in want.failures, want.failures
+
+
 FAN_GRAPHS = ("C5", "G6", "O8", "WIDE8", "A3", "H3")
 
 

@@ -16,7 +16,7 @@ from coxwide.classification import (classify_irreducible, compute_constants,
                                     ends_verdict, is_spherical_mask,
                                     longest_element_length_mask,
                                     spherical_separator)
-from coxwide.errors import SizeCapError
+from coxwide.errors import GraphFormatError, SizeCapError
 
 import oracles as O
 from conftest import (CORPUS_MAKERS, graph_from_labels, make_i2,
@@ -172,3 +172,15 @@ def test_two_ended_growth(corpus):
 def test_spherical_separator_none_on_one_ended(c5, g6):
     assert spherical_separator(c5) is None
     assert spherical_separator(g6) is None
+
+
+def test_classify_irreducible_rejects_empty_and_reducible_subsets():
+    a3 = CoxeterGraph(("a", "b", "c"),
+                      [("a", "b", 3), ("b", "c", 3), ("a", "c", 2)])
+    with pytest.raises(GraphFormatError) as exc:
+        classify_irreducible(a3, [])
+    assert str(exc.value) == "cannot classify the empty subset"
+    with pytest.raises(GraphFormatError) as exc:
+        classify_irreducible(a3, ["a", "c"])
+    assert str(exc.value) == ("subset ['a', 'c'] is reducible "
+                              "(2 irreducible components)")

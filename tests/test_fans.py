@@ -5,12 +5,14 @@ import random
 import pytest
 
 from coxwide import extend_geodesic, fans, is_geodesic
+from coxwide.classification import compute_constants, subset_table
 from coxwide.errors import ConstructionError, NonGeodesicError
 from coxwide.fans import FanDiagram, build_fan, check_fan
+from coxwide.words import _wide_suffix, engine_for
 
 import scan_oracle as S
 from conftest import (CORPUS_MAKERS, graph_from_labels, random_label_matrix,
-                      replace)
+                      random_racg_matrix, replace)
 
 
 def test_fan_frozen(c5):
@@ -77,9 +79,9 @@ def test_fan_wide_tail_jams_without_avoidance(g6):
         build_fan(g6, base, "a", "b")
 
 
-def test_fan_fallback_runs_only_when_it_blocks_another_set(g6, monkeypatch):
-    """Here the join rule and the fallback both block s1 s2 s3 s4 a, so the
-    path search runs once and the error names that set."""
+def test_fan_long_tail_searches_one_blocked_set(g6, monkeypatch):
+    """A long tail blocks the join set s1 s2 s3 s4 a only, so the path
+    search runs once and the error names Delta | K, here the same set."""
     searched = []
     real = fans._lex_least_path
 
@@ -93,6 +95,64 @@ def test_fan_fallback_runs_only_when_it_blocks_another_set(g6, monkeypatch):
     assert exc.value.blocking_set == {"s1", "s2", "s3", "s4", "a"}
     # a and b are not adjacent, so no detour is tried
     assert searched == [(g6.mask_of(["b"]), True)]
+
+
+def _fan_requests(rng, g):
+    """Seeded fan requests on ``g``: geodesic bases drawn mostly inside one
+    maximal wide set, so that many tails are long, each with three letter
+    pairs (equal letters too) that extend the base."""
+    eng = engine_for(g)
+    wides = subset_table(g).maximal_wide
+    for _ in range(6 if wides else 0):
+        wm = rng.choice(wides)
+        inside = [v for v in range(g.n) if wm >> v & 1]
+        w = ()
+        for _ in range(rng.randint(3, 12)):
+            pool = inside if rng.random() < 0.85 else range(g.n)
+            ext = [a for a in pool if a not in eng.ending_letters(w)]
+            if not ext:
+                break
+            w += (rng.choice(ext),)
+        free = [a for a in range(g.n) if a not in eng.ending_letters(w)]
+        for _ in range(3 if free else 0):
+            yield eng, w, rng.choice(free), rng.choice(free)
+
+
+def _fan_outcome(build, g, eng, w, si, ti):
+    try:
+        return build(g, eng, w, si, ti), None
+    except ConstructionError as err:
+        return None, err.blocking_set
+
+
+def test_one_blocked_set_matches_the_former_attempt_list():
+    """``_build_fan`` against the former builder that also tried Delta | K
+    after the join set (``scan_oracle.build_fan_attempts``): the same fan,
+    letter path and error blocking set on seeded right-angled and
+    general-label graphs, many of the long-tail requests with Delta | K
+    different from the join set."""
+    rng = random.Random(28)
+    long_tail = differ = built = failed = 0
+    for k in range(60):
+        if k % 2:
+            labels = random_racg_matrix(rng, rng.randint(5, 8), 0.55)
+        else:
+            labels = random_label_matrix(rng, rng.randint(4, 6))
+        g = graph_from_labels(labels)
+        for eng, w, si, ti in _fan_requests(rng, g):
+            got = _fan_outcome(fans._build_fan, g, eng, w, si, ti)
+            assert got == _fan_outcome(S.build_fan_attempts, g, eng, w, si,
+                                       ti), (labels, w, si, ti)
+            start, delta = _wide_suffix(g, w)
+            if len(w) - start > compute_constants(g).m_gamma:
+                long_tail += 1
+                k_mask = fans._mask(eng.ending_letters(w))
+                differ += delta | k_mask != fans._blocked_for_tail(
+                    g, fans._mask(w[start:]), delta, k_mask)
+            built += got[1] is None
+            failed += got[1] is not None
+    assert long_tail >= 100 and differ >= 10
+    assert built > 100 and failed > 10
 
 
 def test_fan_detour_around_adjacent_letters(o8, monkeypatch):

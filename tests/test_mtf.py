@@ -2,8 +2,8 @@
 
 import pytest
 
-from coxwide import extend_geodesic, normalize
-from coxwide.errors import ConstructionError
+from coxwide import extend_geodesic, filters, normalize
+from coxwide.errors import ConstructionError, VerificationError
 from coxwide.filters import (build_multitail_filter, check_filter,
                              check_multitail_filter)
 from coxwide.words import engine_for
@@ -183,3 +183,37 @@ def test_mtf_on_o8(o8):
         m = build_multitail_filter(o8, a, b, n, depth=2)
         ck = check_multitail_filter(o8, m)
         assert ck.ok, (n, ck.failures)
+
+
+def test_mtf_ray_that_does_not_extend_its_tail_is_a_defect(c5, monkeypatch):
+    """A carried ray extends its tail by induction and a fresh one comes
+    from ``extend_geodesic``, so a ray that does not is a library defect
+    (exit 3): here a broken extension repeats the tail's last letter at
+    the fresh step 2."""
+    def broken(g, word, target_len, orbit_cap):
+        return tuple(word) + (word[-1],) * (target_len - len(word))
+
+    monkeypatch.setattr(filters, "extend_geodesic", broken)
+    with pytest.raises(VerificationError) as exc:
+        build_multitail_filter(c5, ZIG, ZAG, 1, depth=2)
+    assert str(exc.value) == "ray at sigma step 2 does not extend its tail"
+
+
+def test_mtf_checker_reports_bad_filter_records(c5):
+    """A filter too many, a filter that does not span its recorded
+    boundary, and a tail that is not its level point: each is reported,
+    and nothing else is."""
+    m = build_multitail_filter(c5, ZIG, ZAG, 2, depth=2)
+    assert len(m.filters) == 3 and check_multitail_filter(c5, m).ok
+    cases = [
+        (replace(m, filters=m.filters + m.filters[:1]),
+         ("4 filters recorded, expected 3", "3 tails recorded for 4 filters",
+          "3 boundaries recorded for 4 filters")),
+        (replace(m, filters=m.filters[1:2] + m.filters[1:]),
+         ("filter 0 boundary mismatch",)),
+        (replace(m, tails=m.tails[1:2] + m.tails[1:]),
+         ("filter 0 tail is not the level point 0",)),
+    ]
+    for bad, failures in cases:
+        ck = check_multitail_filter(c5, bad)
+        assert not ck.ok and ck.failures == failures

@@ -455,3 +455,19 @@ def test_no_wide_no_violation(c5):
         w = extend_geodesic(c5, (rng.choice(c5.vertices),), rng.randint(2, 10))
         for k in range(1, len(w) + 1):
             assert morse_window_check(c5, w, k).passes
+
+
+def test_crossing_and_separation_reject_bad_inputs(c5):
+    """Typed errors, with their messages, for positions outside the word,
+    one position given twice, and a word that is not a reflection."""
+    word = ("s1", "s3")
+    for i, j, pos in ((0, 1, 0), (1, 3, 3)):
+        with pytest.raises(ValueError) as exc:
+            walls_cross(c5, word, i, j)
+        assert str(exc.value) == f"position {pos} out of range 1..2"
+    with pytest.raises(ValueError) as exc:
+        walls_cross(c5, word, 2, 2)
+    assert str(exc.value) == "positions 2 and 2 are dual to the same wall"
+    with pytest.raises(ValueError) as exc:
+        wall_separates(c5, ("s1", "s2"), ("s1",))
+    assert str(exc.value) == "not a reflection word"

@@ -375,3 +375,20 @@ def test_unknown_names_are_graph_format_errors(c5):
     word = ("s5", "s1", "s3")
     assert eng.decode(eng.encode(word)) == word
     assert eng.encode(word) == (4, 0, 2)
+
+
+def test_word_functions_reject_bad_inputs(c5):
+    """Typed errors, with their messages, for an edge index of 0, a target
+    shorter than the word, and the ending letters of a word that is not
+    geodesic on a general-label graph (found by the orbit search)."""
+    with pytest.raises(GraphFormatError) as exc:
+        reflection_of_edge(c5, ("s1", "s3"), 0)
+    assert str(exc.value) == "edge index 0 out of range 1..2"
+    with pytest.raises(GraphFormatError) as exc:
+        extend_geodesic(c5, ("s1", "s3"), 1)
+    assert str(exc.value) == "target length 1 shorter than word"
+    a3 = CoxeterGraph(("a", "b", "c"),
+                      [("a", "b", 3), ("b", "c", 3), ("a", "c", 2)])
+    with pytest.raises(NonGeodesicError) as exc:
+        ending_letters(a3, ("a", "b", "a", "b", "a"))
+    assert str(exc.value) == "word ('a', 'b', 'a', 'b', 'a') is not geodesic"
