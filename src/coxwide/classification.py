@@ -500,14 +500,18 @@ class SubsetTable:
         """Cm(mask): the vertices commuting with every vertex of it."""
         return meet(self._comm, mask)
 
-    def cores(self):
-        """Yield (P, Cm(P), affine) for each affine P and for each other
-        infinite irreducible P with Cm(P) non-spherical; see the class
-        docstring."""
+    def cores(self) -> tuple[tuple[int, int, bool], ...]:
+        """(P, Cm(P), affine) for each affine P and for each other infinite
+        irreducible P with Cm(P) non-spherical; see the class docstring.
+        The P are grown on the first call; later calls return the same
+        tuple, so every reader shares one growth."""
+        return self._cores
+
+    @cached_property
+    def _cores(self) -> tuple[tuple[int, int, bool], ...]:
         comm, noncomm = self._comm, self._noncomm
         longest, affine = self.longest, self.affine
-        for p in affine:
-            yield p, self._cm(p), True
+        found = [(p, self._cm(p), True) for p in affine]
         # (P, Cm(P), the vertices not commuting with some vertex of P);
         # each P is pushed once.  A vertex never commutes with itself here,
         # so Cm(P) misses P.
@@ -518,12 +522,13 @@ class SubsetTable:
             if cm in longest:
                 continue
             if p not in longest and p not in affine:
-                yield p, cm, False
+                found.append((p, cm, False))
             for u in bits(near & ~p):
                 grown = p | 1 << u
                 if grown not in seen:
                     seen.add(grown)
                     stack.append((grown, cm & comm[u], near | noncomm[u]))
+        return tuple(found)
 
     @cached_property
     def wide(self) -> tuple[int, ...]:

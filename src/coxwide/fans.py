@@ -38,6 +38,21 @@ So Delta | K, a superset of the join set, could only give the same walk
 s,t,s,t or no path, and it is not tried.  A ConstructionError names
 Delta | K on a long tail and K on a short one.
 
+The wide-tail condition reads the cores of the subset table, not the list
+of wide sets.  Let T be the tail letters and I the interior fan letters.
+A wide set D with T in D and D missing I exists exactly when T misses I
+and some core (P, Cm(P), affine) of ``SubsetTable.cores`` has P missing I
+and T - P inside Cm(P), with P affine or Cm(P) - I non-spherical.
+- If: D = P | (Cm(P) - I) holds T and misses I.  It is wide, since P is
+  irreducible and infinite, Cm(P) - I commutes with it, and P is affine
+  or Cm(P) - I is non-spherical (``classification``, wide sets from
+  irreducible components).
+- Only if: D misses I, so T does.  Write D = P | Q with P irreducible and
+  infinite, Q in Cm(P), and P affine or Q non-spherical.  P misses I,
+  T - P lies in Q, and Q lies in Cm(P) - I, so Cm(P) - I is non-spherical
+  unless P is affine.  P is a core: it is affine, or Cm(P) holds the
+  non-spherical Q.
+
 A ConstructionError means that none of these letter paths passed the fan
 check.  It does not show that the graph is not one-ended or not
 wide-spherical-avoidant: on some right-angled graphs that ``classify`` calls
@@ -278,10 +293,18 @@ def _verify_fan(g: CoxeterGraph, eng: WordEngine, w: tuple[int, ...],
     if case != want_case:
         fails.append(f"recorded case {case!r}, but the tail length "
                      f"dictates {want_case!r}")
-    if long_tail:
-        tail_mask, interior = _mask(w[start:]), _mask(idx[1:-1])
-        if not any(tail_mask & ~wm == 0 and interior & wm == 0
-                   for wm in subset_table(g).wide):
-            fails.append("no wide subgraph contains the tail label and "
-                         "avoids all interior fan letters")
+    if long_tail and not _wide_holds_tail(g, _mask(w[start:]),
+                                          _mask(idx[1:-1])):
+        fails.append("no wide subgraph contains the tail label and "
+                     "avoids all interior fan letters")
     return tuple(fails)
+
+
+def _wide_holds_tail(g: CoxeterGraph, tail: int, interior: int) -> bool:
+    """Does some wide set hold ``tail`` and miss ``interior``?  Read off
+    the cores of the subset table (see the module docstring)."""
+    table = subset_table(g)
+    return not tail & interior and any(
+        not p & interior and not tail & ~p & ~cm
+        and (affine or cm & ~interior not in table.longest)
+        for p, cm, affine in table.cores())

@@ -869,6 +869,23 @@ class MultiTailFilter(Record):
                 "filters": [f.to_json_obj() for f in self.filters]}
 
 
+def _trace(eng, a: tuple[int, ...], b: tuple[int, ...], n: int,
+           sigma: tuple[int, ...]) -> tuple[list, list[str], list[int]]:
+    """The level points gamma_0 .. gamma_d (gamma_k = alpha(n) sigma(k),
+    normalized, and gamma_d = beta(n)), the case of each sigma step and the
+    anchors of a multi-tail filter, on encoded words.  A step down, toward
+    the basepoint, means the wall of its edge crosses the previous tail:
+    'prepend'; otherwise 'fresh'.  Each fresh step k closes a filter at
+    level point k - 1, and one more sits at the beta end, d."""
+    d = len(sigma)
+    points = [a[:n]] + [eng.normalize(a[:n] + sigma[:k])
+                        for k in range(1, d)] + ([b[:n]] if d else [])
+    cases = ["prepend" if len(points[k]) < len(points[k - 1]) else "fresh"
+             for k in range(1, d + 1)]
+    anchors = [k for k in range(d) if cases[k] == "fresh"] + [d]
+    return points, cases, anchors
+
+
 def build_multitail_filter(g: CoxeterGraph, alpha: Word, beta: Word, n: int,
                            depth: int = 2, ray_len: int | None = None,
                            orbit_cap: int = DEFAULT_ORBIT_CAP
@@ -895,19 +912,15 @@ def build_multitail_filter(g: CoxeterGraph, alpha: Word, beta: Word, n: int,
         raise ValueError(f"ray_len must be at least 0, got {ray_len}")
     sigma = eng.mult(eng.inverse(a[:n]), b[:n])
     d = len(sigma)
+    tails_all, cases, anchors = _trace(eng, a, b, n, sigma)
 
-    # tails gamma_0 .. gamma_d and rays alpha_0 .. alpha_d
-    tails_all = [a[:n]] + [eng.normalize(a[:n] + sigma[:k])
-                           for k in range(1, d)] + ([b[:n]] if d else [])
+    # rays alpha_0 .. alpha_d
     rays: list[tuple[int, ...]] = [a[n:]]
-    cases: list[str] = []
-    for k in range(1, d + 1):
-        if len(tails_all[k]) < len(tails_all[k - 1]):
+    for k, case in enumerate(cases, start=1):
+        if case == "prepend":
             # wall of e_k crosses the previous tail: carry the ray across
-            cases.append("prepend")
             rays.append((sigma[k - 1],) + rays[k - 1])
         else:
-            cases.append("fresh")
             grown = eng.encode(extend_geodesic(
                 g, eng.decode(tails_all[k]), len(tails_all[k]) + ray_len,
                 orbit_cap))
@@ -917,16 +930,10 @@ def build_multitail_filter(g: CoxeterGraph, alpha: Word, beta: Word, n: int,
         verify(eng.is_geodesic(tails_all[k] + rays[k]),
                f"ray at sigma step {k} does not extend its tail")
 
-    fresh = [k for k, c in enumerate(cases, start=1) if c == "fresh"]
-    anchors = [j - 1 for j in fresh] + [d]
     tails, bounds, filters = [], [], []
-    for t, i in enumerate(anchors):
+    for i in anchors:
         left_ray = rays[i]
-        if i == d:
-            right_ray = b[n:]
-        else:
-            j = fresh[t]
-            right_ray = (sigma[j - 1],) + rays[j]
+        right_ray = b[n:] if i == d else (sigma[i],) + rays[i + 1]
         tails.append(eng.decode(tails_all[i]))
         bounds.append((eng.decode(left_ray), eng.decode(right_ray)))
         filters.append(build_filter(g, eng.decode(left_ray),
@@ -953,18 +960,12 @@ def check_multitail_filter(g: CoxeterGraph, mtf: MultiTailFilter,
         fails.append(f"{len(mtf.rays)} rays / {len(mtf.cases)} cases "
                      f"recorded, expected {d + 1} / {d}")
         return FilterCheck(False, tuple(fails), stats)
-    tails_all = [a[:n]] + [eng.normalize(a[:n] + sigma[:k])
-                           for k in range(1, d)] + ([b[:n]] if d else [])
+    tails_all, derived, anchors = _trace(eng, a, b, n, sigma)
     for k in range(d + 1):
         ray = eng.encode(mtf.rays[k])
         if not eng.is_geodesic(tails_all[k] + ray):
             fails.append(f"tail {k} + ray {k} not geodesic")
-    derived: list[str] = []
-    for k in range(1, d + 1):
-        # descending step <=> wall crosses the previous tail <=> 'prepend'
-        want = "prepend" if len(tails_all[k]) < len(tails_all[k - 1]) \
-            else "fresh"
-        derived.append(want)
+    for k, want in enumerate(derived, start=1):
         if mtf.cases[k - 1] != want:
             fails.append(f"case at sigma step {k} recorded "
                          f"{mtf.cases[k - 1]}, derived {want}")
@@ -981,11 +982,6 @@ def check_multitail_filter(g: CoxeterGraph, mtf: MultiTailFilter,
             if not eng.is_geodesic(tails_all[k - 1] + (sigma[k - 1],) + ray_k):
                 fails.append(f"step {k}: previous tail + edge + fresh ray "
                              "not geodesic")
-    # re-derive the anchor points and expected boundaries from the case
-    # trace: each fresh step j closes a filter at j - 1, and one more sits
-    # at the beta end
-    fresh = [k for k, c in enumerate(derived, start=1) if c == "fresh"]
-    anchors = [j - 1 for j in fresh] + [d]
     if len(mtf.filters) != len(anchors):
         fails.append(f"{len(mtf.filters)} filters recorded, expected "
                      f"{len(anchors)}")
@@ -1002,15 +998,11 @@ def check_multitail_filter(g: CoxeterGraph, mtf: MultiTailFilter,
             i = anchors[t]
             if bound is not None:
                 la, ra = bound
-                want_left = mtf.rays[i] if i < len(mtf.rays) else None
-                if la != want_left:
+                if la != mtf.rays[i]:
                     fails.append(f"filter {t} left ray is not ray {i}")
-                if i == d:
-                    want_right = eng.decode(b[n:])
-                else:
-                    j = fresh[t]
-                    want_right = eng.decode((sigma[j - 1],)
-                                            + eng.encode(mtf.rays[j]))
+                want_right = eng.decode(
+                    b[n:] if i == d
+                    else (sigma[i],) + eng.encode(mtf.rays[i + 1]))
                 if ra != want_right:
                     fails.append(f"filter {t} right ray mismatch")
             if t < len(mtf.tails) and \

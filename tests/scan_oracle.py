@@ -39,6 +39,11 @@ mask layers: a breadth-first search with a distance dict.
 had two blocked sets: the join set C1 | D2 | K' and, when it differs, the
 whole containing wide set with the ending letters, Delta | K, tried in turn
 under each round; ``test_fans.py`` compares the one-set builder with it.
+
+``wide_holds_tail`` is the fans' wide-tail condition as ``fans._verify_fan``
+decided it before it read the cores: a scan of the whole list of wide sets
+for one that holds the tail and misses the interior fan letters;
+``test_fan_tail_cores.py`` compares ``fans._wide_holds_tail`` with it.
 """
 
 from __future__ import annotations
@@ -646,3 +651,10 @@ def build_fan_attempts(g: CoxeterGraph, eng, w: tuple[int, ...], si: int,
         f"no fan from {g.vertices[si]} to {g.vertices[ti]}: every connecting "
         "path meets the blocked set",
         blocking_set=g.names_of(last_blocked))
+
+
+def wide_holds_tail(g: CoxeterGraph, tail_mask: int, interior: int) -> bool:
+    """Does some wide set hold ``tail_mask`` and miss ``interior``?  The
+    former scan of ``fans._verify_fan`` over ``SubsetTable.wide``."""
+    return any(tail_mask & ~wm == 0 and interior & wm == 0
+               for wm in subset_table(g).wide)

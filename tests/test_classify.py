@@ -1,5 +1,7 @@
 """End-to-end boundary classification verdicts with validated witnesses."""
 
+import importlib
+import io
 import os
 import random
 import subprocess
@@ -10,16 +12,21 @@ import pytest
 from hypothesis import given, strategies as st
 
 from coxwide import CoxeterGraph, classify
-from coxwide.avoidance import (is_wide, is_wide_avoidant,
+from coxwide.avoidance import (AvoidanceReport, is_wide, is_wide_avoidant,
                                is_wide_spherical_avoidant)
 from coxwide.classify import GENERAL_CASES, RACG_CASES, _splitting_from_blocker
 from coxwide.classification import (ends_verdict, is_spherical_mask,
                                     subset_table)
+from coxwide.cli import main
+from coxwide.errors import VerificationError
 
 import oracles as O
 from conftest import (CORPUS_MAKERS, PROPERTY, graph_from_labels,
                       label_matrices, racg, racg_label_matrices,
                       random_racg_matrix)
+
+# the module, which the package's ``classify`` function shadows
+classify_module = importlib.import_module("coxwide.classify")
 
 
 def test_cases_frozen(corpus):
@@ -241,3 +248,25 @@ def test_blocking_check_survives_python_O():
     assert out.stdout.splitlines() == [
         "optimize 1",
         "VerificationError stored blocking witness does not block its pair"]
+
+
+def test_blocking_set_that_blocks_nothing_gives_no_splitting(c5, capsys,
+                                                             monkeypatch):
+    """On C5, {s1} leaves the path s2 s3 s4 s5 connected and holds neither
+    star of the pair s2, s5, so no splitting comes from it: a library
+    defect, reported as a failed verification (exit 3)."""
+    message = "blocking set gives neither a component nor a star splitting"
+    with pytest.raises(VerificationError, match=f"^{message}$"):
+        _splitting_from_blocker(c5, c5.mask_of(["s1"]), ("s2", "s5"))
+    monkeypatch.setattr(classify_module, "is_wide_avoidant",
+                        lambda g, cap: AvoidanceReport(
+                            False, blocking_set=("s1",), pair=("s2", "s5")))
+    monkeypatch.setattr(classify_module, "_verify_blocking",
+                        lambda g, report: None)
+    monkeypatch.setattr("sys.stdin", io.StringIO(
+        "v s1; v s2; v s3; v s4; v s5\n"
+        "e s1 s2 2; e s2 s3 2; e s3 s4 2; e s4 s5 2; e s5 s1 2"))
+    assert main(["classify", "-"]) == 3
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("",
+                                            f"verification failed: {message}\n")

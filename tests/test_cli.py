@@ -11,7 +11,9 @@ from coxwide.cli import main
 from coxwide.filters import build_multitail_filter
 from coxwide.walls import CayleyBall
 
-from conftest import make_aff_tri, make_c4, make_c5, make_g6, make_inf_pair
+from coxwide.graphs import parse_graph
+from conftest import (make_aff_tri, make_c4, make_c5, make_g6, make_inf_pair,
+                      make_o8)
 
 C5_TEXT = "\n".join(
     ["v s1; v s2; v s3; v s4; v s5"]
@@ -341,6 +343,29 @@ def test_fan(capsys, c5_file):
     assert obj["check"]["ok"] is True
 
 
+O8_TEXT = "\n".join(
+    ["v s1; v s2; v s3; v s4; v t1; v t2; v t3; v t4"]
+    + [f"e s{i} s{i % 4 + 1} 2; e t{i} t{i % 4 + 1} 2; "
+       f"e t{i} s{i} 2; e t{i} s{i % 4 + 1} 2" for i in range(1, 5)])
+
+
+def test_fan_wide_tail_json(capsys, tmp_path):
+    """O8 (``conftest.make_o8``) with the base inside the wide inner square:
+    the fan takes the detour s2, t1, s1, and its JSON holds the wide set
+    of the tail as a list."""
+    assert parse_graph(O8_TEXT) == make_o8()
+    o8_file = tmp_path / "o8.cox"
+    o8_file.write_text(O8_TEXT + "\n", encoding="utf-8")
+    code, obj, err = run_json(capsys, ["fan", str(o8_file), "--base",
+                                       "s1 s2 s3 s4", "-x", "s2", "-y", "s1"])
+    assert (code, err) == (0, "")
+    assert obj == {"base": "s1 s2 s3 s4", "labels": ["s2", "t1", "s1"],
+                   "cells": [4, 4], "tail": "s1 s2 s3 s4",
+                   "tail_delta": ["s1", "s2", "s3", "s4"],
+                   "case": "wide-tail", "blocked": ["s1", "s2", "s3", "s4"],
+                   "check": {"ok": True, "failures": []}}
+
+
 def test_fan_blocked(capsys, g6_file):
     code, out, err = run(capsys, ["fan", g6_file, "--base", "s1 s3 s2 s4",
                                   "-x", "a", "-y", "b"])
@@ -596,3 +621,24 @@ def test_negative_ray_len_is_input_error(capsys, c5_file):
                                   "--ray-len", "-2"])
     assert code == 2 and out == ""
     assert err == "input error: ray_len must be at least 0, got -2\n"
+
+
+@pytest.mark.parametrize("text,message", [
+    ("v", "line 1: bad vertex statement 'v'"),
+    ("v a b", "line 1: bad vertex statement 'v a b'"),
+    ("v a; v b\ne a b", "line 2: bad edge statement 'e a b'"),
+    ('{"vertices": }',
+     "bad JSON graph: Expecting value: line 1 column 14 (char 13)"),
+    ('{"vertices": ["a", 1]}', "'vertices' must be a list of strings"),
+    ('{"vertices": ["a", "b"], "edges": [["a", "b"]]}',
+     "bad edge entry ['a', 'b']"),
+    ('{"vertices": ["a", "b"], "edges": [["a", "b", "3"]]}',
+     "edge label '3' is not an integer"),
+    ('{"vertices": ["a", "b"], "edges": [["a", "b", 3.0]]}',
+     "edge label 3.0 is not an integer"),
+])
+def test_graph_text_errors_exit_2_with_their_message(capsys, monkeypatch,
+                                                     text, message):
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    code, out, err = run(capsys, ["classify", "-"])
+    assert (code, out, err) == (2, "", f"input error: {message}\n")

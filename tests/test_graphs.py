@@ -55,6 +55,27 @@ def test_parse_errors():
         parse_graph('{"edges": []}')
 
 
+def test_label_of_a_vertex_with_itself_is_an_error(c5):
+    with pytest.raises(GraphFormatError, match=re.escape(
+            "label of a vertex with itself is undefined ('s1')")):
+        c5.label("s1", "s1")
+
+
+def test_induced_on_unknown_vertices_is_an_error(g6):
+    with pytest.raises(GraphFormatError,
+                       match=re.escape("unknown vertices ['x', 'y']")):
+        g6.induced(["s1", "y", "x"])
+
+
+def test_equal_graphs_hash_equal():
+    """Graphs equal by vertices and labels, whatever the edge order, hash
+    the same, so they are one key of a dict."""
+    g = parse_graph("v a; v b; v c; e a b 3; e b c 2")
+    h = CoxeterGraph(["a", "b", "c"], [("c", "b", 2), ("b", "a", 3)])
+    assert g == h and hash(g) == hash(h)
+    assert {g: 1, h: 2} == {g: 2}
+
+
 def test_diagonal_and_m():
     g = parse_graph("v a\nv b\ne a b 4")
     assert g.m(0, 0) == 1
