@@ -16,7 +16,6 @@ module, not the function, to ``coxwide.classify``.
 import importlib
 
 from .avoidance import (AvoidanceReport, SpecialJoin, WideDecomposition,
-                        enumerate_special_joins, enumerate_wide_subgraphs,
                         is_affine_free, is_wide, is_wide_avoidant,
                         is_wide_spherical_avoidant, wide_decomposition)
 from .classification import (EndsVerdict, GroupConstants, IrreducibleVerdict,
@@ -49,8 +48,7 @@ __all__ = sorted([
     "CoxeterGraph", "EndsVerdict", "GraphFormatError", "GroupConstants",
     "IrreducibleVerdict", "NonGeodesicError", "OrbitCapError", "SizeCapError",
     "SpecialJoin", "Splitting", "VerificationError", "WideDecomposition",
-    "classify", "classify_irreducible", "compute_constants",
-    "enumerate_special_joins", "enumerate_wide_subgraphs", "ends_verdict",
+    "classify", "classify_irreducible", "compute_constants", "ends_verdict",
     "is_affine_free", "is_spherical", "is_wide", "is_wide_avoidant",
     "is_wide_spherical_avoidant", "parse_graph", "wide_decomposition",
     *_LAZY,

@@ -9,9 +9,9 @@ component bipartitions and wideness is decidable from the component
 classification alone -- that is what ``wide_decomposition`` does; the
 exhaustive bipartition search survives only as a test oracle.
 
-The wide masks, the maximal wide masks, the spherical subsets of a ground
-set and affine-freeness are read from the graph's ``SubsetTable`` (see
-``coxwide.classification``).  Each public entry reaches it once, through
+The maximal wide masks, the cores, the maximal spherical subsets of a
+ground set and affine-freeness are read from the graph's ``SubsetTable``
+(see ``coxwide.classification``).  Each public entry reaches it once, through
 ``subset_table(g, cap)``, which checks the vertex cap and builds the table
 on first use; the helpers below are handed the table.  A single vertex set
 is still decided from its own components.
@@ -39,10 +39,26 @@ is affine, and otherwise Q is infinite and lies in Cm(P1).  Conversely each
 core blocked set is the blocked set of the join (P, Cm(P), K).  Blocking is
 monotone, so the pairs some join separates are the pairs some core blocked
 set separates: the verdict and the least separated pair come from the
-cores, each ground's maximal spherical sets found once, and no list of wide
-sets is built.  Only when a pair is separated are the joins walked, lazily
-and in the order of the wide sets, up to the first one that separates it,
-which names the witness.
+cores, each ground's maximal spherical sets found once.
+
+The witness of a failure names the least separated pair and the first
+join (P', Q', K) whose D | K separates it, D = P' | Q': the wide sets D in
+ascending order, the decompositions of each in ``_component_bipartitions``
+order, and K among the maximal spherical subsets of the ground of P' minus
+the pair, descending.  The walk visits only the wide sets grown from a
+separating core: D = P | Q with (P, Cm(P)) a core one of whose blocked sets
+separates the pair, Q inside Cm(P), and P affine or Q non-spherical.  Each
+is wide (``classification``, wide sets from irreducible components), and
+each D with a separating D | K is among them.  Take an infinite component
+P1 of P'.  As above, P1 is a core, D - P1 lies in Cm(P1), and D | K lies
+in a core blocked set P1 | Cm(P1) | K1, which separates the pair too,
+since blocking is monotone: P1 is a separating core.  And D is grown from
+it: P1 = P' is affine, or Q' is infinite and lies in D - P1, which is then
+non-spherical.  So the first D with a separating D | K is the same among
+the walked sets as among all wide sets, every D before it has none in
+either, and the witness is the one a walk over all wide sets names.  No
+list of all wide sets is built; a D grown from several cores arises once
+per core, so the walked sets are gathered in a set and sorted.
 
 Wide-spherical-avoidance implies wide-avoidance for any labels, since
 (P, Q, empty) is a special join for every wide set.  On right-angled graphs
@@ -53,10 +69,10 @@ relies on both facts.
 
 from __future__ import annotations
 
-from .classification import (DEFAULT_SUBSET_CAP, SubsetTable, irreducible_kind,
+from .classification import (DEFAULT_SUBSET_CAP, irreducible_kind,
                              is_spherical_mask, subset_table)
 from .errors import Record, set_slot, verify
-from .graphs import CoxeterGraph, bits, meet, popcount, reach
+from .graphs import CoxeterGraph, bits, meet, popcount, reach, submasks
 
 
 class WideDecomposition(Record):
@@ -143,14 +159,6 @@ def is_wide(g: CoxeterGraph) -> bool:
     return wide_decomposition_mask(g, g.full_mask()) is not None
 
 
-def enumerate_wide_subgraphs(g: CoxeterGraph, maximal_only: bool = False,
-                             cap: int = DEFAULT_SUBSET_CAP) -> list[tuple[str, ...]]:
-    """The wide (or maximal wide) subsets, ascending as masks.  Exponential."""
-    table = subset_table(g, cap)
-    masks = table.maximal_wide if maximal_only else table.wide
-    return [g.names_of(m) for m in masks]
-
-
 # ---------------------------------------------------------------------------
 # affine-freeness
 
@@ -191,41 +199,6 @@ def _component_bipartitions(g: CoxeterGraph, mask: int):
 def _common_neighbors(g: CoxeterGraph, p_mask: int) -> int:
     """Vertices adjacent (any label) to every vertex of ``p_mask``."""
     return meet(g._adj, p_mask) & ~p_mask
-
-
-def _spherical_submasks(table: SubsetTable, ground: int) -> tuple[int, ...]:
-    """Spherical subsets of ``ground``, descending as masks."""
-    return tuple(sorted((m for m in table.longest if m & ~ground == 0),
-                        reverse=True))
-
-
-def _join_grounds(g: CoxeterGraph, table: SubsetTable):
-    """Yield ``(D, P, Q, ground)`` for every wide set D of the graph's
-    ``table`` (ascending), every wide decomposition (P, Q) of D, and the
-    vertices outside D adjacent to all of P: the ground set from which a
-    special join's K is drawn."""
-    for d in table.wide:
-        for p, q in _component_bipartitions(g, d):
-            yield d, p, q, _common_neighbors(g, p) & ~d
-
-
-def enumerate_special_joins(g: CoxeterGraph, maximal_only: bool = False,
-                            cap: int = DEFAULT_SUBSET_CAP) -> list[SpecialJoin]:
-    """All special joins (ordered triples), deterministically sorted.
-
-    With ``maximal_only``, keep those whose blocked set P|Q|K is
-    inclusion-maximal among all blocked sets.
-    """
-    table = subset_table(g, cap)
-    triples = [(p, q, k) for _d, p, q, ground in _join_grounds(g, table)
-               for k in _spherical_submasks(table, ground)]
-    if maximal_only:
-        blocked = [p | q | k for p, q, k in triples]
-        triples = [j for j, b in zip(triples, blocked)
-                   if not any(b != b2 and b & ~b2 == 0 for b2 in blocked)]
-    triples.sort()
-    return [SpecialJoin(g.names_of(p), g.names_of(q), g.names_of(k))
-            for p, q, k in triples]
 
 
 # ---------------------------------------------------------------------------
@@ -276,34 +249,48 @@ def is_wide_spherical_avoidant(g: CoxeterGraph,
     testing: for a pair s, t the maximal spherical subsets of the ground
     minus s, t are the sets K - {s, t}, and whether K holds s or t does not
     change what D | K separates.  Of those, only the core blocked sets are
-    tested (see the module docstring).  The witness is the least separated
-    pair, the first join separating it and the first K of its ground minus
-    the pair that does.
+    tested, and on a failure only the wide sets grown from the cores that
+    separate the least pair are walked for the witness: the first join
+    separating it and the first K of its ground minus the pair that does
+    (see the module docstring).
     """
     table = subset_table(g, cap)
+    cores = table.cores()
     spheres = {}  # ground -> its maximal spherical subsets
-    blocked = set()
-    for p, cm, _affine in table.cores():
+    separated = {}  # core blocked set -> the pairs it separates
+    for p, cm, _affine in cores:
         core = p | cm
         ground = _common_neighbors(g, p) & ~core
         ks = spheres.get(ground)
         if ks is None:
             ks = spheres[ground] = table.maximal_spherical(ground)
-        blocked.update(core | k for k in ks)
-    firsts = [pairs[0] for pairs in (_blocked_pairs(g, b) for b in blocked)
-              if pairs]
+        for k in ks:
+            b = core | k
+            if b not in separated:
+                separated[b] = _blocked_pairs(g, b)
+    firsts = [pairs[0] for pairs in separated.values() if pairs]
     if not firsts:
         return AvoidanceReport(True)
     pair = s, t = min(firsts)
-    for d, p, q, ground in _join_grounds(g, table):
-        outside = ground & ~(1 << s) & ~(1 << t)
-        k = next((k for k in table.maximal_spherical(outside)
-                  if pair in _blocked_pairs(g, d | k)), None)
-        if k is not None:
-            return AvoidanceReport(
-                False, blocking_set=g.names_of(d | k),
-                pair=(g.vertices[s], g.vertices[t]),
-                join=SpecialJoin(g.names_of(p), g.names_of(q), g.names_of(k)))
+    longest = table.longest
+    walked = set()
+    for p, cm, affine in cores:
+        core = p | cm
+        if any(pair in separated[core | k]
+               for k in spheres[_common_neighbors(g, p) & ~core]):
+            walked.update(p | q for q in submasks(cm)
+                          if affine or q not in longest)
+    for d in sorted(walked):
+        for p, q in _component_bipartitions(g, d):
+            outside = _common_neighbors(g, p) & ~d & ~(1 << s) & ~(1 << t)
+            k = next((k for k in table.maximal_spherical(outside)
+                      if pair in _blocked_pairs(g, d | k)), None)
+            if k is not None:
+                return AvoidanceReport(
+                    False, blocking_set=g.names_of(d | k),
+                    pair=(g.vertices[s], g.vertices[t]),
+                    join=SpecialJoin(g.names_of(p), g.names_of(q),
+                                     g.names_of(k)))
     # each core blocked set is a join's blocked set (module docstring)
     verify(False, f"no special join separates {g.vertices[s]}, "
            f"{g.vertices[t]}, which a core blocked set separates")

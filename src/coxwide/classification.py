@@ -104,19 +104,20 @@ first use and kept on the graph:
   affine component or Q holds a second infinite component.  Completeness:
   D holds an affine component P, or two infinite components, one of them
   P; in both cases D - P lies in Cm(P), and in the second it is
-  non-spherical.  So the affine sets each contribute every subset of their
-  Cm, and the other P are grown from single vertices one non-commuting
+  non-spherical.  So every wide set is grown from a core (P, Cm(P)): P
+  affine, or P infinite and irreducible with Cm(P) non-spherical.  The
+  table keeps the cores, not the wide sets.  The affine P are the affine
+  sets; the other P are grown from single vertices one non-commuting
   neighbour at a time (which reaches every irreducible set through
   irreducible sets).  Growth stops at a P whose Cm(P) is spherical: Cm
   only shrinks as P grows and subsets of spherical sets are spherical, so
   no P grown from it has a non-spherical Q.  A set P grown to is never cut
   off on the way, since its subsets P' have Cm(P') containing Cm(P).  The
   work is one step per irreducible set P with Cm(P) non-spherical (and
-  per one-vertex extension of such a set), plus, for each such P that is
-  infinite and for each affine P, one step per subset of Cm(P): each
-  yields a wide set unless it is spherical.  A wide set arises once per
-  infinite component that witnesses it, so the sets are gathered in a set
-  and sorted.  No step visits all 2^n subsets.
+  per one-vertex extension of such a set); no step visits all 2^n
+  subsets.  Only the witness walk of wide-spherical-avoidance grows wide
+  sets from cores, and only from the cores that separate its pair (see
+  ``coxwide.avoidance``).
 * Maximal wide sets from closed commuting sets.  Call Y closed when it is
   an intersection of commuting masks, Y = Cm(S) for a non-empty S.  The
   candidates are the cores P | Cm(P) of the affine P, and X | Y for each
@@ -164,7 +165,7 @@ from functools import cache, cached_property
 from itertools import permutations
 
 from .errors import GraphFormatError, Record, SizeCapError
-from .graphs import CoxeterGraph, bits, meet, popcount, reach, submasks
+from .graphs import CoxeterGraph, bits, meet, popcount, reach
 
 DEFAULT_SUBSET_CAP = 20
 
@@ -402,13 +403,15 @@ class SubsetTable:
     first, as it is neither finite nor affine; then one search inside the
     clique finds the new vertex's component, and only an irreducible grown
     set is matched: a diagram with a cycle is affine only as A~n.
-    The wide masks are filled on first use, from the commuting and
+    The cores are grown on first use, from the commuting and
     non-commuting rows captured here (the table keeps no reference to the
     graph): D is wide exactly when D = P | Q with P irreducible and
-    infinite, Q commuting with P, and P affine or Q non-spherical.  The affine P take every such
-    Q; the other P are grown from single vertices, one non-commuting
+    infinite, Q commuting with P, and P affine or Q non-spherical, and the
+    cores are the (P, Cm(P)) that have such a Q.  The affine P are cores;
+    the other P are grown from single vertices, one non-commuting
     neighbour at a time, until the vertices commuting with P form a
     spherical set, past which no P grown further has a non-spherical Q.
+    The table keeps no list of wide sets.
     The maximal wide masks are the inclusion-maximal candidates among the
     cores P | Cm(P) of the affine P and the sets Cm(Y) | Y over the
     non-spherical intersections Y of commuting masks with Cm(Y)
@@ -529,16 +532,6 @@ class SubsetTable:
                     seen.add(grown)
                     stack.append((grown, cm & comm[u], near | noncomm[u]))
         return tuple(found)
-
-    @cached_property
-    def wide(self) -> tuple[int, ...]:
-        """All wide masks, ascending; see the class docstring."""
-        longest = self.longest
-        found = set()
-        for p, cm, affine in self.cores():
-            found.update(p | q for q in submasks(cm)
-                         if affine or q not in longest)
-        return tuple(sorted(found))
 
     @cached_property
     def maximal_wide(self) -> tuple[int, ...]:

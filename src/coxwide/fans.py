@@ -35,8 +35,8 @@ check but the walk s,t,s,t, whose interior letters are s and t.
   component of Q; if it is spherical, the tail's part in Q is not, and it
   is C1 with D2 = P, affine or infinite and commuting with C1.
 So Delta | K, a superset of the join set, could only give the same walk
-s,t,s,t or no path, and it is not tried.  A ConstructionError names
-Delta | K on a long tail and K on a short one.
+s,t,s,t or no path, and it is not tried.  A ConstructionError names the
+set that was blocked: the join set on a long tail and K on a short one.
 
 The wide-tail condition reads the cores of the subset table, not the list
 of wide sets.  Let T be the tail letters and I the interior fan letters.
@@ -186,11 +186,10 @@ def _build_fan(g: CoxeterGraph, eng: WordEngine, w: tuple[int, ...],
     start, delta = _wide_suffix(g, w)
     tail = eng.decode(w[start:])
     if len(tail) <= compute_constants(g).m_gamma:
-        case, blocked, reported = "short-tail", k_mask, k_mask
+        case, blocked = "short-tail", k_mask
     else:
         case = "wide-tail"
         blocked = _blocked_for_tail(g, _mask(w[start:]), delta, k_mask)
-        reported = delta | k_mask  # see the module docstring
 
     # the detour round (see the module docstring) runs only after the
     # direct one failed, so no fan the direct round builds changes
@@ -219,7 +218,7 @@ def _build_fan(g: CoxeterGraph, eng: WordEngine, w: tuple[int, ...],
     raise ConstructionError(
         f"no fan from {g.vertices[si]} to {g.vertices[ti]}: every connecting "
         "path meets the blocked set",
-        blocking_set=g.names_of(reported))
+        blocking_set=g.names_of(blocked))
 
 
 def check_fan(g: CoxeterGraph, fan: FanDiagram,

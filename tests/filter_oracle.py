@@ -18,7 +18,8 @@ comes first.
 public word functions: every fan check runs in full (no memo of fan
 verdicts), and every rooted path of the literal enumeration is
 normalized whole instead of by extending its prefix's normal form.  The
-itinerary phase is ``itinerary``.  ``test_check_oracles.py`` compares
+itinerary phase is ``itinerary``.  The wide-tail condition scans the wide
+sets of ``scan_oracle.wide_sets``.  ``test_check_oracles.py`` compares
 whole ``FanCheck`` and ``FilterCheck`` objects with them.
 """
 
@@ -33,6 +34,7 @@ from coxwide.filters import FilterCheck, FilterDiagram
 from coxwide.graphs import CoxeterGraph
 from coxwide.words import (DEFAULT_ORBIT_CAP, is_geodesic, normalize,
                            wide_tail)
+from scan_oracle import memo_wide_sets
 
 
 def default_bounds(g: CoxeterGraph) -> tuple[int, int, int, int]:
@@ -218,7 +220,7 @@ def check_fan(g: CoxeterGraph, fan: FanDiagram,
         tail_mask = g.mask_of(tuple(set(tail)))
         interior = g.mask_of(tuple(set(labels[1:-1])))
         if not any(tail_mask & ~wm == 0 and interior & wm == 0
-                   for wm in subset_table(g).wide):
+                   for wm in memo_wide_sets(g)):
             fails.append("no wide subgraph contains the tail label and "
                          "avoids all interior fan letters")
     return FanCheck(not fails, tuple(fails))

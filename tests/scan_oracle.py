@@ -1,8 +1,8 @@
 """The per-mask subset scans that ``classification.SubsetTable`` replaced,
 and the pair-by-pair avoidance deciders that ``avoidance._blocked_pairs``
 replaced, and the dynamic program over all 2^n masks that found the wide
-sets before ``SubsetTable.wide`` enumerated them from irreducible
-components, and the table's former clique builder with the edge-list
+sets before the subset table enumerated them from irreducible components,
+and the table's former clique builder with the edge-list
 matchers it ran on every irreducible clique (and the tree walkers they
 read, which ``_match_clique`` replaced by one shape table), and the former
 maximal wide sets, filtered out of the full wide list before
@@ -32,6 +32,15 @@ every wide set, every component bipartition of each and the maximal
 spherical sets of every join's ground, filtered out of all spherical sets
 by ``maximal_spherical``, as ``SubsetTable.maximal_spherical`` once did.
 
+``core_wide_masks`` is ``SubsetTable.wide`` as it was before the table
+stopped keeping a list of wide sets: every wide set grown from the table's
+cores, ascending.  ``_join_grounds``, ``_spherical_submasks``,
+``enumerate_wide_subgraphs`` and ``enumerate_special_joins`` are the
+readers of that list that ``coxwide.avoidance`` once shipped.
+``wide_spherical_avoidant_list_walk`` is ``is_wide_spherical_avoidant`` as
+it was when its witness walk read the whole list;
+``test_wsa_cores.py`` compares whole reports with it.
+
 ``lex_least_path`` is ``fans._lex_least_path`` as it was before it walked
 mask layers: a breadth-first search with a distance dict.
 
@@ -42,21 +51,23 @@ under each round; ``test_fans.py`` compares the one-set builder with it.
 
 ``wide_holds_tail`` is the fans' wide-tail condition as ``fans._verify_fan``
 decided it before it read the cores: a scan of the whole list of wide sets
-for one that holds the tail and misses the interior fan letters;
+(``wide_sets``, kept per graph) for one that holds the tail and misses the
+interior fan letters;
 ``test_fan_tail_cores.py`` compares ``fans._wide_holds_tail`` with it.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from functools import lru_cache
 from typing import Optional
 
 from coxwide.avoidance import (AvoidanceReport, SpecialJoin, _blocked_pairs,
-                               _join_grounds)
+                               _common_neighbors, _component_bipartitions)
 from coxwide.classification import (DEFAULT_SUBSET_CAP, GroupConstants,
                                     IrreducibleVerdict, _is_clique,
                                     compute_constants, subset_table)
-from coxwide.errors import ConstructionError
+from coxwide.errors import ConstructionError, verify
 from coxwide.fans import (FanDiagram, _blocked_for_tail, _fan_failures,
                           _lex_least_path, _mask)
 from coxwide.graphs import CoxeterGraph, bits, popcount, submasks
@@ -456,6 +467,25 @@ def wide_masks_dp(g: CoxeterGraph) -> tuple[int, ...]:
     return tuple(wide)
 
 
+@lru_cache(maxsize=32)
+def memo_wide_sets(g: CoxeterGraph) -> tuple[int, ...]:
+    """``wide_sets``, kept for the last graphs asked about (equal graphs
+    share an entry)."""
+    return wide_sets(g)
+
+
+def core_wide_masks(table) -> tuple[int, ...]:
+    """``SubsetTable.wide`` as it was: every wide mask, ascending, grown
+    from the cores (P, Cm(P), affine) as P | Q with Q inside Cm(P) and P
+    affine or Q non-spherical."""
+    longest = table.longest
+    found = set()
+    for p, cm, affine in table.cores():
+        found.update(p | q for q in submasks(cm)
+                     if affine or q not in longest)
+    return tuple(sorted(found))
+
+
 def maximal_of_wide(wide) -> tuple[int, ...]:
     """``SubsetTable.maximal_wide`` as it was: the inclusion-maximal masks
     of the full wide list, ascending."""
@@ -485,6 +515,86 @@ def spherical_submasks(g: CoxeterGraph, ground: int) -> tuple[int, ...]:
 def maximal_spherical_submasks(g: CoxeterGraph, ground: int) -> list[int]:
     sub = spherical_submasks(g, ground)
     return [m for m in sub if not any(m != s and m & ~s == 0 for s in sub)]
+
+
+def _spherical_submasks(table, ground: int) -> tuple[int, ...]:
+    """Spherical subsets of ``ground``, descending as masks."""
+    return tuple(sorted((m for m in table.longest if m & ~ground == 0),
+                        reverse=True))
+
+
+def _join_grounds(g: CoxeterGraph, table, wide=None):
+    """Yield ``(D, P, Q, ground)`` for every wide set D (ascending:
+    ``core_wide_masks(table)``, or ``wide`` when given), every wide
+    decomposition (P, Q) of D, and the vertices outside D adjacent to all
+    of P: the ground set from which a special join's K is drawn."""
+    for d in core_wide_masks(table) if wide is None else wide:
+        for p, q in _component_bipartitions(g, d):
+            yield d, p, q, _common_neighbors(g, p) & ~d
+
+
+def enumerate_wide_subgraphs(g: CoxeterGraph, maximal_only: bool = False,
+                             cap: int = DEFAULT_SUBSET_CAP) -> list[tuple[str, ...]]:
+    """The wide (or maximal wide) subsets, ascending as masks.  Exponential."""
+    table = subset_table(g, cap)
+    masks = table.maximal_wide if maximal_only else core_wide_masks(table)
+    return [g.names_of(m) for m in masks]
+
+
+def enumerate_special_joins(g: CoxeterGraph, maximal_only: bool = False,
+                            cap: int = DEFAULT_SUBSET_CAP) -> list[SpecialJoin]:
+    """All special joins (ordered triples), deterministically sorted.
+
+    With ``maximal_only``, keep those whose blocked set P|Q|K is
+    inclusion-maximal among all blocked sets.
+    """
+    table = subset_table(g, cap)
+    triples = [(p, q, k) for _d, p, q, ground in _join_grounds(g, table)
+               for k in _spherical_submasks(table, ground)]
+    if maximal_only:
+        blocked = [p | q | k for p, q, k in triples]
+        triples = [j for j, b in zip(triples, blocked)
+                   if not any(b != b2 and b & ~b2 == 0 for b2 in blocked)]
+    triples.sort()
+    return [SpecialJoin(g.names_of(p), g.names_of(q), g.names_of(k))
+            for p, q, k in triples]
+
+
+def wide_spherical_avoidant_list_walk(
+        g: CoxeterGraph, cap: int = DEFAULT_SUBSET_CAP,
+        wide=None) -> AvoidanceReport:
+    """``is_wide_spherical_avoidant`` as it was when its witness walk read
+    the whole list of wide sets (``core_wide_masks``, or ``wide`` when
+    given): the verdict and the least separated pair from the core blocked
+    sets, then the first join, over every wide set in ascending order,
+    separating the pair, and the first K of its ground minus the pair that
+    does."""
+    table = subset_table(g, cap)
+    spheres = {}  # ground -> its maximal spherical subsets
+    blocked = set()
+    for p, cm, _affine in table.cores():
+        core = p | cm
+        ground = _common_neighbors(g, p) & ~core
+        ks = spheres.get(ground)
+        if ks is None:
+            ks = spheres[ground] = table.maximal_spherical(ground)
+        blocked.update(core | k for k in ks)
+    firsts = [pairs[0] for pairs in (_blocked_pairs(g, b) for b in blocked)
+              if pairs]
+    if not firsts:
+        return AvoidanceReport(True)
+    pair = s, t = min(firsts)
+    for d, p, q, ground in _join_grounds(g, table, wide):
+        outside = ground & ~(1 << s) & ~(1 << t)
+        k = next((k for k in table.maximal_spherical(outside)
+                  if pair in _blocked_pairs(g, d | k)), None)
+        if k is not None:
+            return AvoidanceReport(
+                False, blocking_set=g.names_of(d | k),
+                pair=(g.vertices[s], g.vertices[t]),
+                join=SpecialJoin(g.names_of(p), g.names_of(q), g.names_of(k)))
+    verify(False, f"no special join separates {g.vertices[s]}, "
+           f"{g.vertices[t]}, which a core blocked set separates")
 
 
 def _connected_pair(g: CoxeterGraph, s: int, t: int, allowed: int) -> bool:
@@ -655,6 +765,6 @@ def build_fan_attempts(g: CoxeterGraph, eng, w: tuple[int, ...], si: int,
 
 def wide_holds_tail(g: CoxeterGraph, tail_mask: int, interior: int) -> bool:
     """Does some wide set hold ``tail_mask`` and miss ``interior``?  The
-    former scan of ``fans._verify_fan`` over ``SubsetTable.wide``."""
+    former scan of ``fans._verify_fan`` over the list of wide sets."""
     return any(tail_mask & ~wm == 0 and interior & wm == 0
-               for wm in subset_table(g).wide)
+               for wm in memo_wide_sets(g))

@@ -13,8 +13,8 @@ import time
 import numpy as np
 import pytest
 
-from coxwide.avoidance import (enumerate_wide_subgraphs, is_wide_avoidant,
-                               is_wide_spherical_avoidant, wide_decomposition)
+from coxwide.avoidance import (is_wide_avoidant, is_wide_spherical_avoidant,
+                               wide_decomposition)
 from coxwide.classification import (compute_constants, is_spherical_mask,
                                     longest_element_length_mask)
 from coxwide.classify import RACG_CASES, classify

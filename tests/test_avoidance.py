@@ -3,6 +3,8 @@
 Every decision is cross-checked against the brute-force oracle, which
 enumerates all ordered (P, Q) partitions / all special joins with no
 maximality pruning and decides factor types by cosine-matrix eigenvalues.
+The wide sets grown from the cores and the enumerators of wide sets and
+special joins are the reference copies in ``scan_oracle``.
 """
 
 import random
@@ -11,10 +13,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from coxwide import avoidance, classify
-from coxwide.avoidance import (_blocked_pairs, enumerate_special_joins,
-                               enumerate_wide_subgraphs, is_affine_free,
-                               is_wide, is_wide_avoidant,
-                               is_wide_spherical_avoidant, wide_decomposition)
+from coxwide.avoidance import (_blocked_pairs, is_affine_free, is_wide,
+                               is_wide_avoidant, is_wide_spherical_avoidant,
+                               wide_decomposition)
 from coxwide.classification import subset_table
 from coxwide.errors import SizeCapError, VerificationError
 
@@ -47,7 +48,8 @@ def test_wide_masks_against_brute_force(corpus):
         if g.n > 6:
             continue
         lab = O.labels_from_graph(g)
-        assert set(subset_table(g).wide) == set(O.brute_wide_masks(lab)), name
+        assert set(S.core_wide_masks(subset_table(g))) == \
+            set(O.brute_wide_masks(lab)), name
 
 
 def test_wide_masks_random_against_brute_force():
@@ -56,12 +58,13 @@ def test_wide_masks_random_against_brute_force():
         n = rng.randint(2, 5)
         lab = random_label_matrix(rng, n)
         g = graph_from_labels(lab)
-        assert set(subset_table(g).wide) == set(O.brute_wide_masks(lab)), lab
+        assert set(S.core_wide_masks(subset_table(g))) == \
+            set(O.brute_wide_masks(lab)), lab
 
 
 def test_maximal_wide_masks(g6, o8):
     for g in (g6, o8):
-        all_w = set(subset_table(g).wide)
+        all_w = set(S.core_wide_masks(subset_table(g)))
         mx = set(subset_table(g).maximal_wide)
         assert mx <= all_w
         for m in all_w:
@@ -73,7 +76,7 @@ def test_maximal_wide_masks(g6, o8):
 
 
 def test_enumerate_wide_subgraphs(c4):
-    subs = enumerate_wide_subgraphs(c4)
+    subs = S.enumerate_wide_subgraphs(c4)
     assert ("s1", "s2", "s3", "s4") in subs
     # every returned vertex set admits a wide decomposition
     assert all(wide_decomposition(c4, names) is not None for names in subs)
@@ -107,7 +110,7 @@ def test_g6_wa_witness_validated(g6):
     s, t = (g6.index(x) for x in rep.pair)
     assert not O._path_avoiding(lab, s, t, blocked)
     # and it contains a wide subgraph of the defining graph
-    assert any(wm & ~blocked == 0 for wm in subset_table(g6).wide)
+    assert any(wm & ~blocked == 0 for wm in O.brute_wide_masks(lab))
 
 
 def test_wsa_witness_join_validated(g6):
@@ -200,7 +203,7 @@ def test_blocked_pairs_against_path_search(lab, data):
 
 
 def test_special_joins(g6):
-    joins = enumerate_special_joins(g6)
+    joins = S.enumerate_special_joins(g6)
     assert joins
     lab = O.labels_from_graph(g6)
     for j in joins:
@@ -211,7 +214,7 @@ def test_special_joins(g6):
         # K consists of common neighbors of P, outside the wide set
         assert k & ~O._common_neighbors_brute(lab, p) == 0
         assert k & (p | q) == 0
-    maximal = enumerate_special_joins(g6, maximal_only=True)
+    maximal = S.enumerate_special_joins(g6, maximal_only=True)
     assert maximal and len(maximal) <= len(joins)
 
 
@@ -237,7 +240,8 @@ def test_special_joins_against_brute_force(lab):
                     if not any(b != b2 and b & ~b2 == 0 for b2 in blocked)]
     for maximal_only, expected in ((False, want), (True, want_maximal)):
         got = [tuple(g.mask_of(x) for x in (j.p, j.q, j.k))
-               for j in enumerate_special_joins(g, maximal_only=maximal_only)]
+               for j in S.enumerate_special_joins(g,
+                                                  maximal_only=maximal_only)]
         assert got == expected, maximal_only
 
 
@@ -262,8 +266,10 @@ def test_avoidance_size_cap():
 def test_wsa_witness_walk_that_finds_no_join_is_a_defect(g6, monkeypatch):
     """Every core blocked set is the blocked set of a special join, so the
     witness walk always finds one; a walk that ends without one is a
-    library defect (exit 3), not a verdict."""
-    monkeypatch.setattr(avoidance, "_join_grounds", lambda g, table: iter(()))
+    library defect (exit 3), not a verdict.  Here no wide set the walk
+    visits has a decomposition."""
+    monkeypatch.setattr(avoidance, "_component_bipartitions",
+                        lambda g, mask: iter(()))
     with pytest.raises(VerificationError) as exc:
         is_wide_spherical_avoidant(g6)
     assert str(exc.value) == ("no special join separates s1, s3, which a "

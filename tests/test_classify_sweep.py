@@ -128,11 +128,11 @@ def test_separator_floor_zero_and_complete_graphs():
                               if name.startswith("ra")])
 def test_right_angled_classify_builds_no_wide_list(labels):
     """On a right-angled graph ``classify`` reads only the maximal wide
-    sets, so the full wide list is never built."""
+    sets, so no wide set is grown."""
     g = graph_from_labels(labels)
     verdict = classify(g)
     table = subset_table(g)
-    assert "wide" not in table.__dict__
+    assert "_cores" not in table.__dict__
     assert "maximal_wide" in table.__dict__
     assert table.maximal_wide == S.maximal_of_wide(S.wide_masks_dp(g))
     assert verdict.racg

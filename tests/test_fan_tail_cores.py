@@ -2,7 +2,7 @@
 against the scan of the whole wide list it replaced
 (``scan_oracle.wide_holds_tail``), and the guards on what the fan checks
 no longer pay for: no list of wide sets, and one growth of the cores per
-table, shared with wide-spherical-avoidance and the wide list.
+table, shared with wide-spherical-avoidance.
 
 The differential runs on seeded (tail, interior) pairs, on every fan that
 ``test_fans._fan_requests`` builds or checks, and on every tampered fan of
@@ -134,20 +134,20 @@ O8_FILTERS = ((("s1", "s3") * 3, ("s2", "s4") * 3, 5),
 def test_fan_and_filter_checks_build_no_wide_list():
     """Long-tail fans on O8 (the base s1 s2 s3 s4 with letters s2, s1, and
     the base s1 s3 s2 s4 with t1, t3), O8 filters with wide-tail fans and
-    the fan request sweep leave the wide list unbuilt."""
+    the fan request sweep build and check with a table that has no list of
+    wide sets to build."""
+    assert not hasattr(SubsetTable, "wide")
     for base, s, t in ((("s1", "s2", "s3", "s4"), "s2", "s1"),
                        (("s1", "s3", "s2", "s4"), "t1", "t3")):
         g = make_o8()
         fan = build_fan(g, base, s, t)
         assert fan.case == "wide-tail" and check_fan(g, fan).ok
         assert check_fan(C.fresh(g), fan).ok
-        assert "wide" not in subset_table(g).__dict__
     for alpha, beta, depth in O8_FILTERS:
         g = make_o8()
         filt = build_filter(g, alpha, beta, depth)
         assert any(f.case == "wide-tail" for f in filt.fans)
         assert check_filter(g, filt).ok
-        assert "wide" not in subset_table(g).__dict__
     rng = random.Random(28)
     long_tail = 0
     for g in _sweep_graphs(rng, 60):
@@ -158,13 +158,14 @@ def test_fan_and_filter_checks_build_no_wide_list():
             except ConstructionError:
                 continue
             assert check_fan(C.fresh(g), fan).ok
-        assert "wide" not in subset_table(g).__dict__
     assert long_tail >= 100
 
 
 def test_cores_grow_once_per_table(monkeypatch):
-    """Wide-spherical-avoidance, the wide list and the fan checks share
-    one growth of the cores per table, and ``cores()`` returns one tuple."""
+    """Wide-spherical-avoidance, the fan checks and the wide sets grown
+    from the cores (``scan_oracle.core_wide_masks``, the former wide list)
+    share one growth of the cores per table, and ``cores()`` returns one
+    tuple."""
     grown = []
     growth = SubsetTable._cores.func
 
@@ -182,7 +183,7 @@ def test_cores_grow_once_per_table(monkeypatch):
         fan = build_fan(g, base, s, t)
         assert check_fan(C.fresh(g), fan).ok
         is_wide_spherical_avoidant(g)
-        assert table.wide
+        assert S.core_wide_masks(table)
         assert table.cores() is table.cores()
         assert grown.count(table) == 1
     rng = random.Random(28)
@@ -194,5 +195,5 @@ def test_cores_grow_once_per_table(monkeypatch):
             except ConstructionError:
                 pass
         is_wide_spherical_avoidant(g)
-        table.wide
+        S.core_wide_masks(table)
         assert grown.count(table) == 1

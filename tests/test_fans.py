@@ -127,12 +127,14 @@ def _fan_outcome(build, g, eng, w, si, ti):
 
 def test_one_blocked_set_matches_the_former_attempt_list():
     """``_build_fan`` against the former builder that also tried Delta | K
-    after the join set (``scan_oracle.build_fan_attempts``): the same fan,
-    letter path and error blocking set on seeded right-angled and
-    general-label graphs, many of the long-tail requests with Delta | K
-    different from the join set."""
+    after the join set (``scan_oracle.build_fan_attempts``): the same fan
+    and letter path on seeded right-angled and general-label graphs, many
+    of the long-tail requests with Delta | K different from the join set.
+    A failure names the set that was searched: on a long tail the join
+    set, the former builder's first attempt, where the former builder
+    named its last, Delta | K."""
     rng = random.Random(28)
-    long_tail = differ = built = failed = 0
+    long_tail = differ = built = failed = renamed = 0
     for k in range(60):
         if k % 2:
             labels = random_racg_matrix(rng, rng.randint(5, 8), 0.55)
@@ -141,18 +143,23 @@ def test_one_blocked_set_matches_the_former_attempt_list():
         g = graph_from_labels(labels)
         for eng, w, si, ti in _fan_requests(rng, g):
             got = _fan_outcome(fans._build_fan, g, eng, w, si, ti)
-            assert got == _fan_outcome(S.build_fan_attempts, g, eng, w, si,
-                                       ti), (labels, w, si, ti)
+            want = _fan_outcome(S.build_fan_attempts, g, eng, w, si, ti)
             start, delta = _wide_suffix(g, w)
             if len(w) - start > compute_constants(g).m_gamma:
                 long_tail += 1
                 k_mask = fans._mask(eng.ending_letters(w))
-                differ += delta | k_mask != fans._blocked_for_tail(
-                    g, fans._mask(w[start:]), delta, k_mask)
+                joined = fans._blocked_for_tail(g, fans._mask(w[start:]),
+                                                delta, k_mask)
+                differ += delta | k_mask != joined
+                if want[1] is not None:
+                    renamed += want[1] != frozenset(g.names_of(joined))
+                    want = None, frozenset(g.names_of(joined))
+            assert got == want, (labels, w, si, ti)
             built += got[1] is None
             failed += got[1] is not None
     assert long_tail >= 100 and differ >= 10
     assert built > 100 and failed > 10
+    assert renamed >= 10
 
 
 def test_fan_detour_around_adjacent_letters(o8, monkeypatch):

@@ -28,7 +28,6 @@ LATE_LAYERS = {"fans", "filters", "walls", "words"}
 # Every public name and the module it has always been importable from.
 HOME = {
     "avoidance": ("AvoidanceReport", "SpecialJoin", "WideDecomposition",
-                  "enumerate_special_joins", "enumerate_wide_subgraphs",
                   "is_affine_free", "is_wide", "is_wide_avoidant",
                   "is_wide_spherical_avoidant", "wide_decomposition"),
     "classification": ("EndsVerdict", "GroupConstants", "IrreducibleVerdict",

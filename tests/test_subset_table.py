@@ -17,9 +17,7 @@ import scan_oracle as S
 from conftest import PROPERTY, graph_from_labels, label_matrices
 from coxwide import CoxeterGraph, EndsVerdict
 from coxwide import classification
-from coxwide.avoidance import (_spherical_submasks, enumerate_special_joins,
-                               enumerate_wide_subgraphs, is_affine_free,
-                               is_wide, is_wide_avoidant,
+from coxwide.avoidance import (is_affine_free, is_wide, is_wide_avoidant,
                                is_wide_spherical_avoidant)
 from coxwide.classification import (DEFAULT_SUBSET_CAP, classify_irreducible,
                                     compute_constants, ends_verdict,
@@ -57,13 +55,13 @@ def test_table_equals_replaced_scans(labels):
     assert g._subsets is None
     assert compute_constants(g).m_gamma == S.m_gamma(g)
     assert _per_mask(g) == want          # read from the table
-    assert subset_table(g).wide == S.wide_sets(g)
+    assert S.core_wide_masks(subset_table(g)) == S.wide_sets(g)
     assert subset_table(g).maximal_wide == S.maximal_wide_sets(g)
     assert is_affine_free(g) == S.is_affine_free(g)
     assert spherical_separator(g) == S.spherical_separator(g)
     table = subset_table(g)
     for ground in range(full + 1):
-        assert _spherical_submasks(table, ground) == \
+        assert S._spherical_submasks(table, ground) == \
             S.spherical_submasks(g, ground)
         assert table.maximal_spherical(ground) == \
             S.maximal_spherical_submasks(g, ground)
@@ -77,7 +75,8 @@ def test_table_equals_oracles(labels):
     full = g.full_mask()
     for mask in range(full + 1):
         assert is_spherical_mask(g, mask) == O.is_spherical_subset(labels, mask)
-    assert list(subset_table(g).wide) == O.brute_wide_masks(labels)
+    assert list(S.core_wide_masks(subset_table(g))) == \
+        O.brute_wide_masks(labels)
     affine = {m for m in range(full + 1) if popcount(m) >= 3
               and O.is_affine_irreducible_subset(labels, m)}
     assert subset_table(g).affine == affine
@@ -105,17 +104,20 @@ _FAN = FanDiagram(("v0",), ("v1", "v0", "v1"), (6, 6), (), None,
 
 
 def _capped_calls(cap):
-    """``(layer, takes_cap, call)`` for the readers of the subset table.
-    Those that take no cap read it at the default cap; a word needs a
-    letter before its wide tail reads the table."""
+    """``(layer, takes_cap, call)`` for the readers of the subset table,
+    with the reference enumerators of ``scan_oracle``.  Those that take no
+    cap read it at the default cap; a word needs a letter before its wide
+    tail reads the table."""
     return [
         ("constants", True, lambda g: compute_constants(g, cap)),
         ("ends", True, lambda g: ends_verdict(g, cap)),
-        ("enumeration", True, lambda g: subset_table(g, cap).wide),
+        ("enumeration", True, lambda g: subset_table(g, cap).cores()),
         ("enumeration", True, lambda g: subset_table(g, cap).maximal_wide),
-        ("enumeration", True, lambda g: enumerate_wide_subgraphs(g, cap=cap)),
+        ("enumeration", True,
+         lambda g: S.enumerate_wide_subgraphs(g, cap=cap)),
         ("enumeration", True, lambda g: is_affine_free(g, cap)),
-        ("enumeration", True, lambda g: enumerate_special_joins(g, cap=cap)),
+        ("enumeration", True,
+         lambda g: S.enumerate_special_joins(g, cap=cap)),
         ("enumeration", True, lambda g: is_wide_avoidant(g, cap)),
         ("enumeration", True, lambda g: is_wide_spherical_avoidant(g, cap)),
         ("constants", True, lambda g: classify(g, cap)),
@@ -152,11 +154,11 @@ def test_cap_errors_name_their_layer():
 def test_default_caps_raise_at_21_vertices():
     g = _path(21)
     calls = [("constants", compute_constants), ("ends", ends_verdict),
-             ("enumeration", lambda h: subset_table(h).wide),
+             ("enumeration", lambda h: subset_table(h).cores()),
              ("enumeration", lambda h: subset_table(h).maximal_wide),
-             ("enumeration", enumerate_wide_subgraphs),
+             ("enumeration", S.enumerate_wide_subgraphs),
              ("enumeration", is_affine_free),
-             ("enumeration", enumerate_special_joins),
+             ("enumeration", S.enumerate_special_joins),
              ("enumeration", is_wide_avoidant),
              ("enumeration", is_wide_spherical_avoidant),
              ("constants", classify),

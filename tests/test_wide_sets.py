@@ -1,10 +1,14 @@
-"""The wide sets of ``SubsetTable`` against the dynamic program they replaced.
+"""The wide sets grown from the cores of ``SubsetTable`` against the
+dynamic program they replaced.
 
-``scan_oracle.wide_masks_dp`` is the former 2^n dynamic program.  A
-reference graph gets its table's wide sets from it, and its maximal wide
-sets by filtering them, so every query built on them (maximal wide sets,
-their cover, the wide-spherical-avoidance report and the whole
-``classify`` JSON) is asked of both graphs and compared.
+``scan_oracle.wide_masks_dp`` is the former 2^n dynamic program, and
+``scan_oracle.core_wide_masks`` the wide sets grown from the table's
+cores, as ``SubsetTable.wide`` once listed them.  A reference graph gets
+its maximal wide sets by filtering the program's wide sets, so every query
+built on them (maximal wide sets, their cover and the whole ``classify``
+JSON) is asked of both graphs and compared.  The wide-spherical-avoidance
+report is compared with the former witness walk over the program's wide
+sets and with the former all-joins decider.
 
 The seeded sweep draws a fixed number of graphs per vertex count from fixed
 seeds and keeps every one.  The families are chosen for their wide sets:
@@ -51,25 +55,21 @@ def _sweep_labels():
     return out
 
 
-def _with_dp_wide(make):
-    """A fresh graph whose table holds the dynamic program's wide sets and
-    the maximal ones filtered out of them, as the table once did."""
-    ref = make()
-    table = subset_table(ref)
-    table.__dict__["wide"] = S.wide_masks_dp(ref)
-    table.__dict__["maximal_wide"] = S.maximal_of_wide(table.wide)
-    return ref
-
-
 def _assert_matches_dp(make):
-    g, ref = make(), _with_dp_wide(make)
+    """Compare ``make()``'s table with the dynamic program; a reference
+    graph's table holds the maximal wide sets filtered out of the
+    program's wide sets, as the table once did."""
+    g, ref = make(), make()
+    wide = S.wide_masks_dp(ref)
     table, ref_table = subset_table(g), subset_table(ref)
-    assert table.wide == ref_table.wide
+    ref_table.__dict__["maximal_wide"] = S.maximal_of_wide(wide)
+    assert S.core_wide_masks(table) == wide
     assert table.maximal_wide == ref_table.maximal_wide
     for mask in range(1 << min(g.n, 10)):
         assert table.wide_cover(mask) == ref_table.wide_cover(mask)
     report = is_wide_spherical_avoidant(g).to_json_obj()
-    assert report == is_wide_spherical_avoidant(ref).to_json_obj()
+    assert report == \
+        S.wide_spherical_avoidant_list_walk(ref, wide=wide).to_json_obj()
     assert report == S.wide_spherical_avoidant_all_joins(make()).to_json_obj()
     assert classify(g).to_json_obj() == classify(ref).to_json_obj()
     return table
@@ -119,7 +119,8 @@ def test_wide8_matches_dp():
 def test_joins_of_anticliques_match_dp(a, b):
     table = _assert_matches_dp(lambda: _join_of_anticliques(a, b))
     # wide exactly when both sides hold a non-commuting pair
-    assert len(table.wide) == (2 ** a - 1 - a) * (2 ** b - 1 - b)
+    assert len(S.core_wide_masks(table)) == \
+        (2 ** a - 1 - a) * (2 ** b - 1 - b)
 
 
 @pytest.mark.parametrize("kind", ["A~2", "C~2", "G~2"])
@@ -127,14 +128,14 @@ def test_joins_of_anticliques_match_dp(a, b):
 def test_affine_sets_with_free_vertices_match_dp(kind, free):
     table = _assert_matches_dp(lambda: _affine_with_free(kind, free))
     # the affine set with any part of the free vertices, and nothing else
-    assert len(table.wide) == 2 ** free
+    assert len(S.core_wide_masks(table)) == 2 ** free
     assert table.maximal_wide == ((1 << (3 + free)) - 1,)
 
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_affine_cycles_match_dp(n):
     table = _assert_matches_dp(lambda: _affine_cycle(n))
-    assert table.wide == ((1 << (n + 1)) - 1,)
+    assert S.core_wide_masks(table) == ((1 << (n + 1)) - 1,)
 
 
 def _grown_core(extra: int, free: int) -> CoxeterGraph:
@@ -209,14 +210,14 @@ def test_joins_of_random_graphs_match_dp(seed):
                                        ("general", 2021)])
 def test_wide_sets_and_classify_stay_small_at_the_cap(kind, seed):
     """Caps bound memory as well as time: at the default cap of 20
-    vertices the wide sets, the maximal wide sets (found without the wide
-    list), wide-spherical-avoidance (from the cores) and ``classify`` keep
+    vertices the cores, the maximal wide sets (found without growing any
+    P), wide-spherical-avoidance (from the cores) and ``classify`` keep
     their traced peak below 16 MB (the former 2^n dynamic program peaked
     at about 43 MB)."""
     rng = random.Random(seed)
     labels = (random_racg_matrix(rng, 20) if kind == "right-angled"
               else random_label_matrix(rng, 20))
-    for name, call in (("wide", lambda g: subset_table(g).wide),
+    for name, call in (("cores", lambda g: subset_table(g).cores()),
                        ("maximal_wide", lambda g: subset_table(g).maximal_wide),
                        ("is_wide_spherical_avoidant", is_wide_spherical_avoidant),
                        ("classify", classify)):
@@ -233,7 +234,7 @@ def test_wide_sets_and_classify_stay_small_at_the_cap(kind, seed):
 def test_table_keeps_no_reference_to_its_graph():
     g = make_wide8()
     table = subset_table(g)
-    assert table.wide and table.maximal_wide
+    assert table.cores() and table.maximal_wide
     assert table.wide_cover(0b11) == 0xFF
     ref = weakref.ref(table)
     del table

@@ -10,9 +10,18 @@ decider and, up to 7 vertices, with the brute-force verdict of
 count from a fixed seed and keeps every one; its commuting-heavy graphs
 hold affine sets, so some of them fail with an affine P in the witness.
 
+The witness walk, which visits only the wide sets grown from the cores
+that separate the least pair, is compared report for report with the
+former walk over the whole list of wide sets
+(``scan_oracle.wide_spherical_avoidant_list_walk``) on a second seeded
+sweep: right-angled, general and commuting-heavy graphs of 3 to 9
+vertices, and two families on which wide-spherical-avoidance mostly
+fails, right-angled graphs of 16 to 20 vertices and commuting-heavy ones
+of 10 to 14.  Every graph drawn is kept, whatever its verdict.
+
 The guards check what ``classify`` no longer pays for: it never grows the
-irreducible sets P for the maximal wide sets, and where wide-spherical-
-avoidance holds it builds no list of wide sets.
+irreducible sets P for the maximal wide sets, and the subset table keeps
+no list of wide sets.
 """
 
 from __future__ import annotations
@@ -22,6 +31,7 @@ import sys
 
 import pytest
 
+import coxwide
 import oracles as O
 import scan_oracle as S
 from conftest import graph_from_labels, random_label_matrix, random_racg_matrix
@@ -93,6 +103,62 @@ def test_maximal_spherical_matches_the_former_filter():
                 S.maximal_spherical(table, ground)
 
 
+WALK_SEED = 20261022
+WALK_SMALL_SIZES = range(3, 10)
+WALK_SMALL_PER_SIZE = 12
+WALK_FAILING_SIZES = {"ra": range(16, 21), "dense": range(10, 15)}
+WALK_FAILING_PER_SIZE = 8
+
+
+def _walk_sweep() -> dict[str, list[tuple[str, list[list[int]]]]]:
+    """Sweep name -> (graph name, label matrix), drawn in a fixed order from
+    one seed: ``WALK_SMALL_PER_SIZE`` right-angled, general and
+    commuting-heavy graphs per small vertex count, then
+    ``WALK_FAILING_PER_SIZE`` per vertex count of each failing family."""
+    rng = random.Random(WALK_SEED)
+    out = {}
+    for n in WALK_SMALL_SIZES:
+        for k in range(WALK_SMALL_PER_SIZE):
+            out.setdefault(f"ra{n}", []).append(
+                (f"ra{n}-{k}", random_racg_matrix(rng, n)))
+            out.setdefault(f"gen{n}", []).append(
+                (f"gen{n}-{k}", random_label_matrix(rng, n)))
+            out.setdefault(f"dense{n}", []).append(
+                (f"dense{n}-{k}", random_label_matrix(rng, n, COMMUTING_HEAVY)))
+    for kind, sizes in WALK_FAILING_SIZES.items():
+        for n in sizes:
+            out[f"failing-{kind}{n}"] = [
+                (f"{kind}{n}-{k}",
+                 random_racg_matrix(rng, n) if kind == "ra"
+                 else random_label_matrix(rng, n, COMMUTING_HEAVY))
+                for k in range(WALK_FAILING_PER_SIZE)]
+    return out
+
+
+WALK = _walk_sweep()
+
+
+@pytest.mark.parametrize("sweep", list(WALK))
+def test_witness_walk_matches_the_list_walk(sweep):
+    for name, labels in WALK[sweep]:
+        report = is_wide_spherical_avoidant(graph_from_labels(labels))
+        assert report.to_json_obj() == S.wide_spherical_avoidant_list_walk(
+            graph_from_labels(labels)).to_json_obj(), name
+
+
+def test_walk_sweeps_reach_the_witness():
+    """The sweeps exercise the walk: many of their graphs fail
+    wide-spherical-avoidance, most of all in the failing families."""
+    failed = dict.fromkeys(("small", "failing-ra", "failing-dense"), 0)
+    for sweep, graphs in WALK.items():
+        family = sweep.rstrip("0123456789") if "-" in sweep else "small"
+        for _, labels in graphs:
+            failed[family] += not is_wide_spherical_avoidant(
+                graph_from_labels(labels)).holds
+    assert failed["small"] >= 60
+    assert failed["failing-ra"] >= 25 and failed["failing-dense"] >= 10
+
+
 def _spy_on_cores(monkeypatch) -> list[str]:
     """Replace ``SubsetTable.cores`` by a spy that records the name of the
     function asking for the P-growth."""
@@ -121,12 +187,18 @@ def test_classify_never_grows_p_for_the_maximal_wide_sets(monkeypatch):
             assert len(callers) == before
         asked.update(callers)
     assert "maximal_wide" not in asked
-    # the spy sees the growth that wide-spherical-avoidance and the wide
-    # list still run
-    assert asked == {"is_wide_spherical_avoidant", "wide"}
+    # the spy sees the growth that wide-spherical-avoidance still runs
+    assert asked == {"is_wide_spherical_avoidant"}
 
 
 def test_general_classify_where_wsa_holds_builds_no_wide_list():
+    """The subset table has no list of wide sets, and the package exports
+    no enumerator of wide sets or special joins (their reference copies
+    are in ``scan_oracle``); general-label ``classify`` reads the maximal
+    wide sets where both avoidance conditions hold."""
+    assert not hasattr(SubsetTable, "wide")
+    assert not {"enumerate_wide_subgraphs", "enumerate_special_joins"} & \
+        set(coxwide.__all__)
     holding = 0
     for _, labels in SMALL:
         g = graph_from_labels(labels)
@@ -134,7 +206,5 @@ def test_general_classify_where_wsa_holds_builds_no_wide_list():
         if not verdict.racg and verdict.hypotheses["wide_avoidant"] and \
                 verdict.hypotheses["wide_spherical_avoidant"]:
             holding += 1
-            table = subset_table(g)
-            assert "wide" not in table.__dict__
-            assert "maximal_wide" in table.__dict__
+            assert "maximal_wide" in subset_table(g).__dict__
     assert holding >= 10
